@@ -101,11 +101,11 @@ def fit_exponential_decay(mode: DominantMode, t_c: float) -> float:
 
 def write_coherence_csv(path, ck: CoherenceKernel) -> None:
     """Serialise the coherence kernel as CSV rows t,tp,g."""
+    t_text = [f"{t:.9g}" for t in ck.grid]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("t,tp,g\n")
-        for i, t in enumerate(ck.grid):
-            for j, tp in enumerate(ck.grid):
-                fh.write(f"{t:.9g},{tp:.9g},{ck.g[i, j]:.9g}\n")
+        for t, row in zip(t_text, ck.g):
+            fh.write("".join(f"{t},{tp},{g:.9g}\n" for tp, g in zip(t_text, row.tolist())))
 
 
 def write_mode_csv(path, mode: DominantMode) -> None:

@@ -16,7 +16,6 @@ import numpy as np
 
 from .covariance import CovarianceMatrix4, physicality_check
 from .errors import ImpossibleOutcomeError, UnphysicalCovarianceError
-from .quadrature import _gl_rule
 from .wigner import (
     GaussPolyState,
     TwoModeGaussianWigner,
@@ -177,7 +176,7 @@ def click_wigner_direct(
     """
     if half_width is None:
         half_width = 7.0 * np.sqrt(max(v.m[0, 0], v.m[1, 1]) / 2.0)
-    nodes, weights = _gl_rule(order)
+    nodes, weights = np.polynomial.legendre.leggauss(order)
     t = half_width * nodes
     wts = half_width * weights
     xx, pp = np.meshgrid(t, t, indexing="ij")

@@ -47,12 +47,6 @@ class CovarianceMatrix4:
             raise ValueError("covariance is not symmetric")
         object.__setattr__(self, "m", 0.5 * (m + m.T))
 
-    def trigger_block(self) -> np.ndarray:
-        return self.m[:2, :2].copy()
-
-    def output_block(self) -> np.ndarray:
-        return self.m[2:, 2:].copy()
-
     def trigger_occupation(self) -> float:
         """Mean photon number of the trigger mode, (V11 + V22 - 2)/4."""
         return (self.m[0, 0] + self.m[1, 1] - 2.0) / 4.0

@@ -5,6 +5,8 @@ L2 norm; the missing norm is vacuum fill and contributes nothing to the
 source-part moments.  The trigger mode composes a beam-splitter tap, an
 optional single-pole frequency filter and a detection window; the output
 mode is a normalised envelope scaled by the tap's reflection amplitude.
+The built-in modes also carry their amplitude as exponential-polynomial
+pieces, so their moments against the OPO kernel are exact.
 """
 
 from __future__ import annotations
@@ -14,8 +16,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import QuadratureError
-from .quadrature import QuadAxis, correlation_moment, l2_norm_sq
+from .piecewise import Piece, kernel_moments, norm_sq
+from .quadrature import QuadAxis, correlation_moment
 from .sources import CorrelationKernel
 
 NORM_TOL = 1e-6
@@ -29,8 +31,12 @@ class ModeFunction:
     """A temporal mode: amplitude, finite support, interior kinks, source weight.
 
     ``source_weight`` is the squared source fraction Int f^2 dt; values
-    below one mean the mode carries vacuum fill.  ``decay_scale`` sizes
-    quadrature panels.
+    below one mean the mode carries vacuum fill.  ``pieces``, when given,
+    is the same amplitude as a sum of :class:`~cwherald.piecewise.Piece`
+    (half-infinite tails included), which makes its moments exact.
+    ``support``, ``kinks`` and ``decay_scale`` lay out the quadrature
+    panels used for a mode without pieces; ``decay_scale`` is the rate at
+    which the amplitude varies, and the support truncates its tails.
     """
 
     amplitude: Callable[[np.ndarray], np.ndarray]
@@ -38,6 +44,7 @@ class ModeFunction:
     source_weight: float
     kinks: tuple[float, ...] = ()
     decay_scale: float = 0.0
+    pieces: tuple[Piece, ...] | None = None
 
     def __post_init__(self):
         lo, hi = self.support
@@ -62,6 +69,7 @@ class ModeFunction:
             source_weight=factor**2 * self.source_weight,
             kinks=self.kinks,
             decay_scale=self.decay_scale,
+            pieces=None if self.pieces is None else tuple(p.scaled(factor) for p in self.pieces),
         )
 
 
@@ -146,7 +154,10 @@ def build_trigger_mode(
     window is collapsed onto its centre when it is much narrower than both
     the filter response and the source correlations
     (``dt * max(filter, fastest source rate) <= 0.1``); otherwise the
-    window is integrated through the filter response explicitly.
+    window is integrated through the filter response explicitly.  The
+    filtered modes have half-infinite exponential tails; their pieces keep
+    the tails whole, and ``truncation_rate`` (default: the filter rate)
+    only sets how far the support, used by quadrature, follows them.
     """
     tau_eff = spec.tap_amplitude * np.sqrt(spec.detector_efficiency)
     dt = spec.window_width
@@ -165,6 +176,7 @@ def build_trigger_mode(
             support=(lo, hi),
             source_weight=tau_eff**2,
             decay_scale=0.0,
+            pieces=(Piece(lo, hi, lo, height),),
         )
 
     gamma = spec.filter_width
@@ -179,45 +191,51 @@ def build_trigger_mode(
             t = np.asarray(t, dtype=float)
             return np.where(t <= tc, scale * np.exp(-gamma * np.clip(tc - t, 0.0, None)), 0.0)
 
-        mode = ModeFunction(
+        pieces = (Piece(-np.inf, tc, tc, scale, rate=gamma),)
+        return ModeFunction(
             amplitude=amp_collapsed,
             support=(tc - tail, tc),
-            source_weight=0.0,
+            source_weight=norm_sq(pieces),
             decay_scale=gamma,
+            pieces=pieces,
         )
-    else:
-        lo_w, hi_w = tc - dt / 2.0, tc + dt / 2.0
-        pref = tau_eff / np.sqrt(dt)
 
-        def amp_explicit(t):
-            t = np.asarray(t, dtype=float)
-            upper = 1.0 - np.exp(-gamma * np.clip(hi_w - t, 0.0, None))
-            lower = np.exp(-gamma * np.clip(lo_w - t, 0.0, None)) - np.exp(
-                -gamma * np.clip(hi_w - t, 0.0, None)
-            )
-            return pref * np.where(t > hi_w, 0.0, np.where(t >= lo_w, upper, lower))
+    lo_w, hi_w = tc - dt / 2.0, tc + dt / 2.0
+    pref = tau_eff / np.sqrt(dt)
 
-        mode = ModeFunction(
-            amplitude=amp_explicit,
-            support=(lo_w - tail, hi_w),
-            source_weight=0.0,
-            kinks=(lo_w,),
-            decay_scale=gamma,
+    def amp_explicit(t):
+        t = np.asarray(t, dtype=float)
+        upper = 1.0 - np.exp(-gamma * np.clip(hi_w - t, 0.0, None))
+        lower = np.exp(-gamma * np.clip(lo_w - t, 0.0, None)) - np.exp(
+            -gamma * np.clip(hi_w - t, 0.0, None)
         )
-    weight = l2_norm_sq(mode.as_axis())
+        return pref * np.where(t > hi_w, 0.0, np.where(t >= lo_w, upper, lower))
+
+    # before the window the response to all of it decays; inside, it builds up
+    pieces = (
+        Piece(-np.inf, lo_w, lo_w, -pref * np.expm1(-gamma * dt), rate=gamma),
+        Piece(lo_w, hi_w, lo_w, pref),
+        Piece(lo_w, hi_w, hi_w, -pref, rate=gamma),
+    )
     return ModeFunction(
-        amplitude=mode.amplitude,
-        support=mode.support,
-        source_weight=weight,
-        kinks=mode.kinks,
-        decay_scale=mode.decay_scale,
+        amplitude=amp_explicit,
+        support=(lo_w - tail, hi_w),
+        source_weight=norm_sq(pieces),
+        kinks=(lo_w,),
+        decay_scale=gamma,
+        pieces=pieces,
     )
 
 
 def build_output_mode(
     spec: OutputModeSpec, truncation_rate: float | None = None
 ) -> ModeFunction:
-    """Construct the output mode: unit-norm envelope times the reflection amplitude."""
+    """Construct the output mode: unit-norm envelope times the reflection amplitude.
+
+    The exponential envelope's support, used only by quadrature, follows
+    its tails to ``truncation_rate`` (default: ``alpha``); its pieces do not
+    truncate them.
+    """
     if spec.envelope == "exponential":
         alpha = float(spec.alpha)
         refl = spec.reflect_amplitude
@@ -233,9 +251,13 @@ def build_output_mode(
         return ModeFunction(
             amplitude=amp,
             support=(tc - tail, tc + tail),
-            source_weight=refl**2 * (1.0 - np.exp(-2.0 * alpha * tail)),
+            source_weight=refl**2,
             kinks=(tc,),
             decay_scale=alpha,
+            pieces=(
+                Piece(-np.inf, tc, tc, scale, rate=alpha),
+                Piece(tc, np.inf, tc, scale, rate=-alpha),
+            ),
         )
 
     ts, us = spec.table
@@ -259,12 +281,19 @@ def build_output_mode(
         t = np.asarray(t, dtype=float)
         return refl * np.interp(t, ts, un, left=0.0, right=0.0)
 
+    slopes = np.diff(un) / h
+    pieces = tuple(
+        Piece(float(a), float(b), float(a), refl * float(c), power)
+        for a, b, u, m in zip(ts[:-1], ts[1:], un[:-1], slopes)
+        for c, power in ((u, 0), (m, 1))
+    )
     return ModeFunction(
         amplitude=amp_tab,
         support=(float(ts[0]), float(ts[-1])),
         source_weight=refl**2,
         kinks=tuple(float(t) for t in ts[1:-1]),
         decay_scale=0.0,
+        pieces=pieces,
     )
 
 
@@ -283,17 +312,29 @@ def second_moments(
     rtol: float = 1e-8,
     atol: float = 1e-12,
 ) -> SecondMoments:
-    """Mode moments by double quadrature of the kernel against the mode pair.
+    """Mode moments of the kernel against the mode pair.
 
     ``a[i, j] = Int f_i(t) f_j(t') c_aa(t - t') dt dt'`` and likewise for
-    ``b`` with ``c_ada``.  Converged to the stated tolerances or raises
-    :class:`~cwherald.errors.QuadratureError`.
+    ``b`` with ``c_ada``.  When both modes carry pieces and the kernel
+    carries its exponential terms, every moment is a closed-form sum of
+    antiderivatives (:func:`~cwherald.piecewise.kernel_moments`), exact to
+    rounding and with no tail truncation.  Otherwise the moments come from
+    double quadrature over the modes' supports, converged to ``rtol`` and
+    ``atol`` or raising :class:`~cwherald.errors.QuadratureError`.
     """
     if k.decay_rate <= 0.0:
         raise ValueError("kernel decay rate must be positive")
-    axes = (f1.as_axis(), f2.as_axis())
+    modes = (f1, f2)
     a = np.zeros((2, 2))
     b = np.zeros((2, 2))
+    if f1.pieces is not None and f2.pieces is not None and k.terms:
+        rates, w_aa, w_ada = np.array(k.terms, dtype=float).T
+        for i, j in ((0, 0), (0, 1), (1, 1)):
+            m = kernel_moments(modes[i].pieces, modes[j].pieces, rates)
+            a[i, j] = a[j, i] = w_aa @ m
+            b[i, j] = b[j, i] = w_ada @ m
+        return SecondMoments(a=a, b=b)
+    axes = (f1.as_axis(), f2.as_axis())
     for i in range(2):
         for j in range(i, 2):
             a[i, j] = a[j, i] = correlation_moment(

@@ -1,0 +1,282 @@
+"""Exact kernel moments of piecewise exponential-polynomial mode functions.
+
+Every built-in mode amplitude is a sum of pieces ``c (t - t0)^k e^{rate (t - t0)}``
+with k in {0, 1} on intervals, and the source kernel is a sum of terms
+``e^{-r |t - t'|}``.  The double integral of two such functions against one
+kernel term is then a finite sum of antiderivatives, evaluated here without
+truncating half-infinite tails.
+
+The real line is cut at every finite piece end into cells.  A pair of cells
+at different places separates (``|t - t'|`` has one sign), so it is a product
+of two one-dimensional integrals.  A cell paired with itself splits along
+the diagonal into two triangles.  On a finite cell both kinds are written as
+divided differences of the exponential (Hermite-Genocchi), which stay exact
+when rates coincide (``(1 - e^{-x})/x`` is ``exp[0, -x]``); on a half-infinite
+cell they are rational in the rates.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass, replace
+from typing import NamedTuple
+
+import numpy as np
+
+# divided differences over nodes spread by at most this use the Taylor series,
+# wider ones the recursion, which then cancels at most a factor of about 3
+_TAYLOR_SPAN = 2.0
+_TAYLOR_TERMS = 27  # more than a span of _TAYLOR_SPAN needs
+_FACT = [float(math.factorial(j)) for j in range(_TAYLOR_TERMS + 5)]
+_INV_FACT = np.array([1.0 / f for f in _FACT])
+# gather indices m - j of a lower-triangular Toeplitz matrix, and its mask
+_LAG = np.array([[max(m - j, 0) for j in range(_TAYLOR_TERMS)] for m in range(_TAYLOR_TERMS)])
+_LOWER = np.array([[m >= j for j in range(_TAYLOR_TERMS)] for m in range(_TAYLOR_TERMS)])
+
+
+@dataclass(frozen=True)
+class Piece:
+    """``coeff * (t - anchor)**power * exp(rate * (t - anchor))`` on [lo, hi].
+
+    ``anchor`` is a finite end of the interval; a half-infinite piece decays
+    away from it.  ``power`` is 0 or 1.
+    """
+
+    lo: float
+    hi: float
+    anchor: float
+    coeff: float
+    power: int = 0
+    rate: float = 0.0
+
+    def __post_init__(self):
+        if not self.lo < self.hi:
+            raise ValueError(f"piece interval [{self.lo}, {self.hi}] is empty")
+        if not (np.isfinite(self.anchor) and self.anchor in (self.lo, self.hi)):
+            raise ValueError(f"piece anchor {self.anchor} is not a finite end")
+        if self.power not in (0, 1):
+            raise ValueError(f"piece power must be 0 or 1, got {self.power}")
+        if (self.lo == -np.inf and not self.rate > 0.0) or (
+            self.hi == np.inf and not self.rate < 0.0
+        ):
+            raise ValueError("a half-infinite piece must decay away from its anchor")
+
+    def scaled(self, factor: float) -> "Piece":
+        return replace(self, coeff=factor * self.coeff)
+
+
+def _taylor(z: np.ndarray) -> np.ndarray:
+    """exp[z_0..z_n] for sorted rows of span <= _TAYLOR_SPAN.
+
+    With y = z - z_0 >= 0, exp[z] = e^{z_0} sum_m h_m(y) / (n + m)!, h_m the
+    complete homogeneous symmetric polynomials; every term is nonnegative,
+    and the series stops once span^m / m! is below rounding.
+    """
+    y = z - z[:, :1]
+    span = float(y[:, -1].max(initial=0.0))
+    terms = next((m for m in range(1, _TAYLOR_TERMS) if span**m < 1e-17 * _FACT[m]), _TAYLOR_TERMS)
+    powers = y[:, :, None] ** np.arange(terms)
+    lag, lower = _LAG[:terms, :terms], _LOWER[:terms, :terms]
+    h = powers[:, 0]
+    for i in range(1, z.shape[1]):
+        # h_m <- sum_j y_i^(m-j) h_j: product with the geometric series of y_i
+        h = np.einsum("nmj,nj->nm", np.where(lower, powers[:, i][:, lag], 0.0), h)
+    n = z.shape[1] - 1
+    return np.exp(z[:, 0]) * (h @ _INV_FACT[n : n + terms])
+
+
+def dd_exp(z: np.ndarray) -> np.ndarray:
+    """Divided differences exp[z_0, ..., z_n] of each row of ``z`` (repeats allowed)."""
+    z = np.sort(np.asarray(z, dtype=float), axis=1)
+    if z.shape[1] == 1:
+        return np.exp(z[:, 0])
+    span = z[:, -1] - z[:, 0]
+    wide = span > _TAYLOR_SPAN
+    if not wide.any():
+        return _taylor(z)
+    out = np.empty(len(z))
+    out[~wide] = _taylor(z[~wide])
+    zw = z[wide]
+    out[wide] = (dd_exp(zw[:, 1:]) - dd_exp(zw[:, :-1])) / span[wide]
+    return out
+
+
+def _dd(*nodes: np.ndarray) -> np.ndarray:
+    """dd_exp over broadcast node arrays, keeping their common shape."""
+    stacked = np.stack(np.broadcast_arrays(*nodes), axis=-1)
+    return dd_exp(stacked.reshape(-1, len(nodes))).reshape(stacked.shape[:-1])
+
+
+def _cells(*piece_sets) -> tuple[np.ndarray, np.ndarray]:
+    """Cell bounds (lo, hi) cutting the line at every finite piece end."""
+    pieces = [p for ps in piece_sets for p in ps]
+    ends = [e for p in pieces for e in (p.lo, p.hi) if np.isfinite(e)]
+    edges = np.unique(ends)
+    lo, hi = edges[:-1], edges[1:]
+    if any(p.lo == -np.inf for p in pieces):
+        lo, hi = np.r_[-np.inf, lo], np.r_[edges[0], hi]
+    if any(p.hi == np.inf for p in pieces):
+        lo, hi = np.r_[lo, edges[-1]], np.r_[hi, np.inf]
+    return lo, hi
+
+
+class _Terms(NamedTuple):
+    """Pieces restricted to cells, in a cell-local coordinate s >= 0.
+
+    Term n is ``(c0 + c1 s) e^{rate s + shift}`` on cell ``cell``; s runs
+    from the cell's finite end into the cell (outwards on a half-infinite
+    cell, so its ``rate`` is negative).  Columns broadcast against rates.
+    """
+
+    cell: np.ndarray
+    c0: np.ndarray
+    c1: np.ndarray
+    rate: np.ndarray
+    shift: np.ndarray
+
+    def take(self, idx) -> "_Terms":
+        return _Terms(*(col[idx] for col in self))
+
+    def concat(self, other: "_Terms") -> "_Terms":
+        return _Terms(*map(np.concatenate, zip(self, other)))
+
+
+def _terms(pieces, lo: np.ndarray, hi: np.ndarray) -> _Terms:
+    plo, phi, anchor, coeff, power, rate = (
+        np.array([getattr(p, f) for p in pieces], dtype=float)
+        for f in ("lo", "hi", "anchor", "coeff", "power", "rate")
+    )
+    pi, ci = np.nonzero((lo[None, :] >= plo[:, None]) & (hi[None, :] <= phi[:, None]))
+    left_tail = lo[ci] == -np.inf
+    origin = np.where(left_tail, hi[ci], lo[ci])
+    sign = np.where(left_tail, -1.0, 1.0)
+    d = origin - anchor[pi]
+    return _Terms(
+        cell=ci,
+        c0=(coeff[pi] * d ** power[pi])[:, None],
+        c1=(coeff[pi] * power[pi] * sign)[:, None],
+        rate=(sign * rate[pi])[:, None],
+        shift=(rate[pi] * d)[:, None],
+    )
+
+
+def _end_moments(t: _Terms, r, length) -> np.ndarray:
+    """Int term e^{-r s} and Int term e^{-r (L - s)} over each term's cell.
+
+    The first is against the distance from the cell's start, the second
+    against the distance to its end.  On a half-infinite cell s runs
+    outwards from the finite end, and both rows hold the one moment.
+    """
+    out = np.empty((2, len(t.cell), r.shape[-1]))
+    L = length[t.cell][:, None]
+    fin = np.isfinite(L[:, 0])
+    if fin.any():
+        f, Lf = t.take(fin), L[fin]
+        # exponent at s = 0 and s = L of each integrand, shift included
+        a = np.stack(np.broadcast_arrays(f.shift, f.shift - r * Lf))
+        b = np.stack(np.broadcast_arrays(f.shift + (f.rate - r) * Lf, f.shift + f.rate * Lf))
+        out[:, fin] = Lf * f.c0 * _dd(a, b) + Lf**2 * f.c1 * _dd(a, b, b)
+    if not fin.all():
+        inf = ~fin
+        g = r - t.rate[inf]
+        out[:, inf] = np.exp(t.shift[inf]) * (t.c0[inf] / g + t.c1[inf] / g**2)
+    return out
+
+
+def _triangles(p: _Terms, q: _Terms, r, L) -> np.ndarray:
+    """Int_{0 <= u <= s <= L} p(s) q(u) e^{-r (s - u)} du ds, per row of p and q."""
+    s = p.shift + q.shift
+    if np.isinf(L).all():
+        # s = u + d: the region becomes the quadrant u, d >= 0 and separates
+        a = p.rate - r
+        c = p.rate + q.rate
+        m0a, m1a = -1.0 / a, 1.0 / a**2
+        m0c, m1c, m2c = -1.0 / c, 1.0 / c**2, -2.0 / c**3
+        return np.exp(s) * (
+            p.c0 * q.c0 * m0a * m0c
+            + (p.c0 * q.c1 + p.c1 * q.c0) * m0a * m1c
+            + p.c1 * q.c1 * (m0a * m2c + m1a * m1c)
+            + p.c1 * q.c0 * m1a * m0c
+        )
+    # s = L (l1 + l2), u = L l2 over the unit simplex (Hermite-Genocchi);
+    # a weight l_i repeats node i
+    x0, x1, x2 = np.broadcast_arrays(s, s + (p.rate - r) * L, s + (p.rate + q.rate) * L)
+    x12 = np.stack([x1, x2])
+    d0 = _dd(x0, x1, x2)
+    d1, d2 = _dd(x0, x1, x2, x12)
+    d12, d22 = _dd(x0, x1, x2, x12, x2)
+    return L**2 * (
+        p.c0 * q.c0 * d0
+        + p.c0 * q.c1 * L * d2
+        + p.c1 * q.c0 * L * (d1 + d2)
+        + p.c1 * q.c1 * L**2 * (d12 + 2.0 * d22)
+    )
+
+
+def kernel_moments(f, g, rates) -> np.ndarray:
+    """``Int Int f(t) g(t') e^{-r |t - t'|} dt dt'`` for each rate r > 0.
+
+    ``f`` and ``g`` are sequences of :class:`Piece`; the result has one
+    entry per rate.
+    """
+    r = np.atleast_1d(np.asarray(rates, dtype=float))[None, :]
+    if not (f and g):
+        return np.zeros(r.shape[1])
+    lo, hi = _cells(f, g)
+    n = len(lo)
+    length = hi - lo
+    tf, tg = _terms(f, lo, hi), _terms(g, lo, hi)
+
+    # separated cells k < l: e^{-r (t' - t)} = e^{-r (L_k - s)} e^{-r gap} e^{-r s'}
+    t = tf.concat(tg)
+    slot = t.cell + n * (np.arange(len(t.cell)) >= len(tf.cell))
+    start, end = _end_moments(t, r, length)
+    start[np.isneginf(lo[t.cell])] = 0.0
+    end[np.isinf(hi[t.cell])] = 0.0
+    from_start = np.zeros((2 * n, r.shape[1]))
+    to_end = np.zeros_like(from_start)
+    np.add.at(from_start, slot, start)
+    np.add.at(to_end, slot, end)
+    upper = np.triu(np.ones((n, n), dtype=bool), 1)
+    gap = np.where(upper, lo[None, :] - hi[:, None], 0.0)
+    w = np.exp(-gap[:, :, None] * r) * upper[:, :, None]
+    total = np.einsum("kr,klr,lr->r", to_end[:n], w, from_start[n:]) + np.einsum(
+        "kr,klr,lr->r", to_end[n:], w, from_start[:n]
+    )
+
+    # a cell with itself: the triangles u <= s and s <= u
+    i, j = np.nonzero(tf.cell[:, None] == tg.cell[None, :])
+    p, q = tf.take(i), tg.take(j)
+    p, q = p.concat(q), q.concat(p)
+    L = length[p.cell][:, None]
+    for part in (np.isfinite(L[:, 0]), np.isinf(L[:, 0])):
+        if part.any():
+            total = total + _triangles(p.take(part), q.take(part), r, L[part]).sum(axis=0)
+    return total
+
+
+def norm_sq(f) -> float:
+    """``Int f(t)^2 dt`` for a sequence of :class:`Piece`."""
+    if not f:
+        return 0.0
+    lo, hi = _cells(f)
+    t = _terms(f, lo, hi)
+    i, j = np.nonzero(t.cell[:, None] == t.cell[None, :])
+    p, q = t.take(i), t.take(j)
+    a0, a1, a2 = p.c0 * q.c0, p.c0 * q.c1 + p.c1 * q.c0, p.c1 * q.c1
+    x, s = p.rate + q.rate, p.shift + q.shift
+    L = (hi - lo)[p.cell][:, None]
+    fin = np.isfinite(L[:, 0])
+    out = np.empty_like(a0)
+    if fin.any():
+        Lf, sf, e = L[fin], s[fin], s[fin] + x[fin] * L[fin]
+        out[fin] = Lf * (
+            a0[fin] * _dd(sf, e)
+            + a1[fin] * Lf * _dd(sf, e, e)
+            + 2.0 * a2[fin] * Lf**2 * _dd(sf, e, e, e)
+        )
+    if not fin.all():
+        inf = ~fin
+        xi = x[inf]
+        out[inf] = np.exp(s[inf]) * (-a0[inf] / xi + a1[inf] / xi**2 - 2.0 * a2[inf] / xi**3)
+    return float(out.sum())

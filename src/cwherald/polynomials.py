@@ -14,10 +14,6 @@ from math import comb
 import numpy as np
 
 
-def poly_const(value: float) -> np.ndarray:
-    return np.array([[float(value)]])
-
-
 def poly_add(*polys: np.ndarray) -> np.ndarray:
     di = max(p.shape[0] for p in polys)
     dj = max(p.shape[1] for p in polys)

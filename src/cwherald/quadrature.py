@@ -1,5 +1,9 @@
 """Composite Gauss-Legendre quadrature for correlation-moment integrals.
 
+This is the fallback of :func:`cwherald.modes.second_moments` for mode
+amplitudes given only as callables; the built-in modes and the OPO kernel
+take the closed form in :mod:`cwherald.piecewise`.
+
 The target integrals are ``Int f_i(t) f_j(t') k(t - t') dt dt'`` where the
 kernel has a derivative kink on the diagonal ``t = t'``.  Panels are laid
 out per axis between the mode functions' breakpoints; panel pairs that the

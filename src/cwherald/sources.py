@@ -5,7 +5,7 @@ correlations ``<a(t) a(t+tau)>`` and ``<a+(t) a(t+tau)>`` of the source
 field, with operators normalised to delta-correlated commutators.  The
 below-threshold optical parametric oscillator (OPO) is the physical source
 of interest; a two-mode squeezed vacuum covariance is provided as an
-exactly solvable source for tests, bypassing the quadrature stage.
+exactly solvable source for tests, bypassing the mode-moment stage.
 """
 
 from __future__ import annotations
@@ -67,18 +67,22 @@ class CorrelationKernel:
     unit time.  ``decay_rate`` is the slowest exponential rate (used to
     truncate integrals), ``fast_rate`` the fastest (used to size
     quadrature panels and the narrow-window rule).  Both callables accept
-    numpy arrays.
+    numpy arrays.  ``terms``, when not empty, lists the same correlations
+    as ``(rate, weight_aa, weight_ada)`` with
+    ``c_aa(tau) = sum weight_aa exp(-rate |tau|)`` and likewise ``c_ada``;
+    mode moments against such a kernel are computed in closed form.
     """
 
     c_aa: Callable[[np.ndarray], np.ndarray]
     c_ada: Callable[[np.ndarray], np.ndarray]
     decay_rate: float
     fast_rate: float
+    terms: tuple[tuple[float, float, float], ...] = ()
 
 
 @dataclass(frozen=True)
 class DirectTwoModeSource:
-    """A two-mode covariance supplied verbatim, bypassing the quadrature stage."""
+    """A two-mode covariance supplied verbatim, bypassing the mode-moment stage."""
 
     v: CovarianceMatrix4
 
@@ -111,7 +115,13 @@ def opo_kernel(p: OpoParams) -> CorrelationKernel:
         s = np.abs(tau)
         return scale * (np.exp(-mu * s) / (2.0 * mu) - np.exp(-lam * s) / (2.0 * lam))
 
-    return CorrelationKernel(c_aa=c_aa, c_ada=c_ada, decay_rate=mu, fast_rate=lam)
+    terms = (
+        (mu, scale / (2.0 * mu), scale / (2.0 * mu)),
+        (lam, scale / (2.0 * lam), -scale / (2.0 * lam)),
+    )
+    return CorrelationKernel(
+        c_aa=c_aa, c_ada=c_ada, decay_rate=mu, fast_rate=lam, terms=terms
+    )
 
 
 def tmsv_covariance(r: float) -> DirectTwoModeSource:

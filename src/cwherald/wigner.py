@@ -243,15 +243,15 @@ def evaluate_grid(s: GaussPolyState, grid: GridSpec):
 
 def write_grid_csv(path, xs: np.ndarray, ps: np.ndarray, w: np.ndarray) -> None:
     """Serialise a grid as CSV with header x,p,w; rows sweep x inside p."""
+    x_text = [_fmt9(x) for x in xs]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("x,p,w\n")
-        for ip, p in enumerate(ps):
-            for ix, x in enumerate(xs):
-                fh.write(f"{_fmt9(x)},{_fmt9(p)},{_fmt9(w[ip, ix])}\n")
+        for p, row in zip(ps, w):
+            p_text = _fmt9(p)
+            fh.write("".join(
+                f"{x},{p_text},{_fmt9(v)}\n" for x, v in zip(x_text, row.tolist())
+            ))
 
 
 def _fmt9(v: float) -> str:
-    v = float(v)
-    if v == 0.0:
-        v = 0.0  # normalise -0.0
-    return f"{v:.9g}"
+    return f"{float(v) + 0.0:.9g}"  # + 0.0 turns -0.0 into 0.0

@@ -197,7 +197,7 @@ class TestCriterion5:
             a, b = window_moment_oracle(eps, alpha, tap, t.window_width, reflect)
             return SecondMoments(a=a, b=b)
 
-        # oracle against the program's quadrature, at the fixture's alpha and
+        # oracle against the program's moments, at the fixture's alpha and
         # at the slow kernel rate, where a partial-fraction form would divide by 0
         for alpha in (0.5, 0.5 - eps):
             f1, f2, kernel = build_modes(cfg, alpha_override=alpha)

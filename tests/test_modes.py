@@ -1,16 +1,21 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import opo_moment_oracle
+from conftest import opo_moment_oracle, window_moment_oracle
 
 from cwherald.modes import (
+    ModeFunction,
     OutputModeSpec,
     TriggerModeSpec,
     build_output_mode,
     build_trigger_mode,
     second_moments,
 )
-from cwherald.quadrature import correlation_moment_once, l2_norm_sq
+from cwherald.quadrature import correlation_moment, correlation_moment_once, l2_norm_sq
 from cwherald.sources import OpoParams, opo_kernel
 
 
@@ -186,3 +191,159 @@ class TestSecondMoments:
         assert err.value.bound > 0.0
 
 
+
+
+def _trigger(kind, kernel, center=0.0, tap=0.1):
+    filt, width = {
+        "window": (None, 0.02),
+        "collapsed": (5.0, 0.01),
+        "explicit": (5.0, 0.1),
+        # filter rate times width 4: divided differences wider than their Taylor range
+        "explicit_wide": (8.0, 0.5),
+    }[kind]
+    spec = TriggerModeSpec(
+        tap_amplitude=tap, filter_width=filt, window_center=center, window_width=width
+    )
+    rates = [kernel.decay_rate] + ([filt] if filt else [])
+    return build_trigger_mode(
+        spec, source_fast_rate=kernel.fast_rate, truncation_rate=min(rates)
+    )
+
+
+def _output(kind, kernel, center=0.0, alpha=0.5, reflect=0.9):
+    if kind == "exponential":
+        spec = OutputModeSpec(alpha=alpha, center=center, reflect_amplitude=reflect)
+    else:
+        ts = center + np.linspace(-6.0, 6.0, 41)
+        us = np.exp(-alpha * np.abs(ts - center)) * (1.0 + 0.2 * np.sin(ts - center))
+        spec = OutputModeSpec(
+            envelope="tabulated", alpha=None, table=(ts, us), reflect_amplitude=reflect
+        )
+    return build_output_mode(spec, truncation_rate=min(alpha, kernel.decay_rate))
+
+
+def _assert_moments(got, want, rtol):
+    np.testing.assert_allclose(got.a, want.a, rtol=rtol, atol=0.0)
+    np.testing.assert_allclose(got.b, want.b, rtol=rtol, atol=0.0)
+
+
+coincidence = st.sampled_from([0.0, 1e-9, -1e-9])
+
+
+class TestExactMoments:
+    """Closed-form moments of the built-in modes against quadrature and oracles."""
+
+    @pytest.mark.parametrize("trigger", ["window", "collapsed", "explicit", "explicit_wide"])
+    @pytest.mark.parametrize("output", ["exponential", "tabulated"])
+    def test_matches_quadrature_off_centre(self, trigger, output):
+        kernel = opo_kernel(OpoParams(epsilon=0.15))
+        f1 = _trigger(trigger, kernel, center=0.3)
+        f2 = _output(output, kernel, center=-0.2)
+        exact = second_moments(f1, f2, kernel)
+        quad = second_moments(replace(f1, pieces=None), replace(f2, pieces=None), kernel)
+        _assert_moments(exact, quad, rtol=1e-8)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        eps=st.floats(0.005, 0.45),
+        gamma=st.floats(1.0, 8.0),
+        alpha=st.floats(0.15, 1.5),
+        tied_to=st.sampled_from(["none", "slow", "fast", "filter"]),
+        offset=coincidence,
+        tap=st.floats(0.01, 0.5),
+        reflect=st.floats(0.5, 1.0),
+    )
+    def test_collapsed_trigger_matches_oracle(
+        self, eps, gamma, alpha, tied_to, offset, tap, reflect
+    ):
+        kernel = opo_kernel(OpoParams(epsilon=eps))
+        alpha = offset + {
+            "none": alpha, "slow": kernel.decay_rate, "fast": kernel.fast_rate, "filter": gamma
+        }[tied_to]
+        width = 0.01
+        f1 = build_trigger_mode(
+            TriggerModeSpec(tap_amplitude=tap, filter_width=gamma, window_width=width),
+            source_fast_rate=kernel.fast_rate,
+        )
+        f2 = build_output_mode(OutputModeSpec(alpha=alpha, reflect_amplitude=reflect))
+        m = second_moments(f1, f2, kernel)
+        c1 = tap * np.sqrt(width) * gamma
+        for kind, (i, j) in (("11", (0, 0)), ("12", (0, 1)), ("22", (1, 1))):
+            a, b = opo_moment_oracle(kind, eps, gamma, alpha, c1, reflect)
+            assert m.a[i, j] == pytest.approx(a, rel=1e-12)
+            assert m.b[i, j] == pytest.approx(b, rel=1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        eps=st.floats(0.005, 0.45),
+        alpha=st.floats(0.15, 1.5),
+        tied_to=st.sampled_from(["none", "slow", "fast"]),
+        offset=coincidence,
+        width=st.floats(0.02, 0.5),
+        tap=st.floats(0.01, 0.5),
+        reflect=st.floats(0.5, 1.0),
+    )
+    def test_window_trigger_matches_oracle(
+        self, eps, alpha, tied_to, offset, width, tap, reflect
+    ):
+        kernel = opo_kernel(OpoParams(epsilon=eps))
+        alpha = offset + {
+            "none": alpha, "slow": kernel.decay_rate, "fast": kernel.fast_rate
+        }[tied_to]
+        f1 = build_trigger_mode(
+            TriggerModeSpec(tap_amplitude=tap, filter_width=None, window_width=width)
+        )
+        f2 = build_output_mode(OutputModeSpec(alpha=alpha, reflect_amplitude=reflect))
+        m = second_moments(f1, f2, kernel)
+        a, b = window_moment_oracle(eps, alpha, tap, width, reflect)
+        np.testing.assert_allclose(m.a, a, rtol=1e-12, atol=0.0)
+        # b is the slow kernel term minus the fast one, which cancel for weak
+        # pumps, and the oracle's 1 - phi(r w) loses digits for narrow windows
+        # (1.6e-12 relative at eps = 0.005, w = 0.02), so b is compared on the
+        # scale of the two terms it differences, which a adds
+        assert np.all(np.abs(m.b - b) <= 1e-12 * np.abs(a))
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        trigger=st.sampled_from(["window", "collapsed", "explicit"]),
+        output=st.sampled_from(["exponential", "tabulated"]),
+        lag=st.floats(-2.0, 2.0),
+        shift=st.floats(-3.0, 3.0),
+    )
+    def test_depends_on_centre_difference_only(self, trigger, output, lag, shift):
+        kernel = opo_kernel(OpoParams(epsilon=0.2))
+        at = lambda s: second_moments(  # noqa: E731
+            _trigger(trigger, kernel, center=lag + s), _output(output, kernel, center=s), kernel
+        )
+        _assert_moments(at(shift), at(0.0), rtol=1e-12)
+
+    @pytest.mark.parametrize("trigger", ["collapsed", "explicit"])
+    def test_filtered_source_weight_is_exact_norm(self, trigger):
+        kernel = opo_kernel(OpoParams(epsilon=0.01))
+        mode = _trigger(trigger, kernel)
+        assert mode.source_weight == pytest.approx(l2_norm_sq(mode.as_axis()), rel=1e-10)
+        if trigger == "collapsed":
+            scale = 0.1 * np.sqrt(0.01) * 5.0
+            assert mode.source_weight == pytest.approx(scale**2 / 10.0, rel=1e-15)
+
+    def test_callable_mode_takes_quadrature_path(self, monkeypatch):
+        import cwherald.modes as modes
+
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return correlation_moment(*args, **kwargs)
+
+        monkeypatch.setattr(modes, "correlation_moment", counting)
+        kernel = opo_kernel(OpoParams(epsilon=0.01))
+        f1 = _trigger("collapsed", kernel)
+        f2 = _output("exponential", kernel)
+        second_moments(f1, f2, kernel)
+        assert calls == []
+        callable_only = ModeFunction(
+            amplitude=f1.amplitude, support=f1.support, source_weight=f1.source_weight,
+            decay_scale=f1.decay_scale,
+        )
+        second_moments(callable_only, f2, kernel)
+        assert len(calls) == 6

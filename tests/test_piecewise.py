@@ -1,0 +1,124 @@
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import window_pair
+
+from cwherald.piecewise import Piece, dd_exp, kernel_moments, norm_sq
+
+
+def dd_distinct(z):
+    """Textbook divided-difference table; only for well-separated nodes."""
+    vals = list(np.exp(z))
+    for k in range(1, len(z)):
+        vals = [(vals[i + 1] - vals[i]) / (z[i + k] - z[i]) for i in range(len(vals) - 1)]
+    return vals[0]
+
+
+class TestDividedDifferences:
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
+    @pytest.mark.parametrize("z", [-40.0, -1.5, 0.0, 0.7])
+    def test_confluent_nodes_give_derivative(self, n, z):
+        got = dd_exp(np.full((1, n + 1), z))[0]
+        assert got == pytest.approx(math.exp(z) / math.factorial(n), rel=1e-15)
+
+    @pytest.mark.parametrize("x", [1e-12, 1e-6, 0.3, 1.99, 2.01, 7.0, 300.0])
+    def test_two_nodes(self, x):
+        for xv in (x, -x):
+            got = dd_exp(np.array([[0.0, xv]]))[0]
+            assert got == pytest.approx(math.expm1(xv) / xv, rel=2e-15)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        base=st.floats(-30.0, 1.0),
+        gaps=st.lists(st.floats(2.5, 12.0), min_size=1, max_size=4),
+    )
+    def test_separated_nodes_match_table(self, base, gaps):
+        z = base + np.concatenate([[0.0], np.cumsum(gaps)])
+        want = dd_distinct(z)
+        assert dd_exp(z[None, ::-1])[0] == pytest.approx(want, rel=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        nodes=st.lists(st.floats(-6.0, 1.0), min_size=2, max_size=5),
+        eps=st.sampled_from([1e-9, -1e-9, 1e-6]),
+    )
+    def test_continuous_through_coincidence(self, nodes, eps):
+        z = np.array(nodes + [nodes[0]])
+        near = z.copy()
+        near[-1] += eps
+        got = dd_exp(np.stack([z, near]))
+        assert got[1] == pytest.approx(got[0], rel=10 * abs(eps) + 1e-14)
+
+
+class TestKernelMoments:
+    @pytest.mark.parametrize("rw", [1e-3, 1e-6, 1e-9])
+    def test_narrow_window_series(self, rw):
+        # window pair (2w/r)(1 - phi(rw)) = w^2 sum_k 2 (-rw)^(k-1) / (k+1)!
+        r = 0.7
+        w = rw / r
+        box = [Piece(0.0, w, 0.0, 1.0)]
+        series = w**2 * sum(2.0 * (-r * w) ** (k - 1) / math.factorial(k + 1) for k in range(1, 8))
+        assert kernel_moments(box, box, [r])[0] == pytest.approx(series, rel=1e-14)
+
+    @pytest.mark.parametrize("r", [0.05, 0.3, 1.0, 8.0])
+    def test_linear_piece_by_reflection(self, r):
+        # t -> 1 - t maps t onto 1 - t, so Int Int t k = Int Int (1 - t) k = window / 2
+        ramp = [Piece(0.0, 1.0, 0.0, 1.0, power=1)]
+        box = [Piece(0.0, 1.0, 0.0, 1.0)]
+        got = kernel_moments(ramp, box, [r])[0]
+        assert got == pytest.approx(0.5 * window_pair(1.0, r), rel=1e-13)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        cut=st.floats(0.05, 1.95),
+        slope=st.floats(-2.0, 2.0),
+        rate=st.floats(-3.0, 3.0),
+        r=st.floats(0.05, 5.0),
+    )
+    def test_splitting_a_piece_changes_nothing(self, cut, slope, rate, r):
+        def piece(lo, hi, anchor):
+            # (1 + slope t) e^{rate t} on [lo, hi], re-anchored at ``anchor``
+            e = math.exp(rate * anchor)
+            return [
+                Piece(lo, hi, anchor, (1.0 + slope * anchor) * e, 0, rate),
+                Piece(lo, hi, anchor, slope * e, 1, rate),
+            ]
+
+        whole = piece(0.0, 2.0, 0.0)
+        split = piece(0.0, cut, 0.0) + piece(cut, 2.0, 2.0)
+        tail = [Piece(-np.inf, 0.5, 0.5, 1.0, rate=1.3)]
+        for other in (whole, tail):
+            a = kernel_moments(whole, other, [r])[0]
+            b = kernel_moments(split, other, [r])[0]
+            assert b == pytest.approx(a, rel=1e-12)
+        assert norm_sq(split) == pytest.approx(norm_sq(whole), rel=1e-12)
+
+    def test_half_infinite_tails_are_exact(self):
+        # II_{t,t'<0} e^{g (t+t')} e^{-r|t-t'|} = 1 / (g (g + r))
+        g, r = 2.0, 0.3
+        causal = [Piece(-np.inf, 0.0, 0.0, 1.0, rate=g)]
+        assert kernel_moments(causal, causal, [r])[0] == pytest.approx(
+            1.0 / (g * (g + r)), rel=1e-15
+        )
+        assert norm_sq(causal) == pytest.approx(1.0 / (2.0 * g), rel=1e-15)
+
+    def test_empty_function_has_zero_moments(self):
+        box = [Piece(0.0, 1.0, 0.0, 1.0)]
+        assert np.all(kernel_moments((), box, [0.3, 0.7]) == 0.0)
+        assert norm_sq(()) == 0.0
+
+    def test_piece_validation(self):
+        with pytest.raises(ValueError, match="empty"):
+            Piece(1.0, 1.0, 1.0, 1.0)
+        with pytest.raises(ValueError, match="finite end"):
+            Piece(0.0, 1.0, 0.5, 1.0)
+        with pytest.raises(ValueError, match="power"):
+            Piece(0.0, 1.0, 0.0, 1.0, power=2)
+        with pytest.raises(ValueError, match="decay"):
+            Piece(0.0, np.inf, 0.0, 1.0, rate=0.0)
+        with pytest.raises(ValueError, match="decay"):
+            Piece(-np.inf, 0.0, 0.0, 1.0, rate=-1.0)

@@ -144,6 +144,26 @@ class TestGridEvaluation:
         assert lines[1].startswith("-1,-1,")
         assert lines[2].startswith("0,-1,")
 
+    def test_csv_matches_per_cell_formatting(self, tmp_path, rng):
+        def fmt9(v):
+            v = float(v)
+            if v == 0.0:
+                v = 0.0
+            return f"{v:.9g}"
+
+        xs = np.array([-0.0, 1e-12, 0.3, 123456.789])
+        ps = np.array([-2.5, 0.0, 1.0 / 3.0])
+        w = rng.normal(size=(3, 4)) * np.array([1.0, 1e-9, 1e5, 1.0])
+        w[0, 0], w[1, 1], w[2, 2] = -0.0, 0.0, -1e-300
+        path = tmp_path / "grid.csv"
+        write_grid_csv(path, xs, ps, w)
+        want = "x,p,w\n" + "".join(
+            f"{fmt9(x)},{fmt9(p)},{fmt9(w[i, j])}\n"
+            for i, p in enumerate(ps)
+            for j, x in enumerate(xs)
+        )
+        assert path.read_text() == want
+
     def test_bad_grid(self):
         with pytest.raises(ValueError):
             GridSpec(nx=1)
