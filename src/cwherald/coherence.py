@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import curve_fit
 
 from .sources import CorrelationKernel
 
@@ -86,17 +85,43 @@ def dominant_mode(ck: CoherenceKernel) -> DominantMode:
 
 
 def fit_exponential_decay(mode: DominantMode, t_c: float) -> float:
-    """Least-squares decay rate of A exp(-alpha |t - tc|) fitted to the mode."""
+    """Least-squares decay rate of A exp(-alpha |t - tc|) fitted to the mode.
+
+    The amplitude is linear, so it is profiled out: for each alpha the best
+    A is the projection of the samples on e = exp(-alpha |t - tc|), and the
+    residual left is minimised over alpha alone by Gauss-Newton (variable
+    projection) from alpha = 0.5.  Each step is halved until it lowers the
+    residual; the fit stops when a full step moves alpha by at most 1e-10
+    relative, or when no fraction of it lowers the residual any more.
+    """
     rel = np.abs(mode.times - t_c)
-    peak = float(np.max(np.abs(mode.samples)))
-    popt, _ = curve_fit(
-        lambda r, amp, alpha: amp * np.exp(-alpha * r),
-        rel,
-        mode.samples,
-        p0=[peak, 0.5],
-        maxfev=10000,
-    )
-    return float(popt[1])
+    y = mode.samples
+    if not (np.isfinite(rel).all() and np.isfinite(y).all()):
+        raise ValueError("mode times and samples must be finite to fit a decay")
+
+    def profile(alpha):
+        e = np.exp(-alpha * rel)
+        amp = (e @ y) / (e @ e)
+        return e, amp, y - amp * e
+
+    alpha = 0.5
+    e, amp, res = profile(alpha)
+    for _ in range(100):
+        slope = -amp * rel * e
+        jac = slope - e * ((e @ slope) / (e @ e))
+        step = (jac @ res) / (jac @ jac)
+        if abs(step) <= 1e-10 * abs(alpha):
+            return float(alpha + step)
+        for _ in range(40):
+            trial = profile(alpha + step)
+            if trial[2] @ trial[2] < res @ res:
+                break
+            step /= 2.0
+        else:
+            return float(alpha)
+        alpha += step
+        e, amp, res = trial
+    raise RuntimeError("decay fit did not converge in 100 Gauss-Newton steps")
 
 
 def write_coherence_csv(path, ck: CoherenceKernel) -> None:

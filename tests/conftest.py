@@ -88,6 +88,18 @@ def _phi(x):
     return 1.0 if x == 0.0 else -math.expm1(-x) / x
 
 
+def _one_minus_phi(x):
+    """1 - phi(x), by its series sum_{k>=1} (-1)^{k+1} x^k / (k+1)! below
+    x = 0.5, where the subtraction would lose about log10(2/x) digits."""
+    if x >= 0.5:
+        return 1.0 - _phi(x)
+    total, term = 0.0, 0.5 * x
+    for k in range(1, 20):
+        total += term
+        term *= -x / (k + 2)
+    return total
+
+
 # The shipped reading pairs a rectangular window of width w centred at 0 with
 # a symmetric exponential e^{-a|t|} centred at 0.  With L = w/2:
 #   window pair       II_{|t|,|t'|<L} e^{-r|t-t'|}            = (2w/r)(1 - phi(rw))
@@ -97,7 +109,7 @@ def _phi(x):
 # Neither form divides by r - a, so both stay exact when a equals a kernel rate
 # (the partial-fraction form 1/(r^2 - a^2) does not).
 def window_pair(w, r):
-    return 2.0 * w / r * (1.0 - _phi(r * w))
+    return 2.0 * w / r * _one_minus_phi(r * w)
 
 
 def window_symmetric(w, a, r):

@@ -1,3 +1,4 @@
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -7,7 +8,8 @@ import pytest
 
 from cwherald.covariance import load_covariance
 
-FIXTURES = Path(__file__).resolve().parent.parent / "src" / "cwherald" / "fixtures"
+SRC = Path(__file__).resolve().parent.parent / "src"
+FIXTURES = SRC / "cwherald" / "fixtures"
 
 
 def run_cli(*args, cwd=None):
@@ -17,6 +19,26 @@ def run_cli(*args, cwd=None):
         text=True,
         cwd=cwd,
     )
+
+
+def test_cold_import_loads_no_scipy():
+    """The package and its CLI import with numpy and the standard library only."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import cwherald, cwherald.cli, sys; "
+            "print(' '.join(sorted(m for m in sys.modules "
+            "if m == 'scipy' or m.startswith('scipy.'))))",
+        ],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []
 
 
 def read_summary(path):

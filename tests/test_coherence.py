@@ -3,6 +3,7 @@ import pytest
 
 from cwherald.coherence import (
     CoherenceKernel,
+    DominantMode,
     conditional_coherence,
     dominant_mode,
     fit_exponential_decay,
@@ -102,3 +103,26 @@ class TestDominantMode:
         mode = dominant_mode(conditional_coherence(k))
         dt = mode.times[1] - mode.times[0]
         assert np.sum(mode.samples**2) * dt == pytest.approx(1.0, rel=1e-12)
+
+
+class TestDecayFit:
+    @pytest.mark.parametrize(
+        "eps, want",
+        [(0.01, 0.498808229735), (0.1, 0.401855823291), (0.2, 0.254833869372)],
+    )
+    def test_matches_pinned_least_squares_values(self, eps, want):
+        # values of the former scipy curve_fit, whose own xtol is 1.5e-8
+        mode = dominant_mode(conditional_coherence(opo_kernel(OpoParams(epsilon=eps))))
+        assert fit_exponential_decay(mode, 0.0) == pytest.approx(want, rel=1e-6)
+
+    def test_exact_exponential_off_centre(self):
+        ts = np.linspace(-9.7, 10.3, 201)
+        mode = DominantMode(times=ts, samples=2.3 * np.exp(-0.7 * np.abs(ts - 0.3)), dominance=1.0)
+        assert fit_exponential_decay(mode, 0.3) == pytest.approx(0.7, rel=0.0, abs=1e-10)
+
+    def test_non_finite_sample_raises(self):
+        mode = dominant_mode(conditional_coherence(opo_kernel(OpoParams(epsilon=0.1))))
+        samples = mode.samples.copy()
+        samples[40] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            fit_exponential_decay(DominantMode(mode.times, samples, mode.dominance), 0.0)

@@ -297,11 +297,7 @@ class TestExactMoments:
         m = second_moments(f1, f2, kernel)
         a, b = window_moment_oracle(eps, alpha, tap, width, reflect)
         np.testing.assert_allclose(m.a, a, rtol=1e-12, atol=0.0)
-        # b is the slow kernel term minus the fast one, which cancel for weak
-        # pumps, and the oracle's 1 - phi(r w) loses digits for narrow windows
-        # (1.6e-12 relative at eps = 0.005, w = 0.02), so b is compared on the
-        # scale of the two terms it differences, which a adds
-        assert np.all(np.abs(m.b - b) <= 1e-12 * np.abs(a))
+        np.testing.assert_allclose(m.b, b, rtol=1e-12, atol=0.0)
 
     @settings(max_examples=30, deadline=None)
     @given(
