@@ -25,7 +25,6 @@ from .covariance import load_covariance, physicality_check, save_covariance
 from .errors import (
     ConfigError,
     ImpossibleOutcomeError,
-    QuadratureError,
     ThresholdError,
     UnphysicalCovarianceError,
 )
@@ -39,7 +38,7 @@ from .pipeline import (
     scan_alpha,
     summarize,
 )
-from .wigner import write_grid_csv
+from .wigner import fmt9, write_grid_csv
 
 PHYSICS_ERRORS = (
     ThresholdError,
@@ -48,15 +47,8 @@ PHYSICS_ERRORS = (
 )
 
 
-def _fmt(v: float) -> str:
-    v = float(v)
-    if v == 0.0:
-        v = 0.0
-    return f"{v:.9g}"
-
-
 def write_summary(path, cfg: ExperimentConfig, values: dict) -> None:
-    lines = [f"{key} = {_fmt(val)}" for key, val in values.items()]
+    lines = [f"{key} = {fmt9(val)}" for key, val in values.items()]
     lines.extend(cfg.echo_lines())
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -66,7 +58,7 @@ def write_scan_csv(path, scan_result, objective: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("alpha,objective\n")
         for a, v in zip(scan_result.params, scan_result.values):
-            fh.write(f"{_fmt(a)},{_fmt(v)}\n")
+            fh.write(f"{fmt9(a)},{fmt9(v)}\n")
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -141,12 +133,17 @@ def main(argv=None) -> int:
                 _write_scan_best(out_dir, scan_result, objective)
             say(f"wrote {out_dir / 'summary.txt'} and {out_dir / 'wigner_grid.csv'}")
             for key, val in result.summary.items():
-                say(f"  {key} = {_fmt(val)}")
+                say(f"  {key} = {fmt9(val)}")
 
         elif stage == "covariance":
             v = build_covariance(cfg)
-            save_covariance(out_dir / "covariance.txt", v)
             report = physicality_check(v)
+            if not report.physical:
+                raise UnphysicalCovarianceError(
+                    "covariance is unphysical: min eigenvalue of "
+                    f"V + i*Omega = {report.min_eigenvalue:g}"
+                )
+            save_covariance(out_dir / "covariance.txt", v)
             say(f"wrote {out_dir / 'covariance.txt'} (purity {report.purity:.6g})")
 
         elif stage == "condition":
@@ -156,7 +153,7 @@ def main(argv=None) -> int:
             save_state(out_dir / "state.json", result)
             say(
                 f"wrote {out_dir / 'state.json'} "
-                f"(probability {_fmt(result.probability)})"
+                f"(probability {fmt9(result.probability)})"
             )
 
         elif stage == "metrics":
@@ -166,7 +163,7 @@ def main(argv=None) -> int:
             write_summary(out_dir / "summary.txt", cfg, values)
             say(f"wrote {out_dir / 'summary.txt'}")
             for key, val in values.items():
-                say(f"  {key} = {_fmt(val)}")
+                say(f"  {key} = {fmt9(val)}")
 
         elif stage == "coherence":
             _write_coherence(cfg, out_dir)
@@ -177,8 +174,8 @@ def main(argv=None) -> int:
             write_scan_csv(out_dir / "scan.csv", scan_result, objective)
             _write_scan_best(out_dir, scan_result, objective)
             say(
-                f"best alpha = {_fmt(scan_result.best_param)} "
-                f"with {objective} = {_fmt(scan_result.best_value)}"
+                f"best alpha = {fmt9(scan_result.best_param)} "
+                f"with {objective} = {fmt9(scan_result.best_value)}"
             )
 
     except ConfigError as exc:
@@ -187,9 +184,6 @@ def main(argv=None) -> int:
     except PHYSICS_ERRORS as exc:
         print(f"error [{stage}]: {exc}", file=sys.stderr)
         return 3
-    except QuadratureError as exc:
-        print(f"error [{stage}/quadrature]: {exc}", file=sys.stderr)
-        return 4
     except (OSError, ValueError) as exc:
         print(f"error [{stage}]: {exc}", file=sys.stderr)
         return 1
@@ -212,8 +206,8 @@ def _write_coherence(cfg: ExperimentConfig, out_dir: Path) -> None:
 def _write_scan_best(out_dir: Path, scan_result, objective: str) -> None:
     with open(out_dir / "scan_best.txt", "w", encoding="utf-8") as fh:
         fh.write(f"objective = {objective}\n")
-        fh.write(f"best_alpha = {_fmt(scan_result.best_param)}\n")
-        fh.write(f"best_objective = {_fmt(scan_result.best_value)}\n")
+        fh.write(f"best_alpha = {fmt9(scan_result.best_param)}\n")
+        fh.write(f"best_objective = {fmt9(scan_result.best_value)}\n")
 
 
 if __name__ == "__main__":

@@ -12,8 +12,6 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import UnphysicalCovarianceError
-
 if TYPE_CHECKING:  # pragma: no cover
     from .modes import SecondMoments
 
@@ -101,14 +99,7 @@ def assemble(m: "SecondMoments") -> CovarianceMatrix4:
         for j in range(2):
             v[2 * i, 2 * j] = vxx[i, j]
             v[2 * i + 1, 2 * j + 1] = vpp[i, j]
-    cov = CovarianceMatrix4(v)
-    report = physicality_check(cov)
-    if not report.physical:
-        raise UnphysicalCovarianceError(
-            "assembled covariance is unphysical: min eigenvalue of "
-            f"V + i*Omega = {report.min_eigenvalue:g}"
-        )
-    return cov
+    return CovarianceMatrix4(v)
 
 
 def apply_loss(v: CovarianceMatrix4, p: LossParams) -> CovarianceMatrix4:
@@ -123,14 +114,7 @@ def apply_loss(v: CovarianceMatrix4, p: LossParams) -> CovarianceMatrix4:
     damp = np.sqrt(np.outer(g, g))
     np.fill_diagonal(damp, g)
     xi = np.diag([p.xi1, p.xi1, p.xi2, p.xi2])
-    out = CovarianceMatrix4(damp * (v.m - np.eye(4)) + np.eye(4) + xi)
-    report = physicality_check(out)
-    if not report.physical:
-        raise UnphysicalCovarianceError(
-            "covariance after loss channel is unphysical: min eigenvalue of "
-            f"V + i*Omega = {report.min_eigenvalue:g}"
-        )
-    return out
+    return CovarianceMatrix4(damp * (v.m - np.eye(4)) + np.eye(4) + xi)
 
 
 def physicality_check(v: CovarianceMatrix4) -> PhysicalityReport:

@@ -1,75 +1,51 @@
 """Temporal mode functions and their second moments against a source kernel.
 
-A discrete mode is defined by a real amplitude f(t) of unit (or smaller)
-L2 norm; the missing norm is vacuum fill and contributes nothing to the
-source-part moments.  The trigger mode composes a beam-splitter tap, an
-optional single-pole frequency filter and a detection window; the output
-mode is a normalised envelope scaled by the tap's reflection amplitude.
-The built-in modes also carry their amplitude as exponential-polynomial
-pieces, so their moments against the OPO kernel are exact.
+A discrete mode is a real amplitude f(t) of unit (or smaller) L2 norm; the
+missing norm is vacuum fill and contributes nothing to the source-part
+moments.  The trigger mode composes a beam-splitter tap, an optional
+single-pole frequency filter and a detection window; the output mode is a
+normalised envelope scaled by the tap's reflection amplitude.  Every mode
+is a sum of exponential-polynomial pieces, so its moments against the OPO
+kernel are exact.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .piecewise import Piece, kernel_moments, norm_sq
-from .quadrature import QuadAxis, correlation_moment
 from .sources import CorrelationKernel
 
 NORM_TOL = 1e-6
 # window much narrower than every relevant correlation time: treat as a point
 NARROW_WINDOW_LIMIT = 0.1
-TRUNCATION_DECADES = 30.0
 
 
 @dataclass(frozen=True)
 class ModeFunction:
-    """A temporal mode: amplitude, finite support, interior kinks, source weight.
+    """A temporal mode: its amplitude as pieces, and its source weight.
 
+    ``pieces`` is the amplitude as a sum of
+    :class:`~cwherald.piecewise.Piece` (half-infinite tails included).
     ``source_weight`` is the squared source fraction Int f^2 dt; values
-    below one mean the mode carries vacuum fill.  ``pieces``, when given,
-    is the same amplitude as a sum of :class:`~cwherald.piecewise.Piece`
-    (half-infinite tails included), which makes its moments exact.
-    ``support``, ``kinks`` and ``decay_scale`` lay out the quadrature
-    panels used for a mode without pieces; ``decay_scale`` is the rate at
-    which the amplitude varies, and the support truncates its tails.
+    below one mean the mode carries vacuum fill.
     """
 
-    amplitude: Callable[[np.ndarray], np.ndarray]
-    support: tuple[float, float]
+    pieces: tuple[Piece, ...]
     source_weight: float
-    kinks: tuple[float, ...] = ()
-    decay_scale: float = 0.0
-    pieces: tuple[Piece, ...] | None = None
 
     def __post_init__(self):
-        lo, hi = self.support
-        if not (np.isfinite(lo) and np.isfinite(hi) and hi > lo):
-            raise ValueError(f"mode support must be a finite interval, got {self.support}")
         if self.source_weight > 1.0 + NORM_TOL:
             raise ValueError(
                 f"mode source weight {self.source_weight:g} exceeds unit norm"
             )
 
-    def as_axis(self) -> QuadAxis:
-        lo, hi = self.support
-        pts = np.array(sorted({lo, hi, *self.kinks}))
-        pts = pts[(pts >= lo) & (pts <= hi)]
-        return QuadAxis(amplitude=self.amplitude, breakpoints=pts, rate=self.decay_scale)
-
     def scaled(self, factor: float) -> "ModeFunction":
-        amp = self.amplitude
         return ModeFunction(
-            amplitude=lambda t: factor * amp(t),
-            support=self.support,
+            pieces=tuple(p.scaled(factor) for p in self.pieces),
             source_weight=factor**2 * self.source_weight,
-            kinks=self.kinks,
-            decay_scale=self.decay_scale,
-            pieces=None if self.pieces is None else tuple(p.scaled(factor) for p in self.pieces),
         )
 
 
@@ -143,9 +119,7 @@ class SecondMoments:
 
 
 def build_trigger_mode(
-    spec: TriggerModeSpec,
-    source_fast_rate: float | None = None,
-    truncation_rate: float | None = None,
+    spec: TriggerModeSpec, source_fast_rate: float | None = None
 ) -> ModeFunction:
     """Construct the trigger mode function from its physical stages.
 
@@ -155,9 +129,7 @@ def build_trigger_mode(
     the filter response and the source correlations
     (``dt * max(filter, fastest source rate) <= 0.1``); otherwise the
     window is integrated through the filter response explicitly.  The
-    filtered modes have half-infinite exponential tails; their pieces keep
-    the tails whole, and ``truncation_rate`` (default: the filter rate)
-    only sets how far the support, used by quadrature, follows them.
+    filtered modes keep their half-infinite exponential tails whole.
     """
     tau_eff = spec.tap_amplitude * np.sqrt(spec.detector_efficiency)
     dt = spec.window_width
@@ -165,99 +137,42 @@ def build_trigger_mode(
 
     if spec.filter_width is None:
         lo, hi = tc - dt / 2.0, tc + dt / 2.0
-        height = tau_eff / np.sqrt(dt)
-
-        def amp_rect(t):
-            t = np.asarray(t, dtype=float)
-            return np.where((t >= lo) & (t <= hi), height, 0.0)
-
         return ModeFunction(
-            amplitude=amp_rect,
-            support=(lo, hi),
-            source_weight=tau_eff**2,
-            decay_scale=0.0,
-            pieces=(Piece(lo, hi, lo, height),),
+            pieces=(Piece(lo, hi, lo, tau_eff / np.sqrt(dt)),), source_weight=tau_eff**2
         )
 
     gamma = spec.filter_width
-    t_rate = min(gamma, truncation_rate) if truncation_rate else gamma
-    tail = TRUNCATION_DECADES / t_rate
     narrow = dt * max(gamma, source_fast_rate or 0.0) <= NARROW_WINDOW_LIMIT
 
     if narrow:
         scale = tau_eff * np.sqrt(dt) * gamma
-
-        def amp_collapsed(t):
-            t = np.asarray(t, dtype=float)
-            return np.where(t <= tc, scale * np.exp(-gamma * np.clip(tc - t, 0.0, None)), 0.0)
-
         pieces = (Piece(-np.inf, tc, tc, scale, rate=gamma),)
-        return ModeFunction(
-            amplitude=amp_collapsed,
-            support=(tc - tail, tc),
-            source_weight=norm_sq(pieces),
-            decay_scale=gamma,
-            pieces=pieces,
-        )
+        return ModeFunction(pieces=pieces, source_weight=norm_sq(pieces))
 
     lo_w, hi_w = tc - dt / 2.0, tc + dt / 2.0
     pref = tau_eff / np.sqrt(dt)
-
-    def amp_explicit(t):
-        t = np.asarray(t, dtype=float)
-        upper = 1.0 - np.exp(-gamma * np.clip(hi_w - t, 0.0, None))
-        lower = np.exp(-gamma * np.clip(lo_w - t, 0.0, None)) - np.exp(
-            -gamma * np.clip(hi_w - t, 0.0, None)
-        )
-        return pref * np.where(t > hi_w, 0.0, np.where(t >= lo_w, upper, lower))
-
     # before the window the response to all of it decays; inside, it builds up
     pieces = (
         Piece(-np.inf, lo_w, lo_w, -pref * np.expm1(-gamma * dt), rate=gamma),
         Piece(lo_w, hi_w, lo_w, pref),
         Piece(lo_w, hi_w, hi_w, -pref, rate=gamma),
     )
-    return ModeFunction(
-        amplitude=amp_explicit,
-        support=(lo_w - tail, hi_w),
-        source_weight=norm_sq(pieces),
-        kinks=(lo_w,),
-        decay_scale=gamma,
-        pieces=pieces,
-    )
+    return ModeFunction(pieces=pieces, source_weight=norm_sq(pieces))
 
 
-def build_output_mode(
-    spec: OutputModeSpec, truncation_rate: float | None = None
-) -> ModeFunction:
-    """Construct the output mode: unit-norm envelope times the reflection amplitude.
-
-    The exponential envelope's support, used only by quadrature, follows
-    its tails to ``truncation_rate`` (default: ``alpha``); its pieces do not
-    truncate them.
-    """
+def build_output_mode(spec: OutputModeSpec) -> ModeFunction:
+    """Construct the output mode: unit-norm envelope times the reflection amplitude."""
+    refl = spec.reflect_amplitude
     if spec.envelope == "exponential":
         alpha = float(spec.alpha)
-        refl = spec.reflect_amplitude
         tc = spec.center
-        t_rate = min(alpha, truncation_rate) if truncation_rate else alpha
-        tail = TRUNCATION_DECADES / t_rate
         scale = refl * np.sqrt(alpha)
-
-        def amp(t):
-            t = np.asarray(t, dtype=float)
-            return scale * np.exp(-alpha * np.abs(t - tc))
-
         return ModeFunction(
-            amplitude=amp,
-            support=(tc - tail, tc + tail),
-            source_weight=refl**2,
-            kinks=(tc,),
-            decay_scale=alpha,
             pieces=(
                 Piece(-np.inf, tc, tc, scale, rate=alpha),
                 Piece(tc, np.inf, tc, scale, rate=-alpha),
             ),
+            source_weight=refl**2,
         )
 
     ts, us = spec.table
@@ -275,26 +190,13 @@ def build_output_mode(
     if sq <= 0.0:
         raise ValueError("tabulated envelope has zero norm")
     un = us / np.sqrt(sq)
-    refl = spec.reflect_amplitude
-
-    def amp_tab(t):
-        t = np.asarray(t, dtype=float)
-        return refl * np.interp(t, ts, un, left=0.0, right=0.0)
-
     slopes = np.diff(un) / h
     pieces = tuple(
         Piece(float(a), float(b), float(a), refl * float(c), power)
         for a, b, u, m in zip(ts[:-1], ts[1:], un[:-1], slopes)
         for c, power in ((u, 0), (m, 1))
     )
-    return ModeFunction(
-        amplitude=amp_tab,
-        support=(float(ts[0]), float(ts[-1])),
-        source_weight=refl**2,
-        kinks=tuple(float(t) for t in ts[1:-1]),
-        decay_scale=0.0,
-        pieces=pieces,
-    )
+    return ModeFunction(pieces=pieces, source_weight=refl**2)
 
 
 def load_envelope_table(path) -> tuple[np.ndarray, np.ndarray]:
@@ -306,41 +208,24 @@ def load_envelope_table(path) -> tuple[np.ndarray, np.ndarray]:
 
 
 def second_moments(
-    f1: ModeFunction,
-    f2: ModeFunction,
-    k: CorrelationKernel,
-    rtol: float = 1e-8,
-    atol: float = 1e-12,
+    f1: ModeFunction, f2: ModeFunction, k: CorrelationKernel
 ) -> SecondMoments:
     """Mode moments of the kernel against the mode pair.
 
     ``a[i, j] = Int f_i(t) f_j(t') c_aa(t - t') dt dt'`` and likewise for
-    ``b`` with ``c_ada``.  When both modes carry pieces and the kernel
-    carries its exponential terms, every moment is a closed-form sum of
-    antiderivatives (:func:`~cwherald.piecewise.kernel_moments`), exact to
-    rounding and with no tail truncation.  Otherwise the moments come from
-    double quadrature over the modes' supports, converged to ``rtol`` and
-    ``atol`` or raising :class:`~cwherald.errors.QuadratureError`.
+    ``b`` with ``c_ada``.  Every moment is a closed-form sum of
+    antiderivatives over the modes' pieces and the kernel's exponential
+    terms (:func:`~cwherald.piecewise.kernel_moments`), exact to rounding
+    and with no tail truncation.
     """
     if k.decay_rate <= 0.0:
         raise ValueError("kernel decay rate must be positive")
     modes = (f1, f2)
     a = np.zeros((2, 2))
     b = np.zeros((2, 2))
-    if f1.pieces is not None and f2.pieces is not None and k.terms:
-        rates, w_aa, w_ada = np.array(k.terms, dtype=float).T
-        for i, j in ((0, 0), (0, 1), (1, 1)):
-            m = kernel_moments(modes[i].pieces, modes[j].pieces, rates)
-            a[i, j] = a[j, i] = w_aa @ m
-            b[i, j] = b[j, i] = w_ada @ m
-        return SecondMoments(a=a, b=b)
-    axes = (f1.as_axis(), f2.as_axis())
-    for i in range(2):
-        for j in range(i, 2):
-            a[i, j] = a[j, i] = correlation_moment(
-                axes[i], axes[j], k.c_aa, k.fast_rate, rtol=rtol, atol=atol
-            )
-            b[i, j] = b[j, i] = correlation_moment(
-                axes[i], axes[j], k.c_ada, k.fast_rate, rtol=rtol, atol=atol
-            )
+    rates, w_aa, w_ada = np.array(k.terms, dtype=float).T
+    for i, j in ((0, 0), (0, 1), (1, 1)):
+        m = kernel_moments(modes[i].pieces, modes[j].pieces, rates)
+        a[i, j] = a[j, i] = w_aa @ m
+        b[i, j] = b[j, i] = w_ada @ m
     return SecondMoments(a=a, b=b)

@@ -72,7 +72,6 @@ def build_modes(
         out_spec = OutputModeSpec(
             envelope="exponential", alpha=alpha, center=o.center, reflect_amplitude=reflect
         )
-        rates = [kernel.decay_rate, alpha]
     else:
         ts, us = load_envelope_table(o.table)
         out_spec = OutputModeSpec(
@@ -82,14 +81,8 @@ def build_modes(
             reflect_amplitude=reflect,
             table=(ts, us),
         )
-        rates = [kernel.decay_rate]
-    if t.filter_width is not None:
-        rates.append(t.filter_width)
-    truncation = min(rates)
-    f1 = build_trigger_mode(
-        trig_spec, source_fast_rate=kernel.fast_rate, truncation_rate=truncation
-    )
-    f2 = build_output_mode(out_spec, truncation_rate=truncation)
+    f1 = build_trigger_mode(trig_spec, source_fast_rate=kernel.fast_rate)
+    f2 = build_output_mode(out_spec)
     return f1, f2, kernel
 
 

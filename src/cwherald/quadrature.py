@@ -1,8 +1,9 @@
 """Composite Gauss-Legendre quadrature for correlation-moment integrals.
 
-This is the fallback of :func:`cwherald.modes.second_moments` for mode
-amplitudes given only as callables; the built-in modes and the OPO kernel
-take the closed form in :mod:`cwherald.piecewise`.
+No program path calls this module: mode moments are closed form
+(:mod:`cwherald.piecewise`).  It is kept as the independent numerical
+reference that the tests check the closed form against, with mode
+amplitudes given as callables.
 
 The target integrals are ``Int f_i(t) f_j(t') k(t - t') dt dt'`` where the
 kernel has a derivative kink on the diagonal ``t = t'``.  Panels are laid

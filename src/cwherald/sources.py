@@ -64,20 +64,19 @@ class CorrelationKernel:
 
     ``c_aa(tau)`` is the anomalous correlation ``<a(t) a(t+tau)>`` and
     ``c_ada(tau)`` the occupation correlation ``<a+(t) a(t+tau)>``, per
-    unit time.  ``decay_rate`` is the slowest exponential rate (used to
-    truncate integrals), ``fast_rate`` the fastest (used to size
-    quadrature panels and the narrow-window rule).  Both callables accept
-    numpy arrays.  ``terms``, when not empty, lists the same correlations
-    as ``(rate, weight_aa, weight_ada)`` with
-    ``c_aa(tau) = sum weight_aa exp(-rate |tau|)`` and likewise ``c_ada``;
-    mode moments against such a kernel are computed in closed form.
+    unit time; both callables accept numpy arrays.  ``terms`` lists the
+    same correlations as ``(rate, weight_aa, weight_ada)`` with
+    ``c_aa(tau) = sum weight_aa exp(-rate |tau|)`` and likewise ``c_ada``,
+    which makes mode moments closed form.  ``decay_rate`` is the slowest
+    exponential rate and ``fast_rate`` the fastest, which sets the
+    narrow-window rule of the filtered trigger mode.
     """
 
     c_aa: Callable[[np.ndarray], np.ndarray]
     c_ada: Callable[[np.ndarray], np.ndarray]
     decay_rate: float
     fast_rate: float
-    terms: tuple[tuple[float, float, float], ...] = ()
+    terms: tuple[tuple[float, float, float], ...]
 
 
 @dataclass(frozen=True)

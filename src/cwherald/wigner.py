@@ -243,15 +243,16 @@ def evaluate_grid(s: GaussPolyState, grid: GridSpec):
 
 def write_grid_csv(path, xs: np.ndarray, ps: np.ndarray, w: np.ndarray) -> None:
     """Serialise a grid as CSV with header x,p,w; rows sweep x inside p."""
-    x_text = [_fmt9(x) for x in xs]
+    x_text = [fmt9(x) for x in xs]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("x,p,w\n")
         for p, row in zip(ps, w):
-            p_text = _fmt9(p)
+            p_text = fmt9(p)
             fh.write("".join(
-                f"{x},{p_text},{_fmt9(v)}\n" for x, v in zip(x_text, row.tolist())
+                f"{x},{p_text},{fmt9(v)}\n" for x, v in zip(x_text, row.tolist())
             ))
 
 
-def _fmt9(v: float) -> str:
+def fmt9(v: float) -> str:
+    """``v`` at 9 significant digits, as the summary, scan and grid files write it."""
     return f"{float(v) + 0.0:.9g}"  # + 0.0 turns -0.0 into 0.0

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from cwherald.covariance import CovarianceMatrix4
+from cwherald.modes import NARROW_WINDOW_LIMIT, SecondMoments
+from cwherald.quadrature import QuadAxis, correlation_moment
 from cwherald.wigner import TwoModeGaussianWigner
 from cwherald.polynomials import poly_eval
 
@@ -171,3 +173,115 @@ def opo_moment_oracle(kind, eps, gamma, alpha, c1, c2):
     plus = scale * (f(mu) / (2 * mu) + f(lam) / (2 * lam))
     minus = scale * (f(mu) / (2 * mu) - f(lam) / (2 * lam))
     return plus, minus  # (a-moment, b-moment)
+
+
+# Reference amplitudes of the built-in modes, written as callables apart from
+# the pieces the program builds, so that quadrature over them is an
+# independent check of the closed-form moments.  Supports follow half-infinite
+# tails for TRUNCATION_DECADES e-folds of the truncation rate.
+TRUNCATION_DECADES = 30.0
+
+
+def quad_axis(amplitude, support, kinks=(), rate=0.0):
+    """Quadrature axis over ``support``, with panel breakpoints at the kinks."""
+    lo, hi = support
+    pts = np.array(sorted({lo, hi, *kinks}))
+    return QuadAxis(amplitude=amplitude, breakpoints=pts[(pts >= lo) & (pts <= hi)], rate=rate)
+
+
+def trigger_axis(spec, source_fast_rate=None, truncation_rate=None):
+    """Reference amplitude of ``build_trigger_mode(spec, source_fast_rate)``.
+
+    The tail is followed to ``truncation_rate`` (default: the filter rate).
+    """
+    tau_eff = spec.tap_amplitude * np.sqrt(spec.detector_efficiency)
+    dt = spec.window_width
+    tc = spec.window_center
+
+    if spec.filter_width is None:
+        lo, hi = tc - dt / 2.0, tc + dt / 2.0
+        height = tau_eff / np.sqrt(dt)
+
+        def amp_rect(t):
+            t = np.asarray(t, dtype=float)
+            return np.where((t >= lo) & (t <= hi), height, 0.0)
+
+        return quad_axis(amp_rect, (lo, hi))
+
+    gamma = spec.filter_width
+    t_rate = min(gamma, truncation_rate) if truncation_rate else gamma
+    tail = TRUNCATION_DECADES / t_rate
+    if dt * max(gamma, source_fast_rate or 0.0) <= NARROW_WINDOW_LIMIT:
+        scale = tau_eff * np.sqrt(dt) * gamma
+
+        def amp_collapsed(t):
+            t = np.asarray(t, dtype=float)
+            return np.where(t <= tc, scale * np.exp(-gamma * np.clip(tc - t, 0.0, None)), 0.0)
+
+        return quad_axis(amp_collapsed, (tc - tail, tc), rate=gamma)
+
+    lo_w, hi_w = tc - dt / 2.0, tc + dt / 2.0
+    pref = tau_eff / np.sqrt(dt)
+
+    def amp_explicit(t):
+        t = np.asarray(t, dtype=float)
+        upper = 1.0 - np.exp(-gamma * np.clip(hi_w - t, 0.0, None))
+        lower = np.exp(-gamma * np.clip(lo_w - t, 0.0, None)) - np.exp(
+            -gamma * np.clip(hi_w - t, 0.0, None)
+        )
+        return pref * np.where(t > hi_w, 0.0, np.where(t >= lo_w, upper, lower))
+
+    return quad_axis(amp_explicit, (lo_w - tail, hi_w), kinks=(lo_w,), rate=gamma)
+
+
+def output_axis(spec, truncation_rate=None):
+    """Reference amplitude of ``build_output_mode(spec)``.
+
+    The exponential envelope's tails are followed to ``truncation_rate``
+    (default: ``alpha``).
+    """
+    refl = spec.reflect_amplitude
+    if spec.envelope == "exponential":
+        alpha = float(spec.alpha)
+        tc = spec.center
+        t_rate = min(alpha, truncation_rate) if truncation_rate else alpha
+        tail = TRUNCATION_DECADES / t_rate
+        scale = refl * np.sqrt(alpha)
+
+        def amp(t):
+            t = np.asarray(t, dtype=float)
+            return scale * np.exp(-alpha * np.abs(t - tc))
+
+        return quad_axis(amp, (tc - tail, tc + tail), kinks=(tc,), rate=alpha)
+
+    ts, us = (np.asarray(x, dtype=float) for x in spec.table)
+    h = np.diff(ts)
+    un = us / np.sqrt(np.sum(h * (us[:-1] ** 2 + us[:-1] * us[1:] + us[1:] ** 2) / 3.0))
+
+    def amp_tab(t):
+        t = np.asarray(t, dtype=float)
+        return refl * np.interp(t, ts, un, left=0.0, right=0.0)
+
+    return quad_axis(amp_tab, (float(ts[0]), float(ts[-1])), kinks=tuple(ts[1:-1]))
+
+
+def quadrature_moments(ax1, ax2, kernel):
+    """Second moments of two reference axes by double quadrature (rtol 1e-8)."""
+    axes = (ax1, ax2)
+    a = np.zeros((2, 2))
+    b = np.zeros((2, 2))
+    for i, j in ((0, 0), (0, 1), (1, 1)):
+        a[i, j] = a[j, i] = correlation_moment(axes[i], axes[j], kernel.c_aa, kernel.fast_rate)
+        b[i, j] = b[j, i] = correlation_moment(axes[i], axes[j], kernel.c_ada, kernel.fast_rate)
+    return SecondMoments(a=a, b=b)
+
+
+def piece_values(pieces, t):
+    """The program's piecewise amplitude at ``t``, each piece on [lo, hi)."""
+    t = np.asarray(t, dtype=float)
+    out = np.zeros_like(t)
+    for p in pieces:
+        inside = (t >= p.lo) & (t < p.hi)
+        d = np.where(inside, t - p.anchor, 0.0)
+        out += np.where(inside, p.coeff * d**p.power * np.exp(p.rate * d), 0.0)
+    return out

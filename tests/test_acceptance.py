@@ -18,7 +18,10 @@ import pytest
 
 from conftest import (
     opo_moment_oracle,
+    output_axis,
     parabolic_grid_argmin,
+    quad_axis,
+    quadrature_moments,
     random_physical_covariance,
     window_moment_oracle,
 )
@@ -34,10 +37,8 @@ from cwherald.config import parse_config
 from cwherald.covariance import CovarianceMatrix4, LossParams, apply_loss, assemble
 from cwherald.metrics import fock_fidelity, wigner_at_origin
 from cwherald.modes import (
-    ModeFunction,
     OutputModeSpec,
     SecondMoments,
-    build_output_mode,
     second_moments,
 )
 from cwherald.pipeline import (
@@ -332,19 +333,18 @@ class TestCriterion7:
             alpha = rng.uniform(0.15, 1.5)
             c1 = rng.uniform(0.02, 0.3)
             kernel = opo_kernel(OpoParams(epsilon=eps))
-            trig = ModeFunction(
-                amplitude=lambda t, g=gamma, c=c1: np.where(
+            trig = quad_axis(
+                lambda t, g=gamma, c=c1: np.where(
                     t <= 0.0, c * np.exp(g * np.clip(t, -800 / g, 0.0)), 0.0
                 ),
                 support=(-30.0 / gamma, 0.0),
-                source_weight=min(1.0, c1**2 / (2 * gamma)),
-                decay_scale=gamma,
+                rate=gamma,
             )
-            out = build_output_mode(
+            out = output_axis(
                 OutputModeSpec(envelope="exponential", alpha=alpha),
                 truncation_rate=min(alpha, kernel.decay_rate),
             )
-            m = second_moments(trig, out, kernel)
+            m = quadrature_moments(trig, out, kernel)
             a11, b11 = opo_moment_oracle("11", eps, gamma, alpha, c1, 1.0)
             a12, b12 = opo_moment_oracle("12", eps, gamma, alpha, c1, 1.0)
             a22, b22 = opo_moment_oracle("22", eps, gamma, alpha, c1, 1.0)

