@@ -215,17 +215,12 @@ def second_moments(
     ``a[i, j] = Int f_i(t) f_j(t') c_aa(t - t') dt dt'`` and likewise for
     ``b`` with ``c_ada``.  Every moment is a closed-form sum of
     antiderivatives over the modes' pieces and the kernel's exponential
-    terms (:func:`~cwherald.piecewise.kernel_moments`), exact to rounding
-    and with no tail truncation.
+    terms, exact to rounding and with no tail truncation.  Both matrices
+    contract one Gram matrix over the kernel's rates, built in one pass
+    over the mode list (:func:`~cwherald.piecewise.kernel_moments`).
     """
     if k.decay_rate <= 0.0:
         raise ValueError("kernel decay rate must be positive")
-    modes = (f1, f2)
-    a = np.zeros((2, 2))
-    b = np.zeros((2, 2))
     rates, w_aa, w_ada = np.array(k.terms, dtype=float).T
-    for i, j in ((0, 0), (0, 1), (1, 1)):
-        m = kernel_moments(modes[i].pieces, modes[j].pieces, rates)
-        a[i, j] = a[j, i] = w_aa @ m
-        b[i, j] = b[j, i] = w_ada @ m
-    return SecondMoments(a=a, b=b)
+    g = kernel_moments((f1.pieces, f2.pieces), rates)
+    return SecondMoments(a=g @ w_aa, b=g @ w_ada)

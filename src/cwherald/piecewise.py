@@ -6,13 +6,16 @@ with k in {0, 1} on intervals, and the source kernel is a sum of terms
 kernel term is then a finite sum of antiderivatives, evaluated here without
 truncating half-infinite tails.
 
-The real line is cut at every finite piece end into cells.  A pair of cells
-at different places separates (``|t - t'|`` has one sign), so it is a product
-of two one-dimensional integrals.  A cell paired with itself splits along
-the diagonal into two triangles.  On a finite cell both kinds are written as
-divided differences of the exponential (Hermite-Genocchi), which stay exact
-when rates coincide (``(1 - e^{-x})/x`` is ``exp[0, -x]``); on a half-infinite
-cell they are rational in the rates.
+The moments of a list of modes form a Gram matrix, built in one pass over
+the mode list: the real line is cut at every finite piece end of every mode
+into cells, which all modes share.  A pair of cells at different places
+separates (``|t - t'|`` has one sign), so it is a product of two
+one-dimensional integrals, and all mode pairs of all cell pairs are one
+contraction.  A cell paired with itself splits along the diagonal into two
+triangles, one the mirror of the other.  On a finite cell both kinds are
+written as divided differences of the exponential (Hermite-Genocchi), which
+stay exact when rates coincide (``(1 - e^{-x})/x`` is ``exp[0, -x]``); on a
+half-infinite cell they are rational in the rates.
 """
 
 from __future__ import annotations
@@ -123,12 +126,14 @@ def _cells(*piece_sets) -> tuple[np.ndarray, np.ndarray]:
 class _Terms(NamedTuple):
     """Pieces restricted to cells, in a cell-local coordinate s >= 0.
 
-    Term n is ``(c0 + c1 s) e^{rate s + shift}`` on cell ``cell``; s runs
-    from the cell's finite end into the cell (outwards on a half-infinite
-    cell, so its ``rate`` is negative).  Columns broadcast against rates.
+    Term n is ``(c0 + c1 s) e^{rate s + shift}`` on cell ``cell``, from a
+    piece of mode ``owner``; s runs from the cell's finite end into the
+    cell (outwards on a half-infinite cell, so its ``rate`` is negative).
+    Columns other than ``cell`` and ``owner`` broadcast against rates.
     """
 
     cell: np.ndarray
+    owner: np.ndarray
     c0: np.ndarray
     c1: np.ndarray
     rate: np.ndarray
@@ -137,11 +142,11 @@ class _Terms(NamedTuple):
     def take(self, idx) -> "_Terms":
         return _Terms(*(col[idx] for col in self))
 
-    def concat(self, other: "_Terms") -> "_Terms":
-        return _Terms(*map(np.concatenate, zip(self, other)))
 
-
-def _terms(pieces, lo: np.ndarray, hi: np.ndarray) -> _Terms:
+def _terms(modes, lo: np.ndarray, hi: np.ndarray) -> _Terms:
+    """The terms of every piece of every mode, tagged with the mode's index."""
+    pieces = [p for f in modes for p in f]
+    owner = np.repeat(np.arange(len(modes)), [len(f) for f in modes])
     plo, phi, anchor, coeff, power, rate = (
         np.array([getattr(p, f) for p in pieces], dtype=float)
         for f in ("lo", "hi", "anchor", "coeff", "power", "rate")
@@ -153,6 +158,7 @@ def _terms(pieces, lo: np.ndarray, hi: np.ndarray) -> _Terms:
     d = origin - anchor[pi]
     return _Terms(
         cell=ci,
+        owner=owner[pi],
         c0=(coeff[pi] * d ** power[pi])[:, None],
         c1=(coeff[pi] * power[pi] * sign)[:, None],
         rate=(sign * rate[pi])[:, None],
@@ -213,46 +219,53 @@ def _triangles(p: _Terms, q: _Terms, r, L) -> np.ndarray:
     )
 
 
-def kernel_moments(f, g, rates) -> np.ndarray:
-    """``Int Int f(t) g(t') e^{-r |t - t'|} dt dt'`` for each rate r > 0.
+def kernel_moments(modes, rates) -> np.ndarray:
+    """Gram matrix ``G[i, j, r] = Int Int f_i(t) f_j(t') e^{-r |t - t'|} dt dt'``.
 
-    ``f`` and ``g`` are sequences of :class:`Piece`; the result has one
-    entry per rate.
+    ``modes`` is a sequence of modes, each a sequence of :class:`Piece`;
+    the result has shape ``(len(modes), len(modes), len(rates))`` and is
+    exactly symmetric in its first two axes.  It is computed in one pass
+    over the mode list: the line is cut into cells once for all modes, and
+    every pair of modes shares those cells.  A mode without pieces gives a
+    zero row and column.
     """
     r = np.atleast_1d(np.asarray(rates, dtype=float))[None, :]
-    if not (f and g):
-        return np.zeros(r.shape[1])
-    lo, hi = _cells(f, g)
+    m = len(modes)
+    if not any(modes):
+        return np.zeros((m, m, r.shape[1]))
+    lo, hi = _cells(*modes)
     n = len(lo)
     length = hi - lo
-    tf, tg = _terms(f, lo, hi), _terms(g, lo, hi)
+    t = _terms(modes, lo, hi)
 
     # separated cells k < l: e^{-r (t' - t)} = e^{-r (L_k - s)} e^{-r gap} e^{-r s'}
-    t = tf.concat(tg)
-    slot = t.cell + n * (np.arange(len(t.cell)) >= len(tf.cell))
+    slot = t.owner * n + t.cell
     start, end = _end_moments(t, r, length)
     start[np.isneginf(lo[t.cell])] = 0.0
     end[np.isinf(hi[t.cell])] = 0.0
-    from_start = np.zeros((2 * n, r.shape[1]))
+    from_start = np.zeros((m * n, r.shape[1]))
     to_end = np.zeros_like(from_start)
     np.add.at(from_start, slot, start)
     np.add.at(to_end, slot, end)
     upper = np.triu(np.ones((n, n), dtype=bool), 1)
     gap = np.where(upper, lo[None, :] - hi[:, None], 0.0)
     w = np.exp(-gap[:, :, None] * r) * upper[:, :, None]
-    total = np.einsum("kr,klr,lr->r", to_end[:n], w, from_start[n:]) + np.einsum(
-        "kr,klr,lr->r", to_end[n:], w, from_start[:n]
+    sep = np.einsum(
+        "ikr,klr,jlr->ijr", to_end.reshape(m, n, -1), w, from_start.reshape(m, n, -1)
     )
 
-    # a cell with itself: the triangles u <= s and s <= u
-    i, j = np.nonzero(tf.cell[:, None] == tg.cell[None, :])
-    p, q = tf.take(i), tg.take(j)
-    p, q = p.concat(q), q.concat(p)
+    # a cell with itself: the triangle u <= s of every ordered pair of terms,
+    # summed per pair of owners; the triangle s <= u is its transpose
+    i, j = np.nonzero(t.cell[:, None] == t.cell[None, :])
+    p, q = t.take(i), t.take(j)
+    pair = p.owner * m + q.owner
     L = length[p.cell][:, None]
+    tri = np.zeros((m * m, r.shape[1]))
     for part in (np.isfinite(L[:, 0]), np.isinf(L[:, 0])):
         if part.any():
-            total = total + _triangles(p.take(part), q.take(part), r, L[part]).sum(axis=0)
-    return total
+            np.add.at(tri, pair[part], _triangles(p.take(part), q.take(part), r, L[part]))
+    same = tri.reshape(m, m, -1)
+    return (sep + sep.transpose(1, 0, 2)) + (same + same.transpose(1, 0, 2))
 
 
 def norm_sq(f) -> float:
@@ -260,7 +273,7 @@ def norm_sq(f) -> float:
     if not f:
         return 0.0
     lo, hi = _cells(f)
-    t = _terms(f, lo, hi)
+    t = _terms((f,), lo, hi)
     i, j = np.nonzero(t.cell[:, None] == t.cell[None, :])
     p, q = t.take(i), t.take(j)
     a0, a1, a2 = p.c0 * q.c0, p.c0 * q.c1 + p.c1 * q.c0, p.c1 * q.c1

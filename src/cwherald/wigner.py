@@ -243,14 +243,13 @@ def evaluate_grid(s: GaussPolyState, grid: GridSpec):
 
 def write_grid_csv(path, xs: np.ndarray, ps: np.ndarray, w: np.ndarray) -> None:
     """Serialise a grid as CSV with header x,p,w; rows sweep x inside p."""
-    x_text = [fmt9(x) for x in xs]
+    # one %-template per grid row, the x text baked in; fmt9 text holds no "%"
+    body = "".join(f"{fmt9(x)},{{p}},%.9g\n" for x in xs)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("x,p,w\n")
         for p, row in zip(ps, w):
-            p_text = fmt9(p)
-            fh.write("".join(
-                f"{x},{p_text},{fmt9(v)}\n" for x, v in zip(x_text, row.tolist())
-            ))
+            # per row: a list of Python floats for the whole grid at once costs memory
+            fh.write(body.replace("{p}", fmt9(p)) % tuple((row + 0.0).tolist()))
 
 
 def fmt9(v: float) -> str:

@@ -47,20 +47,24 @@ def random_physical_covariance(rng, squeeze_max=0.8, noise=0.2):
     return CovarianceMatrix4(v)
 
 
-def brute_force_trigger_integral(v, weight_coeffs, x2, p2, order=140):
-    """2-D Gauss-Legendre quadrature of weight(x1,p1) W_V over the trigger plane."""
+def brute_force_trigger_integral(v, weight_coeffs, pts, order=140):
+    """2-D Gauss-Legendre quadrature of weight(x1,p1) W_V over the trigger plane.
+
+    One value per output point (x2, p2), a row of ``pts``; all points share
+    one evaluation of the Gaussian, so V is inverted once.
+    """
     trig = v.m[:2, :2]
     half = 7.5 * np.sqrt(np.max(np.linalg.eigvalsh(trig)) / 2.0)
     nodes, weights = np.polynomial.legendre.leggauss(order)
     t = half * nodes
     wts = half * weights
     xx, pp = np.meshgrid(t, t, indexing="ij")
-    y = np.stack(
-        [xx, pp, np.full_like(xx, float(x2)), np.full_like(xx, float(p2))], axis=-1
-    )
+    trigger_plane = np.stack([xx, pp], axis=-1)[None]
+    outputs = np.asarray(pts, dtype=float)[:, None, None, :]
+    y = np.concatenate(np.broadcast_arrays(trigger_plane, outputs), axis=-1)
     wv = TwoModeGaussianWigner(v).evaluate(y)
     vals = poly_eval(weight_coeffs, xx, pp) * wv
-    return float(wts @ vals @ wts)
+    return wts @ vals @ wts
 
 
 @pytest.fixture

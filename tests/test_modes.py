@@ -12,6 +12,7 @@ from conftest import (
     window_moment_oracle,
 )
 
+from cwherald import modes
 from cwherald.modes import (
     ModeFunction,
     OutputModeSpec,
@@ -154,6 +155,14 @@ class TestSecondMoments:
         m = second_moments(self.trigger, self.output, self.kernel)
         assert abs(m.a[0, 1] - m.a[1, 0]) < 1e-10
         assert abs(m.b[0, 1] - m.b[1, 0]) < 1e-10
+
+    def test_one_gram_per_call(self, monkeypatch):
+        calls = []
+        gram = modes.kernel_moments
+        counted = lambda *args: calls.append(args) or gram(*args)  # noqa: E731
+        monkeypatch.setattr(modes, "kernel_moments", counted)
+        second_moments(self.trigger, self.output, self.kernel)
+        assert len(calls) == 1
 
     def test_scaling_of_trigger(self):
         m = second_moments(self.trigger, self.output, self.kernel)

@@ -7,7 +7,30 @@ from hypothesis import strategies as st
 
 from conftest import window_pair
 
+from cwherald.modes import OutputModeSpec, TriggerModeSpec, build_output_mode, build_trigger_mode
 from cwherald.piecewise import Piece, dd_exp, kernel_moments, norm_sq
+
+RATES = [0.05, 0.3, 1.0, 8.0]
+
+
+def pair_moment(f, g, r):
+    """The (f, g) entry of the two-mode Gram at one rate."""
+    return kernel_moments((f, g), [r])[0, 1, 0]
+
+
+def three_modes():
+    """Explicitly filtered trigger, exponential output, tabulated output, off-centre."""
+    trigger = build_trigger_mode(
+        TriggerModeSpec(tap_amplitude=0.3, filter_width=5.0, window_center=0.3, window_width=0.5)
+    )
+    exponential = build_output_mode(OutputModeSpec(alpha=0.4, center=-0.2))
+    ts = np.linspace(-2.0, 2.5, 13)
+    tabulated = build_output_mode(
+        OutputModeSpec(
+            envelope="tabulated", alpha=None, table=(ts, np.exp(-ts**2) * (1.0 + 0.3 * ts))
+        )
+    )
+    return trigger.pieces, exponential.pieces, tabulated.pieces
 
 
 def dd_distinct(z):
@@ -62,14 +85,14 @@ class TestKernelMoments:
         w = rw / r
         box = [Piece(0.0, w, 0.0, 1.0)]
         series = w**2 * sum(2.0 * (-r * w) ** (k - 1) / math.factorial(k + 1) for k in range(1, 8))
-        assert kernel_moments(box, box, [r])[0] == pytest.approx(series, rel=1e-14)
+        assert kernel_moments((box,), [r])[0, 0, 0] == pytest.approx(series, rel=1e-14)
 
     @pytest.mark.parametrize("r", [0.05, 0.3, 1.0, 8.0])
     def test_linear_piece_by_reflection(self, r):
         # t -> 1 - t maps t onto 1 - t, so Int Int t k = Int Int (1 - t) k = window / 2
         ramp = [Piece(0.0, 1.0, 0.0, 1.0, power=1)]
         box = [Piece(0.0, 1.0, 0.0, 1.0)]
-        got = kernel_moments(ramp, box, [r])[0]
+        got = pair_moment(ramp, box, r)
         assert got == pytest.approx(0.5 * window_pair(1.0, r), rel=1e-13)
 
     @settings(max_examples=40, deadline=None)
@@ -92,8 +115,8 @@ class TestKernelMoments:
         split = piece(0.0, cut, 0.0) + piece(cut, 2.0, 2.0)
         tail = [Piece(-np.inf, 0.5, 0.5, 1.0, rate=1.3)]
         for other in (whole, tail):
-            a = kernel_moments(whole, other, [r])[0]
-            b = kernel_moments(split, other, [r])[0]
+            a = pair_moment(whole, other, r)
+            b = pair_moment(split, other, r)
             assert b == pytest.approx(a, rel=1e-12)
         assert norm_sq(split) == pytest.approx(norm_sq(whole), rel=1e-12)
 
@@ -101,14 +124,31 @@ class TestKernelMoments:
         # II_{t,t'<0} e^{g (t+t')} e^{-r|t-t'|} = 1 / (g (g + r))
         g, r = 2.0, 0.3
         causal = [Piece(-np.inf, 0.0, 0.0, 1.0, rate=g)]
-        assert kernel_moments(causal, causal, [r])[0] == pytest.approx(
+        assert kernel_moments((causal,), [r])[0, 0, 0] == pytest.approx(
             1.0 / (g * (g + r)), rel=1e-15
         )
         assert norm_sq(causal) == pytest.approx(1.0 / (2.0 * g), rel=1e-15)
 
+    def test_gram_is_exactly_symmetric(self):
+        g = kernel_moments(three_modes(), RATES)
+        assert g.shape == (3, 3, len(RATES))
+        assert np.array_equal(g, g.transpose(1, 0, 2))
+
+    def test_extra_modes_change_no_entry(self):
+        # the third mode's cells cut the other two finer; no entry may move
+        modes = three_modes()
+        g = kernel_moments(modes, RATES)
+        for pair in ((0, 1), (0, 2), (1, 2)):
+            sub = kernel_moments([modes[i] for i in pair], RATES)
+            np.testing.assert_allclose(g[np.ix_(pair, pair)], sub, rtol=1e-15, atol=0.0)
+
     def test_empty_function_has_zero_moments(self):
+        # an empty mode gives a zero row and column of the Gram
         box = [Piece(0.0, 1.0, 0.0, 1.0)]
-        assert np.all(kernel_moments((), box, [0.3, 0.7]) == 0.0)
+        g = kernel_moments(((), box, ()), [0.3, 0.7])
+        assert np.all(g[[0, 2]] == 0.0) and np.all(g[:, [0, 2]] == 0.0)
+        assert np.all(g[1, 1] > 0.0)
+        assert np.all(kernel_moments(((), ()), [0.3]) == 0.0)
         assert norm_sq(()) == 0.0
 
     def test_piece_validation(self):

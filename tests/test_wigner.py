@@ -102,8 +102,7 @@ class TestIntegrateOutTrigger:
             pts = rng.uniform(-2.5, 2.5, size=(25, 2))
             got = state.evaluate(pts[:, 0], pts[:, 1])
             scale = max(np.max(np.abs(got)), 1e-12)
-            for (x2, p2), g in zip(pts, got):
-                want = brute_force_trigger_integral(v, w, x2, p2)
+            for g, want in zip(got, brute_force_trigger_integral(v, w, pts)):
                 assert abs(g - want) <= 1e-7 * max(abs(want), scale)
 
     def test_degree_cap(self):
@@ -155,6 +154,7 @@ class TestGridEvaluation:
         ps = np.array([-2.5, 0.0, 1.0 / 3.0])
         w = rng.normal(size=(3, 4)) * np.array([1.0, 1e-9, 1e5, 1.0])
         w[0, 0], w[1, 1], w[2, 2] = -0.0, 0.0, -1e-300
+        w[0, 3], w[1, 0], w[2, 1] = np.nan, np.inf, -np.inf
         path = tmp_path / "grid.csv"
         write_grid_csv(path, xs, ps, w)
         want = "x,p,w\n" + "".join(
