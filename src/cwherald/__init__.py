@@ -66,7 +66,6 @@ from .pipeline import (
 from .scan import ScanResult, golden_section_minimize, scan_and_refine
 from .sources import (
     CorrelationKernel,
-    DirectTwoModeSource,
     OpoParams,
     opo_kernel,
     tmsv_covariance,
@@ -78,10 +77,7 @@ from .wigner import (
     TwoModeGaussianWigner,
     evaluate_grid,
     fock_state,
-    fock_wigner,
     integrate_out_trigger,
-    overlap,
-    state_purity,
     write_grid_csv,
 )
 

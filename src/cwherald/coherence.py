@@ -42,6 +42,8 @@ def conditional_coherence(
     """
     if points < 3:
         raise ValueError("coherence grid needs at least 3 points")
+    if not half_width > 0.0:
+        raise ValueError(f"coherence half-width must be positive, got {half_width}")
     ts = t_c + np.linspace(-half_width, half_width, points)
     rel = ts - t_c
     aa = k.c_aa(rel)

@@ -1,35 +1,25 @@
 """Experiment descriptions: a flat, sectioned key/value config format.
 
 Sections mirror the pipeline stages: [source], [trigger], [output],
-[losses], [measurement], [outputs] and the optional [scan].  Unknown
-sections or keys are hard errors so that reproduction fixtures cannot
-silently drift.
+[losses], [measurement], [outputs] and the optional [scan].  Each section
+is read straight into its dataclass: the keys it accepts are the field
+names, a value is parsed by its field's annotation and an absent key takes
+the field's default.  [trigger] becomes the pipeline's
+:class:`~cwherald.modes.TriggerModeSpec`, so its range checks are
+configuration errors.  Unknown sections or keys are hard errors so that
+reproduction fixtures cannot silently drift.
 """
 
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, fields
 
 from .covariance import LossParams
 from .errors import ConfigError
+from .modes import TriggerModeSpec
 from .wigner import GridSpec
-
-_SECTION_KEYS = {
-    "source": {"kind", "gamma1", "gamma2", "epsilon", "r", "covariance"},
-    "trigger": {
-        "tap_amplitude",
-        "filter_width",
-        "window_center",
-        "window_width",
-        "detector_efficiency",
-    },
-    "output": {"envelope", "alpha", "center", "table"},
-    "losses": {"eta1", "xi1", "eta2", "xi2"},
-    "measurement": {"kind", "n"},
-    "outputs": {"grid", "metrics", "coherence", "coherence_halfwidth", "coherence_points"},
-    "scan": {"alpha_min", "alpha_max", "samples", "objective"},
-}
 
 _ALL_METRICS = (
     "probability",
@@ -39,6 +29,23 @@ _ALL_METRICS = (
     "fidelity_fock2",
     "purity",
 )
+
+# the keys each source kind and output envelope reads and echoes, in echo order
+_KIND_KEYS = {
+    "opo": ("kind", "gamma1", "gamma2", "epsilon"),
+    "tmsv": ("kind", "r"),
+    "direct": ("kind", "covariance"),
+    "exponential": ("envelope", "alpha", "center"),
+    "tabulated": ("envelope", "table", "center"),
+}
+# the key each kind requires, as its error message names it
+_REQUIRED = {
+    "opo": "epsilon",
+    "tmsv": "r",
+    "direct": "covariance (a file path)",
+    "exponential": "alpha",
+    "tabulated": "table (a file path)",
+}
 
 
 @dataclass(frozen=True)
@@ -52,20 +59,11 @@ class SourceConfig:
 
 
 @dataclass(frozen=True)
-class TriggerConfig:
-    tap_amplitude: float
-    filter_width: float | None
-    window_center: float
-    window_width: float
-    detector_efficiency: float
-
-
-@dataclass(frozen=True)
 class OutputModeConfig:
-    envelope: str
-    alpha: float | None
-    center: float
+    envelope: str = "exponential"
+    alpha: float = math.nan  # a tabulated envelope has no decay rate
     table: str = ""
+    center: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -91,11 +89,22 @@ class ScanConfig:
     objective: str = "origin_value"
 
 
+_SECTIONS = {
+    "source": SourceConfig,
+    "trigger": TriggerModeSpec,
+    "output": OutputModeConfig,
+    "losses": LossParams,
+    "measurement": MeasurementConfig,
+    "outputs": OutputsConfig,
+    "scan": ScanConfig,
+}
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     source: SourceConfig
     measurement: MeasurementConfig
-    trigger: TriggerConfig | None = None
+    trigger: TriggerModeSpec | None = None
     output: OutputModeConfig | None = None
     losses: LossParams = field(default_factory=LossParams)
     outputs: OutputsConfig = field(default_factory=OutputsConfig)
@@ -103,72 +112,72 @@ class ExperimentConfig:
 
     def echo_lines(self) -> list[str]:
         """Provenance echo of every parsed value, deterministic order."""
-        lines = []
-
-        def emit(section, name, value):
-            lines.append(f"config.{section}.{name} = {value}")
-
-        s = self.source
-        emit("source", "kind", s.kind)
-        if s.kind == "opo":
-            emit("source", "gamma1", f"{s.gamma1:.9g}")
-            emit("source", "gamma2", f"{s.gamma2:.9g}")
-            emit("source", "epsilon", f"{s.epsilon:.9g}")
-        elif s.kind == "tmsv":
-            emit("source", "r", f"{s.r:.9g}")
-        else:
-            emit("source", "covariance", s.covariance)
+        keys = [("source", _KIND_KEYS[self.source.kind])]
         if self.trigger is not None:
-            t = self.trigger
-            emit("trigger", "tap_amplitude", f"{t.tap_amplitude:.9g}")
-            emit(
-                "trigger",
-                "filter_width",
-                "none" if t.filter_width is None else f"{t.filter_width:.9g}",
-            )
-            emit("trigger", "window_center", f"{t.window_center:.9g}")
-            emit("trigger", "window_width", f"{t.window_width:.9g}")
-            emit("trigger", "detector_efficiency", f"{t.detector_efficiency:.9g}")
+            keys.append(("trigger", [f.name for f in fields(self.trigger)]))
         if self.output is not None:
-            o = self.output
-            emit("output", "envelope", o.envelope)
-            if o.envelope == "exponential":
-                emit("output", "alpha", f"{o.alpha:.9g}")
-            else:
-                emit("output", "table", o.table)
-            emit("output", "center", f"{o.center:.9g}")
-        losses = self.losses
-        emit("losses", "eta1", f"{losses.eta1:.9g}")
-        emit("losses", "xi1", f"{losses.xi1:.9g}")
-        emit("losses", "eta2", f"{losses.eta2:.9g}")
-        emit("losses", "xi2", f"{losses.xi2:.9g}")
-        emit("measurement", "kind", self.measurement.kind)
-        if self.measurement.kind == "number":
-            emit("measurement", "n", str(self.measurement.n))
-        return lines
+            keys.append(("output", _KIND_KEYS[self.output.envelope]))
+        keys.append(("losses", ("eta1", "xi1", "eta2", "xi2")))
+        keys.append(
+            ("measurement", ("kind", "n") if self.measurement.kind == "number" else ("kind",))
+        )
+        return [
+            f"config.{section}.{key} = {_text(getattr(getattr(self, section), key))}"
+            for section, names in keys
+            for key in names
+        ]
 
 
-def _want_float(section, key, raw):
+def _text(value) -> str:
+    if value is None:
+        return "none"
+    return value if isinstance(value, str) else f"{value:.9g}"
+
+
+def _parse(section: str, key: str, annotation: str, raw: str):
+    """One value, parsed by the annotation of the field it fills."""
+    if annotation == "str":
+        return raw.strip()
+    if annotation == "GridSpec":
+        return parse_grid(raw)
+    if annotation == "tuple[str, ...]":
+        metrics = tuple(tok.strip() for tok in raw.split(",") if tok.strip())
+        bad = [m for m in metrics if m not in _ALL_METRICS]
+        if bad:
+            raise ConfigError(f"[{section}] unknown metrics {bad}")
+        return metrics
+    if annotation == "bool":
+        try:
+            return configparser.ConfigParser.BOOLEAN_STATES[raw.strip().lower()]
+        except KeyError:
+            raise ConfigError(f"[{section}] {key} = {raw!r} is not a boolean") from None
+    if annotation == "float | None":
+        raw = raw.strip().lower()
+        if raw == "none":
+            return None
+    convert, noun = (int, "an integer") if annotation == "int" else (float, "a number")
     try:
-        return float(raw)
+        return convert(raw)
     except ValueError:
-        raise ConfigError(f"[{section}] {key} = {raw!r} is not a number") from None
+        raise ConfigError(f"[{section}] {key} = {raw!r} is not {noun}") from None
 
 
-def _want_int(section, key, raw):
+def _read(cp, section: str, required=(), keys=None):
+    """A section as its dataclass; ``keys``, if given, limits the fields read."""
+    cls = _SECTIONS[section]
+    raw = cp[section] if section in cp else {}
+    for key in required:
+        if key not in raw:
+            raise ConfigError(f"[{section}] missing required key {key}")
+    values = {
+        f.name: _parse(section, f.name, f.type, raw[f.name])
+        for f in fields(cls)
+        if f.name in raw and (keys is None or f.name in keys)
+    }
     try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(f"[{section}] {key} = {raw!r} is not an integer") from None
-
-
-def _want_bool(section, key, raw):
-    low = raw.strip().lower()
-    if low in ("true", "yes", "1", "on"):
-        return True
-    if low in ("false", "no", "0", "off"):
-        return False
-    raise ConfigError(f"[{section}] {key} = {raw!r} is not a boolean")
+        return cls(**values)
+    except ValueError as exc:
+        raise ConfigError(f"[{section}] {exc}") from exc
 
 
 def parse_config(path) -> ExperimentConfig:
@@ -183,164 +192,76 @@ def parse_config(path) -> ExperimentConfig:
         raise ConfigError(f"config parse error in {path}: {exc}") from exc
 
     for section in cp.sections():
-        if section not in _SECTION_KEYS:
+        if section not in _SECTIONS:
             raise ConfigError(f"unknown section [{section}] in {path}")
+        allowed = {f.name for f in fields(_SECTIONS[section])}
         for key in cp[section]:
-            if key not in _SECTION_KEYS[section]:
+            if key not in allowed:
                 raise ConfigError(f"unknown key {key!r} in section [{section}] of {path}")
 
     if "source" not in cp:
         raise ConfigError(f"missing [source] section in {path}")
-    src = cp["source"]
-    kind = src.get("kind", "").strip()
+    kind = cp["source"].get("kind", "")
     if kind not in ("opo", "tmsv", "direct"):
         raise ConfigError(f"[source] kind must be opo, tmsv or direct, got {kind!r}")
-    if kind == "opo":
-        if "epsilon" not in src:
-            raise ConfigError("[source] kind = opo requires epsilon")
-        source = SourceConfig(
-            kind="opo",
-            gamma1=_want_float("source", "gamma1", src.get("gamma1", "1.0")),
-            gamma2=_want_float("source", "gamma2", src.get("gamma2", "0.0")),
-            epsilon=_want_float("source", "epsilon", src["epsilon"]),
-        )
-    elif kind == "tmsv":
-        if "r" not in src:
-            raise ConfigError("[source] kind = tmsv requires r")
-        source = SourceConfig(kind="tmsv", r=_want_float("source", "r", src["r"]))
-    else:
-        if "covariance" not in src:
-            raise ConfigError("[source] kind = direct requires covariance (a file path)")
-        source = SourceConfig(kind="direct", covariance=src["covariance"].strip())
+    need = _REQUIRED[kind]
+    if need.split()[0] not in cp["source"]:
+        raise ConfigError(f"[source] kind = {kind} requires {need}")
+    source = _read(cp, "source", keys=_KIND_KEYS[kind])
 
     trigger = None
     output = None
     if kind == "opo":
-        if "trigger" not in cp:
-            raise ConfigError("[trigger] section required for an opo source")
-        if "output" not in cp:
-            raise ConfigError("[output] section required for an opo source")
-        trg = cp["trigger"]
-        for req in ("tap_amplitude", "filter_width", "window_width"):
-            if req not in trg:
-                raise ConfigError(f"[trigger] missing required key {req}")
-        fw_raw = trg["filter_width"].strip().lower()
-        filter_width = None if fw_raw == "none" else _want_float("trigger", "filter_width", fw_raw)
-        trigger = TriggerConfig(
-            tap_amplitude=_want_float("trigger", "tap_amplitude", trg["tap_amplitude"]),
-            filter_width=filter_width,
-            window_center=_want_float("trigger", "window_center", trg.get("window_center", "0.0")),
-            window_width=_want_float("trigger", "window_width", trg["window_width"]),
-            detector_efficiency=_want_float(
-                "trigger", "detector_efficiency", trg.get("detector_efficiency", "1.0")
-            ),
+        for section in ("trigger", "output"):
+            if section not in cp:
+                raise ConfigError(f"[{section}] section required for an opo source")
+        trigger = _read(
+            cp, "trigger", required=("tap_amplitude", "filter_width", "window_width")
         )
-        out = cp["output"]
-        envelope = out.get("envelope", "exponential").strip()
-        if envelope == "exponential":
-            if "alpha" not in out:
-                raise ConfigError("[output] exponential envelope requires alpha")
-            output = OutputModeConfig(
-                envelope="exponential",
-                alpha=_want_float("output", "alpha", out["alpha"]),
-                center=_want_float("output", "center", out.get("center", "0.0")),
-            )
-        elif envelope == "tabulated":
-            if "table" not in out:
-                raise ConfigError("[output] tabulated envelope requires table (a file path)")
-            output = OutputModeConfig(
-                envelope="tabulated",
-                alpha=None,
-                center=_want_float("output", "center", out.get("center", "0.0")),
-                table=out["table"].strip(),
-            )
-        else:
+        envelope = cp["output"].get("envelope", OutputModeConfig.envelope)
+        if envelope not in ("exponential", "tabulated"):
             raise ConfigError(
                 f"[output] envelope must be exponential or tabulated, got {envelope!r}"
             )
+        need = _REQUIRED[envelope]
+        if need.split()[0] not in cp["output"]:
+            raise ConfigError(f"[output] {envelope} envelope requires {need}")
+        output = _read(cp, "output", keys=_KIND_KEYS[envelope])
     elif "trigger" in cp or "output" in cp:
         raise ConfigError(
             "[trigger]/[output] sections apply only to an opo source; "
             f"source kind here is {kind}"
         )
 
-    losses = LossParams()
-    if "losses" in cp:
-        ls = cp["losses"]
-        try:
-            losses = LossParams(
-                eta1=_want_float("losses", "eta1", ls.get("eta1", "0.0")),
-                eta2=_want_float("losses", "eta2", ls.get("eta2", "0.0")),
-                xi1=_want_float("losses", "xi1", ls.get("xi1", "0.0")),
-                xi2=_want_float("losses", "xi2", ls.get("xi2", "0.0")),
-            )
-        except ValueError as exc:
-            raise ConfigError(f"[losses] {exc}") from exc
+    losses = _read(cp, "losses")
 
     if "measurement" not in cp:
         raise ConfigError(f"missing [measurement] section in {path}")
-    ms = cp["measurement"]
-    mkind = ms.get("kind", "").strip()
+    mkind = cp["measurement"].get("kind", "")
     if mkind not in ("number", "on", "click", "vacuum"):
         raise ConfigError(
             f"[measurement] kind must be number, on, click or vacuum, got {mkind!r}"
         )
-    n = 0
-    if mkind == "number":
-        if "n" not in ms:
-            raise ConfigError("[measurement] kind = number requires n")
-        n = _want_int("measurement", "n", ms["n"])
-        if n not in (0, 1, 2):
-            raise ConfigError(f"[measurement] n must be 0, 1 or 2, got {n}")
-    elif "n" in ms:
-        raise ConfigError(f"[measurement] n applies only to number detection")
-    measurement = MeasurementConfig(kind=mkind, n=n)
+    if mkind == "number" and "n" not in cp["measurement"]:
+        raise ConfigError("[measurement] kind = number requires n")
+    if mkind != "number" and "n" in cp["measurement"]:
+        raise ConfigError("[measurement] n applies only to number detection")
+    measurement = _read(cp, "measurement")
+    if measurement.n not in (0, 1, 2):
+        raise ConfigError(f"[measurement] n must be 0, 1 or 2, got {measurement.n}")
 
-    outputs = OutputsConfig()
-    if "outputs" in cp:
-        osec = cp["outputs"]
-        grid = GridSpec()
-        if "grid" in osec:
-            grid = parse_grid(osec["grid"])
-        metrics = _ALL_METRICS
-        if "metrics" in osec:
-            metrics = tuple(tok.strip() for tok in osec["metrics"].split(",") if tok.strip())
-            bad = [m for m in metrics if m not in _ALL_METRICS]
-            if bad:
-                raise ConfigError(f"[outputs] unknown metrics {bad}")
-        outputs = OutputsConfig(
-            grid=grid,
-            metrics=metrics,
-            coherence=_want_bool("outputs", "coherence", osec.get("coherence", "false")),
-            coherence_halfwidth=_want_float(
-                "outputs", "coherence_halfwidth", osec.get("coherence_halfwidth", "10.0")
-            ),
-            coherence_points=_want_int(
-                "outputs", "coherence_points", osec.get("coherence_points", "201")
-            ),
-        )
+    outputs = _read(cp, "outputs")
 
     scan = None
     if "scan" in cp:
-        sc = cp["scan"]
-        for req in ("alpha_min", "alpha_max"):
-            if req not in sc:
-                raise ConfigError(f"[scan] missing required key {req}")
-        objective = sc.get("objective", "origin_value").strip()
-        if objective not in ("origin_value", "fock1_fidelity"):
+        scan = _read(cp, "scan", required=("alpha_min", "alpha_max"))
+        if scan.objective not in ("origin_value", "fock1_fidelity"):
             raise ConfigError(
-                f"[scan] objective must be origin_value or fock1_fidelity, got {objective!r}"
+                "[scan] objective must be origin_value or fock1_fidelity, "
+                f"got {scan.objective!r}"
             )
-        scan = ScanConfig(
-            alpha_min=_want_float("scan", "alpha_min", sc["alpha_min"]),
-            alpha_max=_want_float("scan", "alpha_max", sc["alpha_max"]),
-            samples=_want_int("scan", "samples", sc.get("samples", "50")),
-            objective=objective,
-        )
         if scan.alpha_min <= 0 or scan.alpha_max < scan.alpha_min:
-            raise ConfigError(
-                f"[scan] bad range [{scan.alpha_min}, {scan.alpha_max}]"
-            )
+            raise ConfigError(f"[scan] bad range [{scan.alpha_min}, {scan.alpha_max}]")
 
     return ExperimentConfig(
         source=source,

@@ -6,7 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .wigner import GaussPolyState, GridSpec, evaluate_grid, overlap, state_purity
+from .polynomials import gaussian_poly_integral, poly_mul
+from .wigner import GaussPolyState, GridSpec, evaluate_grid, fock_wigner_poly
 
 
 def wigner_at_origin(s: GaussPolyState) -> float:
@@ -15,13 +16,23 @@ def wigner_at_origin(s: GaussPolyState) -> float:
 
 
 def fock_fidelity(s: GaussPolyState, n: int) -> float:
-    """Overlap with the n-photon Fock state via Gaussian-moment reduction."""
-    return overlap(s, n)
+    """Overlap with the n-photon Fock state, 2*pi*Int(W_s W_n), by Gaussian-moment reduction."""
+    fock = fock_wigner_poly(n)
+    acc = 0.0
+    for t in s.terms:
+        merged = np.linalg.inv(np.linalg.inv(t.sigma) + np.eye(2))
+        acc += gaussian_poly_integral(poly_mul(t.coeffs, fock), merged)
+    return 2.0 * np.pi * acc
 
 
 def purity(s: GaussPolyState) -> float:
-    """Tr rho^2 of the single-mode state."""
-    return state_purity(s)
+    """Tr rho^2 of the single-mode state, 2*pi*Int(W^2)."""
+    acc = 0.0
+    for ta in s.terms:
+        for tb in s.terms:
+            merged = np.linalg.inv(np.linalg.inv(ta.sigma) + np.linalg.inv(tb.sigma))
+            acc += gaussian_poly_integral(poly_mul(ta.coeffs, tb.coeffs), merged)
+    return 2.0 * np.pi * acc
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,6 @@ from .metrics import fock_fidelity, purity, wigner_at_origin
 from .modes import (
     ModeFunction,
     OutputModeSpec,
-    TriggerModeSpec,
     build_output_mode,
     build_trigger_mode,
     load_envelope_table,
@@ -57,17 +56,9 @@ def build_modes(
 ) -> tuple[ModeFunction, ModeFunction, CorrelationKernel]:
     """Trigger and output mode functions plus the source kernel."""
     kernel = build_kernel(cfg)
-    t = cfg.trigger
     o = cfg.output
-    trig_spec = TriggerModeSpec(
-        tap_amplitude=t.tap_amplitude,
-        filter_width=t.filter_width,
-        window_center=t.window_center,
-        window_width=t.window_width,
-        detector_efficiency=t.detector_efficiency,
-    )
     alpha = alpha_override if alpha_override is not None else o.alpha
-    reflect = float(np.sqrt(1.0 - t.tap_amplitude**2))
+    reflect = float(np.sqrt(1.0 - cfg.trigger.tap_amplitude**2))
     if o.envelope == "exponential":
         out_spec = OutputModeSpec(
             envelope="exponential", alpha=alpha, center=o.center, reflect_amplitude=reflect
@@ -81,7 +72,7 @@ def build_modes(
             reflect_amplitude=reflect,
             table=(ts, us),
         )
-    f1 = build_trigger_mode(trig_spec, source_fast_rate=kernel.fast_rate)
+    f1 = build_trigger_mode(cfg.trigger, source_fast_rate=kernel.fast_rate)
     f2 = build_output_mode(out_spec)
     return f1, f2, kernel
 
@@ -94,7 +85,7 @@ def build_covariance(
         f1, f2, kernel = build_modes(cfg, alpha_override=alpha_override)
         v = assemble(second_moments(f1, f2, kernel))
     elif cfg.source.kind == "tmsv":
-        v = tmsv_covariance(cfg.source.r).v
+        v = tmsv_covariance(cfg.source.r)
     else:
         v = load_covariance(cfg.source.covariance)
     if (cfg.losses.eta1, cfg.losses.eta2, cfg.losses.xi1, cfg.losses.xi2) != (

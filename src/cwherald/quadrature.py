@@ -64,14 +64,17 @@ def _panel_nodes(edges: np.ndarray, order: int):
 
 
 def _segment_integral(fvals_w, t_outer, inner_lo, inner_hi, f_inner, kern, order):
-    """GL integral of f_inner(t') k(t_outer - t') over [inner_lo, inner_hi]."""
-    if inner_hi <= inner_lo:
-        return 0.0
+    """Sum over segments s of fvals_w[s] times the GL integral of
+    f_inner(t') k(t_outer[s] - t') over [inner_lo[s], inner_hi[s]].
+
+    All segments are evaluated in one batch; an empty one counts zero.
+    """
     ref_x, ref_w = _gl_rule(order)
-    half = 0.5 * (inner_hi - inner_lo)
+    half = 0.5 * np.maximum(inner_hi - inner_lo, 0.0)
     mid = 0.5 * (inner_hi + inner_lo)
-    tp = mid + half * ref_x
-    return fvals_w * half * float(np.sum(ref_w * f_inner(tp) * kern(t_outer - tp)))
+    tp = mid[:, None] + half[:, None] * ref_x[None, :]
+    vals = (f_inner(tp) * kern(t_outer[:, None] - tp)) @ ref_w
+    return float(np.sum(fvals_w * half * vals))
 
 
 def correlation_moment_once(
@@ -116,19 +119,19 @@ def correlation_moment_once(
             block = float(
                 f_i[pi] @ kern(nodes_i[pi][:, None] - nodes_j[pj][None, :]) @ f_j[pj]
             )
-            split = 0.0
-            for t, fw in zip(nodes_i[pi], f_i[pi]):
-                if t <= a2 or t >= b2:
-                    split += _segment_integral(
-                        fw, t, a2, b2, ax_j.amplitude, kern, order
-                    )
-                else:
-                    split += _segment_integral(
-                        fw, t, a2, t, ax_j.amplitude, kern, order
-                    )
-                    split += _segment_integral(
-                        fw, t, t, b2, ax_j.amplitude, kern, order
-                    )
+            # split [a2, b2] at each outer node clipped to the panel, so that
+            # a node outside the panel gets one empty and one whole segment
+            t = nodes_i[pi]
+            cut = np.clip(t, a2, b2)
+            split = _segment_integral(
+                np.tile(f_i[pi], 2),
+                np.tile(t, 2),
+                np.concatenate([np.full_like(t, a2), cut]),
+                np.concatenate([cut, np.full_like(t, b2)]),
+                ax_j.amplitude,
+                kern,
+                order,
+            )
             total += split - block
     return total
 

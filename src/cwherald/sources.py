@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .covariance import CovarianceMatrix4, physicality_check
+from .covariance import CovarianceMatrix4
 from .errors import ThresholdError
 
 
@@ -68,30 +68,21 @@ class CorrelationKernel:
     same correlations as ``(rate, weight_aa, weight_ada)`` with
     ``c_aa(tau) = sum weight_aa exp(-rate |tau|)`` and likewise ``c_ada``,
     which makes mode moments closed form.  ``decay_rate`` is the slowest
-    exponential rate and ``fast_rate`` the fastest, which sets the
+    rate in ``terms`` and ``fast_rate`` the fastest, which sets the
     narrow-window rule of the filtered trigger mode.
     """
 
     c_aa: Callable[[np.ndarray], np.ndarray]
     c_ada: Callable[[np.ndarray], np.ndarray]
-    decay_rate: float
-    fast_rate: float
     terms: tuple[tuple[float, float, float], ...]
 
+    @property
+    def decay_rate(self) -> float:
+        return min(rate for rate, _, _ in self.terms)
 
-@dataclass(frozen=True)
-class DirectTwoModeSource:
-    """A two-mode covariance supplied verbatim, bypassing the mode-moment stage."""
-
-    v: CovarianceMatrix4
-
-    def __post_init__(self):
-        report = physicality_check(self.v)
-        if not report.physical:
-            raise ValueError(
-                "direct source covariance is unphysical: "
-                f"min eigenvalue of V + i*Omega = {report.min_eigenvalue:g}"
-            )
+    @property
+    def fast_rate(self) -> float:
+        return max(rate for rate, _, _ in self.terms)
 
 
 def opo_kernel(p: OpoParams) -> CorrelationKernel:
@@ -118,12 +109,10 @@ def opo_kernel(p: OpoParams) -> CorrelationKernel:
         (mu, scale / (2.0 * mu), scale / (2.0 * mu)),
         (lam, scale / (2.0 * lam), -scale / (2.0 * lam)),
     )
-    return CorrelationKernel(
-        c_aa=c_aa, c_ada=c_ada, decay_rate=mu, fast_rate=lam, terms=terms
-    )
+    return CorrelationKernel(c_aa=c_aa, c_ada=c_ada, terms=terms)
 
 
-def tmsv_covariance(r: float) -> DirectTwoModeSource:
+def tmsv_covariance(r: float) -> CovarianceMatrix4:
     """Two-mode squeezed vacuum covariance for squeezing parameter ``r``.
 
     Diagonal blocks ``cosh(2r) I``, off-diagonal blocks
@@ -139,4 +128,4 @@ def tmsv_covariance(r: float) -> DirectTwoModeSource:
             [0.0, -sh, 0.0, ch],
         ]
     )
-    return DirectTwoModeSource(v=CovarianceMatrix4(m))
+    return CovarianceMatrix4(m)

@@ -20,7 +20,6 @@ from .polynomials import (
     expected_poly_of_shifted_gaussian,
     gaussian_poly_integral,
     poly_eval,
-    poly_mul,
 )
 
 FOCK_MAX = 2
@@ -89,12 +88,6 @@ class GaussPolyState:
             )
         )
 
-    def normalized(self) -> "GaussPolyState":
-        total = self.total_integral()
-        if total == 0.0:
-            raise ValueError("state has zero total integral")
-        return self.scaled(1.0 / total)
-
 
 def fock_wigner_poly(n: int) -> np.ndarray:
     """Polynomial part of the Fock-state Wigner function W_n = poly * exp(-x^2-p^2).
@@ -127,18 +120,6 @@ def fock_state(n: int) -> GaussPolyState:
     return GaussPolyState(
         terms=(PolyGaussTerm(coeffs=fock_wigner_poly(n), sigma=np.eye(2)),)
     )
-
-
-def fock_wigner(n: int):
-    """Closed-form callable (x, p) -> W_n(x, p)."""
-    c = fock_wigner_poly(n)
-
-    def w(x, p):
-        x = np.asarray(x, dtype=float)
-        p = np.asarray(p, dtype=float)
-        return poly_eval(c, x, p) * np.exp(-(x * x) - p * p)
-
-    return w
 
 
 def _integrate_out(m4: np.ndarray, det_v: float, weight: np.ndarray):
@@ -178,26 +159,6 @@ def integrate_out_trigger(w: TwoModeGaussianWigner, weight: np.ndarray):
         raise ValueError("weight polynomial total degree must be at most four")
     v = w.v.m
     return _integrate_out(np.linalg.inv(v), float(np.linalg.det(v)), weight)
-
-
-def overlap(s: GaussPolyState, n: int) -> float:
-    """Fidelity of the state with the n-photon Fock state, 2*pi*Int(W_s W_n)."""
-    fock = fock_wigner_poly(n)
-    acc = 0.0
-    for t in s.terms:
-        merged = np.linalg.inv(np.linalg.inv(t.sigma) + np.eye(2))
-        acc += gaussian_poly_integral(poly_mul(t.coeffs, fock), merged)
-    return 2.0 * np.pi * acc
-
-
-def state_purity(s: GaussPolyState) -> float:
-    """Tr rho^2 of the single-mode state, 2*pi*Int(W^2)."""
-    acc = 0.0
-    for ta in s.terms:
-        for tb in s.terms:
-            merged = np.linalg.inv(np.linalg.inv(ta.sigma) + np.linalg.inv(tb.sigma))
-            acc += gaussian_poly_integral(poly_mul(ta.coeffs, tb.coeffs), merged)
-    return 2.0 * np.pi * acc
 
 
 @dataclass(frozen=True)

@@ -223,6 +223,18 @@ class TestCoherenceStage:
         assert mode_lines[0] == "t,u"
         assert len(mode_lines) == 42
 
+    def test_zero_half_width_writes_nothing(self, tmp_path):
+        cfg = tmp_path / "coh.cfg"
+        cfg.write_text(
+            (FIXTURES / "figure3_upper.cfg").read_text().replace(
+                "[outputs]", "[outputs]\ncoherence_halfwidth = 0\ncoherence_points = 5"
+            )
+        )
+        p = run_cli("coherence", "--config", str(cfg), "--out", str(tmp_path))
+        assert p.returncode == 1
+        assert "error [coherence]: coherence half-width must be positive" in p.stderr
+        assert not (tmp_path / "dominant_mode.csv").exists()
+
 
 class TestErrors:
     def test_empty_measurement_section(self, tmp_path):

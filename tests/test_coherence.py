@@ -74,6 +74,12 @@ class TestConditionalCoherence:
         ratio = np.max(np.abs(k2.g)) / np.max(np.abs(k1.g))
         assert ratio == pytest.approx(4.0, rel=0.1)
 
+    @pytest.mark.parametrize("half_width", [0.0, -2.0])
+    def test_non_positive_half_width_raises(self, half_width):
+        k = opo_kernel(OpoParams(epsilon=0.01))
+        with pytest.raises(ValueError, match="half-width must be positive"):
+            conditional_coherence(k, half_width=half_width, points=5)
+
 
 class TestDominantMode:
     def test_low_flux_single_mode(self):

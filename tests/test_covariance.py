@@ -31,7 +31,7 @@ class TestAssemble:
         a = np.array([[0.0, np.sinh(2 * r) / 2], [np.sinh(2 * r) / 2, 0.0]])
         b = np.eye(2) * np.sinh(r) ** 2
         v = assemble(SecondMoments(a=a, b=b))
-        assert np.allclose(v.m, tmsv_covariance(r).v.m, atol=1e-14)
+        assert np.allclose(v.m, tmsv_covariance(r).m, atol=1e-14)
 
     def test_diagonal_entries_from_moments(self):
         a = np.array([[0.001, 0.002], [0.002, 0.03]])
@@ -111,12 +111,12 @@ class TestPhysicality:
         assert rep.purity == pytest.approx(1.0, abs=1e-12)
 
     def test_tmsv_is_pure(self):
-        rep = physicality_check(tmsv_covariance(0.5).v)
+        rep = physicality_check(tmsv_covariance(0.5))
         assert rep.symplectic_eigenvalues == pytest.approx((1.0, 1.0), abs=1e-9)
         assert rep.purity == pytest.approx(1.0, abs=1e-9)
 
     def test_lossy_tmsv_is_mixed(self):
-        v = apply_loss(tmsv_covariance(0.5).v, LossParams(eta2=0.25))
+        v = apply_loss(tmsv_covariance(0.5), LossParams(eta2=0.25))
         rep = physicality_check(v)
         assert rep.physical
         assert rep.purity < 1.0
@@ -124,7 +124,7 @@ class TestPhysicality:
     @given(r=st.floats(min_value=0.0, max_value=1.5), eta=st.floats(min_value=0.0, max_value=1.0))
     @settings(max_examples=30, deadline=None)
     def test_loss_channel_preserves_physicality(self, r, eta):
-        v = apply_loss(tmsv_covariance(r).v, LossParams(eta1=eta, eta2=eta / 2))
+        v = apply_loss(tmsv_covariance(r), LossParams(eta1=eta, eta2=eta / 2))
         assert physicality_check(v).physical
 
 

@@ -39,7 +39,7 @@ class TestRunExperiment:
 class TestDirectSource:
     def test_covariance_file_source_with_loss(self, tmp_path):
         cov_path = tmp_path / "tmsv.txt"
-        save_covariance(cov_path, tmsv_covariance(0.4).v)
+        save_covariance(cov_path, tmsv_covariance(0.4))
         cfg_path = tmp_path / "direct.cfg"
         cfg_path.write_text(
             "[source]\nkind = direct\ncovariance = "

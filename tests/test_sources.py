@@ -70,27 +70,18 @@ class TestOpoKernel:
 class TestTmsv:
     def test_zero_squeezing_is_vacuum(self):
         src = tmsv_covariance(0.0)
-        assert np.array_equal(src.v.m, np.eye(4))
+        assert np.array_equal(src.m, np.eye(4))
 
     def test_half_squeezing_diagonal(self):
         src = tmsv_covariance(0.5)
-        assert src.v.m[0, 0] == pytest.approx(np.cosh(1.0), rel=1e-15)
-        assert src.v.m[0, 2] == pytest.approx(np.sinh(1.0), rel=1e-15)
-        assert src.v.m[1, 3] == pytest.approx(-np.sinh(1.0), rel=1e-15)
+        assert src.m[0, 0] == pytest.approx(np.cosh(1.0), rel=1e-15)
+        assert src.m[0, 2] == pytest.approx(np.sinh(1.0), rel=1e-15)
+        assert src.m[1, 3] == pytest.approx(-np.sinh(1.0), rel=1e-15)
 
     @given(r=st.floats(min_value=-2.0, max_value=2.0))
     @settings(max_examples=40, deadline=None)
     def test_always_physical_and_pure(self, r):
-        report = physicality_check(tmsv_covariance(r).v)
+        report = physicality_check(tmsv_covariance(r))
         assert report.physical
         assert report.purity == pytest.approx(1.0, abs=1e-9)
 
-
-class TestDirectSource:
-    def test_unphysical_covariance_rejected(self):
-        from cwherald.covariance import CovarianceMatrix4
-        from cwherald.sources import DirectTwoModeSource
-
-        below_vacuum = np.diag([0.5, 0.5, 1.0, 1.0])
-        with pytest.raises(ValueError, match="unphysical"):
-            DirectTwoModeSource(v=CovarianceMatrix4(below_vacuum))

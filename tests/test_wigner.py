@@ -4,6 +4,7 @@ import pytest
 from conftest import brute_force_trigger_integral, random_physical_covariance
 
 from cwherald.covariance import CovarianceMatrix4
+from cwherald.metrics import fock_fidelity, purity
 from cwherald.polynomials import gaussian_poly_integral
 from cwherald.sources import tmsv_covariance
 from cwherald.wigner import (
@@ -13,20 +14,17 @@ from cwherald.wigner import (
     TwoModeGaussianWigner,
     evaluate_grid,
     fock_state,
-    fock_wigner,
     fock_wigner_poly,
     integrate_out_trigger,
-    overlap,
-    state_purity,
     write_grid_csv,
 )
 
 
 class TestFockWigner:
     def test_origin_values(self):
-        assert fock_wigner(0)(0.0, 0.0) == pytest.approx(1 / np.pi, rel=1e-15)
-        assert fock_wigner(1)(0.0, 0.0) == pytest.approx(-1 / np.pi, rel=1e-15)
-        assert fock_wigner(2)(0.0, 0.0) == pytest.approx(1 / np.pi, rel=1e-15)
+        assert fock_state(0).evaluate(0.0, 0.0) == pytest.approx(1 / np.pi, rel=1e-15)
+        assert fock_state(1).evaluate(0.0, 0.0) == pytest.approx(-1 / np.pi, rel=1e-15)
+        assert fock_state(2).evaluate(0.0, 0.0) == pytest.approx(1 / np.pi, rel=1e-15)
 
     def test_unit_normalisation_analytic(self):
         for n in (0, 1, 2):
@@ -42,7 +40,7 @@ class TestFockWigner:
         for x in xs:
             z = 2 * x**2
             want = (1 - 2 * z + z**2 / 2) * np.exp(-(x**2)) / np.pi
-            assert fock_wigner(2)(x, 0.0) == pytest.approx(want, rel=1e-12)
+            assert fock_state(2).evaluate(x, 0.0) == pytest.approx(want, rel=1e-12)
 
 
 class TestTwoModeGaussian:
@@ -77,7 +75,7 @@ class TestIntegrateOutTrigger:
 
     @pytest.mark.parametrize("r", [0.1, 0.5, 1.0])
     def test_tmsv_fock1_projection_leaves_fock1(self, r):
-        v = tmsv_covariance(r).v
+        v = tmsv_covariance(r)
         weight = fock_wigner_poly(1) * 2 * np.pi
         m = np.linalg.inv(v.m) + np.diag([1.0, 1.0, 0.0, 0.0])
         vt = np.linalg.inv(m)
@@ -173,10 +171,10 @@ class TestGridEvaluation:
 
 class TestOverlap:
     def test_fock1_with_itself(self):
-        assert overlap(fock_state(1), 1) == pytest.approx(1.0, rel=1e-12)
+        assert fock_fidelity(fock_state(1), 1) == pytest.approx(1.0, rel=1e-12)
 
     def test_vacuum_orthogonal_to_fock1(self):
-        assert overlap(fock_state(0), 1) == pytest.approx(0.0, abs=1e-14)
+        assert fock_fidelity(fock_state(0), 1) == pytest.approx(0.0, abs=1e-14)
 
     @pytest.mark.parametrize("nbar", [0.2, 0.7, 1.8])
     def test_thermal_fidelity_against_fock_oracle(self, nbar):
@@ -189,7 +187,7 @@ class TestOverlap:
         ns = np.arange(0, 200)
         weights = nbar**ns / (1 + nbar) ** (ns + 1)
         want = float(weights[0] / np.sum(weights))
-        assert overlap(thermal, 0) == pytest.approx(want, rel=1e-10)
+        assert fock_fidelity(thermal, 0) == pytest.approx(want, rel=1e-10)
 
     def test_fidelity_in_unit_interval(self, rng):
         for _ in range(25):
@@ -199,7 +197,7 @@ class TestOverlap:
             )
             st = state.scaled(1.0 / mass)
             for n in (0, 1, 2):
-                f = overlap(st, n)
+                f = fock_fidelity(st, n)
                 assert -1e-9 <= f <= 1.0 + 1e-9
 
 
@@ -209,9 +207,9 @@ class TestNormalisation:
             v = random_physical_covariance(rng)
             w = np.zeros((3, 3))
             w[0, 0], w[2, 0], w[0, 2] = rng.uniform(0.1, 1.0, size=3)
-            state, _ = integrate_out_trigger(TwoModeGaussianWigner(v), w)
-            assert state.normalized().total_integral() == pytest.approx(1.0, abs=1e-12)
+            state, mass = integrate_out_trigger(TwoModeGaussianWigner(v), w)
+            assert state.scaled(1.0 / mass).total_integral() == pytest.approx(1.0, abs=1e-12)
 
     def test_purity_of_fock_states(self):
         for n in (0, 1, 2):
-            assert state_purity(fock_state(n)) == pytest.approx(1.0, rel=1e-12)
+            assert purity(fock_state(n)) == pytest.approx(1.0, rel=1e-12)
