@@ -54,7 +54,7 @@ def write_summary(path, cfg: ExperimentConfig, values: dict) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def write_scan_csv(path, scan_result, objective: str) -> None:
+def write_scan_csv(path, scan_result) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("alpha,objective\n")
         for a, v in zip(scan_result.params, scan_result.values):
@@ -128,9 +128,7 @@ def main(argv=None) -> int:
             if cfg.outputs.coherence:
                 _write_coherence(cfg, out_dir)
             if cfg.scan is not None:
-                scan_result, objective = scan_alpha(cfg)
-                write_scan_csv(out_dir / "scan.csv", scan_result, objective)
-                _write_scan_best(out_dir, scan_result, objective)
+                _write_scan(cfg, out_dir)
             say(f"wrote {out_dir / 'summary.txt'} and {out_dir / 'wigner_grid.csv'}")
             for key, val in result.summary.items():
                 say(f"  {key} = {fmt9(val)}")
@@ -170,12 +168,10 @@ def main(argv=None) -> int:
             say(f"wrote {out_dir / 'coherence.csv'} and {out_dir / 'dominant_mode.csv'}")
 
         elif stage == "scan-alpha":
-            scan_result, objective = scan_alpha(cfg)
-            write_scan_csv(out_dir / "scan.csv", scan_result, objective)
-            _write_scan_best(out_dir, scan_result, objective)
+            scan_result = _write_scan(cfg, out_dir)
             say(
                 f"best alpha = {fmt9(scan_result.best_param)} "
-                f"with {objective} = {fmt9(scan_result.best_value)}"
+                f"with {cfg.scan.objective} = {fmt9(scan_result.best_value)}"
             )
 
     except ConfigError as exc:
@@ -191,11 +187,9 @@ def main(argv=None) -> int:
 
 
 def _write_coherence(cfg: ExperimentConfig, out_dir: Path) -> None:
-    kernel = build_kernel(cfg)
-    t_c = cfg.trigger.window_center if cfg.trigger is not None else 0.0
     ck = conditional_coherence(
-        kernel,
-        t_c=t_c,
+        build_kernel(cfg),
+        t_c=cfg.trigger.window_center,
         half_width=cfg.outputs.coherence_halfwidth,
         points=cfg.outputs.coherence_points,
     )
@@ -203,11 +197,15 @@ def _write_coherence(cfg: ExperimentConfig, out_dir: Path) -> None:
     write_mode_csv(out_dir / "dominant_mode.csv", dominant_mode(ck))
 
 
-def _write_scan_best(out_dir: Path, scan_result, objective: str) -> None:
+def _write_scan(cfg: ExperimentConfig, out_dir: Path):
+    """Scan alpha, write scan.csv and scan_best.txt, and return the scan."""
+    scan_result = scan_alpha(cfg)
+    write_scan_csv(out_dir / "scan.csv", scan_result)
     with open(out_dir / "scan_best.txt", "w", encoding="utf-8") as fh:
-        fh.write(f"objective = {objective}\n")
+        fh.write(f"objective = {cfg.scan.objective}\n")
         fh.write(f"best_alpha = {fmt9(scan_result.best_param)}\n")
         fh.write(f"best_objective = {fmt9(scan_result.best_value)}\n")
+    return scan_result
 
 
 if __name__ == "__main__":

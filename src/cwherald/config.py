@@ -4,10 +4,12 @@ Sections mirror the pipeline stages: [source], [trigger], [output],
 [losses], [measurement], [outputs] and the optional [scan].  Each section
 is read straight into its dataclass: the keys it accepts are the field
 names, a value is parsed by its field's annotation and an absent key takes
-the field's default.  [trigger] becomes the pipeline's
-:class:`~cwherald.modes.TriggerModeSpec`, so its range checks are
-configuration errors.  Unknown sections or keys are hard errors so that
-reproduction fixtures cannot silently drift.
+the field's default.  [trigger] and [output] become the pipeline's
+:class:`~cwherald.modes.TriggerModeSpec` and :class:`~cwherald.modes.OutputModeSpec`.
+A parsed :class:`ExperimentConfig` is what the pipeline runs, and every rule,
+those that tie sections together included, is checked before any stage reads
+or writes a file.  Unknown sections or keys, [DEFAULT] and non-finite numbers
+are hard errors so that reproduction fixtures cannot silently drift.
 """
 
 from __future__ import annotations
@@ -18,17 +20,9 @@ from dataclasses import dataclass, field, fields
 
 from .covariance import LossParams
 from .errors import ConfigError
-from .modes import TriggerModeSpec
+from .metrics import SCALARS
+from .modes import OutputModeSpec, TriggerModeSpec
 from .wigner import GridSpec
-
-_ALL_METRICS = (
-    "probability",
-    "wigner_origin",
-    "fidelity_fock0",
-    "fidelity_fock1",
-    "fidelity_fock2",
-    "purity",
-)
 
 # the keys each source kind and output envelope reads and echoes, in echo order
 _KIND_KEYS = {
@@ -59,14 +53,6 @@ class SourceConfig:
 
 
 @dataclass(frozen=True)
-class OutputModeConfig:
-    envelope: str = "exponential"
-    alpha: float = math.nan  # a tabulated envelope has no decay rate
-    table: str = ""
-    center: float = 0.0
-
-
-@dataclass(frozen=True)
 class MeasurementConfig:
     kind: str
     n: int = 0
@@ -75,10 +61,17 @@ class MeasurementConfig:
 @dataclass(frozen=True)
 class OutputsConfig:
     grid: GridSpec = field(default_factory=GridSpec)
-    metrics: tuple[str, ...] = _ALL_METRICS
+    metrics: tuple[str, ...] = tuple(SCALARS)
     coherence: bool = False
     coherence_halfwidth: float = 10.0
     coherence_points: int = 201
+
+    def __post_init__(self):
+        if self.coherence_points < 3:
+            raise ValueError(f"coherence_points must be at least 3, got {self.coherence_points}")
+        if not self.coherence_halfwidth > 0.0:
+            width = self.coherence_halfwidth
+            raise ValueError(f"coherence_halfwidth must be positive, got {width}")
 
 
 @dataclass(frozen=True)
@@ -88,11 +81,21 @@ class ScanConfig:
     samples: int = 50
     objective: str = "origin_value"
 
+    def __post_init__(self):
+        if self.objective not in ("origin_value", "fock1_fidelity"):
+            raise ValueError(
+                f"objective must be origin_value or fock1_fidelity, got {self.objective!r}"
+            )
+        if self.alpha_min <= 0 or self.alpha_max < self.alpha_min:
+            raise ValueError(f"bad range [{self.alpha_min}, {self.alpha_max}]")
+        if self.samples < 3 and self.samples != 1:
+            raise ValueError(f"samples must be 1 or at least 3, got {self.samples}")
+
 
 _SECTIONS = {
     "source": SourceConfig,
     "trigger": TriggerModeSpec,
-    "output": OutputModeConfig,
+    "output": OutputModeSpec,
     "losses": LossParams,
     "measurement": MeasurementConfig,
     "outputs": OutputsConfig,
@@ -105,10 +108,20 @@ class ExperimentConfig:
     source: SourceConfig
     measurement: MeasurementConfig
     trigger: TriggerModeSpec | None = None
-    output: OutputModeConfig | None = None
+    output: OutputModeSpec | None = None
     losses: LossParams = field(default_factory=LossParams)
     outputs: OutputsConfig = field(default_factory=OutputsConfig)
     scan: ScanConfig | None = None
+
+    def __post_init__(self):
+        opo = self.source.kind == "opo"
+        if self.scan is not None and not (opo and self.output.envelope == "exponential"):
+            raise ConfigError("[scan] needs an opo source with an exponential [output] envelope")
+        if self.outputs.coherence and not opo:
+            raise ConfigError(
+                "[outputs] coherence = true needs an opo source; "
+                f"source kind here is {self.source.kind}"
+            )
 
     def echo_lines(self) -> list[str]:
         """Provenance echo of every parsed value, deterministic order."""
@@ -142,7 +155,7 @@ def _parse(section: str, key: str, annotation: str, raw: str):
         return parse_grid(raw)
     if annotation == "tuple[str, ...]":
         metrics = tuple(tok.strip() for tok in raw.split(",") if tok.strip())
-        bad = [m for m in metrics if m not in _ALL_METRICS]
+        bad = [m for m in metrics if m not in SCALARS]
         if bad:
             raise ConfigError(f"[{section}] unknown metrics {bad}")
         return metrics
@@ -157,9 +170,12 @@ def _parse(section: str, key: str, annotation: str, raw: str):
             return None
     convert, noun = (int, "an integer") if annotation == "int" else (float, "a number")
     try:
-        return convert(raw)
+        value = convert(raw)
     except ValueError:
         raise ConfigError(f"[{section}] {key} = {raw!r} is not {noun}") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"[{section}] {key} = {raw!r} is not a finite number")
+    return value
 
 
 def _read(cp, section: str, required=(), keys=None):
@@ -182,7 +198,10 @@ def _read(cp, section: str, required=(), keys=None):
 
 def parse_config(path) -> ExperimentConfig:
     """Parse and validate an experiment description file."""
-    cp = configparser.ConfigParser(inline_comment_prefixes=("#",), interpolation=None)
+    # no header names the empty section, so [DEFAULT] is an unknown section
+    cp = configparser.ConfigParser(
+        inline_comment_prefixes=("#",), interpolation=None, default_section=""
+    )
     try:
         with open(path, "r", encoding="utf-8") as fh:
             cp.read_file(fh, source=str(path))
@@ -218,7 +237,7 @@ def parse_config(path) -> ExperimentConfig:
         trigger = _read(
             cp, "trigger", required=("tap_amplitude", "filter_width", "window_width")
         )
-        envelope = cp["output"].get("envelope", OutputModeConfig.envelope)
+        envelope = cp["output"].get("envelope", OutputModeSpec.envelope)
         if envelope not in ("exponential", "tabulated"):
             raise ConfigError(
                 f"[output] envelope must be exponential or tabulated, got {envelope!r}"
@@ -250,27 +269,14 @@ def parse_config(path) -> ExperimentConfig:
     if measurement.n not in (0, 1, 2):
         raise ConfigError(f"[measurement] n must be 0, 1 or 2, got {measurement.n}")
 
-    outputs = _read(cp, "outputs")
-
-    scan = None
-    if "scan" in cp:
-        scan = _read(cp, "scan", required=("alpha_min", "alpha_max"))
-        if scan.objective not in ("origin_value", "fock1_fidelity"):
-            raise ConfigError(
-                "[scan] objective must be origin_value or fock1_fidelity, "
-                f"got {scan.objective!r}"
-            )
-        if scan.alpha_min <= 0 or scan.alpha_max < scan.alpha_min:
-            raise ConfigError(f"[scan] bad range [{scan.alpha_min}, {scan.alpha_max}]")
-
     return ExperimentConfig(
         source=source,
         measurement=measurement,
         trigger=trigger,
         output=output,
         losses=losses,
-        outputs=outputs,
-        scan=scan,
+        outputs=_read(cp, "outputs"),
+        scan=_read(cp, "scan", required=("alpha_min", "alpha_max")) if "scan" in cp else None,
     )
 
 

@@ -35,6 +35,17 @@ def purity(s: GaussPolyState) -> float:
     return 2.0 * np.pi * acc
 
 
+# each summary scalar of a ConditionResult in summary order; metrics are looked up per call
+SCALARS = {
+    "probability": lambda r: r.probability,
+    "wigner_origin": lambda r: wigner_at_origin(r.state),
+    "fidelity_fock0": lambda r: fock_fidelity(r.state, 0),
+    "fidelity_fock1": lambda r: fock_fidelity(r.state, 1),
+    "fidelity_fock2": lambda r: fock_fidelity(r.state, 2),
+    "purity": lambda r: purity(r.state),
+}
+
+
 @dataclass(frozen=True)
 class NegativityResult:
     """Integrated negative Wigner volume with the grid step it was taken on."""

@@ -4,13 +4,15 @@ A discrete mode is a real amplitude f(t) of unit (or smaller) L2 norm; the
 missing norm is vacuum fill and contributes nothing to the source-part
 moments.  The trigger mode composes a beam-splitter tap, an optional
 single-pole frequency filter and a detection window; the output mode is a
-normalised envelope scaled by the tap's reflection amplitude.  Every mode
-is a sum of exponential-polynomial pieces, so its moments against the OPO
-kernel are exact.
+unit-norm envelope, which the pipeline scales by the tap's reflection
+amplitude (:meth:`ModeFunction.scaled`).  Every mode is a sum of
+exponential-polynomial pieces, so its moments against the OPO kernel are
+exact.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,27 +76,24 @@ class TriggerModeSpec:
 
 @dataclass(frozen=True)
 class OutputModeSpec:
-    """Output envelope choice: symmetric exponential or tabulated samples."""
+    """The keys of [output]: envelope sqrt(alpha) e^{-alpha |t - center|}, or tabulated.
+
+    ``table`` is the path of a two-column (t, u) file that :func:`build_output_mode`
+    reads; a tabulated envelope has no decay rate, so its ``alpha`` is NaN.
+    """
 
     envelope: str = "exponential"
-    alpha: float | None = 0.5
+    alpha: float = math.nan
+    table: str = ""
     center: float = 0.0
-    reflect_amplitude: float = 1.0
-    table: tuple[np.ndarray, np.ndarray] | None = None
 
     def __post_init__(self):
         if self.envelope not in ("exponential", "tabulated"):
             raise ValueError(f"unknown envelope kind {self.envelope!r}")
-        if self.envelope == "exponential":
-            if self.alpha is None or self.alpha <= 0.0:
-                raise ValueError(f"exponential envelope needs alpha > 0, got {self.alpha}")
-        else:
-            if self.table is None:
-                raise ValueError("tabulated envelope needs a (t, u) sample table")
-        if not (0.0 <= self.reflect_amplitude <= 1.0):
-            raise ValueError(
-                f"reflect_amplitude must lie in [0, 1], got {self.reflect_amplitude}"
-            )
+        if self.envelope == "exponential" and not self.alpha > 0.0:
+            raise ValueError(f"exponential envelope needs alpha > 0, got {self.alpha}")
+        if self.envelope == "tabulated" and not self.table:
+            raise ValueError("tabulated envelope needs a table file path")
 
 
 @dataclass(frozen=True)
@@ -161,25 +160,20 @@ def build_trigger_mode(
 
 
 def build_output_mode(spec: OutputModeSpec) -> ModeFunction:
-    """Construct the output mode: unit-norm envelope times the reflection amplitude."""
-    refl = spec.reflect_amplitude
+    """Construct the unit-norm output envelope; a tabulated one is read from ``spec.table``."""
     if spec.envelope == "exponential":
         alpha = float(spec.alpha)
         tc = spec.center
-        scale = refl * np.sqrt(alpha)
+        scale = np.sqrt(alpha)
         return ModeFunction(
             pieces=(
                 Piece(-np.inf, tc, tc, scale, rate=alpha),
                 Piece(tc, np.inf, tc, scale, rate=-alpha),
             ),
-            source_weight=refl**2,
+            source_weight=1.0,
         )
 
-    ts, us = spec.table
-    ts = np.asarray(ts, dtype=float)
-    us = np.asarray(us, dtype=float)
-    if ts.ndim != 1 or ts.shape != us.shape or len(ts) < 2:
-        raise ValueError("tabulated envelope needs matching 1-d t and u samples")
+    ts, us = load_envelope_table(spec.table)
     if not (np.all(np.isfinite(ts)) and np.all(np.isfinite(us))):
         raise ValueError("tabulated envelope contains non-finite values")
     if np.any(np.diff(ts) <= 0.0):
@@ -192,11 +186,11 @@ def build_output_mode(spec: OutputModeSpec) -> ModeFunction:
     un = us / np.sqrt(sq)
     slopes = np.diff(un) / h
     pieces = tuple(
-        Piece(float(a), float(b), float(a), refl * float(c), power)
+        Piece(float(a), float(b), float(a), float(c), power)
         for a, b, u, m in zip(ts[:-1], ts[1:], un[:-1], slopes)
         for c, power in ((u, 0), (m, 1))
     )
-    return ModeFunction(pieces=pieces, source_weight=refl**2)
+    return ModeFunction(pieces=pieces, source_weight=1.0)
 
 
 def load_envelope_table(path) -> tuple[np.ndarray, np.ndarray]:

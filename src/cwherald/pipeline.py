@@ -8,7 +8,7 @@ of the output envelope.  The command-line layer only adds file I/O.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -19,22 +19,15 @@ from .conditioning import (
     condition_on_on,
     vacuum_projection,
 )
-from .config import ExperimentConfig, ScanConfig
+from .config import ExperimentConfig
 from .covariance import (
     CovarianceMatrix4,
     apply_loss,
     assemble,
     load_covariance,
 )
-from .metrics import fock_fidelity, purity, wigner_at_origin
-from .modes import (
-    ModeFunction,
-    OutputModeSpec,
-    build_output_mode,
-    build_trigger_mode,
-    load_envelope_table,
-    second_moments,
-)
+from .metrics import SCALARS, fock_fidelity, wigner_at_origin
+from .modes import ModeFunction, build_output_mode, build_trigger_mode, second_moments
 from .scan import ScanResult, scan_and_refine
 from .sources import CorrelationKernel, OpoParams, opo_kernel, tmsv_covariance
 from .wigner import GaussPolyState, PolyGaussTerm, evaluate_grid
@@ -51,38 +44,22 @@ def build_kernel(cfg: ExperimentConfig) -> CorrelationKernel:
     return opo_kernel(params)
 
 
-def build_modes(
-    cfg: ExperimentConfig, alpha_override: float | None = None
-) -> tuple[ModeFunction, ModeFunction, CorrelationKernel]:
-    """Trigger and output mode functions plus the source kernel."""
+def build_modes(cfg: ExperimentConfig) -> tuple[ModeFunction, ModeFunction, CorrelationKernel]:
+    """Trigger and output mode functions plus the source kernel of an opo config.
+
+    The output mode is the configured envelope times the tap's reflection
+    amplitude sqrt(1 - tap_amplitude^2).
+    """
     kernel = build_kernel(cfg)
-    o = cfg.output
-    alpha = alpha_override if alpha_override is not None else o.alpha
     reflect = float(np.sqrt(1.0 - cfg.trigger.tap_amplitude**2))
-    if o.envelope == "exponential":
-        out_spec = OutputModeSpec(
-            envelope="exponential", alpha=alpha, center=o.center, reflect_amplitude=reflect
-        )
-    else:
-        ts, us = load_envelope_table(o.table)
-        out_spec = OutputModeSpec(
-            envelope="tabulated",
-            alpha=None,
-            center=o.center,
-            reflect_amplitude=reflect,
-            table=(ts, us),
-        )
     f1 = build_trigger_mode(cfg.trigger, source_fast_rate=kernel.fast_rate)
-    f2 = build_output_mode(out_spec)
-    return f1, f2, kernel
+    return f1, build_output_mode(cfg.output).scaled(reflect), kernel
 
 
-def build_covariance(
-    cfg: ExperimentConfig, alpha_override: float | None = None
-) -> CovarianceMatrix4:
+def build_covariance(cfg: ExperimentConfig) -> CovarianceMatrix4:
     """Two-mode covariance for the configured source, losses applied."""
     if cfg.source.kind == "opo":
-        f1, f2, kernel = build_modes(cfg, alpha_override=alpha_override)
+        f1, f2, kernel = build_modes(cfg)
         v = assemble(second_moments(f1, f2, kernel))
     elif cfg.source.kind == "tmsv":
         v = tmsv_covariance(cfg.source.r)
@@ -113,19 +90,7 @@ def condition_state(cfg: ExperimentConfig, v: CovarianceMatrix4) -> ConditionRes
 
 def summarize(cfg: ExperimentConfig, result: ConditionResult) -> dict[str, float]:
     """Requested scalar metrics of the conditioned state, fixed key order."""
-    values = {}
-    wanted = cfg.outputs.metrics
-    if "probability" in wanted:
-        values["probability"] = result.probability
-    if "wigner_origin" in wanted:
-        values["wigner_origin"] = wigner_at_origin(result.state)
-    for n in (0, 1, 2):
-        key = f"fidelity_fock{n}"
-        if key in wanted:
-            values[key] = fock_fidelity(result.state, n)
-    if "purity" in wanted:
-        values["purity"] = purity(result.state)
-    return values
+    return {key: value(result) for key, value in SCALARS.items() if key in cfg.outputs.metrics}
 
 
 @dataclass(frozen=True)
@@ -145,27 +110,22 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
     return RunResult(covariance=v, condition=result, summary=summary, grid=grid)
 
 
-def scan_alpha(
-    cfg: ExperimentConfig, scan_cfg: ScanConfig | None = None
-) -> tuple[ScanResult, str]:
-    """Scan the output-mode decay rate against the configured objective.
+def scan_alpha(cfg: ExperimentConfig) -> ScanResult:
+    """Scan the output-mode decay rate against ``cfg.scan.objective``.
 
-    Returns the scan result (table in raw objective values, optimum
-    refined by golden section to |delta alpha| <= 1e-3) and the objective
-    name.  The origin value is minimised, the Fock-1 fidelity maximised.
+    Returns the scan table in raw objective values and the optimum refined
+    by golden section to |delta alpha| <= 1e-3.  The origin value is
+    minimised, the Fock-1 fidelity maximised.  A parsed config with a
+    [scan] section always has an opo source and an exponential envelope.
     """
-    sc = scan_cfg or cfg.scan
+    sc = cfg.scan
     if sc is None:
         raise ValueError("no [scan] parameters configured")
-    if cfg.source.kind != "opo":
-        raise ValueError("the alpha scan applies to the opo source pipeline")
-    if cfg.output.envelope != "exponential":
-        raise ValueError("the alpha scan varies an exponential output envelope")
     sign = 1.0 if sc.objective == "origin_value" else -1.0
 
     def objective(alpha: float) -> float:
         try:
-            v = build_covariance(cfg, alpha_override=alpha)
+            v = build_covariance(replace(cfg, output=replace(cfg.output, alpha=alpha)))
             result = condition_state(cfg, v)
             if sc.objective == "origin_value":
                 return wigner_at_origin(result.state)
@@ -179,14 +139,11 @@ def scan_alpha(
         lambda a: sign * objective(a), sc.alpha_min, sc.alpha_max, sc.samples
     )
     # report raw objective values regardless of optimisation direction
-    return (
-        ScanResult(
-            params=result.params,
-            values=sign * result.values,
-            best_param=result.best_param,
-            best_value=sign * result.best_value,
-        ),
-        sc.objective,
+    return ScanResult(
+        params=result.params,
+        values=sign * result.values,
+        best_param=result.best_param,
+        best_value=sign * result.best_value,
     )
 
 

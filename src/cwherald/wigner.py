@@ -22,8 +22,6 @@ from .polynomials import (
     poly_eval,
 )
 
-FOCK_MAX = 2
-
 
 @dataclass(frozen=True)
 class TwoModeGaussianWigner:

@@ -1,6 +1,10 @@
 """Shared test helpers: random physical covariances and brute-force oracles."""
 
+import functools
+import hashlib
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -238,13 +242,29 @@ def trigger_axis(spec, source_fast_rate=None, truncation_rate=None):
     return quad_axis(amp_explicit, (lo_w - tail, hi_w), kinks=(lo_w,), rate=gamma)
 
 
-def output_axis(spec, truncation_rate=None):
-    """Reference amplitude of ``build_output_mode(spec)``.
+@functools.cache
+def _envelope_dir():
+    # made on first use and removed when the interpreter exits
+    return tempfile.TemporaryDirectory(prefix="cwherald-envelopes-")
+
+
+def envelope_table(ts, us):
+    """Path of a two-column (t, u) file for a tabulated envelope, named by its content.
+
+    ``savetxt``'s default 19 significant digits read back bit for bit.
+    """
+    data = np.column_stack([ts, us])
+    path = Path(_envelope_dir().name) / f"{hashlib.sha1(data.tobytes()).hexdigest()}.txt"
+    np.savetxt(path, data)
+    return str(path)
+
+
+def output_axis(spec, truncation_rate=None, refl=1.0):
+    """Reference amplitude of ``build_output_mode(spec).scaled(refl)``.
 
     The exponential envelope's tails are followed to ``truncation_rate``
     (default: ``alpha``).
     """
-    refl = spec.reflect_amplitude
     if spec.envelope == "exponential":
         alpha = float(spec.alpha)
         tc = spec.center
@@ -258,7 +278,7 @@ def output_axis(spec, truncation_rate=None):
 
         return quad_axis(amp, (tc - tail, tc + tail), kinks=(tc,), rate=alpha)
 
-    ts, us = (np.asarray(x, dtype=float) for x in spec.table)
+    ts, us = np.loadtxt(spec.table, unpack=True)
     h = np.diff(ts)
     un = us / np.sqrt(np.sum(h * (us[:-1] ** 2 + us[:-1] * us[1:] + us[1:] ** 2) / 3.0))
 

@@ -231,9 +231,61 @@ class TestCoherenceStage:
             )
         )
         p = run_cli("coherence", "--config", str(cfg), "--out", str(tmp_path))
-        assert p.returncode == 1
-        assert "error [coherence]: coherence half-width must be positive" in p.stderr
+        assert p.returncode == 2
+        assert "error [config]: [outputs] coherence_halfwidth must be positive" in p.stderr
         assert not (tmp_path / "dominant_mode.csv").exists()
+
+
+def _fixture_with(name, old, new):
+    text = (FIXTURES / name).read_text()
+    assert text.count(old) == 1, old
+    return text.replace(old, new)
+
+
+TABULATED_SCAN = "envelope = tabulated\ntable = envelope.txt"
+# each breaks a config rule, which run must report before it writes a file
+REJECTED = {
+    "alpha_zero": _fixture_with("figure3_upper.cfg", "alpha = 0.5", "alpha = 0"),
+    "scan_tabulated": _fixture_with(
+        "figure4_scan.cfg", "envelope = exponential\nalpha = 0.5", TABULATED_SCAN
+    ),
+    "scan_tmsv": "[source]\nkind = tmsv\nr = 0.3\n\n[measurement]\nkind = click\n\n"
+    "[scan]\nalpha_min = 0.25\nalpha_max = 0.5\n",
+    "coherence_tmsv": "[source]\nkind = tmsv\nr = 0.3\n\n[measurement]\nkind = click\n\n"
+    "[outputs]\ncoherence = true\n",
+    "coherence_points": _fixture_with(
+        "figure3_upper.cfg", "[outputs]", "[outputs]\ncoherence = true\ncoherence_points = 2"
+    ),
+    "coherence_halfwidth": _fixture_with(
+        "figure3_upper.cfg", "[outputs]", "[outputs]\ncoherence_halfwidth = 0"
+    ),
+    "samples_zero": _fixture_with("figure4_scan.cfg", "samples = 50", "samples = 0"),
+    "samples_two": _fixture_with("figure4_scan.cfg", "samples = 50", "samples = 2"),
+}
+
+
+@pytest.mark.parametrize("text", REJECTED.values(), ids=list(REJECTED))
+def test_rejected_config_writes_no_file(tmp_path, text):
+    ts = np.linspace(-4.0, 4.0, 41)
+    np.savetxt(tmp_path / "envelope.txt", np.column_stack([ts, np.exp(-np.abs(ts))]))
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text.replace("envelope.txt", str(tmp_path / "envelope.txt")))
+    out = tmp_path / "out"
+    p = run_cli("run", "--config", str(cfg), "--out", str(out))
+    assert p.returncode == 2
+    assert p.stderr.startswith("error [config]: ")
+    assert not (out / "summary.txt").exists() and not (out / "wigner_grid.csv").exists()
+
+
+def test_infinite_window_center_writes_no_coherence(tmp_path):
+    cfg = tmp_path / "coh.cfg"
+    cfg.write_text(
+        _fixture_with("figure3_upper.cfg", "window_center = 0.0", "window_center = inf")
+    )
+    p = run_cli("coherence", "--config", str(cfg), "--out", str(tmp_path / "out"))
+    assert p.returncode == 2
+    assert p.stderr == "error [config]: [trigger] window_center = 'inf' is not a finite number\n"
+    assert not (tmp_path / "out").exists()
 
 
 class TestErrors:

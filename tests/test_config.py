@@ -85,6 +85,58 @@ def run_stage(tmp_path, text, stage="run"):
     return main([stage, "--config", cfg, "--out", str(tmp_path / "out"), "--quiet"])
 
 
+NO_SCAN = drop_section(OPO, "scan")
+SCAN = "\n[scan]\nalpha_min = 0.25\nalpha_max = 0.5\n"
+SCAN_RULE = "[scan] needs an opo source with an exponential [output] envelope"
+COHERENCE = "\n[outputs]\ncoherence = true\n"
+
+# configs that break a rule tying sections together, or a range in [output],
+# [outputs] or [scan]: each is a configuration error in every stage
+RULES = {
+    "alpha_zero": (
+        set_key(OPO, "output", "alpha", "0"),
+        "[output] exponential envelope needs alpha > 0, got 0.0",
+    ),
+    "alpha_negative": (
+        set_key(NO_SCAN, "output", "alpha", "-0.5"),
+        "[output] exponential envelope needs alpha > 0, got -0.5",
+    ),
+    "scan_tabulated": (
+        edit(OPO, "exponential\nalpha = 0.5", "tabulated\ntable = env.txt"),
+        SCAN_RULE,
+    ),
+    "scan_tmsv": (TMSV + SCAN, SCAN_RULE),
+    "scan_direct": (DIRECT + SCAN, SCAN_RULE),
+    "coherence_tmsv": (
+        TMSV + COHERENCE,
+        "[outputs] coherence = true needs an opo source; source kind here is tmsv",
+    ),
+    "coherence_direct": (
+        DIRECT + COHERENCE,
+        "[outputs] coherence = true needs an opo source; source kind here is direct",
+    ),
+    "coherence_points_two": (
+        set_key(NO_SCAN, "outputs", "coherence_points", "2"),
+        "[outputs] coherence_points must be at least 3, got 2",
+    ),
+    "coherence_halfwidth_zero": (
+        set_key(NO_SCAN, "outputs", "coherence_halfwidth", "0"),
+        "[outputs] coherence_halfwidth must be positive, got 0.0",
+    ),
+    "coherence_halfwidth_negative": (
+        set_key(NO_SCAN, "outputs", "coherence_halfwidth", "-1"),
+        "[outputs] coherence_halfwidth must be positive, got -1.0",
+    ),
+    "samples_zero": (
+        set_key(OPO, "scan", "samples", "0"),
+        "[scan] samples must be 1 or at least 3, got 0",
+    ),
+    "samples_two": (
+        set_key(OPO, "scan", "samples", "2"),
+        "[scan] samples must be 1 or at least 3, got 2",
+    ),
+}
+
 ERRORS = [
     ("unknown_section", OPO + "\n[bogus]\nx = 1\n", "unknown section [bogus]"),
     *[
@@ -282,6 +334,33 @@ ERRORS = [
         edit(OPO, "eta2 = 0.0", "eta2 = abc"),
         "error [config]: [losses] eta2 = 'abc' is not a number",
     ),
+    *[
+        (
+            f"not_finite_{key}",
+            set_key(OPO, section, key, raw),
+            f"[{section}] {key} = {raw.lower()!r} is not a finite number",
+        )
+        for section, key, raw in (
+            ("source", "gamma1", "nan"),
+            ("source", "epsilon", "inf"),
+            ("trigger", "tap_amplitude", "nan"),
+            ("trigger", "filter_width", "NaN"),
+            ("trigger", "window_center", "inf"),
+            ("trigger", "window_width", "-inf"),
+            ("trigger", "detector_efficiency", "nan"),
+            ("output", "alpha", "inf"),
+            ("output", "center", "nan"),
+            ("losses", "xi2", "inf"),
+            ("outputs", "coherence_halfwidth", "nan"),
+            ("scan", "alpha_max", "inf"),
+        )
+    ],
+    (
+        "tmsv_r_not_finite",
+        edit(TMSV, "r = 0.3", "r = inf"),
+        "[source] r = 'inf' is not a finite number",
+    ),
+    ("default_section", "[DEFAULT]\nfoo = 1\n\n" + OPO, "unknown section [DEFAULT]"),
 ]
 
 # out-of-range trigger values are configuration errors in every stage
@@ -321,6 +400,18 @@ def test_trigger_range_is_config_error(tmp_path, capsys, stage, key, value, mess
     text = set_key(set_key(OPO, "trigger", key, value), "outputs", "coherence_points", "5")
     assert run_stage(tmp_path, text, stage) == 2
     assert capsys.readouterr().err == f"error [config]: [trigger] {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "stage", ["run", "covariance", "condition", "metrics", "coherence", "scan-alpha"]
+)
+@pytest.mark.parametrize(
+    "text, message", RULES.values(), ids=list(RULES)
+)
+def test_rule_is_config_error_in_every_stage(tmp_path, capsys, stage, text, message):
+    assert run_stage(tmp_path, text, stage) == 2
+    assert capsys.readouterr().err == f"error [config]: {message}\n"
     assert not (tmp_path / "out").exists()
 
 
@@ -453,7 +544,7 @@ ECHOES = [
     (
         "tabulated",
         edit(
-            edit(OPO, "exponential\nalpha = 0.5", "tabulated\ntable = env.txt"),
+            edit(NO_SCAN, "exponential\nalpha = 0.5", "tabulated\ntable = env.txt"),
             "\ncenter = 0.0",
             "\ncenter = 1.5",
         ),

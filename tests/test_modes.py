@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    envelope_table,
     opo_moment_oracle,
     output_axis,
     piece_values,
@@ -91,28 +92,31 @@ class TestBuildOutputMode:
         assert piece_values(mode.pieces, 0.0) == pytest.approx(np.sqrt(0.5), rel=1e-12)
 
     def test_reflect_amplitude_scales_weight(self):
-        mode = build_output_mode(
-            OutputModeSpec(envelope="exponential", alpha=0.5, reflect_amplitude=0.8)
-        )
+        mode = build_output_mode(OutputModeSpec(envelope="exponential", alpha=0.5)).scaled(0.8)
         assert mode.source_weight == pytest.approx(0.64, rel=1e-10)
+        assert norm_sq(mode.pieces) == pytest.approx(0.64, rel=1e-10)
 
     def test_tabulated_gaussian_normalises(self):
         ts = np.linspace(-6, 6, 241)
         us = np.exp(-(ts**2))
         mode = build_output_mode(
-            OutputModeSpec(envelope="tabulated", alpha=None, table=(ts, us))
+            OutputModeSpec(envelope="tabulated", table=envelope_table(ts, us))
         )
+        assert mode.source_weight == 1.0
         assert norm_sq(mode.pieces) == pytest.approx(1.0, rel=1e-9)
 
     def test_bad_envelopes(self):
         with pytest.raises(ValueError):
             OutputModeSpec(envelope="exponential", alpha=0.0)
         with pytest.raises(ValueError):
+            OutputModeSpec(envelope="exponential")  # alpha defaults to NaN
+        with pytest.raises(ValueError):
             OutputModeSpec(envelope="gaussian")
+        with pytest.raises(ValueError, match="table file path"):
+            OutputModeSpec(envelope="tabulated")
         bad = OutputModeSpec(
             envelope="tabulated",
-            alpha=None,
-            table=(np.array([0.0, 1.0]), np.array([1.0, np.inf])),
+            table=envelope_table(np.array([0.0, 1.0]), np.array([1.0, np.inf])),
         )
         with pytest.raises(ValueError, match="non-finite"):
             build_output_mode(bad)
@@ -124,9 +128,7 @@ class TestSecondMoments:
         self.trigger_spec = TriggerModeSpec(
             tap_amplitude=0.1, filter_width=5.0, window_center=0.0, window_width=0.02
         )
-        self.output_spec = OutputModeSpec(
-            envelope="exponential", alpha=0.5, reflect_amplitude=1.0
-        )
+        self.output_spec = OutputModeSpec(envelope="exponential", alpha=0.5)
         self.trigger = build_trigger_mode(
             self.trigger_spec, source_fast_rate=self.kernel.fast_rate
         )
@@ -225,18 +227,19 @@ def _trigger_axis(kind, kernel, center=0.0):
     return trigger_axis(spec, kernel.fast_rate, truncation_rate=min(rates))
 
 
-def _output_spec(kind, center=0.0, alpha=0.5, reflect=0.9):
+REFLECT = 0.9
+
+
+def _output_spec(kind, center=0.0, alpha=0.5):
     if kind == "exponential":
-        return OutputModeSpec(alpha=alpha, center=center, reflect_amplitude=reflect)
+        return OutputModeSpec(alpha=alpha, center=center)
     ts = center + np.linspace(-6.0, 6.0, 41)
     us = np.exp(-alpha * np.abs(ts - center)) * (1.0 + 0.2 * np.sin(ts - center))
-    return OutputModeSpec(
-        envelope="tabulated", alpha=None, table=(ts, us), reflect_amplitude=reflect
-    )
+    return OutputModeSpec(envelope="tabulated", table=envelope_table(ts, us))
 
 
 def _output(kind, center=0.0):
-    return build_output_mode(_output_spec(kind, center))
+    return build_output_mode(_output_spec(kind, center)).scaled(REFLECT)
 
 
 def _assert_moments(got, want, rtol):
@@ -259,7 +262,11 @@ class TestExactMoments:
         )
         quad = quadrature_moments(
             _trigger_axis(trigger, kernel, center=0.3),
-            output_axis(_output_spec(output, center=-0.2), truncation_rate=kernel.decay_rate),
+            output_axis(
+                _output_spec(output, center=-0.2),
+                truncation_rate=kernel.decay_rate,
+                refl=REFLECT,
+            ),
             kernel,
         )
         _assert_moments(exact, quad, rtol=1e-8)
@@ -286,7 +293,7 @@ class TestExactMoments:
             TriggerModeSpec(tap_amplitude=tap, filter_width=gamma, window_width=width),
             source_fast_rate=kernel.fast_rate,
         )
-        f2 = build_output_mode(OutputModeSpec(alpha=alpha, reflect_amplitude=reflect))
+        f2 = build_output_mode(OutputModeSpec(alpha=alpha)).scaled(reflect)
         m = second_moments(f1, f2, kernel)
         c1 = tap * np.sqrt(width) * gamma
         for kind, (i, j) in (("11", (0, 0)), ("12", (0, 1)), ("22", (1, 1))):
@@ -314,7 +321,7 @@ class TestExactMoments:
         f1 = build_trigger_mode(
             TriggerModeSpec(tap_amplitude=tap, filter_width=None, window_width=width)
         )
-        f2 = build_output_mode(OutputModeSpec(alpha=alpha, reflect_amplitude=reflect))
+        f2 = build_output_mode(OutputModeSpec(alpha=alpha)).scaled(reflect)
         m = second_moments(f1, f2, kernel)
         a, b = window_moment_oracle(eps, alpha, tap, width, reflect)
         np.testing.assert_allclose(m.a, a, rtol=1e-12, atol=0.0)

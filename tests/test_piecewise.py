@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import window_pair
+from conftest import envelope_table, window_pair
 
 from cwherald.modes import OutputModeSpec, TriggerModeSpec, build_output_mode, build_trigger_mode
 from cwherald.piecewise import Piece, dd_exp, kernel_moments, norm_sq
@@ -25,11 +25,8 @@ def three_modes():
     )
     exponential = build_output_mode(OutputModeSpec(alpha=0.4, center=-0.2))
     ts = np.linspace(-2.0, 2.5, 13)
-    tabulated = build_output_mode(
-        OutputModeSpec(
-            envelope="tabulated", alpha=None, table=(ts, np.exp(-ts**2) * (1.0 + 0.3 * ts))
-        )
-    )
+    table = envelope_table(ts, np.exp(-ts**2) * (1.0 + 0.3 * ts))
+    tabulated = build_output_mode(OutputModeSpec(envelope="tabulated", table=table))
     return trigger.pieces, exponential.pieces, tabulated.pieces
 
 

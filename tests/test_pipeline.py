@@ -1,3 +1,4 @@
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -56,10 +57,9 @@ class TestDirectSource:
 
 class TestScanObjectives:
     def test_fidelity_objective_maximised(self):
-        cfg = parse_config(FIXTURES / "figure3_upper.cfg")
         sc = ScanConfig(alpha_min=0.4, alpha_max=0.6, samples=3, objective="fock1_fidelity")
-        result, objective = scan_alpha(cfg, sc)
-        assert objective == "fock1_fidelity"
+        cfg = replace(parse_config(FIXTURES / "figure3_upper.cfg"), scan=sc)
+        result = scan_alpha(cfg)
         # table holds raw fidelities and the refined best is the largest
         assert np.all((result.values > 0.9) & (result.values <= 1.0))
         assert result.best_value >= np.max(result.values) - 1e-12
