@@ -79,18 +79,20 @@ class OutputModeSpec:
     """The keys of [output]: envelope sqrt(alpha) e^{-alpha |t - center|}, or tabulated.
 
     ``table`` is the path of a two-column (t, u) file that :func:`build_output_mode`
-    reads; a tabulated envelope has no decay rate, so its ``alpha`` is NaN.
+    reads, its times shifted by ``center``; a tabulated envelope has no decay
+    rate, so its ``alpha`` is NaN.  A 1-d array of ``alpha`` values specifies
+    a family of exponential envelopes, one per value.
     """
 
     envelope: str = "exponential"
-    alpha: float = math.nan
+    alpha: float | np.ndarray = math.nan
     table: str = ""
     center: float = 0.0
 
     def __post_init__(self):
         if self.envelope not in ("exponential", "tabulated"):
             raise ValueError(f"unknown envelope kind {self.envelope!r}")
-        if self.envelope == "exponential" and not self.alpha > 0.0:
+        if self.envelope == "exponential" and not (np.asarray(self.alpha) > 0.0).all():
             raise ValueError(f"exponential envelope needs alpha > 0, got {self.alpha}")
         if self.envelope == "tabulated" and not self.table:
             raise ValueError("tabulated envelope needs a table file path")
@@ -98,7 +100,10 @@ class OutputModeSpec:
 
 @dataclass(frozen=True)
 class SecondMoments:
-    """Source-part mode moments: a[i,j] = <a_i a_j>, b[i,j] = <a_i+ a_j>."""
+    """Source-part mode moments: a[i,j] = <a_i a_j>, b[i,j] = <a_i+ a_j>.
+
+    For a family of output modes ``a`` and ``b`` are stacks of shape (K, 2, 2).
+    """
 
     a: np.ndarray
     b: np.ndarray
@@ -106,9 +111,10 @@ class SecondMoments:
     def __post_init__(self):
         for name, m in (("a", self.a), ("b", self.b)):
             m = np.asarray(m, dtype=float)
-            if m.shape != (2, 2):
-                raise ValueError(f"moment matrix {name} must be 2x2")
-            if abs(m[0, 1] - m[1, 0]) > 1e-10 * max(1.0, abs(m[0, 1])):
+            if m.shape[-2:] != (2, 2) or m.shape != np.shape(self.a):
+                raise ValueError(f"moment matrix {name} must be 2x2, or a stack shaped like a")
+            off = np.abs(m[..., 0, 1])
+            if (np.abs(m[..., 0, 1] - m[..., 1, 0]) > 1e-10 * np.maximum(1.0, off)).any():
                 raise ValueError(f"moment matrix {name} must be symmetric")
 
     def scaled_trigger(self, factor: float) -> "SecondMoments":
@@ -160,10 +166,15 @@ def build_trigger_mode(
 
 
 def build_output_mode(spec: OutputModeSpec) -> ModeFunction:
-    """Construct the unit-norm output envelope; a tabulated one is read from ``spec.table``."""
+    """Construct the unit-norm output envelope.
+
+    A tabulated envelope is read from ``spec.table`` and moved by
+    ``spec.center`` along the time axis.  An array of ``alpha`` values
+    gives one mode whose pieces are families, one member per value.
+    """
+    tc = spec.center
     if spec.envelope == "exponential":
-        alpha = float(spec.alpha)
-        tc = spec.center
+        alpha = np.asarray(spec.alpha, dtype=float)[()]
         scale = np.sqrt(alpha)
         return ModeFunction(
             pieces=(
@@ -185,6 +196,7 @@ def build_output_mode(spec: OutputModeSpec) -> ModeFunction:
         raise ValueError("tabulated envelope has zero norm")
     un = us / np.sqrt(sq)
     slopes = np.diff(un) / h
+    ts = ts + tc
     pieces = tuple(
         Piece(float(a), float(b), float(a), float(c), power)
         for a, b, u, m in zip(ts[:-1], ts[1:], un[:-1], slopes)
@@ -195,9 +207,11 @@ def build_output_mode(spec: OutputModeSpec) -> ModeFunction:
 
 def load_envelope_table(path) -> tuple[np.ndarray, np.ndarray]:
     """Read a two-column (t, u) text table for a tabulated envelope."""
-    data = np.loadtxt(path, dtype=float)
-    if data.ndim != 2 or data.shape[1] != 2:
+    data = np.loadtxt(path, dtype=float, ndmin=2)
+    if data.shape[1] != 2:
         raise ValueError(f"envelope table {path} must have two columns")
+    if len(data) < 2:
+        raise ValueError(f"envelope table {path} needs at least two rows")
     return data[:, 0], data[:, 1]
 
 
@@ -211,7 +225,8 @@ def second_moments(
     antiderivatives over the modes' pieces and the kernel's exponential
     terms, exact to rounding and with no tail truncation.  Both matrices
     contract one Gram matrix over the kernel's rates, built in one pass
-    over the mode list (:func:`~cwherald.piecewise.kernel_moments`).
+    over the mode list (:func:`~cwherald.piecewise.kernel_moments`).  For a
+    family of K output modes the same pass gives K stacked moment pairs.
     """
     if k.decay_rate <= 0.0:
         raise ValueError("kernel decay rate must be positive")

@@ -16,6 +16,13 @@ triangles, one the mirror of the other.  On a finite cell both kinds are
 written as divided differences of the exponential (Hermite-Genocchi), which
 stay exact when rates coincide (``(1 - e^{-x})/x`` is ``exp[0, -x]``); on a
 half-infinite cell they are rational in the rates.
+
+A piece whose ``coeff`` and ``rate`` are 1-d arrays of one length K is a
+family: K pieces on the same interval, differing only in those two values.
+Since cells depend only on where pieces end, a family shares its cells, and
+every quantity above carries a family axis next to the kernel-rate axis;
+:func:`kernel_moments` then returns one Gram per family member.  A scalar
+piece is a family of one.
 """
 
 from __future__ import annotations
@@ -32,9 +39,6 @@ _TAYLOR_SPAN = 2.0
 _TAYLOR_TERMS = 27  # more than a span of _TAYLOR_SPAN needs
 _FACT = [float(math.factorial(j)) for j in range(_TAYLOR_TERMS + 5)]
 _INV_FACT = np.array([1.0 / f for f in _FACT])
-# gather indices m - j of a lower-triangular Toeplitz matrix, and its mask
-_LAG = np.array([[max(m - j, 0) for j in range(_TAYLOR_TERMS)] for m in range(_TAYLOR_TERMS)])
-_LOWER = np.array([[m >= j for j in range(_TAYLOR_TERMS)] for m in range(_TAYLOR_TERMS)])
 
 
 @dataclass(frozen=True)
@@ -42,15 +46,16 @@ class Piece:
     """``coeff * (t - anchor)**power * exp(rate * (t - anchor))`` on [lo, hi].
 
     ``anchor`` is a finite end of the interval; a half-infinite piece decays
-    away from it.  ``power`` is 0 or 1.
+    away from it.  ``power`` is 0 or 1.  ``coeff`` and ``rate`` are scalars,
+    or 1-d arrays of one length for a family of pieces (module docstring).
     """
 
     lo: float
     hi: float
     anchor: float
-    coeff: float
+    coeff: float | np.ndarray
     power: int = 0
-    rate: float = 0.0
+    rate: float | np.ndarray = 0.0
 
     def __post_init__(self):
         if not self.lo < self.hi:
@@ -59,13 +64,29 @@ class Piece:
             raise ValueError(f"piece anchor {self.anchor} is not a finite end")
         if self.power not in (0, 1):
             raise ValueError(f"piece power must be 0 or 1, got {self.power}")
-        if (self.lo == -np.inf and not self.rate > 0.0) or (
-            self.hi == np.inf and not self.rate < 0.0
+        shapes = _shapes(self.coeff, self.rate) - {()}
+        if len(shapes) > 1 or any(len(shape) != 1 for shape in shapes):
+            raise ValueError(
+                "piece coeff and rate must be scalars or 1-d arrays of one length, "
+                f"got shapes {np.shape(self.coeff)} and {np.shape(self.rate)}"
+            )
+        if (self.lo == -np.inf and not (np.asarray(self.rate) > 0.0).all()) or (
+            self.hi == np.inf and not (np.asarray(self.rate) < 0.0).all()
         ):
             raise ValueError("a half-infinite piece must decay away from its anchor")
 
     def scaled(self, factor: float) -> "Piece":
         return replace(self, coeff=factor * self.coeff)
+
+
+def _shapes(*values) -> set[tuple[int, ...]]:
+    """The shapes of ``values``; a float is a scalar, of shape ()."""
+    return {np.shape(x) for x in values if not isinstance(x, float)}
+
+
+def _family(pieces) -> tuple[int, ...]:
+    """The pieces' common family shape: (K,), or () when all are scalar."""
+    return np.broadcast_shapes(*_shapes(*(x for p in pieces for x in (p.coeff, p.rate))))
 
 
 def _taylor(z: np.ndarray) -> np.ndarray:
@@ -75,17 +96,17 @@ def _taylor(z: np.ndarray) -> np.ndarray:
     complete homogeneous symmetric polynomials; every term is nonnegative,
     and the series stops once span^m / m! is below rounding.
     """
-    y = z - z[:, :1]
+    y = z[:, 1:] - z[:, :1]
     span = float(y[:, -1].max(initial=0.0))
     terms = next((m for m in range(1, _TAYLOR_TERMS) if span**m < 1e-17 * _FACT[m]), _TAYLOR_TERMS)
-    powers = y[:, :, None] ** np.arange(terms)
-    lag, lower = _LAG[:terms, :terms], _LOWER[:terms, :terms]
-    h = powers[:, 0]
-    for i in range(1, z.shape[1]):
-        # h_m <- sum_j y_i^(m-j) h_j: product with the geometric series of y_i
-        h = np.einsum("nmj,nj->nm", np.where(lower, powers[:, i][:, lag], 0.0), h)
+    h = np.zeros((terms, len(z)))
+    h[0] = 1.0
+    for yi in y.T:
+        # adding a variable: h_m <- h_m + y_i h_{m-1}, with h_{m-1} already updated
+        for m in range(1, terms):
+            h[m] += yi * h[m - 1]
     n = z.shape[1] - 1
-    return np.exp(z[:, 0]) * (h @ _INV_FACT[n : n + terms])
+    return np.exp(z[:, 0]) * (_INV_FACT[n : n + terms] @ h)
 
 
 def dd_exp(z: np.ndarray) -> np.ndarray:
@@ -129,7 +150,8 @@ class _Terms(NamedTuple):
     Term n is ``(c0 + c1 s) e^{rate s + shift}`` on cell ``cell``, from a
     piece of mode ``owner``; s runs from the cell's finite end into the
     cell (outwards on a half-infinite cell, so its ``rate`` is negative).
-    Columns other than ``cell`` and ``owner`` broadcast against rates.
+    Columns other than ``cell`` and ``owner`` have shape (terms, K, 1): a
+    family axis, then one that broadcasts against kernel rates.
     """
 
     cell: np.ndarray
@@ -143,26 +165,32 @@ class _Terms(NamedTuple):
         return _Terms(*(col[idx] for col in self))
 
 
-def _terms(modes, lo: np.ndarray, hi: np.ndarray) -> _Terms:
+def _terms(modes, lo: np.ndarray, hi: np.ndarray, family: tuple[int, ...]) -> _Terms:
     """The terms of every piece of every mode, tagged with the mode's index."""
     pieces = [p for f in modes for p in f]
     owner = np.repeat(np.arange(len(modes)), [len(f) for f in modes])
-    plo, phi, anchor, coeff, power, rate = (
+    plo, phi, anchor, power = (
         np.array([getattr(p, f) for p in pieces], dtype=float)
-        for f in ("lo", "hi", "anchor", "coeff", "power", "rate")
+        for f in ("lo", "hi", "anchor", "power")
     )
+    coeff, rate = np.empty((2, len(pieces)) + family)
+    for n, p in enumerate(pieces):
+        coeff[n], rate[n] = p.coeff, p.rate
+    coeff, rate = coeff.reshape(len(pieces), -1), rate.reshape(len(pieces), -1)
     pi, ci = np.nonzero((lo[None, :] >= plo[:, None]) & (hi[None, :] <= phi[:, None]))
     left_tail = lo[ci] == -np.inf
     origin = np.where(left_tail, hi[ci], lo[ci])
-    sign = np.where(left_tail, -1.0, 1.0)
-    d = origin - anchor[pi]
+    sign = np.where(left_tail, -1.0, 1.0)[:, None]
+    d = (origin - anchor[pi])[:, None]
+    k = power[pi][:, None]
+    c, a = coeff[pi], rate[pi]
     return _Terms(
         cell=ci,
         owner=owner[pi],
-        c0=(coeff[pi] * d ** power[pi])[:, None],
-        c1=(coeff[pi] * power[pi] * sign)[:, None],
-        rate=(sign * rate[pi])[:, None],
-        shift=(rate[pi] * d)[:, None],
+        c0=(c * d**k)[..., None],
+        c1=(c * k * sign)[..., None],
+        rate=(sign * a)[..., None],
+        shift=(a * d)[..., None],
     )
 
 
@@ -173,9 +201,9 @@ def _end_moments(t: _Terms, r, length) -> np.ndarray:
     against the distance to its end.  On a half-infinite cell s runs
     outwards from the finite end, and both rows hold the one moment.
     """
-    out = np.empty((2, len(t.cell), r.shape[-1]))
-    L = length[t.cell][:, None]
-    fin = np.isfinite(L[:, 0])
+    out = np.empty((2, len(t.cell), t.c0.shape[1], len(r)))
+    L = length[t.cell][:, None, None]
+    fin = np.isfinite(L[:, 0, 0])
     if fin.any():
         f, Lf = t.take(fin), L[fin]
         # exponent at s = 0 and s = L of each integrand, shift included
@@ -224,62 +252,66 @@ def kernel_moments(modes, rates) -> np.ndarray:
 
     ``modes`` is a sequence of modes, each a sequence of :class:`Piece`;
     the result has shape ``(len(modes), len(modes), len(rates))`` and is
-    exactly symmetric in its first two axes.  It is computed in one pass
+    exactly symmetric in those two mode axes.  It is computed in one pass
     over the mode list: the line is cut into cells once for all modes, and
     every pair of modes shares those cells.  A mode without pieces gives a
-    zero row and column.
+    zero row and column.  When pieces are families of K members, the
+    result gains a leading axis of length K, one Gram per member, still
+    from the one pass: scalar pieces are shared by every member.
     """
-    r = np.atleast_1d(np.asarray(rates, dtype=float))[None, :]
-    m = len(modes)
-    if not any(modes):
-        return np.zeros((m, m, r.shape[1]))
+    r = np.atleast_1d(np.asarray(rates, dtype=float))
+    pieces = [p for f in modes for p in f]
+    family = _family(pieces)
+    m, nr = len(modes), len(r)
+    if not pieces:
+        return np.zeros((m, m, nr))
     lo, hi = _cells(*modes)
     n = len(lo)
     length = hi - lo
-    t = _terms(modes, lo, hi)
+    t = _terms(modes, lo, hi, family)
+    nk = t.c0.shape[1]
 
     # separated cells k < l: e^{-r (t' - t)} = e^{-r (L_k - s)} e^{-r gap} e^{-r s'}
-    slot = t.owner * n + t.cell
     start, end = _end_moments(t, r, length)
     start[np.isneginf(lo[t.cell])] = 0.0
     end[np.isinf(hi[t.cell])] = 0.0
-    from_start = np.zeros((m * n, r.shape[1]))
+    from_start = np.zeros((m, n, nk, nr))
     to_end = np.zeros_like(from_start)
-    np.add.at(from_start, slot, start)
-    np.add.at(to_end, slot, end)
+    np.add.at(from_start, (t.owner, t.cell), start)
+    np.add.at(to_end, (t.owner, t.cell), end)
     upper = np.triu(np.ones((n, n), dtype=bool), 1)
     gap = np.where(upper, lo[None, :] - hi[:, None], 0.0)
     w = np.exp(-gap[:, :, None] * r) * upper[:, :, None]
-    sep = np.einsum(
-        "ikr,klr,jlr->ijr", to_end.reshape(m, n, -1), w, from_start.reshape(m, n, -1)
-    )
+    sep = np.einsum("ikqr,klr,jlqr->qijr", to_end, w, from_start)
 
     # a cell with itself: the triangle u <= s of every ordered pair of terms,
     # summed per pair of owners; the triangle s <= u is its transpose
     i, j = np.nonzero(t.cell[:, None] == t.cell[None, :])
     p, q = t.take(i), t.take(j)
-    pair = p.owner * m + q.owner
-    L = length[p.cell][:, None]
-    tri = np.zeros((m * m, r.shape[1]))
-    for part in (np.isfinite(L[:, 0]), np.isinf(L[:, 0])):
+    L = length[p.cell][:, None, None]
+    tri = np.zeros((m, m, nk, nr))
+    for part in (np.isfinite(L[:, 0, 0]), np.isinf(L[:, 0, 0])):
         if part.any():
-            np.add.at(tri, pair[part], _triangles(p.take(part), q.take(part), r, L[part]))
-    same = tri.reshape(m, m, -1)
-    return (sep + sep.transpose(1, 0, 2)) + (same + same.transpose(1, 0, 2))
+            owners = (p.owner[part], q.owner[part])
+            np.add.at(tri, owners, _triangles(p.take(part), q.take(part), r, L[part]))
+    same = tri.transpose(2, 0, 1, 3)
+    gram = (sep + sep.transpose(0, 2, 1, 3)) + (same + same.transpose(0, 2, 1, 3))
+    return gram.reshape(family + (m, m, nr))
 
 
-def norm_sq(f) -> float:
-    """``Int f(t)^2 dt`` for a sequence of :class:`Piece`."""
+def norm_sq(f) -> float | np.ndarray:
+    """``Int f(t)^2 dt`` for a sequence of :class:`Piece`, one per family member."""
     if not f:
         return 0.0
     lo, hi = _cells(f)
-    t = _terms((f,), lo, hi)
+    family = _family(f)
+    t = _terms((f,), lo, hi, family)
     i, j = np.nonzero(t.cell[:, None] == t.cell[None, :])
     p, q = t.take(i), t.take(j)
     a0, a1, a2 = p.c0 * q.c0, p.c0 * q.c1 + p.c1 * q.c0, p.c1 * q.c1
     x, s = p.rate + q.rate, p.shift + q.shift
-    L = (hi - lo)[p.cell][:, None]
-    fin = np.isfinite(L[:, 0])
+    L = (hi - lo)[p.cell][:, None, None]
+    fin = np.isfinite(L[:, 0, 0])
     out = np.empty_like(a0)
     if fin.any():
         Lf, sf, e = L[fin], s[fin], s[fin] + x[fin] * L[fin]
@@ -292,4 +324,4 @@ def norm_sq(f) -> float:
         inf = ~fin
         xi = x[inf]
         out[inf] = np.exp(s[inf]) * (-a0[inf] / xi + a1[inf] / xi**2 - 2.0 * a2[inf] / xi**3)
-    return float(out.sum())
+    return out.sum(axis=0).reshape(family)[()]

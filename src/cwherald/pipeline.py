@@ -27,7 +27,13 @@ from .covariance import (
     load_covariance,
 )
 from .metrics import SCALARS, fock_fidelity, wigner_at_origin
-from .modes import ModeFunction, build_output_mode, build_trigger_mode, second_moments
+from .modes import (
+    ModeFunction,
+    SecondMoments,
+    build_output_mode,
+    build_trigger_mode,
+    second_moments,
+)
 from .scan import ScanResult, scan_and_refine
 from .sources import CorrelationKernel, OpoParams, opo_kernel, tmsv_covariance
 from .wigner import GaussPolyState, PolyGaussTerm, evaluate_grid
@@ -65,6 +71,10 @@ def build_covariance(cfg: ExperimentConfig) -> CovarianceMatrix4:
         v = tmsv_covariance(cfg.source.r)
     else:
         v = load_covariance(cfg.source.covariance)
+    return _with_losses(cfg, v)
+
+
+def _with_losses(cfg: ExperimentConfig, v: CovarianceMatrix4) -> CovarianceMatrix4:
     if (cfg.losses.eta1, cfg.losses.eta2, cfg.losses.xi1, cfg.losses.xi2) != (
         0.0,
         0.0,
@@ -115,29 +125,41 @@ def scan_alpha(cfg: ExperimentConfig) -> ScanResult:
 
     Returns the scan table in raw objective values and the optimum refined
     by golden section to |delta alpha| <= 1e-3.  The origin value is
-    minimised, the Fock-1 fidelity maximised.  A parsed config with a
-    [scan] section always has an opo source and an exponential envelope.
+    minimised, the Fock-1 fidelity maximised.  The whole grid takes one
+    moment pass: its exponential envelopes form one family of output modes
+    (:func:`~cwherald.modes.build_output_mode` with an array of alphas),
+    whose moments :func:`~cwherald.modes.second_moments` returns stacked;
+    each alpha is then assembled and conditioned as in :func:`run_experiment`.
+    A parsed config with a [scan] section always has an opo source and an
+    exponential envelope.
     """
     sc = cfg.scan
     if sc is None:
         raise ValueError("no [scan] parameters configured")
     sign = 1.0 if sc.objective == "origin_value" else -1.0
 
-    def objective(alpha: float) -> float:
+    def objective(alpha):
+        """Signed objective at one alpha, or at each of an array of them."""
+        alphas = np.atleast_1d(alpha)
+        at = alphas[0]
         try:
-            v = build_covariance(replace(cfg, output=replace(cfg.output, alpha=alpha)))
-            result = condition_state(cfg, v)
-            if sc.objective == "origin_value":
-                return wigner_at_origin(result.state)
-            return fock_fidelity(result.state, 1)
+            f1, f2, kernel = build_modes(replace(cfg, output=replace(cfg.output, alpha=alphas)))
+            m = second_moments(f1, f2, kernel)
+            values = np.empty(len(alphas))
+            for k, at in enumerate(alphas):
+                v = _with_losses(cfg, assemble(SecondMoments(a=m.a[k], b=m.b[k])))
+                state = condition_state(cfg, v).state
+                if sc.objective == "origin_value":
+                    values[k] = sign * wigner_at_origin(state)
+                else:
+                    values[k] = sign * fock_fidelity(state, 1)
         except Exception as exc:
             head = str(exc.args[0]) if exc.args else ""
-            exc.args = (f"at alpha = {alpha:g}: {head}",) + exc.args[1:]
+            exc.args = (f"at alpha = {at:g}: {head}",) + exc.args[1:]
             raise
+        return values if np.ndim(alpha) else float(values[0])
 
-    result = scan_and_refine(
-        lambda a: sign * objective(a), sc.alpha_min, sc.alpha_max, sc.samples
-    )
+    result = scan_and_refine(objective, sc.alpha_min, sc.alpha_max, sc.samples)
     # report raw objective values regardless of optimisation direction
     return ScanResult(
         params=result.params,

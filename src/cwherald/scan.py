@@ -49,8 +49,11 @@ def scan_and_refine(
 ) -> ScanResult:
     """Tabulate f on a uniform grid, then refine the best sample.
 
-    The refinement bracket is the pair of samples flanking the best one;
-    the returned optimum is never worse than the best scanned sample.  A
+    ``f`` takes one float, or the whole grid as an array, for which it
+    returns one value per point: the grid is one call ``f(params)``, and the
+    golden-section refinement then calls it on single points.  The
+    refinement bracket is the pair of samples flanking the best one; the
+    returned optimum is never worse than the best scanned sample.  A
     degenerate range (lo == hi) or a single sample returns one evaluation.
     """
     if hi < lo:
@@ -66,7 +69,9 @@ def scan_and_refine(
     if samples < 3:
         raise ValueError(f"scan needs at least 3 samples, got {samples}")
     params = np.linspace(lo, hi, samples)
-    values = np.array([f(x) for x in params])
+    values = np.asarray(f(params), dtype=float)
+    if values.shape != params.shape:
+        raise ValueError(f"objective gave shape {values.shape} for a grid of {samples} points")
     k = int(np.argmin(values))
     a = params[max(k - 1, 0)]
     b = params[min(k + 1, samples - 1)]

@@ -281,6 +281,7 @@ def output_axis(spec, truncation_rate=None, refl=1.0):
     ts, us = np.loadtxt(spec.table, unpack=True)
     h = np.diff(ts)
     un = us / np.sqrt(np.sum(h * (us[:-1] ** 2 + us[:-1] * us[1:] + us[1:] ** 2) / 3.0))
+    ts = ts + spec.center
 
     def amp_tab(t):
         t = np.asarray(t, dtype=float)

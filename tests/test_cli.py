@@ -208,6 +208,33 @@ class TestTabulatedEnvelope:
         )
 
 
+    def test_center_moves_the_table(self, tmp_path):
+        # the source is stationary: moving the envelope and the window together changes nothing
+        from cwherald.config import parse_config
+        from cwherald.pipeline import build_covariance, condition_state, summarize
+
+        ts = np.linspace(-4.0, 6.0, 81)
+        us = np.exp(-0.5 * np.abs(ts - 0.7)) * (1.0 + 0.3 * np.sin(ts))
+        table = tmp_path / "envelope.txt"
+        np.savetxt(table, np.column_stack([ts, us]))
+        text = (FIXTURES / "figure3_upper.cfg").read_text().replace(
+            "envelope = exponential\nalpha = 0.5",
+            f"envelope = tabulated\ntable = {table}",
+        )
+
+        def summary(shift):
+            cfg_path = tmp_path / f"shift{shift}.cfg"
+            cfg_path.write_text(
+                text.replace("window_center = 0.0", f"window_center = {shift}").replace(
+                    "\ncenter = 0.0", f"\ncenter = {shift}"
+                )
+            )
+            cfg = parse_config(cfg_path)
+            return summarize(cfg, condition_state(cfg, build_covariance(cfg)))
+
+        assert summary(1.5) == pytest.approx(summary(0.0), rel=1e-12)
+
+
 class TestCoherenceStage:
     def test_writes_kernel_and_mode(self, tmp_path):
         cfg = tmp_path / "coh.cfg"

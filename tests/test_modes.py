@@ -22,7 +22,7 @@ from cwherald.modes import (
     build_trigger_mode,
     second_moments,
 )
-from cwherald.piecewise import Piece, norm_sq
+from cwherald.piecewise import Piece, kernel_moments, norm_sq
 from cwherald.quadrature import correlation_moment_once, l2_norm_sq
 from cwherald.sources import OpoParams, opo_kernel
 
@@ -120,6 +120,18 @@ class TestBuildOutputMode:
         )
         with pytest.raises(ValueError, match="non-finite"):
             build_output_mode(bad)
+        one_row = OutputModeSpec(
+            envelope="tabulated", table=envelope_table(np.array([0.0]), np.array([1.0]))
+        )
+        with pytest.raises(ValueError, match="at least two rows"):
+            build_output_mode(one_row)
+
+    def test_alpha_array_gives_a_unit_norm_family(self):
+        alphas = np.array([0.2, 0.5, 3.0])
+        mode = build_output_mode(OutputModeSpec(alpha=alphas))
+        np.testing.assert_allclose(norm_sq(mode.pieces), np.ones(3), rtol=1e-14)
+        with pytest.raises(ValueError, match="alpha > 0"):
+            OutputModeSpec(alpha=np.array([0.5, 0.0]))
 
 
 class TestSecondMoments:
@@ -340,6 +352,22 @@ class TestExactMoments:
             _trigger(trigger, kernel, center=lag + s), _output(output, center=s), kernel
         )
         _assert_moments(at(shift), at(0.0), rtol=1e-12)
+
+    @pytest.mark.parametrize("trigger", ["window", "collapsed", "explicit", "explicit_wide"])
+    def test_family_members_match_single_modes(self, trigger):
+        # alpha on and beside the kernel rates, where divided differences go confluent
+        kernel = opo_kernel(OpoParams(epsilon=0.2))
+        mu, lam = kernel.decay_rate, kernel.fast_rate
+        alphas = np.array([mu, mu + 1e-9, mu - 1e-9, lam, lam + 1e-9, lam - 1e-9, 0.25, 5.0])
+        rates = np.array(kernel.terms)[:, 0]
+        f1 = _trigger(trigger, kernel, center=0.3)
+        family = build_output_mode(OutputModeSpec(alpha=alphas, center=-0.2)).scaled(REFLECT)
+        gram = kernel_moments((f1.pieces, family.pieces), rates)
+        assert gram.shape == (len(alphas), 2, 2, len(rates))
+        for member, alpha in zip(gram, alphas):
+            f2 = build_output_mode(OutputModeSpec(alpha=alpha, center=-0.2)).scaled(REFLECT)
+            single = kernel_moments((f1.pieces, f2.pieces), rates)
+            np.testing.assert_allclose(member, single, rtol=1e-15, atol=0.0)
 
     @pytest.mark.parametrize("trigger", ["collapsed", "explicit"])
     def test_filtered_source_weight_is_exact_norm(self, trigger):

@@ -1,5 +1,7 @@
+import functools
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,7 +10,7 @@ from hypothesis import strategies as st
 from conftest import envelope_table, window_pair
 
 from cwherald.modes import OutputModeSpec, TriggerModeSpec, build_output_mode, build_trigger_mode
-from cwherald.piecewise import Piece, dd_exp, kernel_moments, norm_sq
+from cwherald.piecewise import _TAYLOR_SPAN, Piece, dd_exp, kernel_moments, norm_sq
 
 RATES = [0.05, 0.3, 1.0, 8.0]
 
@@ -38,6 +40,20 @@ def dd_distinct(z):
     return vals[0]
 
 
+def dd_mp(z):
+    """exp[z] in 50-digit arithmetic: the recursive table, exp(z)/k! on k+1 equal nodes."""
+    with mpmath.workdps(50):
+        z = sorted(mpmath.mpf(float(x)) for x in z)
+
+        @functools.cache
+        def dd(i, j):
+            if z[i] == z[j]:
+                return mpmath.exp(z[i]) / mpmath.factorial(j - i)
+            return (dd(i + 1, j) - dd(i, j - 1)) / (z[j] - z[i])
+
+        return dd(0, len(z) - 1)
+
+
 class TestDividedDifferences:
     @pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
     @pytest.mark.parametrize("z", [-40.0, -1.5, 0.0, 0.7])
@@ -60,6 +76,19 @@ class TestDividedDifferences:
         z = base + np.concatenate([[0.0], np.cumsum(gaps)])
         want = dd_distinct(z)
         assert dd_exp(z[None, ::-1])[0] == pytest.approx(want, rel=1e-12)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        base=st.floats(-30.0, 1.0),
+        span=st.sampled_from([1e-3, 0.4, 1.0, 1.75, _TAYLOR_SPAN, _TAYLOR_SPAN + 1e-7, 2.25]),
+        # eighths of the span: repeats are exact, distinct nodes at least span / 8 apart
+        inner=st.lists(st.integers(0, 8), max_size=3),
+    )
+    def test_matches_50_digit_reference(self, base, span, inner):
+        z = base + span * np.array([0, *inner, 8]) / 8.0
+        want = dd_mp(z)
+        got = dd_exp(z[None, ::-1])[0]
+        assert abs(got - want) <= 1e-14 * abs(want)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -159,3 +188,10 @@ class TestKernelMoments:
             Piece(0.0, np.inf, 0.0, 1.0, rate=0.0)
         with pytest.raises(ValueError, match="decay"):
             Piece(-np.inf, 0.0, 0.0, 1.0, rate=-1.0)
+        # a family is checked member by member, and its arrays must agree
+        with pytest.raises(ValueError, match="decay"):
+            Piece(0.0, np.inf, 0.0, 1.0, rate=np.array([-1.0, 0.0, -2.0]))
+        with pytest.raises(ValueError, match="1-d arrays of one length"):
+            Piece(0.0, 1.0, 0.0, np.ones(3), rate=np.ones(2))
+        with pytest.raises(ValueError, match="1-d arrays of one length"):
+            Piece(0.0, 1.0, 0.0, np.ones((2, 2)))

@@ -1,11 +1,14 @@
+import re
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from cwherald import modes, pipeline
 from cwherald.config import ScanConfig, parse_config
 from cwherald.covariance import save_covariance
+from cwherald.metrics import wigner_at_origin
 from cwherald.pipeline import (
     build_covariance,
     condition_state,
@@ -63,6 +66,46 @@ class TestScanObjectives:
         # table holds raw fidelities and the refined best is the largest
         assert np.all((result.values > 0.9) & (result.values <= 1.0))
         assert result.best_value >= np.max(result.values) - 1e-12
+
+    def test_grid_takes_one_moment_pass(self, monkeypatch):
+        cfg = parse_config(FIXTURES / "figure4_scan.cfg")
+        families = []
+        gram = modes.kernel_moments
+
+        def counted(mode_list, rates):
+            families.append(np.shape(mode_list[1][0].rate))
+            return gram(mode_list, rates)
+
+        monkeypatch.setattr(modes, "kernel_moments", counted)
+        scan_alpha(cfg)
+        # the whole grid first, then one single-alpha call per refinement step
+        assert families[0] == (cfg.scan.samples,)
+        assert families[1:] == [(1,)] * (len(families) - 1)
+
+    def test_table_equals_per_alpha_pipeline(self):
+        cfg = parse_config(FIXTURES / "figure4_scan.cfg")
+        result = scan_alpha(cfg)
+        one = [
+            condition_state(cfg, build_covariance(replace(cfg, output=replace(cfg.output, alpha=a))))
+            for a in result.params
+        ]
+        np.testing.assert_array_equal(result.values, [wigner_at_origin(r.state) for r in one])
+
+    def test_failing_grid_alpha_is_named(self, monkeypatch):
+        cfg = parse_config(FIXTURES / "figure4_scan.cfg")
+        calls = []
+
+        def fails_seventh(state):
+            calls.append(state)
+            if len(calls) == 7:
+                raise ValueError("boom")
+            return 0.0
+
+        monkeypatch.setattr(pipeline, "wigner_at_origin", fails_seventh)
+        alpha = np.linspace(cfg.scan.alpha_min, cfg.scan.alpha_max, cfg.scan.samples)[6]
+        want = f"at alpha = {alpha:g}: boom"
+        with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+            scan_alpha(cfg)
 
     def test_scan_requires_parameters(self):
         cfg = parse_config(FIXTURES / "figure3_upper.cfg")
