@@ -6,6 +6,12 @@ vacuum component), and the absorptive click detector whose back-action is
 the annihilation operator, rho -> a rho a+ / Tr(a+ a rho).  Each returns
 the normalised conditioned state of the output mode together with the
 outcome probability (the click case reports the trigger-mode occupation).
+
+Each conditioner also takes a family of covariances (``v.m`` of shape
+(K, 4, 4)) and conditions all members in one pass; its result holds the K
+states as stacked terms and one probability per member, each equal to the
+member conditioned alone.  A check that fails on any member raises the
+error that the first such member raises alone.
 """
 
 from __future__ import annotations
@@ -16,6 +22,7 @@ import numpy as np
 
 from .covariance import CovarianceMatrix4, physicality_check
 from .errors import ImpossibleOutcomeError, UnphysicalCovarianceError
+from .polynomials import any_member, per_member
 from .wigner import (
     GaussPolyState,
     TwoModeGaussianWigner,
@@ -37,25 +44,34 @@ _CLICK_WEIGHT = np.array(
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConditionResult:
     """Normalised conditioned output state plus the trigger outcome probability.
 
     For number and on/off detection ``probability`` is the outcome
     probability of the discrete trigger mode; for click detection it is
-    the trigger-mode occupation <a1+ a1> (per-window click rate).
+    the trigger-mode occupation <a1+ a1> (per-window click rate).  For a
+    family it is an array, one value per member.
     """
 
     state: GaussPolyState
-    probability: float
+    probability: float | np.ndarray
+
+
+def _first_failing(values, failing):
+    """The value of the first member that fails a check, or None if none does."""
+    if not any_member(failing):
+        return None
+    return values[np.argmax(failing)] if np.ndim(failing) else values
 
 
 def _require_physical(v: CovarianceMatrix4) -> None:
     report = physicality_check(v)
-    if not report.physical:
+    min_eig = _first_failing(report.min_eigenvalue, np.logical_not(report.physical))
+    if min_eig is not None:
         raise UnphysicalCovarianceError(
             "cannot condition on an unphysical covariance: min eigenvalue of "
-            f"V + i*Omega = {report.min_eigenvalue:g}"
+            f"V + i*Omega = {min_eig:g}"
         )
 
 
@@ -64,13 +80,13 @@ def _number_projection_raw(v: CovarianceMatrix4, n: int):
     fock = fock_wigner_poly(n)
     m = np.linalg.inv(v.m)
     m_tilde = m + np.diag([1.0, 1.0, 0.0, 0.0])
-    det_v = float(np.linalg.det(v.m))
-    det_tilde = 1.0 / float(np.linalg.det(m_tilde))
-    if det_tilde <= 0.0:
+    det_v = np.linalg.det(v.m)
+    det_tilde = 1.0 / np.linalg.det(m_tilde)
+    if any_member(det_tilde <= 0.0):
         raise np.linalg.LinAlgError("projected Gaussian core is singular")
     # W_V * exp(-x1^2-p1^2) = sqrt(det Vt / det V) * (Gaussian of core Vt)
     factor = 2.0 * np.pi * np.sqrt(det_tilde / det_v)
-    return _integrate_out(m_tilde, det_tilde, fock * factor)
+    return _integrate_out(m_tilde, det_tilde, fock * factor[..., None, None])
 
 
 def condition_on_number(v: CovarianceMatrix4, n: int) -> ConditionResult:
@@ -84,11 +100,12 @@ def condition_on_number(v: CovarianceMatrix4, n: int) -> ConditionResult:
         raise ValueError(f"number detection supports n in {{0, 1, 2}}, got {n}")
     _require_physical(v)
     state_u, mass = _number_projection_raw(v, n)
-    if mass < PROBABILITY_FLOOR:
+    low = _first_failing(mass, mass < PROBABILITY_FLOOR)
+    if low is not None:
         raise ImpossibleOutcomeError(
-            f"outcome n={n} has zero probability on this state (P={mass:g})"
+            f"outcome n={n} has zero probability on this state (P={low:g})"
         )
-    return ConditionResult(state=state_u.scaled(1.0 / mass), probability=float(mass))
+    return ConditionResult(state=state_u.scaled(1.0 / mass), probability=mass)
 
 
 def vacuum_projection(v: CovarianceMatrix4) -> ConditionResult:
@@ -106,13 +123,13 @@ def condition_on_on(v: CovarianceMatrix4) -> ConditionResult:
     _require_physical(v)
     state0_u, p0 = _number_projection_raw(v, 0)
     p_on = 1.0 - p0
-    if p_on < PROBABILITY_FLOOR:
+    if any_member(p_on < PROBABILITY_FLOOR):
         raise ImpossibleOutcomeError(
             "trigger mode is exact vacuum; the on outcome never fires"
         )
     marginal, _ = integrate_out_trigger(TwoModeGaussianWigner(v), np.array([[1.0]]))
     terms = marginal.scaled(1.0 / p_on).terms + state0_u.scaled(-1.0 / p_on).terms
-    return ConditionResult(state=GaussPolyState(terms=terms), probability=float(p_on))
+    return ConditionResult(state=GaussPolyState(terms=terms), probability=p_on)
 
 
 def condition_on_click(v: CovarianceMatrix4) -> ConditionResult:
@@ -124,20 +141,19 @@ def condition_on_click(v: CovarianceMatrix4) -> ConditionResult:
     form is available as :func:`click_wigner_direct` for cross-checks.
     """
     _require_physical(v)
-    occupation = v.trigger_occupation()
-    if occupation < PROBABILITY_FLOOR:
+    occupation = per_member(v.trigger_occupation())
+    low = _first_failing(occupation, occupation < PROBABILITY_FLOOR)
+    if low is not None:
         raise ImpossibleOutcomeError(
-            f"trigger mode occupation is zero (<a+a> = {occupation:g}); "
+            f"trigger mode occupation is zero (<a+a> = {low:g}); "
             "no photon available to subtract"
         )
     state_u, mass = integrate_out_trigger(TwoModeGaussianWigner(v), _CLICK_WEIGHT)
-    return ConditionResult(
-        state=state_u.scaled(1.0 / mass), probability=float(occupation)
-    )
+    return ConditionResult(state=state_u.scaled(1.0 / mass), probability=occupation)
 
 
 def click_integrand_direct(v: CovarianceMatrix4, y: np.ndarray) -> np.ndarray:
-    """Differential-operator form of the click back-action, before reduction.
+    """Differential-operator form of the click back-action on a single covariance.
 
     Evaluates
     ``[ (x1^2+p1^2)/2 + 1/2 + (x1 d/dx1 + p1 d/dp1)/2 + (d^2/dx1^2 + d^2/dp1^2)/8 ] W_V``

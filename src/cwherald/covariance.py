@@ -12,6 +12,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .polynomials import any_member, per_member
+
 if TYPE_CHECKING:  # pragma: no cover
     from .modes import SecondMoments
 
@@ -29,25 +31,33 @@ OMEGA = np.array(
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CovarianceMatrix4:
-    """4x4 real symmetric covariance of (x1, p1, x2, p2), vacuum = identity."""
+    """4x4 real symmetric covariance of (x1, p1, x2, p2), vacuum = identity.
+
+    ``m`` of shape (K, 4, 4) is a family of K covariances.  A family goes
+    through :func:`assemble`, :func:`apply_loss`, :func:`physicality_check`
+    and the conditioners as a whole, and gives one result per member, equal
+    to that member's result alone.
+    """
 
     m: np.ndarray
 
     def __post_init__(self):
         m = np.asarray(self.m, dtype=float)
-        if m.shape != (4, 4):
-            raise ValueError(f"covariance must be 4x4, got shape {m.shape}")
-        if not np.all(np.isfinite(m)):
+        if m.shape[-2:] != (4, 4) or m.ndim > 3:
+            raise ValueError(f"covariance must be 4x4, or a stack of them, got shape {m.shape}")
+        if not np.isfinite(m).all():
             raise ValueError("covariance contains non-finite entries")
-        if np.max(np.abs(m - m.T)) > SYMMETRY_TOL * max(1.0, np.max(np.abs(m))):
+        mt = m.swapaxes(-1, -2)
+        scale = np.maximum(1.0, np.abs(m).max(axis=(-2, -1)))
+        if any_member(np.abs(m - mt).max(axis=(-2, -1)) > SYMMETRY_TOL * scale):
             raise ValueError("covariance is not symmetric")
-        object.__setattr__(self, "m", 0.5 * (m + m.T))
+        object.__setattr__(self, "m", 0.5 * (m + mt))
 
-    def trigger_occupation(self) -> float:
-        """Mean photon number of the trigger mode, (V11 + V22 - 2)/4."""
-        return (self.m[0, 0] + self.m[1, 1] - 2.0) / 4.0
+    def trigger_occupation(self):
+        """Mean photon number of the trigger mode, (V11 + V22 - 2)/4, per member."""
+        return (self.m[..., 0, 0] + self.m[..., 1, 1] - 2.0) / 4.0
 
 
 @dataclass(frozen=True)
@@ -70,9 +80,9 @@ class LossParams:
                 raise ValueError(f"{name} must be nonnegative, got {v}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PhysicalityReport:
-    """Diagnostics of a covariance matrix."""
+    """Diagnostics of a covariance matrix; arrays of one value per member for a family."""
 
     min_eigenvalue: float
     symplectic_eigenvalues: tuple[float, float]
@@ -87,18 +97,16 @@ def assemble(m: "SecondMoments") -> CovarianceMatrix4:
     ``B_ij = <a_i+ a_j>``, the quadrature blocks are
     ``V_xx = I + 2(A + B)``, ``V_pp = I + 2(B - A)`` and the x-p cross
     blocks vanish.  The vacuum fill needed to complete each mode to unit
-    norm contributes exactly the identity.
+    norm contributes exactly the identity.  Stacked moments (K, 2, 2), as
+    :func:`~cwherald.modes.second_moments` gives for a family of output
+    modes, assemble to a family of K covariances.
     """
     a = np.asarray(m.a, dtype=float)
     b = np.asarray(m.b, dtype=float)
-    vxx = np.eye(2) + 2.0 * (a + b)
-    vpp = np.eye(2) + 2.0 * (b - a)
-    v = np.zeros((4, 4))
+    v = np.zeros(a.shape[:-2] + (4, 4))
     # interleave x/p ordering: (x1, p1, x2, p2)
-    for i in range(2):
-        for j in range(2):
-            v[2 * i, 2 * j] = vxx[i, j]
-            v[2 * i + 1, 2 * j + 1] = vpp[i, j]
+    v[..., 0::2, 0::2] = np.eye(2) + 2.0 * (a + b)
+    v[..., 1::2, 1::2] = np.eye(2) + 2.0 * (b - a)
     return CovarianceMatrix4(v)
 
 
@@ -108,7 +116,8 @@ def apply_loss(v: CovarianceMatrix4, p: LossParams) -> CovarianceMatrix4:
     ``L = diag(sqrt(1-eta1), sqrt(1-eta1), sqrt(1-eta2), sqrt(1-eta2))``
     and ``N = diag(eta1+xi1, eta1+xi1, eta2+xi2, eta2+xi2)``.  Evaluated in
     the equivalent form ``L (V - I) L + I + diag(xi)`` so that vacuum is a
-    fixed point exactly, not just to rounding, for xi = 0.
+    fixed point exactly, not just to rounding, for xi = 0.  A family takes
+    the same channel on every member.
     """
     g = np.array([1.0 - p.eta1, 1.0 - p.eta1, 1.0 - p.eta2, 1.0 - p.eta2])
     damp = np.sqrt(np.outer(g, g))
@@ -123,28 +132,26 @@ def physicality_check(v: CovarianceMatrix4) -> PhysicalityReport:
     Reports the minimal eigenvalue of the Hermitian matrix ``V + i*Omega``
     (physical states have it >= 0 up to tolerance), the symplectic
     eigenvalues (both >= 1 for physical states) and the purity
-    ``1/sqrt(det V)``.
+    ``1/sqrt(det V)``.  For a family each field holds one value per member.
     """
     m = v.m
-    herm = m + 1j * OMEGA
-    eigs = np.linalg.eigvalsh(herm)
-    min_eig = float(np.min(eigs))
+    min_eig = np.linalg.eigvalsh(m + 1j * OMEGA).min(axis=-1)
     # symplectic spectrum: |eigenvalues of i Omega V| in pairs
-    sympl = np.abs(np.linalg.eigvals(1j * OMEGA @ m))
-    sympl = np.sort(np.real(sympl))
-    nu = (float(sympl[0]), float(sympl[2]))
-    det = float(np.linalg.det(m))
-    purity = 1.0 / np.sqrt(det) if det > 0 else float("inf")
+    sympl = np.sort(np.abs(np.linalg.eigvals(1j * OMEGA @ m)), axis=-1)
+    det = np.linalg.det(m)
+    positive = det > 0
+    # the square root sees only positive determinants, so none warns
+    purity = np.where(positive, 1.0 / np.sqrt(np.where(positive, det, 1.0)), np.inf)
     return PhysicalityReport(
-        min_eigenvalue=min_eig,
-        symplectic_eigenvalues=nu,
-        purity=purity,
-        physical=(min_eig >= PHYSICALITY_TOL and det > 0),
+        min_eigenvalue=per_member(min_eig),
+        symplectic_eigenvalues=(per_member(sympl[..., 0]), per_member(sympl[..., 2])),
+        purity=per_member(purity),
+        physical=per_member((min_eig >= PHYSICALITY_TOL) & positive),
     )
 
 
 def save_covariance(path, v: CovarianceMatrix4) -> None:
-    """Write a covariance as 4 lines of 4 floats, 17 significant digits."""
+    """Write a single covariance as 4 lines of 4 floats, 17 significant digits."""
     lines = []
     for row in v.m:
         lines.append(" ".join(f"{x:.17g}" for x in row))

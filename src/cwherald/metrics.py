@@ -10,13 +10,16 @@ from .polynomials import gaussian_poly_integral, poly_mul
 from .wigner import GaussPolyState, GridSpec, evaluate_grid, fock_wigner_poly
 
 
-def wigner_at_origin(s: GaussPolyState) -> float:
-    """Exact Wigner value at the origin; never grid-sampled."""
+def wigner_at_origin(s: GaussPolyState):
+    """Exact Wigner value at the origin; never grid-sampled.  One per member of a family."""
     return s.at_origin()
 
 
-def fock_fidelity(s: GaussPolyState, n: int) -> float:
-    """Overlap with the n-photon Fock state, 2*pi*Int(W_s W_n), by Gaussian-moment reduction."""
+def fock_fidelity(s: GaussPolyState, n: int):
+    """Overlap with the n-photon Fock state, 2*pi*Int(W_s W_n), by Gaussian-moment reduction.
+
+    A family's state gives one overlap per member.
+    """
     fock = fock_wigner_poly(n)
     acc = 0.0
     for t in s.terms:

@@ -74,7 +74,7 @@ class TriggerModeSpec:
             raise ValueError(f"filter_width must be positive, got {self.filter_width}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OutputModeSpec:
     """The keys of [output]: envelope sqrt(alpha) e^{-alpha |t - center|}, or tabulated.
 
@@ -98,7 +98,7 @@ class OutputModeSpec:
             raise ValueError("tabulated envelope needs a table file path")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SecondMoments:
     """Source-part mode moments: a[i,j] = <a_i a_j>, b[i,j] = <a_i+ a_j>.
 

@@ -41,7 +41,7 @@ _FACT = [float(math.factorial(j)) for j in range(_TAYLOR_TERMS + 5)]
 _INV_FACT = np.array([1.0 / f for f in _FACT])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Piece:
     """``coeff * (t - anchor)**power * exp(rate * (t - anchor))`` on [lo, hi].
 

@@ -29,7 +29,6 @@ from .covariance import (
 from .metrics import SCALARS, fock_fidelity, wigner_at_origin
 from .modes import (
     ModeFunction,
-    SecondMoments,
     build_output_mode,
     build_trigger_mode,
     second_moments,
@@ -125,39 +124,39 @@ def scan_alpha(cfg: ExperimentConfig) -> ScanResult:
 
     Returns the scan table in raw objective values and the optimum refined
     by golden section to |delta alpha| <= 1e-3.  The origin value is
-    minimised, the Fock-1 fidelity maximised.  The whole grid takes one
-    moment pass: its exponential envelopes form one family of output modes
-    (:func:`~cwherald.modes.build_output_mode` with an array of alphas),
-    whose moments :func:`~cwherald.modes.second_moments` returns stacked;
-    each alpha is then assembled and conditioned as in :func:`run_experiment`.
-    A parsed config with a [scan] section always has an opo source and an
-    exponential envelope.
+    minimised, the Fock-1 fidelity maximised.  The whole grid is one
+    stacked pass: its exponential envelopes form one family of output
+    modes (:func:`~cwherald.modes.build_output_mode` with an array of
+    alphas), and one moment pass, one assembly, one loss step, one
+    conditioning and one metric give all its values, each equal to what
+    :func:`run_experiment`'s steps give for that alpha alone.  A failure
+    names the first failing alpha in grid order, with the error that alpha
+    raises alone.  A parsed config with a [scan] section always has an opo
+    source and an exponential envelope.
     """
     sc = cfg.scan
     if sc is None:
         raise ValueError("no [scan] parameters configured")
     sign = 1.0 if sc.objective == "origin_value" else -1.0
 
+    def signed(alpha):
+        """Signed objective at one alpha, or at each of a 1-d array of them, in one pass."""
+        f1, f2, kernel = build_modes(replace(cfg, output=replace(cfg.output, alpha=alpha)))
+        v = _with_losses(cfg, assemble(second_moments(f1, f2, kernel)))
+        state = condition_state(cfg, v).state
+        if sc.objective == "origin_value":
+            return sign * wigner_at_origin(state)
+        return sign * fock_fidelity(state, 1)
+
     def objective(alpha):
         """Signed objective at one alpha, or at each of an array of them."""
-        alphas = np.atleast_1d(alpha)
-        at = alphas[0]
         try:
-            f1, f2, kernel = build_modes(replace(cfg, output=replace(cfg.output, alpha=alphas)))
-            m = second_moments(f1, f2, kernel)
-            values = np.empty(len(alphas))
-            for k, at in enumerate(alphas):
-                v = _with_losses(cfg, assemble(SecondMoments(a=m.a[k], b=m.b[k])))
-                state = condition_state(cfg, v).state
-                if sc.objective == "origin_value":
-                    values[k] = sign * wigner_at_origin(state)
-                else:
-                    values[k] = sign * fock_fidelity(state, 1)
+            return signed(alpha) if np.ndim(alpha) else float(signed(alpha))
         except Exception as exc:
+            at, exc = _first_failure(signed, np.atleast_1d(alpha), exc)
             head = str(exc.args[0]) if exc.args else ""
             exc.args = (f"at alpha = {at:g}: {head}",) + exc.args[1:]
-            raise
-        return values if np.ndim(alpha) else float(values[0])
+            raise exc
 
     result = scan_and_refine(objective, sc.alpha_min, sc.alpha_max, sc.samples)
     # report raw objective values regardless of optimisation direction
@@ -167,6 +166,30 @@ def scan_alpha(cfg: ExperimentConfig) -> ScanResult:
         best_param=result.best_param,
         best_value=sign * result.best_value,
     )
+
+
+def _first_failure(evaluate, params: np.ndarray, exc: Exception):
+    """The first of ``params`` whose evaluation fails, and the error it raises alone.
+
+    ``evaluate(params)`` raised ``exc``.  Members are evaluated
+    independently, so a prefix of ``params`` fails exactly when one of its
+    members does: bisection over prefixes, each one stacked pass, finds
+    the first failing member, which is then evaluated alone, as a number.
+    """
+    lo, hi = 0, len(params)  # params[:lo] passes, params[:hi] fails
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        try:
+            evaluate(params[:mid])
+            lo = mid
+        except Exception:
+            hi = mid
+    if len(params) > 1:
+        try:
+            evaluate(params[hi - 1])
+        except Exception as alone:
+            exc = alone
+    return params[hi - 1], exc
 
 
 def save_state(path, result: ConditionResult) -> None:

@@ -5,6 +5,12 @@ Polynomials in two variables are stored as dense coefficient tables
 polynomials are evaluated exactly through the Isserlis (Wick) recursion
 for central moments, which is the workhorse behind every closed-form
 phase-space integral in this package.
+
+A family of K polynomials or 2x2 covariances is a stack with one leading
+axis, ``c[k, i, j]`` or ``cov[k, :, :]``.  The functions here take stacks
+as well as single tables, a single table going with every member of a
+stack, and do the same arithmetic on each member as on a single table:
+a stacked result equals the results member by member exactly.
 """
 
 from __future__ import annotations
@@ -14,26 +20,47 @@ from math import comb
 import numpy as np
 
 
-def poly_add(*polys: np.ndarray) -> np.ndarray:
-    di = max(p.shape[0] for p in polys)
-    dj = max(p.shape[1] for p in polys)
-    out = np.zeros((di, dj))
-    for p in polys:
-        out[: p.shape[0], : p.shape[1]] += p
-    return out
+def per_member(x):
+    """A 0-d result as a Python scalar; a family's array of results unchanged."""
+    return np.asarray(x).item() if np.ndim(x) == 0 else x
+
+
+def any_member(mask) -> bool:
+    """Whether a check holds for a single value, or for any member of a family.
+
+    A single value skips numpy's reduction machinery, which costs more
+    than the check itself.
+    """
+    return bool(mask) if np.ndim(mask) == 0 else bool(mask.any())
+
+
+def _family_shape(*tables: np.ndarray) -> tuple:
+    """The leading shape of the stacks among ``tables``, () if all are single."""
+    return max((t.shape[:-2] for t in tables), key=len)
+
+
+def nonzero_entries(table: np.ndarray) -> list[tuple[int, int]]:
+    """(i, j) of every entry that is nonzero in some member, in row-major order."""
+    nz = table != 0.0
+    if nz.ndim > 2:
+        nz = nz.any(axis=0)
+    di, dj = nz.shape
+    return [(i, j) for i in range(di) for j in range(dj) if nz[i, j]]
 
 
 def poly_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    out = np.zeros((a.shape[0] + b.shape[0] - 1, a.shape[1] + b.shape[1] - 1))
-    for i in range(a.shape[0]):
-        for j in range(a.shape[1]):
-            if a[i, j] != 0.0:
-                out[i : i + b.shape[0], j : j + b.shape[1]] += a[i, j] * b
+    bi, bj = b.shape[-2:]
+    out = np.zeros(_family_shape(a, b) + (a.shape[-2] + bi - 1, a.shape[-1] + bj - 1))
+    # transposed, a family axis comes last, where an entry of a (a number or
+    # one per member) broadcasts against b; a single b gets a unit family axis
+    at, bt, out_t = a.T, b.T if b.ndim >= a.ndim else b.T[..., None], out.T
+    for i, j in nonzero_entries(a):
+        out_t[j : j + bj, i : i + bi] += at[j, i] * bt
     return out
 
 
 def poly_eval(c: np.ndarray, x, p):
-    """Evaluate sum_ij c[i,j] x^i p^j; broadcasts over array arguments."""
+    """Evaluate sum_ij c[i,j] x^i p^j of one table; broadcasts over array arguments."""
     x = np.asarray(x, dtype=float)
     p = np.asarray(p, dtype=float)
     out = np.zeros(np.broadcast(x, p).shape)
@@ -53,10 +80,11 @@ def central_moments(cov: np.ndarray, max_degree: int) -> np.ndarray:
 
     Uses the Stein/Isserlis recursion
     ``m[a, b] = (a-1) Cxx m[a-2, b] + b Cxp m[a-1, b-1]`` (and its
-    transpose for a = 0), exact for any degree.
+    transpose for a = 0), exact for any degree.  The recursion runs on the
+    (a, b) entries, each a number or the family's vector of K numbers.
     """
-    cxx, cxp, cpp = cov[0, 0], cov[0, 1], cov[1, 1]
-    m = np.zeros((max_degree + 1, max_degree + 1))
+    cxx, cxp, cpp = cov[..., 0, 0][()], cov[..., 0, 1][()], cov[..., 1, 1][()]
+    m = np.zeros((max_degree + 1, max_degree + 1) + cxx.shape)
     m[0, 0] = 1.0
     for a in range(max_degree + 1):
         for b in range(max_degree + 1):
@@ -71,15 +99,36 @@ def central_moments(cov: np.ndarray, max_degree: int) -> np.ndarray:
                 m[a, b] = acc
             else:
                 m[a, b] = (b - 1) * cpp * m[0, b - 2] if b >= 2 else 0.0
-    return m
+    return np.ascontiguousarray(np.moveaxis(m, (0, 1), (-2, -1))) if m.ndim > 2 else m
 
 
-def linear_form_power(coef_x: float, coef_p: float, n: int) -> np.ndarray:
-    """Coefficient table of (coef_x * x + coef_p * p)^n."""
-    out = np.zeros((n + 1, n + 1))
-    for k in range(n + 1):
-        out[k, n - k] = comb(n, k) * coef_x**k * coef_p ** (n - k)
-    return out
+def _powers(x, degree: int) -> list:
+    """``[x**0, ..., x**degree]`` elementwise, each by the C library's ``pow``.
+
+    That is what a Python or numpy float's ``**`` computes; numpy's array
+    power rounds a few results differently, so a family's powers are taken
+    one float at a time.
+    """
+    if np.ndim(x) == 0:
+        x = float(x)
+        return [x**n for n in range(degree + 1)]
+    values = x.tolist()
+    return [np.array([v**n for v in values]) for n in range(degree + 1)]
+
+
+def linear_form_powers(coef_x, coef_p, degree: int) -> list[np.ndarray]:
+    """Coefficient tables of (coef_x * x + coef_p * p)^n for n = 0..degree.
+
+    Arrays of coefficients (one pair per family member) give stacked tables.
+    """
+    px, pp = _powers(coef_x, degree), _powers(coef_p, degree)
+    tables = []
+    for n in range(degree + 1):
+        out = np.zeros(np.shape(coef_x) + (n + 1, n + 1))
+        for k in range(n + 1):
+            out[..., k, n - k] = comb(n, k) * px[k] * pp[n - k]
+        tables.append(out)
+    return tables
 
 
 def expected_poly_of_shifted_gaussian(
@@ -90,38 +139,38 @@ def expected_poly_of_shifted_gaussian(
     ``Z`` is zero-mean Gaussian with covariance ``cov`` and the mean is a
     linear map of the remaining variables, ``m = lin @ (x, p)``.  Returns
     the coefficient table of the resulting polynomial in (x, p); its
-    total degree never exceeds that of ``w``.
+    total degree never exceeds that of ``w``.  Stacks of ``w``, ``lin``
+    and ``cov`` give one table per member.
     """
-    deg = max(w.shape) - 1
+    deg = max(w.shape[-2:]) - 1
     mom = central_moments(cov, deg)
-    out = np.zeros((1, 1))
-    mx_pow = [linear_form_power(lin[0, 0], lin[0, 1], n) for n in range(deg + 1)]
-    mp_pow = [linear_form_power(lin[1, 0], lin[1, 1], n) for n in range(deg + 1)]
-    for a in range(w.shape[0]):
-        for b in range(w.shape[1]):
-            if w[a, b] == 0.0:
-                continue
-            acc = np.zeros((1, 1))
-            for k in range(a + 1):
-                for l in range(b + 1):
-                    mkl = mom[k, l]
-                    if mkl == 0.0:
-                        continue
-                    contrib = poly_mul(mx_pow[a - k], mp_pow[b - l])
-                    acc = poly_add(acc, comb(a, k) * comb(b, l) * mkl * contrib)
-            out = poly_add(out, w[a, b] * acc)
+    moment_nonzero = nonzero_entries(mom)
+    mx_pow = linear_form_powers(lin[..., 0, 0], lin[..., 0, 1], deg)
+    mp_pow = linear_form_powers(lin[..., 1, 0], lin[..., 1, 1], deg)
+    terms = nonzero_entries(w)
+    top = max((a + b for a, b in terms), default=0) + 1
+    out = np.zeros(_family_shape(w, lin, cov) + (top, top))
+    for a, b in terms:
+        # E[(mx + zx)^a (mp + zp)^b], expanded binomially over the moments of Z
+        acc = np.zeros(out.shape[:-2] + (a + b + 1, a + b + 1))
+        for k, l in moment_nonzero:
+            if k <= a and l <= b:
+                contrib = poly_mul(mx_pow[a - k], mp_pow[b - l])
+                ci, cj = contrib.shape[-2:]
+                acc[..., :ci, :cj] += comb(a, k) * comb(b, l) * mom[..., k, l, None, None] * contrib
+        out[..., : a + b + 1, : a + b + 1] += w[..., a, b, None, None] * acc
     return out
 
 
-def gaussian_poly_integral(c: np.ndarray, sigma: np.ndarray) -> float:
+def gaussian_poly_integral(c: np.ndarray, sigma: np.ndarray):
     """Exact integral of poly(x, p) * exp(-(x,p) sigma^-1 (x,p)^T) over the plane.
 
     Equals ``pi sqrt(det sigma) E[poly]`` with (X, P) zero-mean Gaussian
-    of covariance ``sigma / 2``.
+    of covariance ``sigma / 2``.  Stacks give one integral per member.
     """
-    det = sigma[0, 0] * sigma[1, 1] - sigma[0, 1] * sigma[1, 0]
-    if det <= 0.0:
+    det = sigma[..., 0, 0] * sigma[..., 1, 1] - sigma[..., 0, 1] * sigma[..., 1, 0]
+    if any_member(det <= 0.0):
         raise ValueError("gaussian core is not positive definite")
-    mom = central_moments(sigma / 2.0, max(c.shape) - 1)
-    total = float(np.sum(c * mom[: c.shape[0], : c.shape[1]]))
+    mom = central_moments(sigma / 2.0, max(c.shape[-2:]) - 1)
+    total = (c * mom[..., : c.shape[-2], : c.shape[-1]]).sum(axis=(-2, -1))
     return np.pi * np.sqrt(det) * total

@@ -17,29 +17,40 @@ import numpy as np
 
 from .covariance import CovarianceMatrix4
 from .polynomials import (
+    any_member,
     expected_poly_of_shifted_gaussian,
     gaussian_poly_integral,
+    nonzero_entries,
+    per_member,
     poly_eval,
 )
 
 
 @dataclass(frozen=True)
 class TwoModeGaussianWigner:
-    """Zero-mean two-mode Gaussian Wigner function with covariance ``v``."""
+    """Zero-mean two-mode Gaussian Wigner function with covariance ``v``.
+
+    ``v`` may be a family of covariances, which :func:`integrate_out_trigger`
+    reduces member by member in one pass.
+    """
 
     v: CovarianceMatrix4
 
     def evaluate(self, y: np.ndarray) -> np.ndarray:
-        """Value at phase-space points; ``y`` has shape (..., 4)."""
+        """Value at phase-space points of a single covariance; ``y`` has shape (..., 4)."""
         m = np.linalg.inv(self.v.m)
         det = np.linalg.det(self.v.m)
         expo = -np.einsum("...i,ij,...j", y, m, y)
         return np.exp(expo) / (np.pi**2 * np.sqrt(det))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PolyGaussTerm:
-    """One component poly(x, p) * exp(-(x,p) sigma^-1 (x,p)^T)."""
+    """One component poly(x, p) * exp(-(x,p) sigma^-1 (x,p)^T).
+
+    Stacks ``coeffs`` (K, i, j) and ``sigma`` (K, 2, 2) hold one component
+    per family member.
+    """
 
     coeffs: np.ndarray
     sigma: np.ndarray
@@ -53,6 +64,11 @@ class GaussPolyState:
     term; on/off conditioning yields a difference of two Gaussians, hence
     the short sum.  Normalised states integrate to one, checked and
     enforced analytically through Gaussian-moment reduction.
+
+    The state of a conditioned family holds stacked terms: it is K states
+    at once, and :meth:`at_origin`, :meth:`total_integral` and
+    :meth:`scaled` work per member (a float for a single state, an array
+    of K values for a family).  :meth:`evaluate` takes a single state.
     """
 
     terms: tuple[PolyGaussTerm, ...]
@@ -68,17 +84,19 @@ class GaussPolyState:
             out = out + poly_eval(t.coeffs, x, p) * np.exp(expo)
         return out
 
-    def at_origin(self) -> float:
+    def at_origin(self) -> float | np.ndarray:
         """Exact value at the phase-space origin (constant coefficients)."""
-        return float(sum(t.coeffs[0, 0] for t in self.terms))
+        return per_member(sum(t.coeffs[..., 0, 0] for t in self.terms))
 
-    def total_integral(self) -> float:
+    def total_integral(self) -> float | np.ndarray:
         """Exact integral over the plane via Gaussian-moment reduction."""
-        return float(
+        return per_member(
             sum(gaussian_poly_integral(t.coeffs, t.sigma) for t in self.terms)
         )
 
-    def scaled(self, factor: float) -> "GaussPolyState":
+    def scaled(self, factor) -> "GaussPolyState":
+        """Every term times ``factor``: a number, or one per family member."""
+        factor = np.asarray(factor)[..., None, None]
         return GaussPolyState(
             terms=tuple(
                 PolyGaussTerm(coeffs=t.coeffs * factor, sigma=t.sigma)
@@ -120,26 +138,27 @@ def fock_state(n: int) -> GaussPolyState:
     )
 
 
-def _integrate_out(m4: np.ndarray, det_v: float, weight: np.ndarray):
+def _integrate_out(m4: np.ndarray, det_v, weight: np.ndarray):
     """Reduce exp(-y^T M y)/(pi^2 sqrt(det V)) over (x1, p1) against a weight.
 
     ``m4`` is the full 4x4 exponent matrix (inverse of the Gaussian core),
     ``det_v`` the determinant of that core.  Returns the unnormalised
-    one-term output state and its total integral.
+    one-term output state and its total integral.  Stacks of ``m4``,
+    ``det_v`` and ``weight`` reduce member by member.
     """
-    g = m4[:2, :2]
-    det_g = g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0]
-    if det_g <= 0.0:
+    g = m4[..., :2, :2]
+    det_g = g[..., 0, 0] * g[..., 1, 1] - g[..., 0, 1] * g[..., 1, 0]
+    if any_member(det_g <= 0.0):
         raise np.linalg.LinAlgError("singular trigger block in partial integration")
     gi = np.linalg.inv(g)
-    cross = m4[:2, 2:]
+    cross = m4[..., :2, 2:]
     # conditional mean of (x1, p1) is lin @ (x2, p2); conditional covariance gi/2
     lin = -gi @ cross
-    schur = m4[2:, 2:] - cross.T @ gi @ cross
+    schur = m4[..., 2:, 2:] - cross.swapaxes(-1, -2) @ gi @ cross
     sigma_out = np.linalg.inv(schur)
     prefactor = 1.0 / (np.pi * np.sqrt(det_g * det_v))
-    out_poly = expected_poly_of_shifted_gaussian(weight, lin, gi / 2.0) * prefactor
-    term = PolyGaussTerm(coeffs=out_poly, sigma=sigma_out)
+    out_poly = expected_poly_of_shifted_gaussian(weight, lin, gi / 2.0)
+    term = PolyGaussTerm(coeffs=out_poly * prefactor[..., None, None], sigma=sigma_out)
     state = GaussPolyState(terms=(term,))
     return state, state.total_integral()
 
@@ -150,13 +169,13 @@ def integrate_out_trigger(w: TwoModeGaussianWigner, weight: np.ndarray):
     ``weight`` is a dense polynomial coefficient table of total degree at
     most four.  Returns the unnormalised output state (a polynomial in
     (x2, p2) times the Gaussian with the Schur-complement core) and the
-    scalar mass, i.e. the integral of the result over (x2, p2).
+    mass, i.e. the integral of the result over (x2, p2): a float, or one
+    per member of a family of covariances.
     """
-    nz = np.argwhere(weight != 0.0)
-    if len(nz) and int(np.max(nz.sum(axis=1))) > 4:
+    if any(i + j > 4 for i, j in nonzero_entries(weight)):
         raise ValueError("weight polynomial total degree must be at most four")
     v = w.v.m
-    return _integrate_out(np.linalg.inv(v), float(np.linalg.det(v)), weight)
+    return _integrate_out(np.linalg.inv(v), np.linalg.det(v), weight)
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,6 @@
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -10,14 +13,19 @@ from cwherald.conditioning import (
     condition_on_on,
     vacuum_projection,
 )
-from cwherald.covariance import CovarianceMatrix4, assemble
+from cwherald.config import parse_config
+from cwherald.covariance import CovarianceMatrix4, LossParams, apply_loss, assemble
 from cwherald.errors import ImpossibleOutcomeError
-from cwherald.metrics import fock_fidelity
-from cwherald.modes import SecondMoments
+from cwherald.metrics import fock_fidelity, wigner_at_origin
+from cwherald.modes import SecondMoments, second_moments
+from cwherald.pipeline import build_modes
 from cwherald.sources import tmsv_covariance
 from cwherald.wigner import TwoModeGaussianWigner, fock_state, integrate_out_trigger
 
 VACUUM = CovarianceMatrix4(np.eye(4))
+SCAN_FIXTURE = (
+    Path(__file__).resolve().parent.parent / "src" / "cwherald" / "fixtures" / "figure4_scan.cfg"
+)
 
 
 def tmsv_number_probability(r, n):
@@ -169,3 +177,49 @@ class TestNumberCompleteness:
             assert p0 + p_on == pytest.approx(1.0, abs=1e-12)
             assert p_rest >= -1e-9
             assert p0 + p1 + p2 <= 1.0 + 1e-9
+
+
+class TestFamilies:
+    """A family of covariances conditioned at once equals its members conditioned alone."""
+
+    CONDITIONERS = {
+        "n0": lambda v: condition_on_number(v, 0),
+        "n1": lambda v: condition_on_number(v, 1),
+        "n2": lambda v: condition_on_number(v, 2),
+        "on": condition_on_on,
+        "click": condition_on_click,
+        "vacuum": vacuum_projection,
+    }
+
+    @staticmethod
+    def scan_family(losses):
+        """The 50 covariances of the scan fixture's alpha grid, as one family."""
+        cfg = parse_config(SCAN_FIXTURE)
+        alphas = np.linspace(cfg.scan.alpha_min, cfg.scan.alpha_max, cfg.scan.samples)
+        f1, f2, kernel = build_modes(replace(cfg, output=replace(cfg.output, alpha=alphas)))
+        v = assemble(second_moments(f1, f2, kernel))
+        return v if losses is None else apply_loss(v, losses)
+
+    @pytest.mark.parametrize("losses", [None, LossParams(eta1=0.1, eta2=0.25)])
+    @pytest.mark.parametrize("kind", list(CONDITIONERS))
+    def test_family_equals_members_alone(self, kind, losses):
+        condition = self.CONDITIONERS[kind]
+        family = self.scan_family(losses)
+        assert family.m.shape == (50, 4, 4)
+        together = condition(family)
+        alone = [condition(CovarianceMatrix4(m)) for m in family.m]
+        np.testing.assert_array_equal(together.probability, [r.probability for r in alone])
+        np.testing.assert_array_equal(
+            wigner_at_origin(together.state), [wigner_at_origin(r.state) for r in alone]
+        )
+        np.testing.assert_array_equal(
+            fock_fidelity(together.state, 1), [fock_fidelity(r.state, 1) for r in alone]
+        )
+
+    def test_first_failing_member_is_reported(self):
+        family = CovarianceMatrix4(np.stack([tmsv_covariance(0.3).m, np.eye(4), np.eye(4)]))
+        with pytest.raises(ImpossibleOutcomeError) as alone:
+            condition_on_click(VACUUM)
+        with pytest.raises(ImpossibleOutcomeError) as together:
+            condition_on_click(family)
+        assert str(together.value) == str(alone.value)

@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,8 +18,10 @@ from cwherald.covariance import (
     save_covariance,
 )
 from cwherald.errors import UnphysicalCovarianceError
-from cwherald.modes import SecondMoments
+from cwherald.modes import OutputModeSpec, SecondMoments
+from cwherald.piecewise import Piece
 from cwherald.sources import tmsv_covariance
+from cwherald.wigner import PolyGaussTerm
 
 
 class TestAssemble:
@@ -141,3 +145,26 @@ class TestSerialization:
         path.write_text("1 0 0\n0 1 0\n0 0 1\n")
         with pytest.raises(ValueError, match="4x4"):
             load_covariance(path)
+
+
+# each class built from one value and from a family of three
+FAMILY_DATACLASSES = {
+    "Piece": lambda f: Piece(-np.inf, 0.0, 0.0, f(1.0), rate=f(0.5)),
+    "OutputModeSpec": lambda f: OutputModeSpec(alpha=f(0.4)),
+    "SecondMoments": lambda f: SecondMoments(a=f(np.zeros((2, 2))), b=f(np.eye(2))),
+    "CovarianceMatrix4": lambda f: CovarianceMatrix4(f(np.eye(4))),
+    "PolyGaussTerm": lambda f: PolyGaussTerm(coeffs=f(np.ones((1, 1))), sigma=f(np.eye(2))),
+    "PhysicalityReport": lambda f: physicality_check(CovarianceMatrix4(f(np.eye(4)))),
+    "ConditionResult": lambda f: condition_on_click(CovarianceMatrix4(f(tmsv_covariance(0.3).m))),
+}
+
+
+@pytest.mark.parametrize("family", [False, True])
+@pytest.mark.parametrize("name", list(FAMILY_DATACLASSES))
+def test_equality_and_hash_of_array_dataclasses_do_not_raise(name, family):
+    # equality is identity: the generated field-wise == raises on array fields
+    stack = (lambda x: np.stack([np.asarray(x, dtype=float)] * 3)) if family else np.asarray
+    obj = FAMILY_DATACLASSES[name](stack)
+    assert obj == obj
+    assert obj != copy.copy(obj)
+    assert hash(obj) == hash(obj)

@@ -8,7 +8,8 @@ import pytest
 from cwherald import modes, pipeline
 from cwherald.config import ScanConfig, parse_config
 from cwherald.covariance import save_covariance
-from cwherald.metrics import wigner_at_origin
+from cwherald.errors import UnphysicalCovarianceError
+from cwherald.metrics import fock_fidelity, wigner_at_origin
 from cwherald.pipeline import (
     build_covariance,
     condition_state,
@@ -78,33 +79,72 @@ class TestScanObjectives:
 
         monkeypatch.setattr(modes, "kernel_moments", counted)
         scan_alpha(cfg)
-        # the whole grid first, then one single-alpha call per refinement step
+        # the whole grid first, then one single-alpha (scalar) call per refinement step
         assert families[0] == (cfg.scan.samples,)
-        assert families[1:] == [(1,)] * (len(families) - 1)
+        assert families[1:] == [()] * (len(families) - 1)
 
-    def test_table_equals_per_alpha_pipeline(self):
+    def test_grid_takes_one_conditioning_pass(self, monkeypatch):
         cfg = parse_config(FIXTURES / "figure4_scan.cfg")
+        assembled, conditioned = [], []
+
+        def counted(record, fn, shape):
+            def wrapper(arg):
+                record.append(np.shape(shape(arg)))
+                return fn(arg)
+
+            return wrapper
+
+        monkeypatch.setattr(pipeline, "assemble", counted(assembled, pipeline.assemble, lambda m: m.a))
+        monkeypatch.setattr(
+            pipeline, "condition_on_click", counted(conditioned, pipeline.condition_on_click, lambda v: v.m)
+        )
+        scan_alpha(cfg)
+        steps = len(assembled) - 1
+        assert steps > 0
+        assert assembled == [(cfg.scan.samples, 2, 2)] + [(2, 2)] * steps
+        assert conditioned == [(cfg.scan.samples, 4, 4)] + [(4, 4)] * steps
+
+    @staticmethod
+    def scan_and_per_alpha_states(objective):
+        """The scan of the scan fixture, and each of its alphas through the run steps alone."""
+        cfg = parse_config(FIXTURES / "figure4_scan.cfg")
+        cfg = replace(cfg, scan=replace(cfg.scan, objective=objective))
         result = scan_alpha(cfg)
         one = [
             condition_state(cfg, build_covariance(replace(cfg, output=replace(cfg.output, alpha=a))))
             for a in result.params
         ]
-        np.testing.assert_array_equal(result.values, [wigner_at_origin(r.state) for r in one])
+        return result, [r.state for r in one]
+
+    def test_table_equals_per_alpha_pipeline(self):
+        result, states = self.scan_and_per_alpha_states("origin_value")
+        np.testing.assert_array_equal(result.values, [wigner_at_origin(s) for s in states])
+
+    def test_fidelity_table_equals_per_alpha_pipeline(self):
+        result, states = self.scan_and_per_alpha_states("fock1_fidelity")
+        np.testing.assert_array_equal(result.values, [fock_fidelity(s, 1) for s in states])
 
     def test_failing_grid_alpha_is_named(self, monkeypatch):
+        # grid member 6 is unphysical, which the conditioning finds; member 20
+        # holds a non-finite moment, which the assembly finds one stage earlier
+        # in the stacked pass.  The error still names member 6, first in grid
+        # order, with the message member 6 gives alone.
         cfg = parse_config(FIXTURES / "figure4_scan.cfg")
-        calls = []
+        grid = np.linspace(cfg.scan.alpha_min, cfg.scan.alpha_max, cfg.scan.samples)
+        moments = pipeline.second_moments
 
-        def fails_seventh(state):
-            calls.append(state)
-            if len(calls) == 7:
-                raise ValueError("boom")
-            return 0.0
+        def corrupted(f1, f2, kernel):
+            m = moments(f1, f2, kernel)
+            alpha = np.asarray(f2.pieces[0].rate)
+            b = m.b - 2.0 * np.multiply.outer(alpha == grid[6], np.diag([0.0, 1.0]))
+            b = b + np.multiply.outer(np.where(alpha == grid[20], np.nan, 0.0), np.ones((2, 2)))
+            return replace(m, b=b)
 
-        monkeypatch.setattr(pipeline, "wigner_at_origin", fails_seventh)
-        alpha = np.linspace(cfg.scan.alpha_min, cfg.scan.alpha_max, cfg.scan.samples)[6]
-        want = f"at alpha = {alpha:g}: boom"
-        with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+        monkeypatch.setattr(pipeline, "second_moments", corrupted)
+        with pytest.raises(UnphysicalCovarianceError) as alone:
+            condition_state(cfg, build_covariance(replace(cfg, output=replace(cfg.output, alpha=grid[6]))))
+        want = f"at alpha = {grid[6]:g}: {alone.value}"
+        with pytest.raises(UnphysicalCovarianceError, match=f"^{re.escape(want)}$"):
             scan_alpha(cfg)
 
     def test_scan_requires_parameters(self):
