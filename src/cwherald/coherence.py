@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .sources import CorrelationKernel
+from .wigner import write_table_csv
 
 
 @dataclass(frozen=True)
@@ -127,12 +128,12 @@ def fit_exponential_decay(mode: DominantMode, t_c: float) -> float:
 
 
 def write_coherence_csv(path, ck: CoherenceKernel) -> None:
-    """Serialise the coherence kernel as CSV rows t,tp,g."""
-    t_text = [f"{t:.9g}" for t in ck.grid]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("t,tp,g\n")
-        for t, row in zip(t_text, ck.g):
-            fh.write("".join(f"{t},{tp},{g:.9g}\n" for tp, g in zip(t_text, row.tolist())))
+    """Serialise the coherence kernel as CSV rows t,tp,g; tp sweeps inside t.
+
+    Every number is :func:`~cwherald.wigner.fmt9` text, as in the grid
+    file, so ``-0.0`` prints as ``0``.
+    """
+    write_table_csv(path, "t,tp,g", "{row},{col}", ck.grid, ck.grid, ck.g)
 
 
 def write_mode_csv(path, mode: DominantMode) -> None:

@@ -68,13 +68,19 @@ class GaussPolyState:
     The state of a conditioned family holds stacked terms: it is K states
     at once, and :meth:`at_origin`, :meth:`total_integral` and
     :meth:`scaled` work per member (a float for a single state, an array
-    of K values for a family).  :meth:`evaluate` takes a single state.
+    of K values for a family).  :meth:`evaluate` takes a single state and
+    raises ``ValueError`` on a family.
     """
 
     terms: tuple[PolyGaussTerm, ...]
 
     def evaluate(self, x, p):
         """Wigner value at (x, p); broadcasts over array arguments."""
+        family = max(a.shape[:-2] for t in self.terms for a in (t.coeffs, t.sigma))
+        if family:
+            raise ValueError(
+                f"evaluate takes a single state, not a family of {int(np.prod(family))} members"
+            )
         x = np.asarray(x, dtype=float)
         p = np.asarray(p, dtype=float)
         out = np.zeros(np.broadcast(x, p).shape)
@@ -220,14 +226,44 @@ def evaluate_grid(s: GaussPolyState, grid: GridSpec):
 
 
 def write_grid_csv(path, xs: np.ndarray, ps: np.ndarray, w: np.ndarray) -> None:
-    """Serialise a grid as CSV with header x,p,w; rows sweep x inside p."""
-    # one %-template per grid row, the x text baked in; fmt9 text holds no "%"
-    body = "".join(f"{fmt9(x)},{{p}},%.9g\n" for x in xs)
+    """Serialise a grid as CSV with header x,p,w; rows sweep x inside p.
+
+    Every number is :func:`fmt9` text, so ``-0.0`` prints as ``0``.
+    """
+    write_table_csv(path, "x,p,w", "{col},{row}", ps, xs, w)
+
+
+def write_table_csv(path, header: str, line: str, rows, cols, table) -> None:
+    """Write ``table[k, j]`` as one CSV line per cell, row by row, in :func:`fmt9` text.
+
+    ``line`` places the labels: ``"{col},{row}"`` or ``"{row},{col}"``,
+    followed by the value.  Text is reused only where floats are exactly
+    equal: a row equal to its own reverse formats its first half and
+    mirrors it, and a row equal to row ``m - 1 - k`` keeps its finished
+    text until that row is written under its own label.
+    """
+    n, m = len(cols), len(rows)
+    half = (n + 1) // 2
+    # one template per row, the column text baked in; fmt9 text holds no "%" or "{"
+    cells = [line.format(col=fmt9(c), row="{row}") for c in cols]
+    body_g = "".join(c + ",%.9g\n" for c in cells)
+    body_s = "".join(c + ",%s\n" for c in cells)
+    head_g = "%.9g\n" * half
+    kept = {}  # row index -> text of an earlier row equal to it, label left open
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("x,p,w\n")
-        for p, row in zip(ps, w):
-            # per row: a list of Python floats for the whole grid at once costs memory
-            fh.write(body.replace("{p}", fmt9(p)) % tuple((row + 0.0).tolist()))
+        fh.write(header + "\n")
+        for k in range(m):
+            text = kept.pop(k, None)
+            if text is None:
+                row = table[k] + 0.0  # + 0.0 turns -0.0 into 0.0
+                if np.array_equal(row, row[::-1]):
+                    head = (head_g % tuple(row[:half].tolist())).split("\n")[:half]
+                    text = body_s % tuple(head + head[: n - half][::-1])
+                else:
+                    text = body_g % tuple(row.tolist())
+                if k < m - 1 - k and np.array_equal(table[k], table[m - 1 - k]):
+                    kept[m - 1 - k] = text
+            fh.write(text.replace("{row}", fmt9(rows[k])))
 
 
 def fmt9(v: float) -> str:

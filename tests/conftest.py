@@ -2,6 +2,7 @@
 
 import functools
 import hashlib
+import itertools
 import math
 import tempfile
 from pathlib import Path
@@ -74,6 +75,41 @@ def brute_force_trigger_integral(v, weight_coeffs, pts, order=140):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+def cell9(v) -> str:
+    """One number formatted on its own at 9 significant digits, -0.0 as 0."""
+    v = float(v)
+    return f"{0.0 if v == 0.0 else v:.9g}"
+
+
+def assert_same_text(got: str, want: str) -> None:
+    """Assert equal texts, naming the first line that differs.
+
+    A plain ``==`` on megabyte files makes pytest diff them in full on
+    failure, which takes minutes.
+    """
+    if got != want:
+        for i, (a, b) in enumerate(itertools.zip_longest(got.split("\n"), want.split("\n"))):
+            assert a == b, f"line {i + 1}"
+
+
+def grid_csv_text(xs, ps, w) -> str:
+    """Reference text of ``wigner_grid.csv``, built one cell at a time."""
+    return "x,p,w\n" + "".join(
+        f"{cell9(x)},{cell9(p)},{cell9(w[i, j])}\n"
+        for i, p in enumerate(ps)
+        for j, x in enumerate(xs)
+    )
+
+
+def coherence_csv_text(ts, g) -> str:
+    """Reference text of ``coherence.csv``, built one cell at a time."""
+    return "t,tp,g\n" + "".join(
+        f"{cell9(t)},{cell9(tp)},{cell9(g[i, j])}\n"
+        for i, t in enumerate(ts)
+        for j, tp in enumerate(ts)
+    )
 
 
 # Closed-form double integrals of exponential mode pairs against exp(-r|t-t'|),

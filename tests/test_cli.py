@@ -6,7 +6,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import assert_same_text, coherence_csv_text, grid_csv_text
+
+from cwherald import cli
+from cwherald.coherence import conditional_coherence
+from cwherald.config import parse_config
 from cwherald.covariance import load_covariance
+from cwherald.pipeline import build_kernel, run_experiment
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 FIXTURES = SRC / "cwherald" / "fixtures"
@@ -368,3 +374,64 @@ class TestErrors:
         assert p.returncode == 0, p.stderr
         lines = (tmp_path / "wigner_grid.csv").read_text().splitlines()
         assert len(lines) == 1 + 11 * 21
+
+
+def test_parser_keeps_no_options_between_calls(tmp_path, capsys):
+    assert cli.build_parser() is cli.build_parser()  # built once per process
+    cfg = str(FIXTURES / "figure3_upper.cfg")
+    small = ["--grid=-1,1,-1,1,3,3", "--quiet"]
+    assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "a"), *small]) == 0
+    assert capsys.readouterr().out == ""
+    assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "b")]) == 0
+    assert capsys.readouterr().out.startswith(f"wrote {tmp_path / 'b' / 'summary.txt'} ")
+    assert len((tmp_path / "b" / "wigner_grid.csv").read_text().splitlines()) == 1 + 201 * 201
+
+
+@pytest.mark.parametrize("cfg", sorted(FIXTURES.glob("*.cfg")), ids=lambda p: p.stem)
+def test_run_grid_file_matches_per_cell_rendering(tmp_path, cfg):
+    assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path), "--quiet"]) == 0
+    xs, ps, w = run_experiment(parse_config(cfg)).grid
+    assert_same_text((tmp_path / "wigner_grid.csv").read_text(), grid_csv_text(xs, ps, w))
+
+
+FILTERED_COHERENCE = """[source]
+kind = opo
+epsilon = 0.148
+
+[trigger]
+tap_amplitude = 0.186
+filter_width = 3.05
+window_center = -0.169
+window_width = 0.04
+detector_efficiency = 0.722
+
+[output]
+envelope = exponential
+alpha = 0.318
+center = -0.169
+
+[losses]
+eta2 = 0.223
+
+[measurement]
+kind = click
+
+[outputs]
+grid = -4,4,-4,4,101,101
+coherence = true
+"""
+
+
+def test_run_coherence_file_matches_per_cell_rendering(tmp_path):
+    path = tmp_path / "filtered.cfg"
+    path.write_text(FILTERED_COHERENCE)
+    assert cli.main(["run", "--config", str(path), "--out", str(tmp_path), "--quiet"]) == 0
+    cfg = parse_config(path)
+    ck = conditional_coherence(
+        build_kernel(cfg),
+        t_c=cfg.trigger.window_center,
+        half_width=cfg.outputs.coherence_halfwidth,
+        points=cfg.outputs.coherence_points,
+    )
+    want = coherence_csv_text(ck.grid, ck.g)
+    assert_same_text((tmp_path / "coherence.csv").read_text(), want)

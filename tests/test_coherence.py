@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
 
+from conftest import assert_same_text, coherence_csv_text
+
 from cwherald.coherence import (
     CoherenceKernel,
     DominantMode,
     conditional_coherence,
     dominant_mode,
     fit_exponential_decay,
+    write_coherence_csv,
 )
 from cwherald.sources import OpoParams, opo_kernel
 
@@ -132,3 +135,17 @@ class TestDecayFit:
         samples[40] = np.nan
         with pytest.raises(ValueError, match="finite"):
             fit_exponential_decay(DominantMode(mode.times, samples, mode.dominance), 0.0)
+
+
+class TestCoherenceCsv:
+    def test_matches_per_cell_formatting(self, tmp_path, rng):
+        ts = np.array([-1.5, -0.0, 1e-12, 2.0 / 3.0, 7.0])
+        g = rng.normal(size=(5, 5)) * 10.0 ** rng.integers(-9, 9, size=(5, 5))
+        g[0, 4], g[4, 0], g[3, 3] = np.nan, np.inf, -0.0
+        g[1] = g[3]  # equal to its mirror row
+        g[2] = [0.5, -0.0, 2e-7, 0.0, 0.5]  # palindromic
+        path = tmp_path / "coherence.csv"
+        write_coherence_csv(path, CoherenceKernel(grid=ts, g=g, t_c=0.0))
+        text = path.read_text()
+        assert_same_text(text, coherence_csv_text(ts, g))
+        assert "\n0,-1.5," in text  # the -0.0 time prints as 0

@@ -1,10 +1,16 @@
 import numpy as np
 import pytest
 
-from conftest import brute_force_trigger_integral, random_physical_covariance
+from conftest import (
+    assert_same_text,
+    brute_force_trigger_integral,
+    grid_csv_text,
+    random_physical_covariance,
+)
 
 from cwherald.covariance import CovarianceMatrix4
-from cwherald.metrics import fock_fidelity, purity
+from cwherald.conditioning import condition_on_click
+from cwherald.metrics import fock_fidelity, negativity_volume, purity
 from cwherald.polynomials import gaussian_poly_integral
 from cwherald.sources import tmsv_covariance
 from cwherald.wigner import (
@@ -142,31 +148,111 @@ class TestGridEvaluation:
         assert lines[2].startswith("0,-1,")
 
     def test_csv_matches_per_cell_formatting(self, tmp_path, rng):
-        def fmt9(v):
-            v = float(v)
-            if v == 0.0:
-                v = 0.0
-            return f"{v:.9g}"
-
         xs = np.array([-0.0, 1e-12, 0.3, 123456.789])
-        ps = np.array([-2.5, 0.0, 1.0 / 3.0])
-        w = rng.normal(size=(3, 4)) * np.array([1.0, 1e-9, 1e5, 1.0])
+        ps = np.array([-2.5, 0.0, 1.0 / 3.0, 7.0])
+        w = rng.normal(size=(4, 4)) * np.array([1.0, 1e-9, 1e5, 1.0])
         w[0, 0], w[1, 1], w[2, 2] = -0.0, 0.0, -1e-300
         w[0, 3], w[1, 0], w[2, 1] = np.nan, np.inf, -np.inf
-        path = tmp_path / "grid.csv"
-        write_grid_csv(path, xs, ps, w)
-        want = "x,p,w\n" + "".join(
-            f"{fmt9(x)},{fmt9(p)},{fmt9(w[i, j])}\n"
-            for i, p in enumerate(ps)
-            for j, x in enumerate(xs)
+        w[3] = [0.25, -1e-7, -1e-7, 0.25]  # palindromic, even width
+        # odd width: a palindromic row with signed zeros, and one that is not
+        xs_odd = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
+        w_odd = np.array(
+            [[1.5, -0.0, 3e-9, 0.0, 1.5], [1.5, -0.0, 3e-9, 0.0, 1.4999999999999998]]
         )
-        assert path.read_text() == want
+        for xs, ps, w in ((xs, ps, w), (xs_odd, ps[:2], w_odd)):
+            path = tmp_path / "grid.csv"
+            write_grid_csv(path, xs, ps, w)
+            assert_same_text(path.read_text(), grid_csv_text(xs, ps, w))
+
+    @staticmethod
+    def mirrored_table(rng, m, n):
+        """A random table whose rows k and m-1-k are equal and none is palindromic."""
+        w = rng.normal(size=(m, n))
+        w[m - m // 2 :] = w[m // 2 - 1 :: -1]
+        return w
+
+    def test_csv_mirror_rows(self, tmp_path, rng):
+        xs, ps = np.arange(6.0), np.array([-1.0, -0.5, 0.0, 0.5, 1.0])
+        for m in (4, 5):
+            w = self.mirrored_table(rng, m, 6)
+            assert np.array_equal(w[0], w[-1]) and not np.array_equal(w[0], w[0, ::-1])
+            path = tmp_path / "grid.csv"
+            write_grid_csv(path, xs, ps[:m], w)
+            assert_same_text(path.read_text(), grid_csv_text(xs, ps[:m], w))
+
+    def test_csv_mirror_rows_but_one_cell(self, tmp_path, rng):
+        w = self.mirrored_table(rng, 4, 5)
+        w[3, 2] += 1.0
+        w[2, 0] = np.nextafter(w[2, 0], np.inf)  # the same 9-digit text, another float
+        xs, ps = np.arange(5.0), np.arange(4.0)
+        write_grid_csv(tmp_path / "grid.csv", xs, ps, w)
+        assert_same_text((tmp_path / "grid.csv").read_text(), grid_csv_text(xs, ps, w))
+
+    def test_csv_signed_zeros_at_mirrored_cells(self, tmp_path):
+        w = np.array(
+            [
+                [-0.0, 1.0, 0.0],
+                [0.0, -0.0, -0.0],
+                [0.0, 1.0, -0.0],
+                [-0.0, 0.0, 2.0],
+                [0.0, -0.0, 2.0],
+            ]
+        )
+        xs, ps = np.array([-1.0, -0.0, 1.0]), np.array([-2.0, -1.0, -0.0, 1.0, 2.0])
+        write_grid_csv(tmp_path / "grid.csv", xs, ps, w)
+        text = (tmp_path / "grid.csv").read_text()
+        assert_same_text(text, grid_csv_text(xs, ps, w))
+        assert "-0," not in text and "-0\n" not in text
+
+    def test_csv_non_finite_at_mirrored_cells(self, tmp_path):
+        nan, inf = np.nan, np.inf
+        w = np.array(
+            [
+                [nan, 1.0, nan],
+                [inf, 2.0, -inf],
+                [-inf, 3.0, -inf],
+                [inf, 2.0, -inf],
+                [nan, 1.0, nan],
+            ]
+        )
+        xs, ps = np.array([-1.0, 0.0, 1.0]), np.arange(5.0)
+        write_grid_csv(tmp_path / "grid.csv", xs, ps, w)
+        assert_same_text((tmp_path / "grid.csv").read_text(), grid_csv_text(xs, ps, w))
+
+    def test_csv_random_table(self, tmp_path, rng):
+        xs, ps = rng.normal(size=7), rng.normal(size=6)
+        w = rng.normal(size=(6, 7)) * 10.0 ** rng.integers(-12, 12, size=(6, 7))
+        write_grid_csv(tmp_path / "grid.csv", xs, ps, w)
+        assert_same_text((tmp_path / "grid.csv").read_text(), grid_csv_text(xs, ps, w))
 
     def test_bad_grid(self):
         with pytest.raises(ValueError):
             GridSpec(nx=1)
         with pytest.raises(ValueError):
             GridSpec(xmin=2.0, xmax=-2.0)
+
+
+class TestFamilyState:
+    """Evaluation takes a single state and says so on a conditioned family."""
+
+    SMALL = GridSpec(nx=3, np_=3)
+
+    @pytest.mark.parametrize(
+        "evaluate",
+        [
+            lambda s: s.evaluate(0.0, 0.0),
+            lambda s: evaluate_grid(s, TestFamilyState.SMALL),
+            lambda s: negativity_volume(s, TestFamilyState.SMALL),
+        ],
+        ids=["evaluate", "evaluate_grid", "negativity_volume"],
+    )
+    def test_family_is_refused_by_name(self, evaluate):
+        family = CovarianceMatrix4(np.stack([tmsv_covariance(r).m for r in (0.3, 0.5)]))
+        state = condition_on_click(family).state
+        message = "^evaluate takes a single state, not a family of 2 members$"
+        with pytest.raises(ValueError, match=message):
+            evaluate(state)
+        evaluate(condition_on_click(tmsv_covariance(0.3)).state)  # a single member evaluates
 
 
 class TestOverlap:
