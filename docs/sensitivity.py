@@ -14,9 +14,8 @@ The argmin table scans the figure4_scan fixture's alpha range as one
 stacked family on a grid of step 2.5e-4 and refines the lowest sample by
 the vertex of the parabola through it and its two neighbours.
 
-The states are click-conditioned the way ``condition_on_click`` does it, by
-``integrate_out_trigger`` against the click weight, but without its
-physicality check: at pump B the "no filter / 1.0" reading is unphysical by
+The states are click-conditioned by the core of ``condition_on_click``
+without its physicality check: at pump B the "no filter / 1.0" reading is unphysical by
 about 3e-9 (the least eigenvalue of V + i*Omega), past the program's
 tolerance of 1e-9, because the unscaled output envelope and the tapped
 trigger together claim more than the whole field.
@@ -33,18 +32,17 @@ import numpy as np
 from cwherald import (
     LossParams,
     OpoParams,
-    TwoModeGaussianWigner,
     apply_loss,
     assemble,
     build_output_mode,
     build_trigger_mode,
     fock_fidelity,
-    integrate_out_trigger,
     opo_kernel,
     parse_config,
     second_moments,
     wigner_at_origin,
 )
+from cwherald.conditioning import _click
 
 FIXTURES = Path(__file__).resolve().parent.parent / "src" / "cwherald" / "fixtures"
 FILTER_WIDTH = 5.0
@@ -59,8 +57,6 @@ READINGS = {
     "filter gamma=5 / 1.0": (True, False),
 }
 PUBLISHED = ["-0.3116", "0.9882", "-0.154", "0.7414", "-0.2499", "-0.0889"]
-# (x1^2 + p1^2 - 1) / 2: the click back-action's weight on the trigger plane
-CLICK_WEIGHT = np.array([[-0.5, 0.0, 0.5], [0.0, 0.0, 0.0], [0.5, 0.0, 0.0]])
 
 
 def click_state(cfg, filtered: bool, reflected: bool, alpha, losses=None):
@@ -75,8 +71,7 @@ def click_state(cfg, filtered: bool, reflected: bool, alpha, losses=None):
     v = assemble(second_moments(f1, f2, kernel))
     if losses is not None:
         v = apply_loss(v, losses)
-    state, mass = integrate_out_trigger(TwoModeGaussianWigner(v), CLICK_WEIGHT)
-    return state.scaled(1.0 / mass)
+    return _click(v).state
 
 
 def row(cells) -> str:

@@ -7,7 +7,13 @@ the annihilation operator, rho -> a rho a+ / Tr(a+ a rho).  Each returns
 the normalised conditioned state of the output mode together with the
 outcome probability (the click case reports the trigger-mode occupation).
 
-Each conditioner also takes a family of covariances (``v.m`` of shape
+Given the output quadratures ``y2``, the trigger's P function is the
+Gaussian ``z ~ N(2 G y2, E)`` of :func:`~cwherald.wigner.trigger_given_output`,
+and an outcome of normally ordered weight ``w(z)`` leaves the output in
+``W_V22(y2) E[w(z)]``, unnormalised: ``|z|^2/2`` for a click and
+``exp(-|z|^2/2) (|z|^2/2)^n / n!`` for n photons.  No vacuum is subtracted.
+
+Each conditioner also takes a family of covariances (``v.n`` of shape
 (K, 4, 4)) and conditions all members in one pass; its result holds the K
 states as stacked terms and one probability per member, each equal to the
 member conditioned alone.  A check that fails on any member raises the
@@ -20,28 +26,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .covariance import CovarianceMatrix4, physicality_check
+from .covariance import CovarianceMatrix4, physical_margin
 from .errors import ImpossibleOutcomeError, UnphysicalCovarianceError
-from .polynomials import any_member, per_member
-from .wigner import (
-    GaussPolyState,
-    TwoModeGaussianWigner,
-    _integrate_out,
-    fock_wigner_poly,
-    integrate_out_trigger,
-)
+from .polynomials import any_member, det2, expected_poly_of_shifted_gaussian, per_member
+from .wigner import OCCUPATION_POWERS, GaussPolyState, gaussian_term, trigger_given_output
 
 PROBABILITY_FLOOR = 1e-300
-
-# weight polynomial of the click back-action after integration by parts:
-# (x1^2 + p1^2 - 1) / 2
-_CLICK_WEIGHT = np.array(
-    [
-        [-0.5, 0.0, 0.5],
-        [0.0, 0.0, 0.0],
-        [0.5, 0.0, 0.0],
-    ]
-)
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,8 +56,8 @@ def _first_failing(values, failing):
 
 
 def _require_physical(v: CovarianceMatrix4) -> None:
-    report = physicality_check(v)
-    min_eig = _first_failing(report.min_eigenvalue, np.logical_not(report.physical))
+    min_eig, _, physical = physical_margin(v.m)
+    min_eig = _first_failing(min_eig, np.logical_not(physical))
     if min_eig is not None:
         raise UnphysicalCovarianceError(
             "cannot condition on an unphysical covariance: min eigenvalue of "
@@ -75,31 +65,32 @@ def _require_physical(v: CovarianceMatrix4) -> None:
         )
 
 
-def _number_projection_raw(v: CovarianceMatrix4, n: int):
-    """Unnormalised number-conditioned state and its mass (the probability)."""
-    fock = fock_wigner_poly(n)
-    m = np.linalg.inv(v.m)
-    m_tilde = m + np.diag([1.0, 1.0, 0.0, 0.0])
-    det_v = np.linalg.det(v.m)
-    det_tilde = 1.0 / np.linalg.det(m_tilde)
-    if any_member(det_tilde <= 0.0):
-        raise np.linalg.LinAlgError("projected Gaussian core is singular")
-    # W_V * exp(-x1^2-p1^2) = sqrt(det Vt / det V) * (Gaussian of core Vt)
-    factor = 2.0 * np.pi * np.sqrt(det_tilde / det_v)
-    return _integrate_out(m_tilde, det_tilde, fock * factor[..., None, None])
+def _number_state(v: CovarianceMatrix4, n: int) -> GaussPolyState:
+    """The unnormalised n-photon-conditioned output, whose integral is P_n.
+
+    With ``K = I + E``, ``exp(-|z|^2/2)`` turns ``N(mu, E)`` into
+    ``N(K^-1 mu, E K^-1)`` times ``exp(-mu^T K^-1 mu / 2) / sqrt(det K)``.
+    """
+    v22, g, e = trigger_given_output(v)
+    k = np.eye(2) + e
+    k_inv = np.linalg.inv(k)
+    kg = k_inv @ g
+    poly = expected_poly_of_shifted_gaussian(OCCUPATION_POWERS[n], 2.0 * kg, e @ k_inv)
+    sigma = np.linalg.inv(np.linalg.inv(v22) + 2.0 * g.swapaxes(-1, -2) @ kg)
+    return GaussPolyState(terms=(gaussian_term(poly, sigma, det2(v22) * det2(k)),))
 
 
 def condition_on_number(v: CovarianceMatrix4, n: int) -> ConditionResult:
     """Project the trigger mode onto the n-photon state, n in {0, 1, 2}.
 
-    The conditioned Wigner function is the trigger-plane integral of
-    W_V W_n, normalised; the probability comes from the same integral via
-    the trace rule.  Impossible outcomes (zero probability) raise.
+    The probability is the integral of the unnormalised output.
+    Impossible outcomes (zero probability) raise.
     """
     if n not in (0, 1, 2):
         raise ValueError(f"number detection supports n in {{0, 1, 2}}, got {n}")
     _require_physical(v)
-    state_u, mass = _number_projection_raw(v, n)
+    state_u = _number_state(v, n)
+    mass = state_u.total_integral()
     low = _first_failing(mass, mass < PROBABILITY_FLOOR)
     if low is not None:
         raise ImpossibleOutcomeError(
@@ -118,38 +109,48 @@ def condition_on_on(v: CovarianceMatrix4) -> ConditionResult:
 
     Built from the mixture identity
     marginal = P0 * state_0 + (1 - P0) * state_on, so the result is a
-    difference of two Gaussians and the probability is exactly 1 - P0.
+    difference of two Gaussians.  The probability
+    ``1 - P0 = 1 - det(I + N11)^(-1/2)`` goes through ``log1p`` and
+    ``expm1``, so it keeps its digits however weak the trigger.
     """
     _require_physical(v)
-    state0_u, p0 = _number_projection_raw(v, 0)
-    p_on = 1.0 - p0
+    n11 = v.n[..., :2, :2]
+    p_on = per_member(-np.expm1(-0.5 * np.log1p(np.trace(n11, axis1=-2, axis2=-1) + det2(n11))))
     if any_member(p_on < PROBABILITY_FLOOR):
         raise ImpossibleOutcomeError(
             "trigger mode is exact vacuum; the on outcome never fires"
         )
-    marginal, _ = integrate_out_trigger(TwoModeGaussianWigner(v), np.array([[1.0]]))
-    terms = marginal.scaled(1.0 / p_on).terms + state0_u.scaled(-1.0 / p_on).terms
+    v22 = np.eye(2) + 2.0 * v.n[..., 2:, 2:]
+    marginal = GaussPolyState(terms=(gaussian_term(np.ones((1, 1)), v22, det2(v22)),))
+    vacuum = _number_state(v, 0)
+    terms = marginal.scaled(1.0 / p_on).terms + vacuum.scaled(-1.0 / p_on).terms
     return ConditionResult(state=GaussPolyState(terms=terms), probability=p_on)
 
 
-def condition_on_click(v: CovarianceMatrix4) -> ConditionResult:
-    """Click-detector back-action rho -> a1 rho a1+ / <a1+ a1>.
-
-    Uses the reduced moment form: after integration by parts the trigger
-    reduction weight is (x1^2 + p1^2 - 1)/2, and the normalisation is the
-    trigger occupation (V11 + V22 - 2)/4.  The equivalent differential
-    form is available as :func:`click_wigner_direct` for cross-checks.
-    """
-    _require_physical(v)
-    occupation = per_member(v.trigger_occupation())
+def _click(v: CovarianceMatrix4) -> ConditionResult:
+    """:func:`condition_on_click` without its physicality check."""
+    occupation = per_member(0.5 * np.trace(v.n[..., :2, :2], axis1=-2, axis2=-1))
     low = _first_failing(occupation, occupation < PROBABILITY_FLOOR)
     if low is not None:
         raise ImpossibleOutcomeError(
             f"trigger mode occupation is zero (<a+a> = {low:g}); "
             "no photon available to subtract"
         )
-    state_u, mass = integrate_out_trigger(TwoModeGaussianWigner(v), _CLICK_WEIGHT)
-    return ConditionResult(state=state_u.scaled(1.0 / mass), probability=occupation)
+    v22, g, e = trigger_given_output(v)
+    poly = expected_poly_of_shifted_gaussian(OCCUPATION_POWERS[1], 2.0 * g, e)
+    state = GaussPolyState(terms=(gaussian_term(poly, v22, det2(v22)),))
+    return ConditionResult(state=state.scaled(1.0 / occupation), probability=occupation)
+
+
+def condition_on_click(v: CovarianceMatrix4) -> ConditionResult:
+    """Click-detector back-action rho -> a1 rho a1+ / <a1+ a1>.
+
+    The trigger weight is the occupation ``|z|^2/2``, and the normalisation
+    is the trigger occupation ``tr(N11)/2``.  The equivalent differential
+    form is available as :func:`click_wigner_direct` for cross-checks.
+    """
+    _require_physical(v)
+    return _click(v)
 
 
 def click_integrand_direct(v: CovarianceMatrix4, y: np.ndarray) -> np.ndarray:

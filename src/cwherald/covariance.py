@@ -2,7 +2,8 @@
 
 Quadrature ordering is ``(x1, p1, x2, p2)`` throughout, with the
 convention ``V_ij = <y_i y_j + y_j y_i>`` so that vacuum is the identity
-matrix.  Mode 1 is the trigger, mode 2 the output.
+matrix.  Mode 1 is the trigger, mode 2 the output.  The program holds
+``N = (V - I)/2``, which keeps a weak trigger's digits that ``V`` rounds away.
 """
 
 from __future__ import annotations
@@ -19,6 +20,8 @@ if TYPE_CHECKING:  # pragma: no cover
 
 SYMMETRY_TOL = 1e-12
 PHYSICALITY_TOL = -1e-9
+# first line of a covariance file that holds N rather than V
+EXCESS_HEADER = "# excess covariance N = (V - I)/2"
 
 # Symplectic form for (x1, p1, x2, p2).
 OMEGA = np.array(
@@ -31,33 +34,45 @@ OMEGA = np.array(
 )
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class CovarianceMatrix4:
-    """4x4 real symmetric covariance of (x1, p1, x2, p2), vacuum = identity.
+    """4x4 covariance of (x1, p1, x2, p2), held as its excess ``n = (V - I)/2``.
 
-    ``m`` of shape (K, 4, 4) is a family of K covariances.  A family goes
-    through :func:`assemble`, :func:`apply_loss`, :func:`physicality_check`
-    and the conditioners as a whole, and gives one result per member, equal
-    to that member's result alone.
+    ``CovarianceMatrix4(v)`` takes ``V``, :meth:`from_excess` takes ``n``,
+    and ``m`` is ``V = I + 2n``.  ``n`` of shape (K, 4, 4) is a family of K.
+    A family goes through :func:`assemble`, :func:`apply_loss`,
+    :func:`physicality_check` and the conditioners as a whole, and gives
+    one result per member, equal to that member's result alone.
     """
 
-    m: np.ndarray
+    n: np.ndarray
 
-    def __post_init__(self):
-        m = np.asarray(self.m, dtype=float)
-        if m.shape[-2:] != (4, 4) or m.ndim > 3:
-            raise ValueError(f"covariance must be 4x4, or a stack of them, got shape {m.shape}")
-        if not np.isfinite(m).all():
-            raise ValueError("covariance contains non-finite entries")
-        mt = m.swapaxes(-1, -2)
-        scale = np.maximum(1.0, np.abs(m).max(axis=(-2, -1)))
-        if any_member(np.abs(m - mt).max(axis=(-2, -1)) > SYMMETRY_TOL * scale):
-            raise ValueError("covariance is not symmetric")
-        object.__setattr__(self, "m", 0.5 * (m + mt))
+    def __init__(self, m):
+        object.__setattr__(self, "n", 0.5 * (_symmetric(m) - np.eye(4)))
 
-    def trigger_occupation(self):
-        """Mean photon number of the trigger mode, (V11 + V22 - 2)/4, per member."""
-        return (self.m[..., 0, 0] + self.m[..., 1, 1] - 2.0) / 4.0
+    @classmethod
+    def from_excess(cls, n) -> "CovarianceMatrix4":
+        cov = object.__new__(cls)
+        object.__setattr__(cov, "n", _symmetric(n))
+        return cov
+
+    @property
+    def m(self) -> np.ndarray:
+        return np.eye(4) + 2.0 * self.n
+
+
+def _symmetric(m) -> np.ndarray:
+    """``m`` as a float 4x4 (or stack), checked finite and symmetric, then symmetrised."""
+    m = np.asarray(m, dtype=float)
+    if m.shape[-2:] != (4, 4) or m.ndim > 3:
+        raise ValueError(f"covariance must be 4x4, or a stack of them, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise ValueError("covariance contains non-finite entries")
+    mt = m.swapaxes(-1, -2)
+    scale = np.maximum(1.0, np.abs(m).max(axis=(-2, -1)))
+    if any_member(np.abs(m - mt).max(axis=(-2, -1)) > SYMMETRY_TOL * scale):
+        raise ValueError("covariance is not symmetric")
+    return 0.5 * (m + mt)
 
 
 @dataclass(frozen=True)
@@ -91,39 +106,45 @@ class PhysicalityReport:
 
 
 def assemble(m: "SecondMoments") -> CovarianceMatrix4:
-    """Assemble the covariance matrix from the source-part second moments.
+    """Assemble the covariance from the source-part second moments.
 
     With real symmetric moment matrices ``A_ij = <a_i a_j>`` and
-    ``B_ij = <a_i+ a_j>``, the quadrature blocks are
-    ``V_xx = I + 2(A + B)``, ``V_pp = I + 2(B - A)`` and the x-p cross
-    blocks vanish.  The vacuum fill needed to complete each mode to unit
-    norm contributes exactly the identity.  Stacked moments (K, 2, 2), as
+    ``B_ij = <a_i+ a_j>``, the excess quadrature blocks are
+    ``N_xx = A + B``, ``N_pp = B - A`` and the x-p cross blocks vanish.
+    The vacuum fill needed to complete each mode to unit norm contributes
+    nothing to ``N``.  Stacked moments (K, 2, 2), as
     :func:`~cwherald.modes.second_moments` gives for a family of output
     modes, assemble to a family of K covariances.
     """
     a = np.asarray(m.a, dtype=float)
     b = np.asarray(m.b, dtype=float)
-    v = np.zeros(a.shape[:-2] + (4, 4))
+    n = np.zeros(a.shape[:-2] + (4, 4))
     # interleave x/p ordering: (x1, p1, x2, p2)
-    v[..., 0::2, 0::2] = np.eye(2) + 2.0 * (a + b)
-    v[..., 1::2, 1::2] = np.eye(2) + 2.0 * (b - a)
-    return CovarianceMatrix4(v)
+    n[..., 0::2, 0::2] = a + b
+    n[..., 1::2, 1::2] = b - a
+    return CovarianceMatrix4.from_excess(n)
 
 
 def apply_loss(v: CovarianceMatrix4, p: LossParams) -> CovarianceMatrix4:
-    """Apply the loss/noise channel V -> L V L + N.
+    """Apply the loss/noise channel ``N -> L N L + xi/2``.
 
     ``L = diag(sqrt(1-eta1), sqrt(1-eta1), sqrt(1-eta2), sqrt(1-eta2))``
-    and ``N = diag(eta1+xi1, eta1+xi1, eta2+xi2, eta2+xi2)``.  Evaluated in
-    the equivalent form ``L (V - I) L + I + diag(xi)`` so that vacuum is a
-    fixed point exactly, not just to rounding, for xi = 0.  A family takes
-    the same channel on every member.
+    and ``xi = diag(xi1, xi1, xi2, xi2)``; on ``V = I + 2N`` this is
+    ``V -> L V L + I - L^2 + xi``.  Vacuum is a fixed point exactly for
+    xi = 0.  A family takes the same channel on every member.
     """
     g = np.array([1.0 - p.eta1, 1.0 - p.eta1, 1.0 - p.eta2, 1.0 - p.eta2])
     damp = np.sqrt(np.outer(g, g))
     np.fill_diagonal(damp, g)
     xi = np.diag([p.xi1, p.xi1, p.xi2, p.xi2])
-    return CovarianceMatrix4(damp * (v.m - np.eye(4)) + np.eye(4) + xi)
+    return CovarianceMatrix4.from_excess(damp * v.n + 0.5 * xi)
+
+
+def physical_margin(m: np.ndarray):
+    """Least eigenvalue of ``V + i*Omega``, ``det V`` and whether ``V`` is physical, per member."""
+    min_eig = np.linalg.eigvalsh(m + 1j * OMEGA).min(axis=-1)
+    det = np.linalg.det(m)
+    return min_eig, det, (min_eig >= PHYSICALITY_TOL) & (det > 0)
 
 
 def physicality_check(v: CovarianceMatrix4) -> PhysicalityReport:
@@ -135,40 +156,34 @@ def physicality_check(v: CovarianceMatrix4) -> PhysicalityReport:
     ``1/sqrt(det V)``.  For a family each field holds one value per member.
     """
     m = v.m
-    min_eig = np.linalg.eigvalsh(m + 1j * OMEGA).min(axis=-1)
+    min_eig, det, physical = physical_margin(m)
     # symplectic spectrum: |eigenvalues of i Omega V| in pairs
     sympl = np.sort(np.abs(np.linalg.eigvals(1j * OMEGA @ m)), axis=-1)
-    det = np.linalg.det(m)
-    positive = det > 0
     # the square root sees only positive determinants, so none warns
-    purity = np.where(positive, 1.0 / np.sqrt(np.where(positive, det, 1.0)), np.inf)
+    purity = np.where(det > 0, 1.0 / np.sqrt(np.where(det > 0, det, 1.0)), np.inf)
     return PhysicalityReport(
         min_eigenvalue=per_member(min_eig),
         symplectic_eigenvalues=(per_member(sympl[..., 0]), per_member(sympl[..., 2])),
         purity=per_member(purity),
-        physical=per_member((min_eig >= PHYSICALITY_TOL) & positive),
+        physical=per_member(physical),
     )
 
 
 def save_covariance(path, v: CovarianceMatrix4) -> None:
-    """Write a single covariance as 4 lines of 4 floats, 17 significant digits."""
-    lines = []
-    for row in v.m:
-        lines.append(" ".join(f"{x:.17g}" for x in row))
+    """Write a single covariance as :data:`EXCESS_HEADER` and ``N`` in 4 lines, 17 digits."""
+    lines = [EXCESS_HEADER] + [" ".join(f"{x:.17g}" for x in row) for row in v.n]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
 def load_covariance(path) -> CovarianceMatrix4:
-    """Read a covariance written by :func:`save_covariance`."""
-    rows = []
+    """Read 4 lines of 4 floats: ``N`` after :data:`EXCESS_HEADER`, as
+    :func:`save_covariance` writes it, and otherwise ``V``."""
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            rows.append([float(tok) for tok in line.split()])
-    m = np.array(rows, dtype=float)
+        lines = [line.strip() for line in fh if line.strip()]
+    excess = lines[:1] == [EXCESS_HEADER]
+    rows = lines[1:] if excess else lines
+    m = np.array([[float(tok) for tok in line.split()] for line in rows], dtype=float)
     if m.shape != (4, 4):
         raise ValueError(f"expected 4x4 covariance in {path}, got shape {m.shape}")
-    return CovarianceMatrix4(m)
+    return CovarianceMatrix4.from_excess(m) if excess else CovarianceMatrix4(m)

@@ -70,18 +70,7 @@ def build_covariance(cfg: ExperimentConfig) -> CovarianceMatrix4:
         v = tmsv_covariance(cfg.source.r)
     else:
         v = load_covariance(cfg.source.covariance)
-    return _with_losses(cfg, v)
-
-
-def _with_losses(cfg: ExperimentConfig, v: CovarianceMatrix4) -> CovarianceMatrix4:
-    if (cfg.losses.eta1, cfg.losses.eta2, cfg.losses.xi1, cfg.losses.xi2) != (
-        0.0,
-        0.0,
-        0.0,
-        0.0,
-    ):
-        v = apply_loss(v, cfg.losses)
-    return v
+    return apply_loss(v, cfg.losses)
 
 
 def condition_state(cfg: ExperimentConfig, v: CovarianceMatrix4) -> ConditionResult:
@@ -142,7 +131,7 @@ def scan_alpha(cfg: ExperimentConfig) -> ScanResult:
     def signed(alpha):
         """Signed objective at one alpha, or at each of a 1-d array of them, in one pass."""
         f1, f2, kernel = build_modes(replace(cfg, output=replace(cfg.output, alpha=alpha)))
-        v = _with_losses(cfg, assemble(second_moments(f1, f2, kernel)))
+        v = apply_loss(assemble(second_moments(f1, f2, kernel)), cfg.losses)
         state = condition_state(cfg, v).state
         if sc.objective == "origin_value":
             return sign * wigner_at_origin(state)

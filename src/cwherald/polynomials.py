@@ -39,6 +39,11 @@ def _family_shape(*tables: np.ndarray) -> tuple:
     return max((t.shape[:-2] for t in tables), key=len)
 
 
+def det2(m):
+    """Determinant of a 2x2 matrix, or of each member of a stack."""
+    return m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
+
+
 def nonzero_entries(table: np.ndarray) -> list[tuple[int, int]]:
     """(i, j) of every entry that is nonzero in some member, in row-major order."""
     nz = table != 0.0
@@ -168,7 +173,7 @@ def gaussian_poly_integral(c: np.ndarray, sigma: np.ndarray):
     Equals ``pi sqrt(det sigma) E[poly]`` with (X, P) zero-mean Gaussian
     of covariance ``sigma / 2``.  Stacks give one integral per member.
     """
-    det = sigma[..., 0, 0] * sigma[..., 1, 1] - sigma[..., 0, 1] * sigma[..., 1, 0]
+    det = det2(sigma)
     if any_member(det <= 0.0):
         raise ValueError("gaussian core is not positive definite")
     mom = central_moments(sigma / 2.0, max(c.shape[-2:]) - 1)

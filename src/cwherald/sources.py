@@ -115,17 +115,9 @@ def opo_kernel(p: OpoParams) -> CorrelationKernel:
 def tmsv_covariance(r: float) -> CovarianceMatrix4:
     """Two-mode squeezed vacuum covariance for squeezing parameter ``r``.
 
-    Diagonal blocks ``cosh(2r) I``, off-diagonal blocks
-    ``sinh(2r) diag(1, -1)``, in the vacuum = identity convention.
+    Excess blocks ``sinh(r)^2 I`` on the diagonal and ``sinh(r) cosh(r) diag(1, -1)``
+    off it: ``V`` has blocks ``cosh(2r) I`` and ``sinh(2r) diag(1, -1)``.
     """
-    ch = np.cosh(2.0 * r)
-    sh = np.sinh(2.0 * r)
-    m = np.array(
-        [
-            [ch, 0.0, sh, 0.0],
-            [0.0, ch, 0.0, -sh],
-            [sh, 0.0, ch, 0.0],
-            [0.0, -sh, 0.0, ch],
-        ]
-    )
-    return CovarianceMatrix4(m)
+    s, c, z = np.sinh(r), np.cosh(r), np.diag([1.0, -1.0])
+    n = np.block([[s * s * np.eye(2), s * c * z], [s * c * z, s * s * np.eye(2)]])
+    return CovarianceMatrix4.from_excess(n)

@@ -2,27 +2,29 @@
 
 The two-mode Gaussian Wigner function
 ``W_V(y) = exp(-y^T V^-1 y) / (pi^2 sqrt(det V))`` is reduced over the
-trigger-mode phase plane against polynomial weights by Schur-complement
-block decomposition; the result of every conditioning operation is a
-(short sum of) polynomial-times-Gaussian single-mode states.  All
-integrals here are exact Gaussian-moment reductions; no quadrature enters
-the core path.
+trigger-mode phase plane through the trigger's Gaussian given the output,
+taken from ``N = (V - I)/2`` by :func:`trigger_given_output`; the result of
+every conditioning operation is a (short sum of) polynomial-times-Gaussian
+single-mode states.  All integrals here are exact Gaussian-moment
+reductions; no quadrature enters the core path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 
 import numpy as np
 
 from .covariance import CovarianceMatrix4
 from .polynomials import (
-    any_member,
+    det2,
     expected_poly_of_shifted_gaussian,
     gaussian_poly_integral,
     nonzero_entries,
     per_member,
     poly_eval,
+    poly_mul,
 )
 
 
@@ -111,30 +113,25 @@ class GaussPolyState:
         )
 
 
+# (|z|^2/2)^j / j! in z = (x, p), j = 0, 1, 2: the normally ordered
+# occupation weights, and the radial terms of the Fock Wigner functions
+_HALF_SQUARE = np.array([[0.0, 0.0, 0.5], [0.0, 0.0, 0.0], [0.5, 0.0, 0.0]])
+OCCUPATION_POWERS = (np.ones((1, 1)), _HALF_SQUARE, poly_mul(_HALF_SQUARE, _HALF_SQUARE) / 2.0)
+
+
 def fock_wigner_poly(n: int) -> np.ndarray:
     """Polynomial part of the Fock-state Wigner function W_n = poly * exp(-x^2-p^2).
 
-    Supported for n in {0, 1, 2}; higher projections are a documented
-    extension point and rejected.
+    ``W_n = (-1)^n L_n(2 r^2) exp(-r^2) / pi``, where ``(-2 r^2)^j / j!`` in the
+    Laguerre ``L_n`` is ``(-4)^j OCCUPATION_POWERS[j]``.  Supported for n in
+    {0, 1, 2}; higher projections are a documented extension point and rejected.
     """
-    if n == 0:
-        return np.array([[1.0 / np.pi]])
-    if n == 1:
-        c = np.zeros((3, 3))
-        c[0, 0] = -1.0 / np.pi
-        c[2, 0] = 2.0 / np.pi
-        c[0, 2] = 2.0 / np.pi
-        return c
-    if n == 2:
-        c = np.zeros((5, 5))
-        c[0, 0] = 1.0 / np.pi
-        c[2, 0] = -4.0 / np.pi
-        c[0, 2] = -4.0 / np.pi
-        c[4, 0] = 2.0 / np.pi
-        c[2, 2] = 4.0 / np.pi
-        c[0, 4] = 2.0 / np.pi
-        return c
-    raise ValueError(f"Fock index n={n} unsupported; analytic set is n in {{0, 1, 2}}")
+    if n not in (0, 1, 2):
+        raise ValueError(f"Fock index n={n} unsupported; analytic set is n in {{0, 1, 2}}")
+    c = np.zeros((2 * n + 1, 2 * n + 1))
+    for j in range(n + 1):
+        c[: 2 * j + 1, : 2 * j + 1] += comb(n, j) * (-4.0) ** j * OCCUPATION_POWERS[j]
+    return (-1) ** n * c / np.pi
 
 
 def fock_state(n: int) -> GaussPolyState:
@@ -144,29 +141,22 @@ def fock_state(n: int) -> GaussPolyState:
     )
 
 
-def _integrate_out(m4: np.ndarray, det_v, weight: np.ndarray):
-    """Reduce exp(-y^T M y)/(pi^2 sqrt(det V)) over (x1, p1) against a weight.
+def trigger_given_output(v: CovarianceMatrix4):
+    """``V22``, ``G = N12 V22^-1`` and ``E = N11 - 2 G N12^T``.
 
-    ``m4`` is the full 4x4 exponent matrix (inverse of the Gaussian core),
-    ``det_v`` the determinant of that core.  Returns the unnormalised
-    one-term output state and its total integral.  Stacks of ``m4``,
-    ``det_v`` and ``weight`` reduce member by member.
+    The output's marginal is the Gaussian of ``V22``; given its quadratures
+    ``y2``, the trigger's are Gaussian with mean ``2 G y2`` and excess ``E``.
     """
-    g = m4[..., :2, :2]
-    det_g = g[..., 0, 0] * g[..., 1, 1] - g[..., 0, 1] * g[..., 1, 0]
-    if any_member(det_g <= 0.0):
-        raise np.linalg.LinAlgError("singular trigger block in partial integration")
-    gi = np.linalg.inv(g)
-    cross = m4[..., :2, 2:]
-    # conditional mean of (x1, p1) is lin @ (x2, p2); conditional covariance gi/2
-    lin = -gi @ cross
-    schur = m4[..., 2:, 2:] - cross.swapaxes(-1, -2) @ gi @ cross
-    sigma_out = np.linalg.inv(schur)
-    prefactor = 1.0 / (np.pi * np.sqrt(det_g * det_v))
-    out_poly = expected_poly_of_shifted_gaussian(weight, lin, gi / 2.0)
-    term = PolyGaussTerm(coeffs=out_poly * prefactor[..., None, None], sigma=sigma_out)
-    state = GaussPolyState(terms=(term,))
-    return state, state.total_integral()
+    n = v.n
+    n12 = n[..., :2, 2:]
+    v22 = np.eye(2) + 2.0 * n[..., 2:, 2:]
+    g = n12 @ np.linalg.inv(v22)
+    return v22, g, n[..., :2, :2] - 2.0 * g @ n12.swapaxes(-1, -2)
+
+
+def gaussian_term(poly, sigma, det_core) -> PolyGaussTerm:
+    """``poly(y) exp(-y^T sigma^-1 y) / (pi sqrt(det_core))`` as one term."""
+    return PolyGaussTerm(coeffs=poly / (np.pi * np.sqrt(det_core))[..., None, None], sigma=sigma)
 
 
 def integrate_out_trigger(w: TwoModeGaussianWigner, weight: np.ndarray):
@@ -174,14 +164,16 @@ def integrate_out_trigger(w: TwoModeGaussianWigner, weight: np.ndarray):
 
     ``weight`` is a dense polynomial coefficient table of total degree at
     most four.  Returns the unnormalised output state (a polynomial in
-    (x2, p2) times the Gaussian with the Schur-complement core) and the
-    mass, i.e. the integral of the result over (x2, p2): a float, or one
-    per member of a family of covariances.
+    (x2, p2) times the Gaussian of ``V22``) and the mass, i.e. the integral
+    of the result over (x2, p2): a float, or one per member of a family of
+    covariances.
     """
     if any(i + j > 4 for i, j in nonzero_entries(weight)):
         raise ValueError("weight polynomial total degree must be at most four")
-    v = w.v.m
-    return _integrate_out(np.linalg.inv(v), np.linalg.det(v), weight)
+    v22, g, e = trigger_given_output(w.v)
+    poly = expected_poly_of_shifted_gaussian(weight, 2.0 * g, 0.5 * np.eye(2) + e)
+    state = GaussPolyState(terms=(gaussian_term(poly, v22, det2(v22)),))
+    return state, state.total_integral()
 
 
 @dataclass(frozen=True)

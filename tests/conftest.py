@@ -129,16 +129,16 @@ def symmetric_pair(a, r):
     return 2.0 * (2.0 * a + r) / (a * (a + r) ** 2)
 
 
-def _phi(x):
+def _phi(x, lib=math):
     """(1 - e^{-x}) / x, continued to 1 at x = 0."""
-    return 1.0 if x == 0.0 else -math.expm1(-x) / x
+    return 1.0 if x == 0.0 else -lib.expm1(-x) / x
 
 
-def _one_minus_phi(x):
+def _one_minus_phi(x, lib=math):
     """1 - phi(x), by its series sum_{k>=1} (-1)^{k+1} x^k / (k+1)! below
     x = 0.5, where the subtraction would lose about log10(2/x) digits."""
     if x >= 0.5:
-        return 1.0 - _phi(x)
+        return 1.0 - _phi(x, lib)
     total, term = 0.0, 0.5 * x
     for k in range(1, 20):
         total += term
@@ -154,35 +154,39 @@ def _one_minus_phi(x):
 #       + (2L/r)[2 phi(aL) - e^{-rL}(phi((a-r)L) + phi((a+r)L))] (|t'| < L)
 # Neither form divides by r - a, so both stay exact when a equals a kernel rate
 # (the partial-fraction form 1/(r^2 - a^2) does not).
-def window_pair(w, r):
-    return 2.0 * w / r * _one_minus_phi(r * w)
+def window_pair(w, r, lib=math):
+    return 2.0 * w / r * _one_minus_phi(r * w, lib)
 
 
-def window_symmetric(w, a, r):
+def window_symmetric(w, a, r, lib=math):
     half = 0.5 * w
-    outside = 4.0 / r * math.sinh(r * half) * math.exp(-(a + r) * half) / (a + r)
+    outside = 4.0 / r * lib.sinh(r * half) * lib.exp(-(a + r) * half) / (a + r)
     inside = (2.0 * half / r) * (
-        2.0 * _phi(a * half)
-        - math.exp(-r * half) * (_phi((a - r) * half) + _phi((a + r) * half))
+        2.0 * _phi(a * half, lib)
+        - lib.exp(-r * half) * (_phi((a - r) * half, lib) + _phi((a + r) * half, lib))
     )
     return outside + inside
 
 
-def window_moment_oracle(eps, alpha, tap, width, reflect):
+def window_moment_oracle(eps, alpha, tap, width, reflect, lib=math):
     """Exact (a, b) moment matrices for the shipped reading of the OPO fixtures:
     a rectangular trigger window (width ``width``, height tap/sqrt(width))
-    and the output envelope reflect sqrt(alpha) e^{-alpha|t|}, both centred at 0."""
+    and the output envelope reflect sqrt(alpha) e^{-alpha|t|}, both centred at 0.
+
+    ``lib`` supplies exp, expm1, sinh and sqrt: ``math`` gives float arrays,
+    ``mpmath.mp`` (with mpf arguments) object arrays at its working precision."""
     lam, mu = 0.5 + eps, 0.5 - eps
     scale = (lam**2 - mu**2) / 4.0
-    c1 = tap / math.sqrt(width)
-    c2 = reflect * math.sqrt(alpha)
+    c1 = tap / lib.sqrt(width)
+    c2 = reflect * lib.sqrt(alpha)
     forms = (
-        (0, 0, lambda r: c1**2 * window_pair(width, r)),
-        (0, 1, lambda r: c1 * c2 * window_symmetric(width, alpha, r)),
+        (0, 0, lambda r: c1**2 * window_pair(width, r, lib)),
+        (0, 1, lambda r: c1 * c2 * window_symmetric(width, alpha, r, lib)),
         (1, 1, lambda r: c2**2 * symmetric_pair(alpha, r)),
     )
-    a = np.zeros((2, 2))
-    b = np.zeros((2, 2))
+    dtype = float if lib is math else object
+    a = np.zeros((2, 2), dtype=dtype)
+    b = np.zeros((2, 2), dtype=dtype)
     for i, j, f in forms:
         slow, fast = f(mu) / (2 * mu), f(lam) / (2 * lam)
         a[i, j] = a[j, i] = scale * (slow + fast)

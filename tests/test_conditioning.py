@@ -28,6 +28,14 @@ SCAN_FIXTURE = (
 )
 
 
+# two-mode-squeezed moments plus thermal noise, physical for any downscaling
+# of the trigger source part
+WEAK_TRIGGER_BASE = SecondMoments(
+    a=np.array([[0.0, np.sinh(0.6) / 2], [np.sinh(0.6) / 2, 0.0]]),
+    b=np.eye(2) * (np.sinh(0.3) ** 2 + 0.01),
+)
+
+
 def tmsv_number_probability(r, n):
     """Schmidt-expansion oracle: P_n = tanh(r)^(2n) / cosh(r)^2."""
     return np.tanh(r) ** (2 * n) / np.cosh(r) ** 2
@@ -62,6 +70,15 @@ class TestNumberDetection:
         with pytest.raises(ImpossibleOutcomeError):
             condition_on_number(VACUUM, 1)
 
+    @pytest.mark.parametrize("s", [1e-5, 1e-8])
+    def test_single_photon_meets_click_at_low_flux(self, s):
+        # a weak trigger holds at most one photon: its n = 1 and click states agree
+        v = assemble(WEAK_TRIGGER_BASE.scaled_trigger(s))
+        xs = np.linspace(-4, 4, 41)
+        got = condition_on_number(v, 1).state.evaluate(xs[None, :], xs[:, None])
+        want = condition_on_click(v).state.evaluate(xs[None, :], xs[:, None])
+        assert np.max(np.abs(got - want)) < 1e-9
+
     def test_unsupported_n(self):
         with pytest.raises(ValueError):
             condition_on_number(VACUUM, 3)
@@ -84,6 +101,13 @@ class TestOnOffDetection:
     def test_tmsv_on_probability(self):
         res = condition_on_on(tmsv_covariance(0.5))
         assert res.probability == pytest.approx(1 - 1 / np.cosh(0.5) ** 2, rel=1e-10)
+
+    @pytest.mark.parametrize("s", [1e-3, 1e-5, 1e-8])
+    def test_on_probability_meets_occupation_at_low_flux(self, s):
+        # p_on = <a+a> (1 - O(<a+a>)) for a weak trigger
+        v = assemble(WEAK_TRIGGER_BASE.scaled_trigger(s))
+        occupation = condition_on_click(v).probability
+        assert condition_on_on(v).probability / occupation == pytest.approx(1.0, abs=2 * occupation)
 
     def test_mixture_identity_pointwise(self, rng):
         xs = np.linspace(-4, 4, 41)
@@ -136,26 +160,20 @@ class TestClickDetection:
                 assert abs(g - direct) <= 1e-7 * max(abs(direct), scale)
 
     def test_trigger_scale_invariance(self):
-        # scaling the trigger mode rescales probabilities but not the state;
-        # two-mode-squeezed moments plus thermal noise are physical for any
-        # downscaling of the trigger source part
-        r = 0.3
-        c = np.sinh(2 * r) / 2
-        base = SecondMoments(
-            a=np.array([[0.0, c], [c, 0.0]]),
-            b=np.array([[np.sinh(r) ** 2 + 0.01, 0.0], [0.0, np.sinh(r) ** 2 + 0.01]]),
-        )
+        # scaling the trigger mode rescales probabilities but not the state,
+        # down to a trigger occupation of 1e-20
+        xs = np.linspace(-4, 4, 41)
         states = []
         probs = []
-        xs = np.linspace(-4, 4, 41)
-        for s in (1.0, 0.1, 0.013):
-            v = assemble(base.scaled_trigger(s))
-            res = condition_on_click(v)
+        scales = (1.0, 0.1, 0.013, 1e-5, 3.3e-10)
+        for s in scales:
+            res = condition_on_click(assemble(WEAK_TRIGGER_BASE.scaled_trigger(s)))
             states.append(res.state.evaluate(xs[None, :], xs[:, None]))
             probs.append(res.probability)
-        assert np.max(np.abs(states[1] - states[0])) < 1e-9
-        assert np.max(np.abs(states[2] - states[0])) < 1e-9
-        assert probs[1] == pytest.approx(probs[0] * 0.01, rel=1e-9)
+        assert probs[-1] == pytest.approx(1e-20, rel=0.02)
+        for s, state, prob in zip(scales[1:], states[1:], probs[1:]):
+            assert np.max(np.abs(state - states[0])) < 1e-9
+            assert prob == pytest.approx(probs[0] * s**2, rel=1e-9)
 
     def test_click_state_parity(self, rng):
         v = random_physical_covariance(rng)
@@ -205,9 +223,9 @@ class TestFamilies:
     def test_family_equals_members_alone(self, kind, losses):
         condition = self.CONDITIONERS[kind]
         family = self.scan_family(losses)
-        assert family.m.shape == (50, 4, 4)
+        assert family.n.shape == (50, 4, 4)
         together = condition(family)
-        alone = [condition(CovarianceMatrix4(m)) for m in family.m]
+        alone = [condition(CovarianceMatrix4.from_excess(n)) for n in family.n]
         np.testing.assert_array_equal(together.probability, [r.probability for r in alone])
         np.testing.assert_array_equal(
             wigner_at_origin(together.state), [wigner_at_origin(r.state) for r in alone]
