@@ -112,11 +112,13 @@ def scan_alpha(cfg: ExperimentConfig) -> ScanResult:
     """Scan the output-mode decay rate against ``cfg.scan.objective``.
 
     Returns the scan table in raw objective values and the optimum refined
-    by golden section to |delta alpha| <= 1e-3.  The origin value is
-    minimised, the Fock-1 fidelity maximised.  The whole grid is one
-    stacked pass: its exponential envelopes form one family of output
-    modes (:func:`~cwherald.modes.build_output_mode` with an array of
-    alphas), and one moment pass, one assembly, one loss step, one
+    by :func:`~cwherald.scan.scan_and_refine`'s parabolic steps, one
+    single-alpha call each, to about 1e-6 of the grid's bracket around the
+    best sample.  The origin value is minimised, the Fock-1 fidelity
+    maximised.  The whole grid is one stacked pass: its exponential
+    envelopes form one family of output modes
+    (:func:`~cwherald.modes.build_output_mode` with an array of alphas),
+    and one moment pass, one assembly, one loss step, one
     conditioning and one metric give all its values, each equal to what
     :func:`run_experiment`'s steps give for that alpha alone.  A failure
     names the first failing alpha in grid order, with the error that alpha

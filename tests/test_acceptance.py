@@ -217,9 +217,9 @@ class TestCriterion5:
         best = result.best_param
         check(
             "5 (optimum location)",
-            abs(best - exact) <= 1e-3,
-            f"scan optimum alpha = {best:.4f}, exact argmin of the objective = "
-            f"{exact:.4f} (target +/- 1e-3). The published 0.337 is "
+            abs(best - exact) <= 1e-6,
+            f"scan optimum alpha = {best:.8f}, exact argmin of the objective = "
+            f"{exact:.8f} (target +/- 1e-6). The published 0.337 is "
             f"{abs(exact - 0.337):.4f} from the exact argmin; "
             "see docs/reproduction_notes.md.",
         )

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -8,7 +9,7 @@ import pytest
 
 from conftest import assert_same_text, coherence_csv_text, grid_csv_text
 
-from cwherald import cli
+from cwherald import cli, pipeline
 from cwherald.coherence import conditional_coherence
 from cwherald.config import parse_config
 from cwherald.covariance import load_covariance
@@ -186,6 +187,37 @@ class TestScanStage:
         assert len(lines) == 4
         best = (tmp_path / "scan_best.txt").read_text()
         assert "best_alpha = " in best and "objective = origin_value" in best
+
+
+class TestScanPipeline:
+    # sha256 of scan.csv for the scan fixture; the grid values it holds do
+    # not depend on how the optimum is refined
+    SCAN_CSV_SHA256 = "e94a27d56ee3532e39224501f1b2f868f11afdb555fbf5c6227361127b176810"
+
+    def test_fixture_outputs_and_refinement_steps(self, tmp_path, monkeypatch):
+        inner = pipeline.scan_and_refine
+        steps = []
+
+        def counted(f, *args):
+            def g(x):
+                if not np.ndim(x):
+                    steps.append(x)
+                return f(x)
+
+            return inner(g, *args)
+
+        monkeypatch.setattr(pipeline, "scan_and_refine", counted)
+        cfg = str(FIXTURES / "figure4_scan.cfg")
+        assert cli.main(["scan-alpha", "--config", cfg, "--out", str(tmp_path), "--quiet"]) == 0
+        digest = hashlib.sha256((tmp_path / "scan.csv").read_bytes()).hexdigest()
+        assert digest == self.SCAN_CSV_SHA256
+        assert (tmp_path / "scan_best.txt").read_text().splitlines() == [
+            "objective = origin_value",
+            "best_alpha = 0.36720802",
+            "best_objective = -0.261547438",
+        ]
+        # the refinement caps itself at 8 scalar steps; this smooth objective needs at most 4
+        assert 1 <= len(steps) <= 4
 
 
 class TestTabulatedEnvelope:
