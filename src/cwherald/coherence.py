@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .sources import CorrelationKernel
-from .wigner import write_table_csv
+from .wigner import fmt9, write_table_csv
 
 
 @dataclass(frozen=True)
@@ -137,8 +137,8 @@ def write_coherence_csv(path, ck: CoherenceKernel) -> None:
 
 
 def write_mode_csv(path, mode: DominantMode) -> None:
-    """Serialise the dominant mode as CSV rows t,u."""
+    """Serialise the dominant mode as CSV rows t,u in :func:`~cwherald.wigner.fmt9` text."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("t,u\n")
         for t, u in zip(mode.times, mode.samples):
-            fh.write(f"{t:.9g},{u:.9g}\n")
+            fh.write(f"{fmt9(t)},{fmt9(u)}\n")

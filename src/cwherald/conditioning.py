@@ -71,12 +71,12 @@ def _number_state(v: CovarianceMatrix4, n: int) -> GaussPolyState:
     With ``K = I + E``, ``exp(-|z|^2/2)`` turns ``N(mu, E)`` into
     ``N(K^-1 mu, E K^-1)`` times ``exp(-mu^T K^-1 mu / 2) / sqrt(det K)``.
     """
-    v22, g, e = trigger_given_output(v)
+    v22, v22_inv, g, e = trigger_given_output(v)
     k = np.eye(2) + e
     k_inv = np.linalg.inv(k)
     kg = k_inv @ g
     poly = expected_poly_of_shifted_gaussian(OCCUPATION_POWERS[n], 2.0 * kg, e @ k_inv)
-    sigma = np.linalg.inv(np.linalg.inv(v22) + 2.0 * g.swapaxes(-1, -2) @ kg)
+    sigma = np.linalg.inv(v22_inv + 2.0 * g.swapaxes(-1, -2) @ kg)
     return GaussPolyState(terms=(gaussian_term(poly, sigma, det2(v22) * det2(k)),))
 
 
@@ -136,7 +136,7 @@ def _click(v: CovarianceMatrix4) -> ConditionResult:
             f"trigger mode occupation is zero (<a+a> = {low:g}); "
             "no photon available to subtract"
         )
-    v22, g, e = trigger_given_output(v)
+    v22, _, g, e = trigger_given_output(v)
     poly = expected_poly_of_shifted_gaussian(OCCUPATION_POWERS[1], 2.0 * g, e)
     state = GaussPolyState(terms=(gaussian_term(poly, v22, det2(v22)),))
     return ConditionResult(state=state.scaled(1.0 / occupation), probability=occupation)

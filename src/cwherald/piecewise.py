@@ -125,23 +125,21 @@ def dd_exp(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _dd(*nodes: np.ndarray) -> np.ndarray:
-    """dd_exp over broadcast node arrays, keeping their common shape."""
-    stacked = np.stack(np.broadcast_arrays(*nodes), axis=-1)
-    return dd_exp(stacked.reshape(-1, len(nodes))).reshape(stacked.shape[:-1])
+def _dd(z: np.ndarray) -> np.ndarray:
+    """dd_exp over the nodes on the last axis of ``z``, keeping the leading shape."""
+    return dd_exp(z.reshape(-1, z.shape[-1])).reshape(z.shape[:-1])
 
 
 def _cells(*piece_sets) -> tuple[np.ndarray, np.ndarray]:
     """Cell bounds (lo, hi) cutting the line at every finite piece end."""
     pieces = [p for ps in piece_sets for p in ps]
-    ends = [e for p in pieces for e in (p.lo, p.hi) if np.isfinite(e)]
-    edges = np.unique(ends)
+    edges = sorted({e for p in pieces for e in (p.lo, p.hi) if math.isfinite(e)})
     lo, hi = edges[:-1], edges[1:]
-    if any(p.lo == -np.inf for p in pieces):
-        lo, hi = np.r_[-np.inf, lo], np.r_[edges[0], hi]
-    if any(p.hi == np.inf for p in pieces):
-        lo, hi = np.r_[lo, edges[-1]], np.r_[hi, np.inf]
-    return lo, hi
+    if any(p.lo == -math.inf for p in pieces):
+        lo, hi = [-math.inf, *lo], [edges[0], *hi]
+    if any(p.hi == math.inf for p in pieces):
+        lo, hi = [*lo, edges[-1]], [*hi, math.inf]
+    return np.array(lo, dtype=float), np.array(hi, dtype=float)
 
 
 class _Terms(NamedTuple):
@@ -206,10 +204,15 @@ def _end_moments(t: _Terms, r, length) -> np.ndarray:
     fin = np.isfinite(L[:, 0, 0])
     if fin.any():
         f, Lf = t.take(fin), L[fin]
-        # exponent at s = 0 and s = L of each integrand, shift included
-        a = np.stack(np.broadcast_arrays(f.shift, f.shift - r * Lf))
-        b = np.stack(np.broadcast_arrays(f.shift + (f.rate - r) * Lf, f.shift + f.rate * Lf))
-        out[:, fin] = Lf * f.c0 * _dd(a, b) + Lf**2 * f.c1 * _dd(a, b, b)
+        # nodes: the exponent at s = 0 and twice at s = L of each integrand,
+        # shift included, against the distance from the start and to the end
+        z = np.empty((2, len(f.cell), f.shift.shape[1], len(r), 3))
+        z[0, ..., 0] = f.shift
+        z[1, ..., 0] = f.shift - r * Lf
+        z[0, ..., 1] = f.shift + (f.rate - r) * Lf
+        z[1, ..., 1] = f.shift + f.rate * Lf
+        z[..., 2] = z[..., 1]
+        out[:, fin] = Lf * f.c0 * _dd(z[..., :2]) + Lf**2 * f.c1 * _dd(z)
     if not fin.all():
         inf = ~fin
         g = r - t.rate[inf]
@@ -233,12 +236,18 @@ def _triangles(p: _Terms, q: _Terms, r, L) -> np.ndarray:
             + p.c1 * q.c0 * m1a * m0c
         )
     # s = L (l1 + l2), u = L l2 over the unit simplex (Hermite-Genocchi);
-    # a weight l_i repeats node i
-    x0, x1, x2 = np.broadcast_arrays(s, s + (p.rate - r) * L, s + (p.rate + q.rate) * L)
-    x12 = np.stack([x1, x2])
-    d0 = _dd(x0, x1, x2)
-    d1, d2 = _dd(x0, x1, x2, x12)
-    d12, d22 = _dd(x0, x1, x2, x12, x2)
+    # a weight l_i repeats node i.  Nodes x0 = s, x1 and x2 at the corners;
+    # row 0 of z holds (x0, x1, x2, x1, x2), row 1 (x0, x1, x2, x2, x2)
+    x1 = s + (p.rate - r) * L
+    x2 = s + (p.rate + q.rate) * L
+    z = np.empty((2,) + np.broadcast_shapes(x1.shape, x2.shape) + (5,))
+    z[..., 0] = s
+    z[..., 1] = x1
+    z[..., 2:] = x2[..., None]
+    z[0, ..., 3] = x1
+    d0 = _dd(z[0, ..., :3])
+    d1, d2 = _dd(z[..., :4])
+    d12, d22 = _dd(z)
     return L**2 * (
         p.c0 * q.c0 * d0
         + p.c0 * q.c1 * L * d2
@@ -314,11 +323,14 @@ def norm_sq(f) -> float | np.ndarray:
     fin = np.isfinite(L[:, 0, 0])
     out = np.empty_like(a0)
     if fin.any():
-        Lf, sf, e = L[fin], s[fin], s[fin] + x[fin] * L[fin]
+        Lf, e = L[fin], s[fin] + x[fin] * L[fin]
+        z = np.empty(e.shape + (4,))
+        z[..., 0] = s[fin]
+        z[..., 1:] = e[..., None]
         out[fin] = Lf * (
-            a0[fin] * _dd(sf, e)
-            + a1[fin] * Lf * _dd(sf, e, e)
-            + 2.0 * a2[fin] * Lf**2 * _dd(sf, e, e, e)
+            a0[fin] * _dd(z[..., :2])
+            + a1[fin] * Lf * _dd(z[..., :3])
+            + 2.0 * a2[fin] * Lf**2 * _dd(z)
         )
     if not fin.all():
         inf = ~fin

@@ -12,12 +12,15 @@ reductions; no quadrature enters the core path.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import comb
 
 import numpy as np
 
 from .covariance import CovarianceMatrix4
 from .polynomials import (
+    any_member,
+    central_moments,
     det2,
     expected_poly_of_shifted_gaussian,
     gaussian_poly_integral,
@@ -51,11 +54,36 @@ class PolyGaussTerm:
     """One component poly(x, p) * exp(-(x,p) sigma^-1 (x,p)^T).
 
     Stacks ``coeffs`` (K, i, j) and ``sigma`` (K, 2, 2) hold one component
-    per family member.
+    per family member.  A term is never mutated: scaling it, or a new core,
+    makes a new term.  So it computes :attr:`sigma_inv` and
+    :attr:`fock_moments` at most once, when first read, and keeps them for
+    its own lifetime only.
     """
 
     coeffs: np.ndarray
     sigma: np.ndarray
+
+    @cached_property
+    def sigma_inv(self) -> np.ndarray:
+        """``sigma^-1``, the quadratic form in the exponent."""
+        return np.linalg.inv(self.sigma)
+
+    @cached_property
+    def fock_moments(self) -> tuple:
+        """``pi sqrt(det core)`` and the central moments of ``core / 2`` to the Fock-2 degree.
+
+        ``core = (sigma^-1 + I)^-1`` is the Gaussian of this term times the
+        ``exp(-x^2 - p^2)`` of a Fock state.  Times ``poly_mul(coeffs,
+        fock_wigner_poly(n))``, the table's top-left corner gives what
+        :func:`gaussian_poly_integral` gives for that core, for every n up
+        to 2: an entry of the moment recursion reads only lower entries.
+        """
+        core = np.linalg.inv(self.sigma_inv + np.eye(2))
+        det = det2(core)
+        if any_member(det <= 0.0):
+            raise ValueError("gaussian core is not positive definite")
+        degree = max(self.coeffs.shape[-2:]) + 3
+        return np.pi * np.sqrt(det), central_moments(core / 2.0, degree)
 
 
 @dataclass(frozen=True)
@@ -87,7 +115,7 @@ class GaussPolyState:
         p = np.asarray(p, dtype=float)
         out = np.zeros(np.broadcast(x, p).shape)
         for t in self.terms:
-            si = np.linalg.inv(t.sigma)
+            si = t.sigma_inv
             expo = -(si[0, 0] * x * x + 2.0 * si[0, 1] * x * p + si[1, 1] * p * p)
             out = out + poly_eval(t.coeffs, x, p) * np.exp(expo)
         return out
@@ -125,13 +153,23 @@ def fock_wigner_poly(n: int) -> np.ndarray:
     ``W_n = (-1)^n L_n(2 r^2) exp(-r^2) / pi``, where ``(-2 r^2)^j / j!`` in the
     Laguerre ``L_n`` is ``(-4)^j OCCUPATION_POWERS[j]``.  Supported for n in
     {0, 1, 2}; higher projections are a documented extension point and rejected.
+    The three tables are built once, at import, and are read-only.
     """
     if n not in (0, 1, 2):
         raise ValueError(f"Fock index n={n} unsupported; analytic set is n in {{0, 1, 2}}")
+    return _FOCK_POLYS[n]
+
+
+def _fock_poly(n: int) -> np.ndarray:
     c = np.zeros((2 * n + 1, 2 * n + 1))
     for j in range(n + 1):
         c[: 2 * j + 1, : 2 * j + 1] += comb(n, j) * (-4.0) ** j * OCCUPATION_POWERS[j]
-    return (-1) ** n * c / np.pi
+    c = (-1) ** n * c / np.pi
+    c.flags.writeable = False  # shared by every caller
+    return c
+
+
+_FOCK_POLYS = tuple(_fock_poly(n) for n in range(3))
 
 
 def fock_state(n: int) -> GaussPolyState:
@@ -142,7 +180,7 @@ def fock_state(n: int) -> GaussPolyState:
 
 
 def trigger_given_output(v: CovarianceMatrix4):
-    """``V22``, ``G = N12 V22^-1`` and ``E = N11 - 2 G N12^T``.
+    """``V22``, ``V22^-1``, ``G = N12 V22^-1`` and ``E = N11 - 2 G N12^T``.
 
     The output's marginal is the Gaussian of ``V22``; given its quadratures
     ``y2``, the trigger's are Gaussian with mean ``2 G y2`` and excess ``E``.
@@ -150,8 +188,9 @@ def trigger_given_output(v: CovarianceMatrix4):
     n = v.n
     n12 = n[..., :2, 2:]
     v22 = np.eye(2) + 2.0 * n[..., 2:, 2:]
-    g = n12 @ np.linalg.inv(v22)
-    return v22, g, n[..., :2, :2] - 2.0 * g @ n12.swapaxes(-1, -2)
+    v22_inv = np.linalg.inv(v22)
+    g = n12 @ v22_inv
+    return v22, v22_inv, g, n[..., :2, :2] - 2.0 * g @ n12.swapaxes(-1, -2)
 
 
 def gaussian_term(poly, sigma, det_core) -> PolyGaussTerm:
@@ -170,7 +209,7 @@ def integrate_out_trigger(w: TwoModeGaussianWigner, weight: np.ndarray):
     """
     if any(i + j > 4 for i, j in nonzero_entries(weight)):
         raise ValueError("weight polynomial total degree must be at most four")
-    v22, g, e = trigger_given_output(w.v)
+    v22, _, g, e = trigger_given_output(w.v)
     poly = expected_poly_of_shifted_gaussian(weight, 2.0 * g, 0.5 * np.eye(2) + e)
     state = GaussPolyState(terms=(gaussian_term(poly, v22, det2(v22)),))
     return state, state.total_integral()

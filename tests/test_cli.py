@@ -189,6 +189,39 @@ class TestScanStage:
         assert "best_alpha = " in best and "objective = origin_value" in best
 
 
+# sha256 of (summary.txt, wigner_grid.csv) of each shipped fixture: a change
+# that leaves the numbers alone leaves these files byte-identical
+FIXTURE_SHA256 = {
+    "figure3_upper": (
+        "c52a06d8131a977d1ae14c1c4e0d91f4fa349ebcc50293229b2b8edaf1c8ad43",
+        "23275707ee00cc1f9c5e3662068032b606bbca0fb6b9fe7515e49730ca2c4436",
+    ),
+    "figure3_lower": (
+        "94a7e134fd73f8656e2ab3629c25c5d2d386b405ccfd874ae266753c3d61977d",
+        "6f62aaa125ecd349edb60497f0969725b6a23e20f6d23176b83920cb812fb0bb",
+    ),
+    "figure4_upper": (
+        "8b56c8c1ec2092667208153e0cfb16afc67bc0e0e0121f1020d0e5f11a521100",
+        "bade8e3920dc8b55356aa91eafd518e7320c4d23e47377a9c66a8c223c80479f",
+    ),
+    "figure4_lower": (
+        "61002447b6644c4daa65cb38e7e1178e4f919c18626f46f8983390326ea20460",
+        "91842159a1f40a67f0d0f4f2c4e432b084a825f9c1e9b52a368b587147359b5a",
+    ),
+}
+
+
+@pytest.mark.parametrize("stem", FIXTURE_SHA256)
+def test_fixture_outputs_pinned(stem, tmp_path):
+    cfg = str(FIXTURES / f"{stem}.cfg")
+    assert cli.main(["run", "--config", cfg, "--out", str(tmp_path), "--quiet"]) == 0
+    digests = tuple(
+        hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in ("summary.txt", "wigner_grid.csv")
+    )
+    assert digests == FIXTURE_SHA256[stem]
+
+
 class TestScanPipeline:
     # sha256 of scan.csv for the scan fixture; the grid values it holds do
     # not depend on how the optimum is refined

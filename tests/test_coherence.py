@@ -10,6 +10,7 @@ from cwherald.coherence import (
     dominant_mode,
     fit_exponential_decay,
     write_coherence_csv,
+    write_mode_csv,
 )
 from cwherald.sources import OpoParams, opo_kernel
 
@@ -149,3 +150,13 @@ class TestCoherenceCsv:
         text = path.read_text()
         assert_same_text(text, coherence_csv_text(ts, g))
         assert "\n0,-1.5," in text  # the -0.0 time prints as 0
+
+
+class TestModeCsv:
+    def test_rows_in_fmt9_text(self, tmp_path):
+        ts = np.array([-0.5, -0.0, 2.0 / 3.0])
+        us = np.array([0.125, 1e-12, -0.0])
+        path = tmp_path / "dominant_mode.csv"
+        write_mode_csv(path, DominantMode(times=ts, samples=us, dominance=1.0))
+        # -0.0 prints as 0, as in every other file the program writes
+        assert path.read_text() == "t,u\n-0.5,0.125\n0,1e-12\n0.666666667,0\n"
