@@ -8,8 +8,9 @@ the normalised conditioned state of the output mode together with the
 outcome probability (the click case reports the trigger-mode occupation).
 
 Given the output quadratures ``y2``, the trigger's P function is the
-Gaussian ``z ~ N(2 G y2, E)`` of :func:`~cwherald.wigner.trigger_given_output`,
-and an outcome of normally ordered weight ``w(z)`` leaves the output in
+Gaussian ``z ~ N(2 G y2, E)`` of
+:attr:`~cwherald.covariance.CovarianceMatrix4.trigger`, and an outcome of
+normally ordered weight ``w(z)`` leaves the output in
 ``W_V22(y2) E[w(z)]``, unnormalised: ``|z|^2/2`` for a click and
 ``exp(-|z|^2/2) (|z|^2/2)^n / n!`` for n photons.  No vacuum is subtracted.
 
@@ -18,6 +19,14 @@ Each conditioner also takes a family of covariances (``v.n`` of shape
 states as stacked terms and one probability per member, each equal to the
 member conditioned alone.  A check that fails on any member raises the
 error that the first such member raises alone.
+
+Every Gaussian reduction a conditioner needs is computed once per
+covariance, when first needed, and kept on it (its ``n`` is read-only):
+the physicality margin, the trigger given the output and the
+n-independent number core.  Conditioning one covariance six ways reduces
+it once, and the resulting states share two Gaussian cores with
+read-only ``sigma`` (``V22`` and the number core), each with one inverse
+and one Fock-moment table.
 """
 
 from __future__ import annotations
@@ -26,10 +35,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .covariance import CovarianceMatrix4, physical_margin
+from .covariance import CovarianceMatrix4
 from .errors import ImpossibleOutcomeError, UnphysicalCovarianceError
 from .polynomials import any_member, det2, expected_poly_of_shifted_gaussian, per_member
-from .wigner import OCCUPATION_POWERS, GaussPolyState, gaussian_term, trigger_given_output
+from .wigner import OCCUPATION_POWERS, GaussPolyState, gaussian_term
 
 PROBABILITY_FLOOR = 1e-300
 
@@ -56,7 +65,7 @@ def _first_failing(values, failing):
 
 
 def _require_physical(v: CovarianceMatrix4) -> None:
-    min_eig, _, physical = physical_margin(v.m)
+    min_eig, _, physical = v.margin
     min_eig = _first_failing(min_eig, np.logical_not(physical))
     if min_eig is not None:
         raise UnphysicalCovarianceError(
@@ -66,18 +75,10 @@ def _require_physical(v: CovarianceMatrix4) -> None:
 
 
 def _number_state(v: CovarianceMatrix4, n: int) -> GaussPolyState:
-    """The unnormalised n-photon-conditioned output, whose integral is P_n.
-
-    With ``K = I + E``, ``exp(-|z|^2/2)`` turns ``N(mu, E)`` into
-    ``N(K^-1 mu, E K^-1)`` times ``exp(-mu^T K^-1 mu / 2) / sqrt(det K)``.
-    """
-    v22, v22_inv, g, e = trigger_given_output(v)
-    k = np.eye(2) + e
-    k_inv = np.linalg.inv(k)
-    kg = k_inv @ g
-    poly = expected_poly_of_shifted_gaussian(OCCUPATION_POWERS[n], 2.0 * kg, e @ k_inv)
-    sigma = np.linalg.inv(v22_inv + 2.0 * g.swapaxes(-1, -2) @ kg)
-    return GaussPolyState(terms=(gaussian_term(poly, sigma, det2(v22) * det2(k)),))
+    """The unnormalised n-photon-conditioned output, whose integral is P_n."""
+    lin, cov, core, det_core = v.number_core
+    poly = expected_poly_of_shifted_gaussian(OCCUPATION_POWERS[n], lin, cov)
+    return GaussPolyState(terms=(gaussian_term(poly, core, det_core),))
 
 
 def condition_on_number(v: CovarianceMatrix4, n: int) -> ConditionResult:
@@ -120,8 +121,8 @@ def condition_on_on(v: CovarianceMatrix4) -> ConditionResult:
         raise ImpossibleOutcomeError(
             "trigger mode is exact vacuum; the on outcome never fires"
         )
-    v22 = np.eye(2) + 2.0 * v.n[..., 2:, 2:]
-    marginal = GaussPolyState(terms=(gaussian_term(np.ones((1, 1)), v22, det2(v22)),))
+    v22 = v.trigger[0]
+    marginal = GaussPolyState(terms=(gaussian_term(np.ones((1, 1)), v22, det2(v22.sigma)),))
     vacuum = _number_state(v, 0)
     terms = marginal.scaled(1.0 / p_on).terms + vacuum.scaled(-1.0 / p_on).terms
     return ConditionResult(state=GaussPolyState(terms=terms), probability=p_on)
@@ -136,9 +137,9 @@ def _click(v: CovarianceMatrix4) -> ConditionResult:
             f"trigger mode occupation is zero (<a+a> = {low:g}); "
             "no photon available to subtract"
         )
-    v22, _, g, e = trigger_given_output(v)
+    v22, _, g, e = v.trigger
     poly = expected_poly_of_shifted_gaussian(OCCUPATION_POWERS[1], 2.0 * g, e)
-    state = GaussPolyState(terms=(gaussian_term(poly, v22, det2(v22)),))
+    state = GaussPolyState(terms=(gaussian_term(poly, v22, det2(v22.sigma)),))
     return ConditionResult(state=state.scaled(1.0 / occupation), probability=occupation)
 
 

@@ -9,11 +9,12 @@ matrix.  Mode 1 is the trigger, mode 2 the output.  The program holds
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .polynomials import any_member, per_member
+from .polynomials import GaussianCore, any_member, det2, per_member
 
 if TYPE_CHECKING:  # pragma: no cover
     from .modes import SecondMoments
@@ -43,22 +44,70 @@ class CovarianceMatrix4:
     A family goes through :func:`assemble`, :func:`apply_loss`,
     :func:`physicality_check` and the conditioners as a whole, and gives
     one result per member, equal to that member's result alone.
+
+    ``n`` is a read-only copy of the input, so the reductions below are
+    computed at most once, when first read, and shared by every
+    conditioner and by :func:`physicality_check` on this covariance.
     """
 
     n: np.ndarray
 
     def __init__(self, m):
-        object.__setattr__(self, "n", 0.5 * (_symmetric(m) - np.eye(4)))
+        object.__setattr__(self, "n", _read_only(0.5 * (_symmetric(m) - np.eye(4))))
 
     @classmethod
     def from_excess(cls, n) -> "CovarianceMatrix4":
         cov = object.__new__(cls)
-        object.__setattr__(cov, "n", _symmetric(n))
+        object.__setattr__(cov, "n", _read_only(_symmetric(n)))
         return cov
 
     @property
     def m(self) -> np.ndarray:
         return np.eye(4) + 2.0 * self.n
+
+    @cached_property
+    def margin(self) -> tuple:
+        """:func:`physical_margin` of ``V``, read-only: the report hands it out."""
+        return tuple(map(_read_only, physical_margin(self.m)))
+
+    @cached_property
+    def trigger(self) -> tuple:
+        """The core of ``V22``, ``V22^-1``, ``G = N12 V22^-1`` and ``E = N11 - 2 G N12^T``.
+
+        The output's marginal is the Gaussian of ``V22``; given its
+        quadratures ``y2``, the trigger's are Gaussian with mean ``2 G y2``
+        and excess ``E``.
+        """
+        n12 = self.n[..., :2, 2:]
+        v22 = np.eye(2) + 2.0 * self.n[..., 2:, 2:]
+        v22_inv = np.linalg.inv(v22)
+        g = n12 @ v22_inv
+        e = self.n[..., :2, :2] - 2.0 * g @ n12.swapaxes(-1, -2)
+        return GaussianCore(v22), v22_inv, g, e
+
+    @cached_property
+    def number_core(self) -> tuple:
+        """The n-independent part of photon-number conditioning.
+
+        With ``K = I + E``, the vacuum overlap ``exp(-|z|^2/2)`` turns the
+        trigger's ``N(2 G y2, E)`` into ``N(2 K^-1 G y2, E K^-1)`` times
+        ``exp(-2 y2^T G^T K^-1 G y2) / sqrt(det K)``.  Returns the mean's
+        linear map ``2 K^-1 G``, the covariance ``E K^-1``, the core of
+        ``sigma = (V22^-1 + 2 G^T K^-1 G)^-1`` and ``det V22 det K``.
+        """
+        v22, v22_inv, g, e = self.trigger
+        k = np.eye(2) + e
+        k_inv = np.linalg.inv(k)
+        kg = k_inv @ g
+        sigma = np.linalg.inv(v22_inv + 2.0 * g.swapaxes(-1, -2) @ kg)
+        return 2.0 * kg, e @ k_inv, GaussianCore(sigma), det2(v22.sigma) * det2(k)
+
+
+def _read_only(value):
+    """``value``, made read-only if it is an array; a numpy scalar already is."""
+    if isinstance(value, np.ndarray):
+        value.flags.writeable = False
+    return value
 
 
 def _symmetric(m) -> np.ndarray:
@@ -156,7 +205,7 @@ def physicality_check(v: CovarianceMatrix4) -> PhysicalityReport:
     ``1/sqrt(det V)``.  For a family each field holds one value per member.
     """
     m = v.m
-    min_eig, det, physical = physical_margin(m)
+    min_eig, det, physical = v.margin
     # symplectic spectrum: |eigenvalues of i Omega V| in pairs
     sympl = np.sort(np.abs(np.linalg.eigvals(1j * OMEGA @ m)), axis=-1)
     # the square root sees only positive determinants, so none warns

@@ -18,15 +18,16 @@ def wigner_at_origin(s: GaussPolyState):
 def fock_fidelity(s: GaussPolyState, n: int):
     """Overlap with the n-photon Fock state, 2*pi*Int(W_s W_n), by Gaussian-moment reduction.
 
-    Each term integrates against its own
-    :attr:`~cwherald.wigner.PolyGaussTerm.fock_moments`, which n = 0, 1 and 2
-    share.  A family's state gives one overlap per member.
+    Each term integrates against the Fock-moment table of its core
+    (:meth:`~cwherald.polynomials.GaussianCore.fock_moments`), which n = 0,
+    1 and 2 and every term on that core share.  A family's state gives one
+    overlap per member.
     """
     fock = fock_wigner_poly(n)
     acc = 0.0
     for t in s.terms:
         c = poly_mul(t.coeffs, fock)
-        scale, mom = t.fock_moments
+        scale, mom = t.core.fock_moments(max(c.shape[-2:]) - 1)
         acc += scale * (c * mom[..., : c.shape[-2], : c.shape[-1]]).sum(axis=(-2, -1))
     return 2.0 * np.pi * acc
 
@@ -36,7 +37,7 @@ def purity(s: GaussPolyState) -> float:
     acc = 0.0
     for ta in s.terms:
         for tb in s.terms:
-            merged = np.linalg.inv(ta.sigma_inv + tb.sigma_inv)
+            merged = np.linalg.inv(ta.core.sigma_inv + tb.core.sigma_inv)
             acc += gaussian_poly_integral(poly_mul(ta.coeffs, tb.coeffs), merged)
     return 2.0 * np.pi * acc
 

@@ -33,6 +33,7 @@ from .modes import (
     build_trigger_mode,
     second_moments,
 )
+from .polynomials import GaussianCore
 from .scan import ScanResult, scan_and_refine
 from .sources import CorrelationKernel, OpoParams, opo_kernel, tmsv_covariance
 from .wigner import GaussPolyState, PolyGaussTerm, evaluate_grid
@@ -55,10 +56,15 @@ def build_modes(cfg: ExperimentConfig) -> tuple[ModeFunction, ModeFunction, Corr
     The output mode is the configured envelope times the tap's reflection
     amplitude sqrt(1 - tap_amplitude^2).
     """
+    f1, kernel, reflect = _trigger_side(cfg)
+    return f1, build_output_mode(cfg.output).scaled(reflect), kernel
+
+
+def _trigger_side(cfg: ExperimentConfig) -> tuple[ModeFunction, CorrelationKernel, float]:
+    """The trigger mode, the source kernel and the output's reflection amplitude."""
     kernel = build_kernel(cfg)
     reflect = float(np.sqrt(1.0 - cfg.trigger.tap_amplitude**2))
-    f1 = build_trigger_mode(cfg.trigger, source_fast_rate=kernel.fast_rate)
-    return f1, build_output_mode(cfg.output).scaled(reflect), kernel
+    return build_trigger_mode(cfg.trigger, source_fast_rate=kernel.fast_rate), kernel, reflect
 
 
 def build_covariance(cfg: ExperimentConfig) -> CovarianceMatrix4:
@@ -129,10 +135,11 @@ def scan_alpha(cfg: ExperimentConfig) -> ScanResult:
     if sc is None:
         raise ValueError("no [scan] parameters configured")
     sign = 1.0 if sc.objective == "origin_value" else -1.0
+    f1, kernel, reflect = _trigger_side(cfg)  # alpha moves the output mode only
 
     def signed(alpha):
         """Signed objective at one alpha, or at each of a 1-d array of them, in one pass."""
-        f1, f2, kernel = build_modes(replace(cfg, output=replace(cfg.output, alpha=alpha)))
+        f2 = build_output_mode(replace(cfg.output, alpha=alpha)).scaled(reflect)
         v = apply_loss(assemble(second_moments(f1, f2, kernel)), cfg.losses)
         state = condition_state(cfg, v).state
         if sc.objective == "origin_value":
@@ -202,10 +209,7 @@ def load_state(path) -> ConditionResult:
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     terms = tuple(
-        PolyGaussTerm(
-            coeffs=np.array(t["coeffs"], dtype=float),
-            sigma=np.array(t["sigma"], dtype=float),
-        )
+        PolyGaussTerm(coeffs=np.array(t["coeffs"], dtype=float), core=GaussianCore(t["sigma"]))
         for t in doc["terms"]
     )
     return ConditionResult(

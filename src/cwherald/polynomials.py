@@ -15,6 +15,8 @@ a stacked result equals the results member by member exactly.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from functools import cached_property
 from math import comb
 
 import numpy as np
@@ -91,11 +93,17 @@ def central_moments(cov: np.ndarray, max_degree: int) -> np.ndarray:
     Uses the Stein/Isserlis recursion
     ``m[a, b] = (a-1) Cxx m[a-2, b] + b Cxp m[a-1, b-1]`` (and its
     transpose for a = 0), exact for any degree.  The recursion runs on the
-    (a, b) entries, each a number or the family's vector of K numbers.
+    (a, b) entries, each a number or the family's vector of K numbers; a
+    single covariance's numbers are Python floats, which do the same IEEE
+    operations as numpy's scalars without their overhead.
     """
     cxx, cxp, cpp = cov[..., 0, 0][()], cov[..., 0, 1][()], cov[..., 1, 1][()]
-    m = np.zeros((max_degree + 1, max_degree + 1) + cxx.shape)
-    m[0, 0] = 1.0
+    if np.ndim(cxx) == 0:
+        cxx, cxp, cpp = float(cxx), float(cxp), float(cpp)
+        m = [[0.0] * (max_degree + 1) for _ in range(max_degree + 1)]
+    else:
+        m = np.zeros((max_degree + 1, max_degree + 1) + cxx.shape)
+    m[0][0] = 1.0
     for a in range(max_degree + 1):
         for b in range(max_degree + 1):
             if a == 0 and b == 0:
@@ -103,13 +111,15 @@ def central_moments(cov: np.ndarray, max_degree: int) -> np.ndarray:
             if a > 0:
                 acc = 0.0
                 if a >= 2:
-                    acc += (a - 1) * cxx * m[a - 2, b]
+                    acc += (a - 1) * cxx * m[a - 2][b]
                 if b >= 1:
-                    acc += b * cxp * m[a - 1, b - 1]
-                m[a, b] = acc
+                    acc += b * cxp * m[a - 1][b - 1]
+                m[a][b] = acc
             else:
-                m[a, b] = (b - 1) * cpp * m[0, b - 2] if b >= 2 else 0.0
-    return np.ascontiguousarray(np.moveaxis(m, (0, 1), (-2, -1))) if m.ndim > 2 else m
+                m[a][b] = (b - 1) * cpp * m[0][b - 2] if b >= 2 else 0.0
+    if isinstance(m, list):
+        return np.array(m)
+    return np.ascontiguousarray(np.moveaxis(m, (0, 1), (-2, -1)))
 
 
 def _powers(x, degree: int) -> list:
@@ -150,22 +160,29 @@ def expected_poly_of_shifted_gaussian(
     linear map of the remaining variables, ``m = lin @ (x, p)``.  Returns
     the coefficient table of the resulting polynomial in (x, p); its
     total degree never exceeds that of ``w``.  Stacks of ``w``, ``lin``
-    and ``cov`` give one table per member.
+    and ``cov`` give one table per member.  Each product of powers of the
+    mean's two components is formed once per call.
     """
     deg = max(w.shape[-2:]) - 1
+    family = _family_shape(w, lin, cov)
+    if deg == 0:  # a constant is its own expectation; + 0.0 as the sum below adds it
+        return w + np.zeros(family + (1, 1))
     mom = central_moments(cov, deg)
     moment_nonzero = nonzero_entries(mom)
     mx_pow = linear_form_powers(lin[..., 0, 0], lin[..., 0, 1], deg)
     mp_pow = linear_form_powers(lin[..., 1, 0], lin[..., 1, 1], deg)
+    products = {}  # (i, j) -> poly_mul(mx_pow[i], mp_pow[j])
     terms = nonzero_entries(w)
     top = max((a + b for a, b in terms), default=0) + 1
-    out = np.zeros(_family_shape(w, lin, cov) + (top, top))
+    out = np.zeros(family + (top, top))
     for a, b in terms:
         # E[(mx + zx)^a (mp + zp)^b], expanded binomially over the moments of Z
         acc = np.zeros(out.shape[:-2] + (a + b + 1, a + b + 1))
         for k, l in moment_nonzero:
             if k <= a and l <= b:
-                contrib = poly_mul(mx_pow[a - k], mp_pow[b - l])
+                contrib = products.get((a - k, b - l))
+                if contrib is None:
+                    contrib = products[a - k, b - l] = poly_mul(mx_pow[a - k], mp_pow[b - l])
                 ci, cj = contrib.shape[-2:]
                 acc[..., :ci, :cj] += comb(a, k) * comb(b, l) * mom[..., k, l, None, None] * contrib
         out[..., : a + b + 1, : a + b + 1] += w[..., a, b, None, None] * acc
@@ -184,3 +201,55 @@ def gaussian_poly_integral(c: np.ndarray, sigma: np.ndarray):
     mom = central_moments(sigma / 2.0, max(c.shape[-2:]) - 1)
     total = (c * mom[..., : c.shape[-2], : c.shape[-1]]).sum(axis=(-2, -1))
     return np.pi * np.sqrt(det) * total
+
+
+# Fock-moment tables are built to this degree at least: a degree-4 polynomial,
+# the highest any conditioner makes, times the Fock-2 polynomial
+FOCK_DEGREE = 8
+
+
+@dataclass(frozen=True, eq=False)
+class GaussianCore:
+    """The Gaussian ``exp(-(x,p) sigma^-1 (x,p)^T)`` that polynomial terms multiply.
+
+    ``sigma`` is a 2x2 matrix, or a (K, 2, 2) stack for a family, held as
+    a read-only copy.  Terms on one core share it, and it computes
+    :attr:`sigma_inv` and its Fock-moment table at most once, when first
+    read, for all of them.
+    """
+
+    sigma: np.ndarray
+
+    def __post_init__(self):
+        sigma = np.array(self.sigma, dtype=float)
+        sigma.flags.writeable = False
+        object.__setattr__(self, "sigma", sigma)
+
+    @cached_property
+    def sigma_inv(self) -> np.ndarray:
+        """``sigma^-1``, the quadratic form in the exponent."""
+        return np.linalg.inv(self.sigma)
+
+    @cached_property
+    def _fock(self) -> tuple:
+        """``pi sqrt(det c)``, ``c / 2`` and its moment table, ``c = (sigma^-1 + I)^-1``."""
+        core = np.linalg.inv(self.sigma_inv + np.eye(2))
+        det = det2(core)
+        if any_member(det <= 0.0):
+            raise ValueError("gaussian core is not positive definite")
+        half = core / 2.0
+        return np.pi * np.sqrt(det), half, central_moments(half, FOCK_DEGREE)
+
+    def fock_moments(self, degree: int) -> tuple:
+        """``pi sqrt(det c)`` and the central moments of ``c / 2`` to at least ``degree``.
+
+        ``c`` is this core times a Fock state's ``exp(-x^2 - p^2)``.  A
+        polynomial contracted with the table's top-left corner, times the
+        scale, is what :func:`gaussian_poly_integral` gives for it on ``c``.
+        The table is built once, to :data:`FOCK_DEGREE`: an entry of the
+        moment recursion reads only lower entries, so its corners hold the
+        numbers a table of lower degree holds.  A higher degree gets a
+        table of its own at each call.
+        """
+        scale, half, table = self._fock
+        return scale, table if degree <= FOCK_DEGREE else central_moments(half, degree)

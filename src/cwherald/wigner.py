@@ -3,24 +3,28 @@
 The two-mode Gaussian Wigner function
 ``W_V(y) = exp(-y^T V^-1 y) / (pi^2 sqrt(det V))`` is reduced over the
 trigger-mode phase plane through the trigger's Gaussian given the output,
-taken from ``N = (V - I)/2`` by :func:`trigger_given_output`; the result of
-every conditioning operation is a (short sum of) polynomial-times-Gaussian
-single-mode states.  All integrals here are exact Gaussian-moment
-reductions; no quadrature enters the core path.
+:attr:`~cwherald.covariance.CovarianceMatrix4.trigger`, which a covariance
+computes once; the result of every conditioning operation is a (short sum
+of) polynomial-times-Gaussian single-mode states.  All integrals here are
+exact Gaussian-moment reductions; no quadrature enters the core path.
+
+A term's Gaussian is a :class:`~cwherald.polynomials.GaussianCore`, which
+computes its inverse and its Fock-moment table once and holds its
+``sigma`` read-only.  The terms a covariance's conditioners make share two
+cores: the output marginal's ``V22`` and the number core of
+:attr:`~cwherald.covariance.CovarianceMatrix4.number_core`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from math import comb
 
 import numpy as np
 
 from .covariance import CovarianceMatrix4
 from .polynomials import (
-    any_member,
-    central_moments,
+    GaussianCore,
     det2,
     expected_poly_of_shifted_gaussian,
     gaussian_poly_integral,
@@ -53,37 +57,18 @@ class TwoModeGaussianWigner:
 class PolyGaussTerm:
     """One component poly(x, p) * exp(-(x,p) sigma^-1 (x,p)^T).
 
-    Stacks ``coeffs`` (K, i, j) and ``sigma`` (K, 2, 2) hold one component
-    per family member.  A term is never mutated: scaling it, or a new core,
-    makes a new term.  So it computes :attr:`sigma_inv` and
-    :attr:`fock_moments` at most once, when first read, and keeps them for
-    its own lifetime only.
+    Stacks ``coeffs`` (K, i, j) and a core of ``sigma`` (K, 2, 2) hold one
+    component per family member.  A term is never mutated: scaling it
+    makes a new term on the same :class:`~cwherald.polynomials.GaussianCore`,
+    so every term on one core shares its inverse and its Fock-moment table.
     """
 
     coeffs: np.ndarray
-    sigma: np.ndarray
+    core: GaussianCore
 
-    @cached_property
-    def sigma_inv(self) -> np.ndarray:
-        """``sigma^-1``, the quadratic form in the exponent."""
-        return np.linalg.inv(self.sigma)
-
-    @cached_property
-    def fock_moments(self) -> tuple:
-        """``pi sqrt(det core)`` and the central moments of ``core / 2`` to the Fock-2 degree.
-
-        ``core = (sigma^-1 + I)^-1`` is the Gaussian of this term times the
-        ``exp(-x^2 - p^2)`` of a Fock state.  Times ``poly_mul(coeffs,
-        fock_wigner_poly(n))``, the table's top-left corner gives what
-        :func:`gaussian_poly_integral` gives for that core, for every n up
-        to 2: an entry of the moment recursion reads only lower entries.
-        """
-        core = np.linalg.inv(self.sigma_inv + np.eye(2))
-        det = det2(core)
-        if any_member(det <= 0.0):
-            raise ValueError("gaussian core is not positive definite")
-        degree = max(self.coeffs.shape[-2:]) + 3
-        return np.pi * np.sqrt(det), central_moments(core / 2.0, degree)
+    @property
+    def sigma(self) -> np.ndarray:
+        return self.core.sigma
 
 
 @dataclass(frozen=True)
@@ -115,7 +100,7 @@ class GaussPolyState:
         p = np.asarray(p, dtype=float)
         out = np.zeros(np.broadcast(x, p).shape)
         for t in self.terms:
-            si = t.sigma_inv
+            si = t.core.sigma_inv
             expo = -(si[0, 0] * x * x + 2.0 * si[0, 1] * x * p + si[1, 1] * p * p)
             out = out + poly_eval(t.coeffs, x, p) * np.exp(expo)
         return out
@@ -135,7 +120,7 @@ class GaussPolyState:
         factor = np.asarray(factor)[..., None, None]
         return GaussPolyState(
             terms=tuple(
-                PolyGaussTerm(coeffs=t.coeffs * factor, sigma=t.sigma)
+                PolyGaussTerm(coeffs=t.coeffs * factor, core=t.core)
                 for t in self.terms
             )
         )
@@ -175,27 +160,13 @@ _FOCK_POLYS = tuple(_fock_poly(n) for n in range(3))
 def fock_state(n: int) -> GaussPolyState:
     """The Fock-state Wigner function as a normalised one-term state."""
     return GaussPolyState(
-        terms=(PolyGaussTerm(coeffs=fock_wigner_poly(n), sigma=np.eye(2)),)
+        terms=(PolyGaussTerm(coeffs=fock_wigner_poly(n), core=GaussianCore(np.eye(2))),)
     )
 
 
-def trigger_given_output(v: CovarianceMatrix4):
-    """``V22``, ``V22^-1``, ``G = N12 V22^-1`` and ``E = N11 - 2 G N12^T``.
-
-    The output's marginal is the Gaussian of ``V22``; given its quadratures
-    ``y2``, the trigger's are Gaussian with mean ``2 G y2`` and excess ``E``.
-    """
-    n = v.n
-    n12 = n[..., :2, 2:]
-    v22 = np.eye(2) + 2.0 * n[..., 2:, 2:]
-    v22_inv = np.linalg.inv(v22)
-    g = n12 @ v22_inv
-    return v22, v22_inv, g, n[..., :2, :2] - 2.0 * g @ n12.swapaxes(-1, -2)
-
-
-def gaussian_term(poly, sigma, det_core) -> PolyGaussTerm:
-    """``poly(y) exp(-y^T sigma^-1 y) / (pi sqrt(det_core))`` as one term."""
-    return PolyGaussTerm(coeffs=poly / (np.pi * np.sqrt(det_core))[..., None, None], sigma=sigma)
+def gaussian_term(poly, core: GaussianCore, det_core) -> PolyGaussTerm:
+    """``poly(y) exp(-y^T sigma^-1 y) / (pi sqrt(det_core))`` as one term on ``core``."""
+    return PolyGaussTerm(coeffs=poly / (np.pi * np.sqrt(det_core))[..., None, None], core=core)
 
 
 def integrate_out_trigger(w: TwoModeGaussianWigner, weight: np.ndarray):
@@ -209,9 +180,9 @@ def integrate_out_trigger(w: TwoModeGaussianWigner, weight: np.ndarray):
     """
     if any(i + j > 4 for i, j in nonzero_entries(weight)):
         raise ValueError("weight polynomial total degree must be at most four")
-    v22, _, g, e = trigger_given_output(w.v)
+    v22, _, g, e = w.v.trigger
     poly = expected_poly_of_shifted_gaussian(weight, 2.0 * g, 0.5 * np.eye(2) + e)
-    state = GaussPolyState(terms=(gaussian_term(poly, v22, det2(v22)),))
+    state = GaussPolyState(terms=(gaussian_term(poly, v22, det2(v22.sigma)),))
     return state, state.total_integral()
 
 

@@ -3,6 +3,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_physical_covariance
 
@@ -14,18 +16,30 @@ from cwherald.conditioning import (
     vacuum_projection,
 )
 from cwherald.config import parse_config
-from cwherald.covariance import CovarianceMatrix4, LossParams, apply_loss, assemble
+from cwherald.covariance import (
+    CovarianceMatrix4,
+    LossParams,
+    apply_loss,
+    assemble,
+    physicality_check,
+)
 from cwherald.errors import ImpossibleOutcomeError
-from cwherald.metrics import fock_fidelity, wigner_at_origin
+from cwherald.metrics import fock_fidelity, negativity_volume, wigner_at_origin
 from cwherald.modes import SecondMoments, second_moments
-from cwherald.pipeline import build_modes
+from cwherald.pipeline import build_modes, summarize
+from cwherald.polynomials import GaussianCore
 from cwherald.sources import tmsv_covariance
-from cwherald.wigner import TwoModeGaussianWigner, fock_state, integrate_out_trigger
+from cwherald.wigner import (
+    GridSpec,
+    TwoModeGaussianWigner,
+    evaluate_grid,
+    fock_state,
+    integrate_out_trigger,
+)
 
 VACUUM = CovarianceMatrix4(np.eye(4))
-SCAN_FIXTURE = (
-    Path(__file__).resolve().parent.parent / "src" / "cwherald" / "fixtures" / "figure4_scan.cfg"
-)
+FIXTURES = Path(__file__).resolve().parent.parent / "src" / "cwherald" / "fixtures"
+SCAN_FIXTURE = FIXTURES / "figure4_scan.cfg"
 
 
 # two-mode-squeezed moments plus thermal noise, physical for any downscaling
@@ -241,3 +255,113 @@ class TestFamilies:
         with pytest.raises(ImpossibleOutcomeError) as together:
             condition_on_click(family)
         assert str(together.value) == str(alone.value)
+
+
+CONDITIONERS = TestFamilies.CONDITIONERS
+SUMMARY_CFG = parse_config(FIXTURES / "figure4_lower.cfg")
+SMALL_GRID = GridSpec(nx=21, np_=21)
+
+
+def same_bits(a, b) -> bool:
+    """Equal shapes and values, sign bits included."""
+    a, b = np.asarray(a), np.asarray(b)
+    same_signs = np.array_equal(np.signbit(a), np.signbit(b))
+    return a.shape == b.shape and np.array_equal(a, b) and same_signs
+
+
+def same_result(got, want) -> bool:
+    return (
+        same_bits(got.probability, want.probability)
+        and len(got.state.terms) == len(want.state.terms)
+        and all(
+            same_bits(g.coeffs, w.coeffs) and same_bits(g.sigma, w.sigma)
+            for g, w in zip(got.state.terms, want.state.terms)
+        )
+    )
+
+
+class TestSharedReductions:
+    """A covariance reduces once for every conditioner; sharing changes no bit."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        family=st.booleans(),
+        order=st.permutations(list(CONDITIONERS)),
+        between=st.lists(st.sampled_from(["summarize", "grid", "check"]), max_size=3),
+    )
+    def test_any_order_equals_fresh_covariance(self, seed, family, order, between):
+        rng = np.random.default_rng(seed)
+        members = [random_physical_covariance(rng).n for _ in range(3 if family else 1)]
+        v = CovarianceMatrix4.from_excess(np.stack(members) if family else members[0])
+        results = {}
+        for kind in order:
+            results[kind] = result = CONDITIONERS[kind](v)
+            for step in between:
+                if step == "summarize":
+                    summarize(SUMMARY_CFG, result)
+                elif step == "grid" and not family:
+                    evaluate_grid(result.state, SMALL_GRID)
+                elif step == "check":
+                    physicality_check(v)
+        fresh_report = physicality_check(CovarianceMatrix4.from_excess(v.n.copy()))
+        report = physicality_check(v)
+        assert same_bits(report.min_eigenvalue, fresh_report.min_eigenvalue)
+        assert same_bits(report.physical, fresh_report.physical)
+        for kind, result in results.items():
+            fresh = CONDITIONERS[kind](CovarianceMatrix4.from_excess(v.n.copy()))
+            assert same_result(result, fresh)
+            got, want = summarize(SUMMARY_CFG, result), summarize(SUMMARY_CFG, fresh)
+            assert list(got) == list(want)
+            assert all(same_bits(got[key], want[key]) for key in got)
+            if not family:
+                assert same_bits(
+                    evaluate_grid(result.state, SMALL_GRID)[2],
+                    evaluate_grid(fresh.state, SMALL_GRID)[2],
+                )
+
+    def test_sweep_reduces_each_object_once(self, rng, monkeypatch):
+        # a sweep as the state_sweep benchmark runs it: every kind, its
+        # summary, its negativity volume and its grid
+        calls = {}
+
+        def count(cls, name):
+            prop = cls.__dict__[name]
+            func = prop.func
+
+            def counted(obj):
+                calls[name] = calls.get(name, 0) + 1
+                return func(obj)
+
+            monkeypatch.setattr(prop, "func", counted)
+
+        for name in ("margin", "trigger", "number_core"):
+            count(CovarianceMatrix4, name)
+        for name in ("sigma_inv", "_fock"):
+            count(GaussianCore, name)
+        v = random_physical_covariance(rng)
+        for kind in CONDITIONERS:
+            result = CONDITIONERS[kind](v)
+            summarize(SUMMARY_CFG, result)
+            negativity_volume(result.state, SMALL_GRID)
+            evaluate_grid(result.state, SMALL_GRID)
+        physicality_check(v)
+        # two Gaussian cores, V22 and the number core, each with one inverse and one table
+        assert calls == {
+            "margin": 1, "trigger": 1, "number_core": 1, "sigma_inv": 2, "_fock": 2
+        }
+
+    def test_inputs_become_read_only_copies(self, rng):
+        m = random_physical_covariance(rng).m
+        for v, given_array in ((CovarianceMatrix4(m), m), (CovarianceMatrix4.from_excess(m), m)):
+            with pytest.raises(ValueError):
+                v.n[0, 0] = 1.0
+            assert given_array.flags.writeable
+        sigma = np.eye(2)
+        core = GaussianCore(sigma)
+        with pytest.raises(ValueError):
+            core.sigma[0, 0] = 2.0
+        assert sigma.flags.writeable
+        term = condition_on_click(tmsv_covariance(0.3)).state.terms[0]
+        with pytest.raises(ValueError):
+            term.sigma[0, 0] = 2.0

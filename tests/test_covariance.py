@@ -20,6 +20,7 @@ from cwherald.covariance import (
 from cwherald.errors import UnphysicalCovarianceError
 from cwherald.modes import OutputModeSpec, SecondMoments
 from cwherald.piecewise import Piece
+from cwherald.polynomials import GaussianCore
 from cwherald.sources import tmsv_covariance
 from cwherald.wigner import PolyGaussTerm
 
@@ -153,7 +154,10 @@ FAMILY_DATACLASSES = {
     "OutputModeSpec": lambda f: OutputModeSpec(alpha=f(0.4)),
     "SecondMoments": lambda f: SecondMoments(a=f(np.zeros((2, 2))), b=f(np.eye(2))),
     "CovarianceMatrix4": lambda f: CovarianceMatrix4(f(np.eye(4))),
-    "PolyGaussTerm": lambda f: PolyGaussTerm(coeffs=f(np.ones((1, 1))), sigma=f(np.eye(2))),
+    "GaussianCore": lambda f: GaussianCore(f(np.eye(2))),
+    "PolyGaussTerm": lambda f: PolyGaussTerm(
+        coeffs=f(np.ones((1, 1))), core=GaussianCore(f(np.eye(2)))
+    ),
     "PhysicalityReport": lambda f: physicality_check(CovarianceMatrix4(f(np.eye(4)))),
     "ConditionResult": lambda f: condition_on_click(CovarianceMatrix4(f(tmsv_covariance(0.3).m))),
 }

@@ -11,7 +11,7 @@ from conftest import (
 from cwherald.covariance import CovarianceMatrix4
 from cwherald.conditioning import condition_on_click
 from cwherald.metrics import fock_fidelity, negativity_volume, purity
-from cwherald.polynomials import gaussian_poly_integral
+from cwherald.polynomials import GaussianCore, gaussian_poly_integral
 from cwherald.sources import tmsv_covariance
 from cwherald.wigner import (
     GaussPolyState,
@@ -267,7 +267,7 @@ class TestOverlap:
         sigma = (1 + 2 * nbar) * np.eye(2)
         norm = 1.0 / gaussian_poly_integral(np.array([[1.0]]), sigma)
         thermal = GaussPolyState(
-            terms=(PolyGaussTerm(coeffs=np.array([[norm]]), sigma=sigma),)
+            terms=(PolyGaussTerm(coeffs=np.array([[norm]]), core=GaussianCore(sigma)),)
         )
         # truncated Fock-basis oracle: <0|rho|0> of a thermal state
         ns = np.arange(0, 200)
