@@ -63,6 +63,7 @@ from .pipeline import (
     scan_alpha,
     summarize,
 )
+from .polynomials import GaussianCore
 from .scan import ScanResult, golden_section_minimize, scan_and_refine
 from .sources import (
     CorrelationKernel,

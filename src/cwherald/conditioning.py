@@ -8,9 +8,8 @@ the normalised conditioned state of the output mode together with the
 outcome probability (the click case reports the trigger-mode occupation).
 
 Given the output quadratures ``y2``, the trigger's P function is the
-Gaussian ``z ~ N(2 G y2, E)`` of
-:attr:`~cwherald.covariance.CovarianceMatrix4.trigger`, and an outcome of
-normally ordered weight ``w(z)`` leaves the output in
+Gaussian ``z ~ N(2 G y2, E)`` of :func:`~cwherald.wigner.trigger_given_output`,
+and an outcome of normally ordered weight ``w(z)`` leaves the output in
 ``W_V22(y2) E[w(z)]``, unnormalised: ``|z|^2/2`` for a click and
 ``exp(-|z|^2/2) (|z|^2/2)^n / n!`` for n photons.  No vacuum is subtracted.
 
@@ -23,10 +22,12 @@ error that the first such member raises alone.
 Every Gaussian reduction a conditioner needs is computed once per
 covariance, when first needed, and kept on it (its ``n`` is read-only):
 the physicality margin, the trigger given the output and the
-n-independent number core.  Conditioning one covariance six ways reduces
-it once, and the resulting states share two Gaussian cores with
-read-only ``sigma`` (``V22`` and the number core), each with one inverse
-and one Fock-moment table.
+n-independent number core of :func:`_number_core`.  Conditioning one
+covariance six ways reduces it once, and the resulting states share two
+Gaussian cores with read-only ``sigma`` (``V22`` and the number core),
+each with one inverse and one Fock-moment table.  The program's own
+paths condition each covariance once; the sharing serves a caller that
+compares several outcomes on one state.
 """
 
 from __future__ import annotations
@@ -35,10 +36,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .covariance import CovarianceMatrix4
+from .covariance import CovarianceMatrix4, once_per_covariance
 from .errors import ImpossibleOutcomeError, UnphysicalCovarianceError
-from .polynomials import any_member, det2, expected_poly_of_shifted_gaussian, per_member
-from .wigner import OCCUPATION_POWERS, GaussPolyState, gaussian_term
+from .polynomials import (
+    GaussianCore,
+    any_member,
+    det2,
+    expected_poly_of_shifted_gaussian,
+    per_member,
+)
+from .wigner import OCCUPATION_POWERS, GaussPolyState, gaussian_term, trigger_given_output
 
 PROBABILITY_FLOOR = 1e-300
 
@@ -74,9 +81,26 @@ def _require_physical(v: CovarianceMatrix4) -> None:
         )
 
 
+@once_per_covariance
+def _number_core(v: CovarianceMatrix4) -> tuple:
+    """The n-independent part of :func:`_number_state`, once per covariance.
+
+    With ``K = I + E``, ``exp(-|z|^2/2)`` turns ``N(mu, E)`` into
+    ``N(K^-1 mu, E K^-1)`` times ``exp(-mu^T K^-1 mu / 2) / sqrt(det K)``.
+    Returns the mean's linear map ``2 K^-1 G``, the covariance ``E K^-1``,
+    the core of ``sigma = (V22^-1 + 2 G^T K^-1 G)^-1`` and ``det V22 det K``.
+    """
+    v22, g, e = trigger_given_output(v)
+    k = np.eye(2) + e
+    k_inv = np.linalg.inv(k)
+    kg = k_inv @ g
+    sigma = np.linalg.inv(v22.sigma_inv + 2.0 * g.swapaxes(-1, -2) @ kg)
+    return 2.0 * kg, e @ k_inv, GaussianCore(sigma), det2(v22.sigma) * det2(k)
+
+
 def _number_state(v: CovarianceMatrix4, n: int) -> GaussPolyState:
     """The unnormalised n-photon-conditioned output, whose integral is P_n."""
-    lin, cov, core, det_core = v.number_core
+    lin, cov, core, det_core = _number_core(v)
     poly = expected_poly_of_shifted_gaussian(OCCUPATION_POWERS[n], lin, cov)
     return GaussPolyState(terms=(gaussian_term(poly, core, det_core),))
 
@@ -121,7 +145,7 @@ def condition_on_on(v: CovarianceMatrix4) -> ConditionResult:
         raise ImpossibleOutcomeError(
             "trigger mode is exact vacuum; the on outcome never fires"
         )
-    v22 = v.trigger[0]
+    v22 = trigger_given_output(v)[0]
     marginal = GaussPolyState(terms=(gaussian_term(np.ones((1, 1)), v22, det2(v22.sigma)),))
     vacuum = _number_state(v, 0)
     terms = marginal.scaled(1.0 / p_on).terms + vacuum.scaled(-1.0 / p_on).terms
@@ -137,7 +161,7 @@ def _click(v: CovarianceMatrix4) -> ConditionResult:
             f"trigger mode occupation is zero (<a+a> = {low:g}); "
             "no photon available to subtract"
         )
-    v22, _, g, e = v.trigger
+    v22, g, e = trigger_given_output(v)
     poly = expected_poly_of_shifted_gaussian(OCCUPATION_POWERS[1], 2.0 * g, e)
     state = GaussPolyState(terms=(gaussian_term(poly, v22, det2(v22.sigma)),))
     return ConditionResult(state=state.scaled(1.0 / occupation), probability=occupation)

@@ -9,12 +9,12 @@ matrix.  Mode 1 is the trigger, mode 2 the output.  The program holds
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, wraps
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .polynomials import GaussianCore, any_member, det2, per_member
+from .polynomials import any_member, per_member
 
 if TYPE_CHECKING:  # pragma: no cover
     from .modes import SecondMoments
@@ -45,9 +45,10 @@ class CovarianceMatrix4:
     :func:`physicality_check` and the conditioners as a whole, and gives
     one result per member, equal to that member's result alone.
 
-    ``n`` is a read-only copy of the input, so the reductions below are
-    computed at most once, when first read, and shared by every
-    conditioner and by :func:`physicality_check` on this covariance.
+    ``n`` is a read-only copy of the input, so :attr:`margin` and the
+    reductions of :func:`once_per_covariance` are computed at most once,
+    when first read, and shared by every conditioner and by
+    :func:`physicality_check` on this covariance.
     """
 
     n: np.ndarray
@@ -70,37 +71,24 @@ class CovarianceMatrix4:
         """:func:`physical_margin` of ``V``, read-only: the report hands it out."""
         return tuple(map(_read_only, physical_margin(self.m)))
 
-    @cached_property
-    def trigger(self) -> tuple:
-        """The core of ``V22``, ``V22^-1``, ``G = N12 V22^-1`` and ``E = N11 - 2 G N12^T``.
 
-        The output's marginal is the Gaussian of ``V22``; given its
-        quadratures ``y2``, the trigger's are Gaussian with mean ``2 G y2``
-        and excess ``E``.
-        """
-        n12 = self.n[..., :2, 2:]
-        v22 = np.eye(2) + 2.0 * self.n[..., 2:, 2:]
-        v22_inv = np.linalg.inv(v22)
-        g = n12 @ v22_inv
-        e = self.n[..., :2, :2] - 2.0 * g @ n12.swapaxes(-1, -2)
-        return GaussianCore(v22), v22_inv, g, e
+def once_per_covariance(reduction):
+    """Make ``reduction(v)`` run at most once per covariance ``v``.
 
-    @cached_property
-    def number_core(self) -> tuple:
-        """The n-independent part of photon-number conditioning.
+    The value is kept on ``v``, as :func:`functools.cached_property` keeps
+    :attr:`CovarianceMatrix4.margin`, and ``v.n`` is read-only, so a kept
+    value never goes stale.  The conditioners keep their Gaussian
+    reductions of a covariance this way.
+    """
 
-        With ``K = I + E``, the vacuum overlap ``exp(-|z|^2/2)`` turns the
-        trigger's ``N(2 G y2, E)`` into ``N(2 K^-1 G y2, E K^-1)`` times
-        ``exp(-2 y2^T G^T K^-1 G y2) / sqrt(det K)``.  Returns the mean's
-        linear map ``2 K^-1 G``, the covariance ``E K^-1``, the core of
-        ``sigma = (V22^-1 + 2 G^T K^-1 G)^-1`` and ``det V22 det K``.
-        """
-        v22, v22_inv, g, e = self.trigger
-        k = np.eye(2) + e
-        k_inv = np.linalg.inv(k)
-        kg = k_inv @ g
-        sigma = np.linalg.inv(v22_inv + 2.0 * g.swapaxes(-1, -2) @ kg)
-        return 2.0 * kg, e @ k_inv, GaussianCore(sigma), det2(v22.sigma) * det2(k)
+    @wraps(reduction)
+    def kept(v: CovarianceMatrix4):
+        memo = v.__dict__.setdefault("_kept", {})
+        if reduction not in memo:
+            memo[reduction] = reduction(v)
+        return memo[reduction]
+
+    return kept
 
 
 def _read_only(value):

@@ -164,9 +164,6 @@ def expected_poly_of_shifted_gaussian(
     mean's two components is formed once per call.
     """
     deg = max(w.shape[-2:]) - 1
-    family = _family_shape(w, lin, cov)
-    if deg == 0:  # a constant is its own expectation; + 0.0 as the sum below adds it
-        return w + np.zeros(family + (1, 1))
     mom = central_moments(cov, deg)
     moment_nonzero = nonzero_entries(mom)
     mx_pow = linear_form_powers(lin[..., 0, 0], lin[..., 0, 1], deg)
@@ -174,7 +171,7 @@ def expected_poly_of_shifted_gaussian(
     products = {}  # (i, j) -> poly_mul(mx_pow[i], mp_pow[j])
     terms = nonzero_entries(w)
     top = max((a + b for a, b in terms), default=0) + 1
-    out = np.zeros(family + (top, top))
+    out = np.zeros(_family_shape(w, lin, cov) + (top, top))
     for a, b in terms:
         # E[(mx + zx)^a (mp + zp)^b], expanded binomially over the moments of Z
         acc = np.zeros(out.shape[:-2] + (a + b + 1, a + b + 1))

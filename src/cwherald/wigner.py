@@ -3,16 +3,16 @@
 The two-mode Gaussian Wigner function
 ``W_V(y) = exp(-y^T V^-1 y) / (pi^2 sqrt(det V))`` is reduced over the
 trigger-mode phase plane through the trigger's Gaussian given the output,
-:attr:`~cwherald.covariance.CovarianceMatrix4.trigger`, which a covariance
-computes once; the result of every conditioning operation is a (short sum
+taken from ``N = (V - I)/2`` by :func:`trigger_given_output`, once per
+covariance; the result of every conditioning operation is a (short sum
 of) polynomial-times-Gaussian single-mode states.  All integrals here are
 exact Gaussian-moment reductions; no quadrature enters the core path.
 
 A term's Gaussian is a :class:`~cwherald.polynomials.GaussianCore`, which
 computes its inverse and its Fock-moment table once and holds its
 ``sigma`` read-only.  The terms a covariance's conditioners make share two
-cores: the output marginal's ``V22`` and the number core of
-:attr:`~cwherald.covariance.CovarianceMatrix4.number_core`.
+cores: the output marginal's ``V22`` of :func:`trigger_given_output` and
+the photon-number core of the conditioning module.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from math import comb
 
 import numpy as np
 
-from .covariance import CovarianceMatrix4
+from .covariance import CovarianceMatrix4, once_per_covariance
 from .polynomials import (
     GaussianCore,
     det2,
@@ -164,6 +164,21 @@ def fock_state(n: int) -> GaussPolyState:
     )
 
 
+@once_per_covariance
+def trigger_given_output(v: CovarianceMatrix4):
+    """The core of ``V22``, ``G = N12 V22^-1`` and ``E = N11 - 2 G N12^T``.
+
+    The output's marginal is the Gaussian of ``V22``; given its quadratures
+    ``y2``, the trigger's are Gaussian with mean ``2 G y2`` and excess ``E``.
+    Computed once per covariance; ``V22^-1`` is the core's ``sigma_inv``.
+    """
+    n = v.n
+    n12 = n[..., :2, 2:]
+    v22 = GaussianCore(np.eye(2) + 2.0 * n[..., 2:, 2:])
+    g = n12 @ v22.sigma_inv
+    return v22, g, n[..., :2, :2] - 2.0 * g @ n12.swapaxes(-1, -2)
+
+
 def gaussian_term(poly, core: GaussianCore, det_core) -> PolyGaussTerm:
     """``poly(y) exp(-y^T sigma^-1 y) / (pi sqrt(det_core))`` as one term on ``core``."""
     return PolyGaussTerm(coeffs=poly / (np.pi * np.sqrt(det_core))[..., None, None], core=core)
@@ -180,7 +195,7 @@ def integrate_out_trigger(w: TwoModeGaussianWigner, weight: np.ndarray):
     """
     if any(i + j > 4 for i, j in nonzero_entries(weight)):
         raise ValueError("weight polynomial total degree must be at most four")
-    v22, _, g, e = w.v.trigger
+    v22, g, e = trigger_given_output(w.v)
     poly = expected_poly_of_shifted_gaussian(weight, 2.0 * g, 0.5 * np.eye(2) + e)
     state = GaussPolyState(terms=(gaussian_term(poly, v22, det2(v22.sigma)),))
     return state, state.total_integral()

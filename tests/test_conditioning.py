@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from conftest import random_physical_covariance
 
 from cwherald.conditioning import (
+    _number_core,
     click_wigner_direct,
     condition_on_click,
     condition_on_number,
@@ -35,6 +36,7 @@ from cwherald.wigner import (
     evaluate_grid,
     fock_state,
     integrate_out_trigger,
+    trigger_given_output,
 )
 
 VACUUM = CovarianceMatrix4(np.eye(4))
@@ -325,31 +327,34 @@ class TestSharedReductions:
         # summary, its negativity volume and its grid
         calls = {}
 
-        def count(cls, name):
-            prop = cls.__dict__[name]
-            func = prop.func
-
-            def counted(obj):
+        def counted(name, func):
+            def wrapper(obj):
                 calls[name] = calls.get(name, 0) + 1
                 return func(obj)
 
-            monkeypatch.setattr(prop, "func", counted)
+            return wrapper
 
-        for name in ("margin", "trigger", "number_core"):
-            count(CovarianceMatrix4, name)
+        margin = CovarianceMatrix4.__dict__["margin"]
+        monkeypatch.setattr(margin, "func", counted("margin", margin.func))
         for name in ("sigma_inv", "_fock"):
-            count(GaussianCore, name)
+            prop = GaussianCore.__dict__[name]
+            monkeypatch.setattr(prop, "func", counted(name, prop.func))
+        # the trigger reduction and the number core each build one core
+        monkeypatch.setattr(
+            GaussianCore, "__post_init__", counted("core", GaussianCore.__post_init__)
+        )
         v = random_physical_covariance(rng)
+        results = []
         for kind in CONDITIONERS:
-            result = CONDITIONERS[kind](v)
+            results.append(result := CONDITIONERS[kind](v))
             summarize(SUMMARY_CFG, result)
             negativity_volume(result.state, SMALL_GRID)
             evaluate_grid(result.state, SMALL_GRID)
         physicality_check(v)
         # two Gaussian cores, V22 and the number core, each with one inverse and one table
-        assert calls == {
-            "margin": 1, "trigger": 1, "number_core": 1, "sigma_inv": 2, "_fock": 2
-        }
+        assert calls == {"margin": 1, "core": 2, "sigma_inv": 2, "_fock": 2}
+        cores = {id(t.core) for r in results for t in r.state.terms}
+        assert cores == {id(trigger_given_output(v)[0]), id(_number_core(v)[2])}
 
     def test_inputs_become_read_only_copies(self, rng):
         m = random_physical_covariance(rng).m
