@@ -67,7 +67,7 @@ def click_state(cfg, filtered: bool, reflected: bool, alpha, losses=None):
     f1 = build_trigger_mode(trigger, source_fast_rate=kernel.fast_rate)
     f2 = build_output_mode(replace(cfg.output, alpha=alpha))
     if reflected:
-        f2 = f2.scaled(math.sqrt(1.0 - cfg.trigger.tap_amplitude**2))
+        f2 = tuple(p.scaled(math.sqrt(1.0 - cfg.trigger.tap_amplitude**2)) for p in f2)
     v = assemble(second_moments(f1, f2, kernel))
     if losses is not None:
         v = apply_loss(v, losses)

@@ -36,7 +36,6 @@ from .config import ExperimentConfig, parse_config
 from .errors import (
     ConfigError,
     ImpossibleOutcomeError,
-    QuadratureError,
     ThresholdError,
     UnphysicalCovarianceError,
 )
@@ -48,7 +47,6 @@ from .metrics import (
     wigner_at_origin,
 )
 from .modes import (
-    ModeFunction,
     OutputModeSpec,
     SecondMoments,
     TriggerModeSpec,

@@ -13,17 +13,5 @@ class ImpossibleOutcomeError(ValueError):
     """The requested detection outcome has zero probability on this state."""
 
 
-class QuadratureError(RuntimeError):
-    """Numerical integration failed to converge within the panel budget.
-
-    Carries the best available estimate and the error bound achieved.
-    """
-
-    def __init__(self, message, estimate, bound):
-        super().__init__(f"{message} (estimate={estimate!r}, bound={bound!r})")
-        self.estimate = estimate
-        self.bound = bound
-
-
 class ConfigError(ValueError):
     """An experiment description failed validation."""

@@ -1,13 +1,13 @@
-"""Temporal mode functions and their second moments against a source kernel.
+"""Temporal modes and their second moments against a source kernel.
 
 A discrete mode is a real amplitude f(t) of unit (or smaller) L2 norm; the
 missing norm is vacuum fill and contributes nothing to the source-part
-moments.  The trigger mode composes a beam-splitter tap, an optional
+moments.  A mode is its amplitude as a tuple of exponential-polynomial
+:class:`~cwherald.piecewise.Piece`, so its moments against the OPO kernel
+are exact.  The trigger mode composes a beam-splitter tap, an optional
 single-pole frequency filter and a detection window; the output mode is a
 unit-norm envelope, which the pipeline scales by the tap's reflection
-amplitude (:meth:`ModeFunction.scaled`).  Every mode is a sum of
-exponential-polynomial pieces, so its moments against the OPO kernel are
-exact.
+amplitude piece by piece (:meth:`~cwherald.piecewise.Piece.scaled`).
 """
 
 from __future__ import annotations
@@ -17,38 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .piecewise import Piece, kernel_moments, norm_sq
+from .piecewise import Piece, kernel_moments
 from .sources import CorrelationKernel
 
-NORM_TOL = 1e-6
 # window much narrower than every relevant correlation time: treat as a point
 NARROW_WINDOW_LIMIT = 0.1
-
-
-@dataclass(frozen=True)
-class ModeFunction:
-    """A temporal mode: its amplitude as pieces, and its source weight.
-
-    ``pieces`` is the amplitude as a sum of
-    :class:`~cwherald.piecewise.Piece` (half-infinite tails included).
-    ``source_weight`` is the squared source fraction Int f^2 dt; values
-    below one mean the mode carries vacuum fill.
-    """
-
-    pieces: tuple[Piece, ...]
-    source_weight: float
-
-    def __post_init__(self):
-        if self.source_weight > 1.0 + NORM_TOL:
-            raise ValueError(
-                f"mode source weight {self.source_weight:g} exceeds unit norm"
-            )
-
-    def scaled(self, factor: float) -> "ModeFunction":
-        return ModeFunction(
-            pieces=tuple(p.scaled(factor) for p in self.pieces),
-            source_weight=factor**2 * self.source_weight,
-        )
 
 
 @dataclass(frozen=True)
@@ -123,10 +96,8 @@ class SecondMoments:
         return SecondMoments(a=self.a * s, b=self.b * s)
 
 
-def build_trigger_mode(
-    spec: TriggerModeSpec, source_fast_rate: float | None = None
-) -> ModeFunction:
-    """Construct the trigger mode function from its physical stages.
+def build_trigger_mode(spec: TriggerModeSpec, source_fast_rate: float) -> tuple[Piece, ...]:
+    """Construct the trigger mode from its physical stages.
 
     Detector efficiency folds into the effective tap amplitude.  Without a
     filter the mode is the rectangular detection window.  With a filter the
@@ -142,30 +113,26 @@ def build_trigger_mode(
 
     if spec.filter_width is None:
         lo, hi = tc - dt / 2.0, tc + dt / 2.0
-        return ModeFunction(
-            pieces=(Piece(lo, hi, lo, tau_eff / np.sqrt(dt)),), source_weight=tau_eff**2
-        )
+        return (Piece(lo, hi, lo, tau_eff / np.sqrt(dt)),)
 
     gamma = spec.filter_width
-    narrow = dt * max(gamma, source_fast_rate or 0.0) <= NARROW_WINDOW_LIMIT
+    narrow = dt * max(gamma, source_fast_rate) <= NARROW_WINDOW_LIMIT
 
     if narrow:
         scale = tau_eff * np.sqrt(dt) * gamma
-        pieces = (Piece(-np.inf, tc, tc, scale, rate=gamma),)
-        return ModeFunction(pieces=pieces, source_weight=norm_sq(pieces))
+        return (Piece(-np.inf, tc, tc, scale, rate=gamma),)
 
     lo_w, hi_w = tc - dt / 2.0, tc + dt / 2.0
     pref = tau_eff / np.sqrt(dt)
     # before the window the response to all of it decays; inside, it builds up
-    pieces = (
+    return (
         Piece(-np.inf, lo_w, lo_w, -pref * np.expm1(-gamma * dt), rate=gamma),
         Piece(lo_w, hi_w, lo_w, pref),
         Piece(lo_w, hi_w, hi_w, -pref, rate=gamma),
     )
-    return ModeFunction(pieces=pieces, source_weight=norm_sq(pieces))
 
 
-def build_output_mode(spec: OutputModeSpec) -> ModeFunction:
+def build_output_mode(spec: OutputModeSpec) -> tuple[Piece, ...]:
     """Construct the unit-norm output envelope.
 
     A tabulated envelope is read from ``spec.table`` and moved by
@@ -176,12 +143,9 @@ def build_output_mode(spec: OutputModeSpec) -> ModeFunction:
     if spec.envelope == "exponential":
         alpha = np.asarray(spec.alpha, dtype=float)[()]
         scale = np.sqrt(alpha)
-        return ModeFunction(
-            pieces=(
-                Piece(-np.inf, tc, tc, scale, rate=alpha),
-                Piece(tc, np.inf, tc, scale, rate=-alpha),
-            ),
-            source_weight=1.0,
+        return (
+            Piece(-np.inf, tc, tc, scale, rate=alpha),
+            Piece(tc, np.inf, tc, scale, rate=-alpha),
         )
 
     ts, us = load_envelope_table(spec.table)
@@ -197,12 +161,11 @@ def build_output_mode(spec: OutputModeSpec) -> ModeFunction:
     un = us / np.sqrt(sq)
     slopes = np.diff(un) / h
     ts = ts + tc
-    pieces = tuple(
+    return tuple(
         Piece(float(a), float(b), float(a), float(c), power)
         for a, b, u, m in zip(ts[:-1], ts[1:], un[:-1], slopes)
         for c, power in ((u, 0), (m, 1))
     )
-    return ModeFunction(pieces=pieces, source_weight=1.0)
 
 
 def load_envelope_table(path) -> tuple[np.ndarray, np.ndarray]:
@@ -216,7 +179,7 @@ def load_envelope_table(path) -> tuple[np.ndarray, np.ndarray]:
 
 
 def second_moments(
-    f1: ModeFunction, f2: ModeFunction, k: CorrelationKernel
+    f1: tuple[Piece, ...], f2: tuple[Piece, ...], k: CorrelationKernel
 ) -> SecondMoments:
     """Mode moments of the kernel against the mode pair.
 
@@ -231,5 +194,5 @@ def second_moments(
     if k.decay_rate <= 0.0:
         raise ValueError("kernel decay rate must be positive")
     rates, w_aa, w_ada = np.array(k.terms, dtype=float).T
-    g = kernel_moments((f1.pieces, f2.pieces), rates)
+    g = kernel_moments((f1, f2), rates)
     return SecondMoments(a=g @ w_aa, b=g @ w_ada)

@@ -307,33 +307,3 @@ def kernel_moments(modes, rates) -> np.ndarray:
     gram = (sep + sep.transpose(0, 2, 1, 3)) + (same + same.transpose(0, 2, 1, 3))
     return gram.reshape(family + (m, m, nr))
 
-
-def norm_sq(f) -> float | np.ndarray:
-    """``Int f(t)^2 dt`` for a sequence of :class:`Piece`, one per family member."""
-    if not f:
-        return 0.0
-    lo, hi = _cells(f)
-    family = _family(f)
-    t = _terms((f,), lo, hi, family)
-    i, j = np.nonzero(t.cell[:, None] == t.cell[None, :])
-    p, q = t.take(i), t.take(j)
-    a0, a1, a2 = p.c0 * q.c0, p.c0 * q.c1 + p.c1 * q.c0, p.c1 * q.c1
-    x, s = p.rate + q.rate, p.shift + q.shift
-    L = (hi - lo)[p.cell][:, None, None]
-    fin = np.isfinite(L[:, 0, 0])
-    out = np.empty_like(a0)
-    if fin.any():
-        Lf, e = L[fin], s[fin] + x[fin] * L[fin]
-        z = np.empty(e.shape + (4,))
-        z[..., 0] = s[fin]
-        z[..., 1:] = e[..., None]
-        out[fin] = Lf * (
-            a0[fin] * _dd(z[..., :2])
-            + a1[fin] * Lf * _dd(z[..., :3])
-            + 2.0 * a2[fin] * Lf**2 * _dd(z)
-        )
-    if not fin.all():
-        inf = ~fin
-        xi = x[inf]
-        out[inf] = np.exp(s[inf]) * (-a0[inf] / xi + a1[inf] / xi**2 - 2.0 * a2[inf] / xi**3)
-    return out.sum(axis=0).reshape(family)[()]

@@ -27,12 +27,8 @@ from .covariance import (
     load_covariance,
 )
 from .metrics import SCALARS, fock_fidelity, wigner_at_origin
-from .modes import (
-    ModeFunction,
-    build_output_mode,
-    build_trigger_mode,
-    second_moments,
-)
+from .modes import build_output_mode, build_trigger_mode, second_moments
+from .piecewise import Piece
 from .polynomials import GaussianCore
 from .scan import ScanResult, scan_and_refine
 from .sources import CorrelationKernel, OpoParams, opo_kernel, tmsv_covariance
@@ -50,17 +46,19 @@ def build_kernel(cfg: ExperimentConfig) -> CorrelationKernel:
     return opo_kernel(params)
 
 
-def build_modes(cfg: ExperimentConfig) -> tuple[ModeFunction, ModeFunction, CorrelationKernel]:
-    """Trigger and output mode functions plus the source kernel of an opo config.
+def build_modes(
+    cfg: ExperimentConfig,
+) -> tuple[tuple[Piece, ...], tuple[Piece, ...], CorrelationKernel]:
+    """Trigger and output modes plus the source kernel of an opo config.
 
     The output mode is the configured envelope times the tap's reflection
     amplitude sqrt(1 - tap_amplitude^2).
     """
     f1, kernel, reflect = _trigger_side(cfg)
-    return f1, build_output_mode(cfg.output).scaled(reflect), kernel
+    return f1, tuple(p.scaled(reflect) for p in build_output_mode(cfg.output)), kernel
 
 
-def _trigger_side(cfg: ExperimentConfig) -> tuple[ModeFunction, CorrelationKernel, float]:
+def _trigger_side(cfg: ExperimentConfig) -> tuple[tuple[Piece, ...], CorrelationKernel, float]:
     """The trigger mode, the source kernel and the output's reflection amplitude."""
     kernel = build_kernel(cfg)
     reflect = float(np.sqrt(1.0 - cfg.trigger.tap_amplitude**2))
@@ -139,7 +137,7 @@ def scan_alpha(cfg: ExperimentConfig) -> ScanResult:
 
     def signed(alpha):
         """Signed objective at one alpha, or at each of a 1-d array of them, in one pass."""
-        f2 = build_output_mode(replace(cfg.output, alpha=alpha)).scaled(reflect)
+        f2 = tuple(p.scaled(reflect) for p in build_output_mode(replace(cfg.output, alpha=alpha)))
         v = apply_loss(assemble(second_moments(f1, f2, kernel)), cfg.losses)
         state = condition_state(cfg, v).state
         if sc.objective == "origin_value":

@@ -21,9 +21,19 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import QuadratureError
-
 GL_ORDER = 12
+
+
+class QuadratureError(RuntimeError):
+    """Numerical integration failed to converge within the panel budget.
+
+    Carries the best available estimate and the error bound achieved.
+    """
+
+    def __init__(self, message, estimate, bound):
+        super().__init__(f"{message} (estimate={estimate!r}, bound={bound!r})")
+        self.estimate = estimate
+        self.bound = bound
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ import pytest
 
 from cwherald.covariance import CovarianceMatrix4
 from cwherald.modes import NARROW_WINDOW_LIMIT, SecondMoments
-from cwherald.quadrature import QuadAxis, correlation_moment
+from cwherald.quadrature import QuadAxis, correlation_moment, l2_norm_sq
 from cwherald.wigner import TwoModeGaussianWigner
 from cwherald.polynomials import poly_eval
 
@@ -237,7 +237,7 @@ def quad_axis(amplitude, support, kinks=(), rate=0.0):
     return QuadAxis(amplitude=amplitude, breakpoints=pts[(pts >= lo) & (pts <= hi)], rate=rate)
 
 
-def trigger_axis(spec, source_fast_rate=None, truncation_rate=None):
+def trigger_axis(spec, source_fast_rate, truncation_rate=None):
     """Reference amplitude of ``build_trigger_mode(spec, source_fast_rate)``.
 
     The tail is followed to ``truncation_rate`` (default: the filter rate).
@@ -259,7 +259,7 @@ def trigger_axis(spec, source_fast_rate=None, truncation_rate=None):
     gamma = spec.filter_width
     t_rate = min(gamma, truncation_rate) if truncation_rate else gamma
     tail = TRUNCATION_DECADES / t_rate
-    if dt * max(gamma, source_fast_rate or 0.0) <= NARROW_WINDOW_LIMIT:
+    if dt * max(gamma, source_fast_rate) <= NARROW_WINDOW_LIMIT:
         scale = tau_eff * np.sqrt(dt) * gamma
 
         def amp_collapsed(t):
@@ -300,7 +300,7 @@ def envelope_table(ts, us):
 
 
 def output_axis(spec, truncation_rate=None, refl=1.0):
-    """Reference amplitude of ``build_output_mode(spec).scaled(refl)``.
+    """Reference amplitude of ``build_output_mode(spec)``, every piece scaled by ``refl``.
 
     The exponential envelope's tails are followed to ``truncation_rate``
     (default: ``alpha``).
@@ -350,3 +350,20 @@ def piece_values(pieces, t):
         d = np.where(inside, t - p.anchor, 0.0)
         out += np.where(inside, p.coeff * d**p.power * np.exp(p.rate * d), 0.0)
     return out
+
+
+def pieces_norm_sq(pieces):
+    """Int f^2 dt of the program's pieces, by quadrature over :func:`piece_values`.
+
+    Panels break at every finite piece end; half-infinite tails are
+    followed for TRUNCATION_DECADES e-folds of their slowest rate.
+    """
+    ends = [e for p in pieces for e in (p.lo, p.hi)]
+    kinks = sorted(e for e in set(ends) if np.isfinite(e))
+    rates = [abs(float(p.rate)) for p in pieces]
+    tails = [r for r, p in zip(rates, pieces) if np.isinf(p.hi - p.lo)]
+    reach = TRUNCATION_DECADES / min(tails) if tails else 0.0
+    lo = kinks[0] - reach if -np.inf in ends else kinks[0]
+    hi = kinks[-1] + reach if np.inf in ends else kinks[-1]
+    axis = quad_axis(lambda t: piece_values(pieces, t), (lo, hi), kinks, rate=max(rates))
+    return l2_norm_sq(axis)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from conftest import (
     opo_moment_oracle,
     output_axis,
     piece_values,
+    pieces_norm_sq,
     quadrature_moments,
     trigger_axis,
     window_moment_oracle,
@@ -15,14 +18,13 @@ from conftest import (
 
 from cwherald import modes
 from cwherald.modes import (
-    ModeFunction,
     OutputModeSpec,
     TriggerModeSpec,
     build_output_mode,
     build_trigger_mode,
     second_moments,
 )
-from cwherald.piecewise import Piece, kernel_moments, norm_sq
+from cwherald.piecewise import kernel_moments
 from cwherald.quadrature import correlation_moment_once, l2_norm_sq
 from cwherald.sources import OpoParams, opo_kernel
 
@@ -32,47 +34,51 @@ class TestBuildTriggerMode:
         spec = TriggerModeSpec(
             tap_amplitude=0.1, filter_width=5.0, window_center=0.0, window_width=0.02
         )
-        mode = build_trigger_mode(spec)
+        mode = build_trigger_mode(spec, source_fast_rate=0.0)
         expected = 0.1 * np.sqrt(0.02) * 5.0 * np.exp(-1.0)
-        assert piece_values(mode.pieces, -0.2) == pytest.approx(expected, rel=1e-12)
-        assert piece_values(mode.pieces, 0.1) == 0.0
+        assert piece_values(mode, -0.2) == pytest.approx(expected, rel=1e-12)
+        assert piece_values(mode, 0.1) == 0.0
 
     def test_zero_tap_is_vacuum(self):
         spec = TriggerModeSpec(tap_amplitude=0.0, filter_width=5.0)
-        mode = build_trigger_mode(spec)
-        assert mode.source_weight == pytest.approx(0.0, abs=1e-300)
+        mode = build_trigger_mode(spec, source_fast_rate=0.0)
+        assert pieces_norm_sq(mode) == pytest.approx(0.0, abs=1e-300)
         ts = np.linspace(-3, 1, 50)
-        assert np.all(piece_values(mode.pieces, ts) == 0.0)
+        assert np.all(piece_values(mode, ts) == 0.0)
 
     def test_full_tap_window_has_unit_norm(self):
         spec = TriggerModeSpec(tap_amplitude=1.0, filter_width=None, window_width=0.02)
-        mode = build_trigger_mode(spec)
-        assert mode.source_weight == pytest.approx(1.0, rel=1e-12)
-        assert norm_sq(mode.pieces) == pytest.approx(1.0, rel=1e-12)
+        mode = build_trigger_mode(spec, source_fast_rate=0.0)
+        assert pieces_norm_sq(mode) == pytest.approx(1.0, rel=1e-12)
 
     def test_efficiency_folds_into_tap(self):
-        full = build_trigger_mode(TriggerModeSpec(tap_amplitude=0.2, filter_width=None))
-        halved = build_trigger_mode(
-            TriggerModeSpec(tap_amplitude=0.2, filter_width=None, detector_efficiency=0.25)
+        full = build_trigger_mode(
+            TriggerModeSpec(tap_amplitude=0.2, filter_width=None), source_fast_rate=0.0
         )
-        assert halved.source_weight == pytest.approx(0.25 * full.source_weight, rel=1e-12)
+        halved = build_trigger_mode(
+            TriggerModeSpec(tap_amplitude=0.2, filter_width=None, detector_efficiency=0.25),
+            source_fast_rate=0.0,
+        )
+        assert pieces_norm_sq(halved) == pytest.approx(0.25 * pieces_norm_sq(full), rel=1e-12)
 
     def test_wide_window_integrates_filter_explicitly(self):
         # dt * gamma = 0.5 > 0.1: window no longer collapsible
         spec = TriggerModeSpec(
             tap_amplitude=0.1, filter_width=5.0, window_center=0.0, window_width=0.1
         )
-        mode = build_trigger_mode(spec)
+        mode = build_trigger_mode(spec, source_fast_rate=0.0)
         # inside the window the response saturates toward tau/sqrt(dt)
-        inside = piece_values(mode.pieces, -0.049)
+        inside = piece_values(mode, -0.049)
         pref = 0.1 / np.sqrt(0.1)
         assert inside == pytest.approx(pref * (1 - np.exp(-5.0 * 0.099)), rel=1e-12)
         # unit-norm bound holds
-        assert mode.source_weight <= 0.1**2 + 1e-12
+        assert pieces_norm_sq(mode) <= 0.1**2 + 1e-12
 
-    def test_mode_norm_guard(self):
-        with pytest.raises(ValueError, match="unit norm"):
-            ModeFunction(pieces=(Piece(0.0, 2.0, 0.0, 1.0),), source_weight=1.1)
+    def test_source_rate_decides_the_collapse(self):
+        # dt * gamma = 0.05 alone collapses the window; a fast source keeps it whole
+        spec = TriggerModeSpec(tap_amplitude=0.1, filter_width=5.0, window_width=0.01)
+        assert len(build_trigger_mode(spec, source_fast_rate=1.0)) == 1
+        assert len(build_trigger_mode(spec, source_fast_rate=20.0)) == 3
 
     def test_invalid_specs(self):
         with pytest.raises(ValueError):
@@ -88,13 +94,12 @@ class TestBuildTriggerMode:
 class TestBuildOutputMode:
     def test_unit_norm_and_peak(self):
         mode = build_output_mode(OutputModeSpec(envelope="exponential", alpha=0.5))
-        assert norm_sq(mode.pieces) == pytest.approx(1.0, rel=1e-10)
-        assert piece_values(mode.pieces, 0.0) == pytest.approx(np.sqrt(0.5), rel=1e-12)
+        assert pieces_norm_sq(mode) == pytest.approx(1.0, rel=1e-10)
+        assert piece_values(mode, 0.0) == pytest.approx(np.sqrt(0.5), rel=1e-12)
 
     def test_reflect_amplitude_scales_weight(self):
-        mode = build_output_mode(OutputModeSpec(envelope="exponential", alpha=0.5)).scaled(0.8)
-        assert mode.source_weight == pytest.approx(0.64, rel=1e-10)
-        assert norm_sq(mode.pieces) == pytest.approx(0.64, rel=1e-10)
+        mode = build_output_mode(OutputModeSpec(envelope="exponential", alpha=0.5))
+        assert pieces_norm_sq([p.scaled(0.8) for p in mode]) == pytest.approx(0.64, rel=1e-10)
 
     def test_tabulated_gaussian_normalises(self):
         ts = np.linspace(-6, 6, 241)
@@ -102,8 +107,7 @@ class TestBuildOutputMode:
         mode = build_output_mode(
             OutputModeSpec(envelope="tabulated", table=envelope_table(ts, us))
         )
-        assert mode.source_weight == 1.0
-        assert norm_sq(mode.pieces) == pytest.approx(1.0, rel=1e-9)
+        assert pieces_norm_sq(mode) == pytest.approx(1.0, rel=1e-9)
 
     def test_bad_envelopes(self):
         with pytest.raises(ValueError):
@@ -129,7 +133,8 @@ class TestBuildOutputMode:
     def test_alpha_array_gives_a_unit_norm_family(self):
         alphas = np.array([0.2, 0.5, 3.0])
         mode = build_output_mode(OutputModeSpec(alpha=alphas))
-        np.testing.assert_allclose(norm_sq(mode.pieces), np.ones(3), rtol=1e-14)
+        members = [[replace(p, coeff=p.coeff[k], rate=p.rate[k]) for p in mode] for k in range(3)]
+        np.testing.assert_allclose([pieces_norm_sq(f) for f in members], np.ones(3), rtol=1e-14)
         with pytest.raises(ValueError, match="alpha > 0"):
             OutputModeSpec(alpha=np.array([0.5, 0.0]))
 
@@ -180,7 +185,8 @@ class TestSecondMoments:
 
     def test_scaling_of_trigger(self):
         m = second_moments(self.trigger, self.output, self.kernel)
-        half = second_moments(self.trigger.scaled(0.5), self.output, self.kernel)
+        half_trigger = tuple(p.scaled(0.5) for p in self.trigger)
+        half = second_moments(half_trigger, self.output, self.kernel)
         assert half.a[0, 0] == pytest.approx(0.25 * m.a[0, 0], rel=1e-9)
         assert half.a[0, 1] == pytest.approx(0.5 * m.a[0, 1], rel=1e-9)
         assert half.b[0, 0] == pytest.approx(0.25 * m.b[0, 0], rel=1e-9)
@@ -199,8 +205,7 @@ class TestSecondMoments:
             assert abs(fine - coarse) <= max(1e-8 * abs(fine), 1e-12)
 
     def test_non_converging_integrand_raises_with_estimate(self):
-        from cwherald.errors import QuadratureError
-        from cwherald.quadrature import QuadAxis, correlation_moment
+        from cwherald.quadrature import QuadAxis, QuadratureError, correlation_moment
 
         axis = QuadAxis(
             amplitude=lambda t: np.ones_like(t), breakpoints=np.array([-1.0, 1.0]), rate=1.0
@@ -250,8 +255,12 @@ def _output_spec(kind, center=0.0, alpha=0.5):
     return OutputModeSpec(envelope="tabulated", table=envelope_table(ts, us))
 
 
+def _reflected(f, reflect=REFLECT):
+    return tuple(p.scaled(reflect) for p in f)
+
+
 def _output(kind, center=0.0):
-    return build_output_mode(_output_spec(kind, center)).scaled(REFLECT)
+    return _reflected(build_output_mode(_output_spec(kind, center)))
 
 
 def _assert_moments(got, want, rtol):
@@ -305,7 +314,7 @@ class TestExactMoments:
             TriggerModeSpec(tap_amplitude=tap, filter_width=gamma, window_width=width),
             source_fast_rate=kernel.fast_rate,
         )
-        f2 = build_output_mode(OutputModeSpec(alpha=alpha)).scaled(reflect)
+        f2 = _reflected(build_output_mode(OutputModeSpec(alpha=alpha)), reflect)
         m = second_moments(f1, f2, kernel)
         c1 = tap * np.sqrt(width) * gamma
         for kind, (i, j) in (("11", (0, 0)), ("12", (0, 1)), ("22", (1, 1))):
@@ -331,9 +340,10 @@ class TestExactMoments:
             "none": alpha, "slow": kernel.decay_rate, "fast": kernel.fast_rate
         }[tied_to]
         f1 = build_trigger_mode(
-            TriggerModeSpec(tap_amplitude=tap, filter_width=None, window_width=width)
+            TriggerModeSpec(tap_amplitude=tap, filter_width=None, window_width=width),
+            source_fast_rate=kernel.fast_rate,
         )
-        f2 = build_output_mode(OutputModeSpec(alpha=alpha)).scaled(reflect)
+        f2 = _reflected(build_output_mode(OutputModeSpec(alpha=alpha)), reflect)
         m = second_moments(f1, f2, kernel)
         a, b = window_moment_oracle(eps, alpha, tap, width, reflect)
         np.testing.assert_allclose(m.a, a, rtol=1e-12, atol=0.0)
@@ -361,20 +371,20 @@ class TestExactMoments:
         alphas = np.array([mu, mu + 1e-9, mu - 1e-9, lam, lam + 1e-9, lam - 1e-9, 0.25, 5.0])
         rates = np.array(kernel.terms)[:, 0]
         f1 = _trigger(trigger, kernel, center=0.3)
-        family = build_output_mode(OutputModeSpec(alpha=alphas, center=-0.2)).scaled(REFLECT)
-        gram = kernel_moments((f1.pieces, family.pieces), rates)
+        family = _reflected(build_output_mode(OutputModeSpec(alpha=alphas, center=-0.2)))
+        gram = kernel_moments((f1, family), rates)
         assert gram.shape == (len(alphas), 2, 2, len(rates))
         for member, alpha in zip(gram, alphas):
-            f2 = build_output_mode(OutputModeSpec(alpha=alpha, center=-0.2)).scaled(REFLECT)
-            single = kernel_moments((f1.pieces, f2.pieces), rates)
+            f2 = _reflected(build_output_mode(OutputModeSpec(alpha=alpha, center=-0.2)))
+            single = kernel_moments((f1, f2), rates)
             np.testing.assert_allclose(member, single, rtol=1e-15, atol=0.0)
 
     @pytest.mark.parametrize("trigger", ["collapsed", "explicit"])
-    def test_filtered_source_weight_is_exact_norm(self, trigger):
+    def test_filtered_trigger_norm_matches_reference(self, trigger):
         kernel = opo_kernel(OpoParams(epsilon=0.01))
-        mode = _trigger(trigger, kernel)
+        norm = pieces_norm_sq(_trigger(trigger, kernel))
         ref = l2_norm_sq(_trigger_axis(trigger, kernel))
-        assert mode.source_weight == pytest.approx(ref, rel=1e-10)
+        assert norm == pytest.approx(ref, rel=1e-10)
         if trigger == "collapsed":
             scale = 0.1 * np.sqrt(0.01) * 5.0
-            assert mode.source_weight == pytest.approx(scale**2 / 10.0, rel=1e-15)
+            assert norm == pytest.approx(scale**2 / 10.0, rel=1e-15)

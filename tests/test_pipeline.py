@@ -135,7 +135,7 @@ class TestScanObjectives:
 
         def corrupted(f1, f2, kernel):
             m = moments(f1, f2, kernel)
-            alpha = np.asarray(f2.pieces[0].rate)
+            alpha = np.asarray(f2[0].rate)
             b = m.b - 2.0 * np.multiply.outer(alpha == grid[6], np.diag([0.0, 1.0]))
             b = b + np.multiply.outer(np.where(alpha == grid[20], np.nan, 0.0), np.ones((2, 2)))
             return replace(m, b=b)
