@@ -40,6 +40,8 @@ _REQUIRED = {
     "exponential": "alpha",
     "tabulated": "table (a file path)",
 }
+# each scan objective, default first: the summary scalar it reads and the sign that minimises it
+OBJECTIVES = {"origin_value": ("wigner_origin", 1.0), "fock1_fidelity": ("fidelity_fock1", -1.0)}
 
 
 @dataclass(frozen=True)
@@ -79,13 +81,12 @@ class ScanConfig:
     alpha_min: float
     alpha_max: float
     samples: int = 50
-    objective: str = "origin_value"
+    objective: str = next(iter(OBJECTIVES))
 
     def __post_init__(self):
-        if self.objective not in ("origin_value", "fock1_fidelity"):
-            raise ValueError(
-                f"objective must be origin_value or fock1_fidelity, got {self.objective!r}"
-            )
+        if self.objective not in OBJECTIVES:
+            names = " or ".join(OBJECTIVES)
+            raise ValueError(f"objective must be {names}, got {self.objective!r}")
         if self.alpha_min <= 0 or self.alpha_max < self.alpha_min:
             raise ValueError(f"bad range [{self.alpha_min}, {self.alpha_max}]")
         if self.samples < 3 and self.samples != 1:

@@ -19,14 +19,14 @@ from .conditioning import (
     condition_on_on,
     vacuum_projection,
 )
-from .config import ExperimentConfig
+from .config import OBJECTIVES, ExperimentConfig
 from .covariance import (
     CovarianceMatrix4,
     apply_loss,
     assemble,
     load_covariance,
 )
-from .metrics import SCALARS, fock_fidelity, wigner_at_origin
+from .metrics import SCALARS
 from .modes import build_output_mode, build_trigger_mode, second_moments
 from .piecewise import Piece
 from .polynomials import GaussianCore
@@ -54,15 +54,10 @@ def build_modes(
     The output mode is the configured envelope times the tap's reflection
     amplitude sqrt(1 - tap_amplitude^2).
     """
-    f1, kernel, reflect = _trigger_side(cfg)
-    return f1, tuple(p.scaled(reflect) for p in build_output_mode(cfg.output)), kernel
-
-
-def _trigger_side(cfg: ExperimentConfig) -> tuple[tuple[Piece, ...], CorrelationKernel, float]:
-    """The trigger mode, the source kernel and the output's reflection amplitude."""
     kernel = build_kernel(cfg)
     reflect = float(np.sqrt(1.0 - cfg.trigger.tap_amplitude**2))
-    return build_trigger_mode(cfg.trigger, source_fast_rate=kernel.fast_rate), kernel, reflect
+    f1 = build_trigger_mode(cfg.trigger, source_fast_rate=kernel.fast_rate)
+    return f1, tuple(p.scaled(reflect) for p in build_output_mode(cfg.output)), kernel
 
 
 def build_covariance(cfg: ExperimentConfig) -> CovarianceMatrix4:
@@ -115,16 +110,16 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
 def scan_alpha(cfg: ExperimentConfig) -> ScanResult:
     """Scan the output-mode decay rate against ``cfg.scan.objective``.
 
-    Returns the scan table in raw objective values and the optimum refined
-    by :func:`~cwherald.scan.scan_and_refine`'s parabolic steps, one
+    Each alpha runs :func:`run_experiment`'s steps: :func:`build_covariance`,
+    :func:`condition_state` and the objective's summary scalar
+    (:data:`~cwherald.config.OBJECTIVES`).  Returns the scan table in raw
+    objective values and the optimum refined by
+    :func:`~cwherald.scan.scan_and_refine`'s parabolic steps, one
     single-alpha call each, to about 1e-6 of the grid's bracket around the
     best sample.  The origin value is minimised, the Fock-1 fidelity
-    maximised.  The whole grid is one stacked pass: its exponential
-    envelopes form one family of output modes
-    (:func:`~cwherald.modes.build_output_mode` with an array of alphas),
-    and one moment pass, one assembly, one loss step, one
-    conditioning and one metric give all its values, each equal to what
-    :func:`run_experiment`'s steps give for that alpha alone.  A failure
+    maximised.  The whole grid is one stacked pass: with an array of alphas
+    the output mode is a family (:func:`~cwherald.modes.build_output_mode`),
+    and each member's value equals what that alpha gives alone.  A failure
     names the first failing alpha in grid order, with the error that alpha
     raises alone.  A parsed config with a [scan] section always has an opo
     source and an exponential envelope.
@@ -132,26 +127,28 @@ def scan_alpha(cfg: ExperimentConfig) -> ScanResult:
     sc = cfg.scan
     if sc is None:
         raise ValueError("no [scan] parameters configured")
-    sign = 1.0 if sc.objective == "origin_value" else -1.0
-    f1, kernel, reflect = _trigger_side(cfg)  # alpha moves the output mode only
+    key, sign = OBJECTIVES[sc.objective]
 
     def signed(alpha):
         """Signed objective at one alpha, or at each of a 1-d array of them, in one pass."""
-        f2 = tuple(p.scaled(reflect) for p in build_output_mode(replace(cfg.output, alpha=alpha)))
-        v = apply_loss(assemble(second_moments(f1, f2, kernel)), cfg.losses)
-        state = condition_state(cfg, v).state
-        if sc.objective == "origin_value":
-            return sign * wigner_at_origin(state)
-        return sign * fock_fidelity(state, 1)
+        at = replace(cfg, output=replace(cfg.output, alpha=alpha))
+        return sign * SCALARS[key](condition_state(at, build_covariance(at)))
 
     def objective(alpha):
         """Signed objective at one alpha, or at each of an array of them."""
         try:
             return signed(alpha) if np.ndim(alpha) else float(signed(alpha))
         except Exception as exc:
-            at, exc = _first_failure(signed, np.atleast_1d(alpha), exc)
+            bad = alpha
+            # the members of an array are independent: each alone, in order, to the first failure
+            for bad in alpha if np.ndim(alpha) else ():
+                try:
+                    signed(bad)
+                except Exception as alone:
+                    exc = alone
+                    break
             head = str(exc.args[0]) if exc.args else ""
-            exc.args = (f"at alpha = {at:g}: {head}",) + exc.args[1:]
+            exc.args = (f"at alpha = {bad:g}: {head}",) + exc.args[1:]
             raise exc
 
     result = scan_and_refine(objective, sc.alpha_min, sc.alpha_max, sc.samples)
@@ -162,30 +159,6 @@ def scan_alpha(cfg: ExperimentConfig) -> ScanResult:
         best_param=result.best_param,
         best_value=sign * result.best_value,
     )
-
-
-def _first_failure(evaluate, params: np.ndarray, exc: Exception):
-    """The first of ``params`` whose evaluation fails, and the error it raises alone.
-
-    ``evaluate(params)`` raised ``exc``.  Members are evaluated
-    independently, so a prefix of ``params`` fails exactly when one of its
-    members does: bisection over prefixes, each one stacked pass, finds
-    the first failing member, which is then evaluated alone, as a number.
-    """
-    lo, hi = 0, len(params)  # params[:lo] passes, params[:hi] fails
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        try:
-            evaluate(params[:mid])
-            lo = mid
-        except Exception:
-            hi = mid
-    if len(params) > 1:
-        try:
-            evaluate(params[hi - 1])
-        except Exception as alone:
-            exc = alone
-    return params[hi - 1], exc
 
 
 def save_state(path, result: ConditionResult) -> None:

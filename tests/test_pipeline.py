@@ -124,11 +124,20 @@ class TestScanObjectives:
         result, states = self.scan_and_per_alpha_states("fock1_fidelity")
         np.testing.assert_array_equal(result.values, [fock_fidelity(s, 1) for s in states])
 
-    def test_failing_grid_alpha_is_named(self, monkeypatch):
-        # grid member 6 is unphysical, which the conditioning finds; member 20
-        # holds a non-finite moment, which the assembly finds one stage earlier
-        # in the stacked pass.  The error still names member 6, first in grid
-        # order, with the message member 6 gives alone.
+    @staticmethod
+    def alone_error(cfg, alpha):
+        """The error that one alpha raises through the run steps alone."""
+        at = replace(cfg, output=replace(cfg.output, alpha=alpha))
+        with pytest.raises(UnphysicalCovarianceError) as alone:
+            condition_state(at, build_covariance(at))
+        return f"at alpha = {alpha:g}: {alone.value}"
+
+    @pytest.mark.parametrize("unphysical, nonfinite", [(0, 20), (6, 20), (30, 49)])
+    def test_failing_grid_alpha_is_named(self, monkeypatch, unphysical, nonfinite):
+        # one grid member is unphysical, which the conditioning finds; a later
+        # one holds a non-finite moment, which the assembly finds one stage
+        # earlier in the stacked pass.  The error still names the unphysical
+        # member, first in grid order, with the message it gives alone.
         cfg = parse_config(FIXTURES / "figure4_scan.cfg")
         grid = np.linspace(cfg.scan.alpha_min, cfg.scan.alpha_max, cfg.scan.samples)
         moments = pipeline.second_moments
@@ -136,16 +145,36 @@ class TestScanObjectives:
         def corrupted(f1, f2, kernel):
             m = moments(f1, f2, kernel)
             alpha = np.asarray(f2[0].rate)
-            b = m.b - 2.0 * np.multiply.outer(alpha == grid[6], np.diag([0.0, 1.0]))
-            b = b + np.multiply.outer(np.where(alpha == grid[20], np.nan, 0.0), np.ones((2, 2)))
+            b = m.b - 2.0 * np.multiply.outer(alpha == grid[unphysical], np.diag([0.0, 1.0]))
+            b = b + np.multiply.outer(np.where(alpha == grid[nonfinite], np.nan, 0.0), np.ones((2, 2)))
             return replace(m, b=b)
 
         monkeypatch.setattr(pipeline, "second_moments", corrupted)
-        with pytest.raises(UnphysicalCovarianceError) as alone:
-            condition_state(cfg, build_covariance(replace(cfg, output=replace(cfg.output, alpha=grid[6]))))
-        want = f"at alpha = {grid[6]:g}: {alone.value}"
+        want = self.alone_error(cfg, grid[unphysical])
         with pytest.raises(UnphysicalCovarianceError, match=f"^{re.escape(want)}$"):
             scan_alpha(cfg)
+
+    def test_failing_refinement_alpha_is_named(self, monkeypatch):
+        # the grid passes and every single-alpha call is unphysical, so the
+        # first refinement step fails: the error names its off-grid alpha
+        cfg = parse_config(FIXTURES / "figure4_scan.cfg")
+        grid = np.linspace(cfg.scan.alpha_min, cfg.scan.alpha_max, cfg.scan.samples)
+        moments = pipeline.second_moments
+        scalar = []
+
+        def corrupted(f1, f2, kernel):
+            m = moments(f1, f2, kernel)
+            if np.ndim(f2[0].rate):
+                return m
+            scalar.append(float(f2[0].rate))
+            return replace(m, b=m.b - 2.0 * np.diag([0.0, 1.0]))
+
+        monkeypatch.setattr(pipeline, "second_moments", corrupted)
+        with pytest.raises(UnphysicalCovarianceError) as failed:
+            scan_alpha(cfg)
+        step = scalar[0]
+        assert len(scalar) == 1 and not np.any(np.isclose(grid, step, rtol=0.0, atol=1e-9))
+        assert str(failed.value) == self.alone_error(cfg, step)
 
     def test_scan_requires_parameters(self):
         cfg = parse_config(FIXTURES / "figure3_upper.cfg")
