@@ -40,7 +40,7 @@ _REQUIRED = {
     "exponential": "alpha",
     "tabulated": "table (a file path)",
 }
-# each scan objective, default first: the summary scalar it reads and the sign that minimises it
+# each scan objective: the summary scalar it reads and the sign that minimises it
 OBJECTIVES = {"origin_value": ("wigner_origin", 1.0), "fock1_fidelity": ("fidelity_fock1", -1.0)}
 
 
@@ -81,7 +81,7 @@ class ScanConfig:
     alpha_min: float
     alpha_max: float
     samples: int = 50
-    objective: str = next(iter(OBJECTIVES))
+    objective: str = "origin_value"
 
     def __post_init__(self):
         if self.objective not in OBJECTIVES:

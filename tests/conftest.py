@@ -4,23 +4,17 @@ import functools
 import hashlib
 import itertools
 import math
-import os
 import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import settings
 
 from cwherald.covariance import CovarianceMatrix4
 from cwherald.modes import NARROW_WINDOW_LIMIT, SecondMoments
 from cwherald.quadrature import QuadAxis, correlation_moment, l2_norm_sq
 from cwherald.wigner import TwoModeGaussianWigner
 from cwherald.polynomials import poly_eval
-
-# HYPOTHESIS_PROFILE=ci prints a @reproduce_failure blob with each falsifying example
-settings.register_profile("ci", print_blob=True)
-settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 def rot2(phi):
