@@ -25,9 +25,9 @@ the physicality margin, the trigger given the output and the
 n-independent number core of :func:`_number_core`.  Conditioning one
 covariance six ways reduces it once, and the resulting states share two
 Gaussian cores with read-only ``sigma`` (``V22`` and the number core),
-each with one inverse and one Fock-moment table.  The program's own
-paths condition each covariance once; the sharing serves a caller that
-compares several outcomes on one state.
+each with one inverse and one product with each core it is measured on.
+The program's own paths condition each covariance once; the sharing
+serves a caller that compares several outcomes on one state.
 """
 
 from __future__ import annotations

@@ -6,8 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .polynomials import gaussian_poly_integral, poly_mul
-from .wigner import GaussPolyState, GridSpec, evaluate_grid, fock_wigner_poly
+from .polynomials import poly_mul
+from .wigner import GaussPolyState, GridSpec, evaluate_grid, fock_state
 
 
 def wigner_at_origin(s: GaussPolyState):
@@ -15,31 +15,23 @@ def wigner_at_origin(s: GaussPolyState):
     return s.at_origin()
 
 
+def _overlap(s: GaussPolyState, r: GaussPolyState):
+    """Tr(rho sigma) = 2*pi*Int(W_s W_r), each pair of terms on the product of their cores."""
+    acc = 0.0
+    for a in s.terms:
+        for b in r.terms:
+            acc += a.core.times(b.core).integral(poly_mul(a.coeffs, b.coeffs))
+    return 2.0 * np.pi * acc
+
+
 def fock_fidelity(s: GaussPolyState, n: int):
-    """Overlap with the n-photon Fock state, 2*pi*Int(W_s W_n), by Gaussian-moment reduction.
-
-    Each term integrates against the Fock-moment table of its core
-    (:meth:`~cwherald.polynomials.GaussianCore.fock_moments`), which n = 0,
-    1 and 2 and every term on that core share.  A family's state gives one
-    overlap per member.
-    """
-    fock = fock_wigner_poly(n)
-    acc = 0.0
-    for t in s.terms:
-        c = poly_mul(t.coeffs, fock)
-        scale, mom = t.core.fock_moments(max(c.shape[-2:]) - 1)
-        acc += scale * (c * mom[..., : c.shape[-2], : c.shape[-1]]).sum(axis=(-2, -1))
-    return 2.0 * np.pi * acc
+    """Tr(rho |n><n|) for n = 0, 1, 2, one per member of a family."""
+    return _overlap(s, fock_state(n))
 
 
-def purity(s: GaussPolyState) -> float:
-    """Tr rho^2 of the single-mode state, 2*pi*Int(W^2)."""
-    acc = 0.0
-    for ta in s.terms:
-        for tb in s.terms:
-            merged = np.linalg.inv(ta.core.sigma_inv + tb.core.sigma_inv)
-            acc += gaussian_poly_integral(poly_mul(ta.coeffs, tb.coeffs), merged)
-    return 2.0 * np.pi * acc
+def purity(s: GaussPolyState):
+    """Tr rho^2 of the single-mode state, one per member of a family."""
+    return _overlap(s, s)
 
 
 # each summary scalar of a ConditionResult in summary order; metrics are looked up per call

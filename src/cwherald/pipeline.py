@@ -176,13 +176,41 @@ def save_state(path, result: ConditionResult) -> None:
 
 
 def load_state(path) -> ConditionResult:
-    """Read a conditioned state written by :func:`save_state`."""
+    """Read a conditioned state written by :func:`save_state`.
+
+    The file must hold an object with a finite ``probability`` and a
+    non-empty list of ``terms``, each with a finite 2-D ``coeffs`` table and
+    a finite 2x2 ``sigma``; anything else raises ``ValueError`` naming it.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
+
+    def field(owner, key, shape, what, where=""):
+        """``owner[key]`` as a non-empty finite array of ``shape``, None matching any length."""
+        try:
+            value = np.array(owner[key], dtype=float)
+        except (KeyError, TypeError, ValueError):
+            value = None
+        if (
+            value is None
+            or value.ndim != len(shape)
+            or any(want not in (None, got) for want, got in zip(shape, value.shape))
+            or value.size == 0
+            or not np.isfinite(value).all()
+        ):
+            raise ValueError(f"state file {path}: {where}{key!r} must be {what}")
+        return value
+
+    if not isinstance(doc, dict):
+        raise ValueError(f"state file {path}: not a JSON object")
+    probability = field(doc, "probability", (), "a finite number")
+    if not isinstance(doc.get("terms"), list) or not doc["terms"]:
+        raise ValueError(f"state file {path}: 'terms' must be a non-empty list")
     terms = tuple(
-        PolyGaussTerm(coeffs=np.array(t["coeffs"], dtype=float), core=GaussianCore(t["sigma"]))
-        for t in doc["terms"]
+        PolyGaussTerm(
+            coeffs=field(t, "coeffs", (None, None), "a finite 2-D table", f"term {k}: "),
+            core=GaussianCore(field(t, "sigma", (2, 2), "a finite 2x2 matrix", f"term {k}: ")),
+        )
+        for k, t in enumerate(doc["terms"])
     )
-    return ConditionResult(
-        state=GaussPolyState(terms=terms), probability=float(doc["probability"])
-    )
+    return ConditionResult(state=GaussPolyState(terms=terms), probability=float(probability))

@@ -187,22 +187,12 @@ def expected_poly_of_shifted_gaussian(
 
 
 def gaussian_poly_integral(c: np.ndarray, sigma: np.ndarray):
-    """Exact integral of poly(x, p) * exp(-(x,p) sigma^-1 (x,p)^T) over the plane.
-
-    Equals ``pi sqrt(det sigma) E[poly]`` with (X, P) zero-mean Gaussian
-    of covariance ``sigma / 2``.  Stacks give one integral per member.
-    """
-    det = det2(sigma)
-    if any_member(det <= 0.0):
-        raise ValueError("gaussian core is not positive definite")
-    mom = central_moments(sigma / 2.0, max(c.shape[-2:]) - 1)
-    total = (c * mom[..., : c.shape[-2], : c.shape[-1]]).sum(axis=(-2, -1))
-    return np.pi * np.sqrt(det) * total
+    """Exact integral of poly(x, p) * exp(-(x,p) sigma^-1 (x,p)^T) over the plane."""
+    return GaussianCore(sigma).integral(c)
 
 
-# Fock-moment tables are built to this degree at least: a degree-4 polynomial,
-# the highest any conditioner makes, times the Fock-2 polynomial
-FOCK_DEGREE = 8
+# a core's moment table covers a degree-4 polynomial, the highest any conditioner makes, squared
+MOMENT_DEGREE = 8
 
 
 @dataclass(frozen=True, eq=False)
@@ -211,8 +201,8 @@ class GaussianCore:
 
     ``sigma`` is a 2x2 matrix, or a (K, 2, 2) stack for a family, held as
     a read-only copy.  Terms on one core share it, and it computes
-    :attr:`sigma_inv` and its Fock-moment table at most once, when first
-    read, for all of them.
+    :attr:`sigma_inv`, its moment table and its product with each other
+    core at most once, when first needed, for all of them.
     """
 
     sigma: np.ndarray
@@ -228,25 +218,30 @@ class GaussianCore:
         return np.linalg.inv(self.sigma)
 
     @cached_property
-    def _fock(self) -> tuple:
-        """``pi sqrt(det c)``, ``c / 2`` and its moment table, ``c = (sigma^-1 + I)^-1``."""
-        core = np.linalg.inv(self.sigma_inv + np.eye(2))
-        det = det2(core)
+    def _moments(self) -> tuple:
+        """``pi sqrt(det sigma)``, ``sigma / 2`` and its moment table to :data:`MOMENT_DEGREE`."""
+        det = det2(self.sigma)
         if any_member(det <= 0.0):
             raise ValueError("gaussian core is not positive definite")
-        half = core / 2.0
-        return np.pi * np.sqrt(det), half, central_moments(half, FOCK_DEGREE)
+        half = self.sigma / 2.0
+        return np.pi * np.sqrt(det), half, central_moments(half, MOMENT_DEGREE)
 
-    def fock_moments(self, degree: int) -> tuple:
-        """``pi sqrt(det c)`` and the central moments of ``c / 2`` to at least ``degree``.
+    def integral(self, c: np.ndarray):
+        """Integral of ``c`` times this Gaussian over the plane, one per member.
 
-        ``c`` is this core times a Fock state's ``exp(-x^2 - p^2)``.  A
-        polynomial contracted with the table's top-left corner, times the
-        scale, is what :func:`gaussian_poly_integral` gives for it on ``c``.
-        The table is built once, to :data:`FOCK_DEGREE`: an entry of the
-        moment recursion reads only lower entries, so its corners hold the
-        numbers a table of lower degree holds.  A higher degree gets a
-        table of its own at each call.
+        ``pi sqrt(det sigma) E[c]`` with (X, P) of covariance ``sigma / 2``.
+        A moment entry reads only lower entries, so the kept table's corner
+        serves any lower degree; a higher degree gets a table of its own.
         """
-        scale, half, table = self._fock
-        return scale, table if degree <= FOCK_DEGREE else central_moments(half, degree)
+        scale, half, table = self._moments
+        degree = max(c.shape[-2:]) - 1
+        if degree > MOMENT_DEGREE:
+            table = central_moments(half, degree)
+        return scale * (c * table[..., : c.shape[-2], : c.shape[-1]]).sum(axis=(-2, -1))
+
+    def times(self, other: "GaussianCore") -> "GaussianCore":
+        """The core of ``(sigma^-1 + sigma'^-1)^-1``, made once per partner and kept here."""
+        kept = self.__dict__.setdefault("_products", {})
+        if other not in kept:
+            kept[other] = GaussianCore(np.linalg.inv(self.sigma_inv + other.sigma_inv))
+        return kept[other]

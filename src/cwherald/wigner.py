@@ -9,10 +9,10 @@ of) polynomial-times-Gaussian single-mode states.  All integrals here are
 exact Gaussian-moment reductions; no quadrature enters the core path.
 
 A term's Gaussian is a :class:`~cwherald.polynomials.GaussianCore`, which
-computes its inverse and its Fock-moment table once and holds its
-``sigma`` read-only.  The terms a covariance's conditioners make share two
-cores: the output marginal's ``V22`` of :func:`trigger_given_output` and
-the photon-number core of the conditioning module.
+computes its inverse, moment table and products with other cores once and
+holds ``sigma`` read-only.  A covariance's conditioners make terms on two
+cores, the output marginal's ``V22`` of :func:`trigger_given_output` and
+the conditioning module's photon-number core; Fock states share one.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from .polynomials import (
     GaussianCore,
     det2,
     expected_poly_of_shifted_gaussian,
-    gaussian_poly_integral,
     nonzero_entries,
     per_member,
     poly_eval,
@@ -60,7 +59,7 @@ class PolyGaussTerm:
     Stacks ``coeffs`` (K, i, j) and a core of ``sigma`` (K, 2, 2) hold one
     component per family member.  A term is never mutated: scaling it
     makes a new term on the same :class:`~cwherald.polynomials.GaussianCore`,
-    so every term on one core shares its inverse and its Fock-moment table.
+    so every term on one core shares what the core computes.
     """
 
     coeffs: np.ndarray
@@ -111,9 +110,7 @@ class GaussPolyState:
 
     def total_integral(self) -> float | np.ndarray:
         """Exact integral over the plane via Gaussian-moment reduction."""
-        return per_member(
-            sum(gaussian_poly_integral(t.coeffs, t.sigma) for t in self.terms)
-        )
+        return per_member(sum(t.core.integral(t.coeffs) for t in self.terms))
 
     def scaled(self, factor) -> "GaussPolyState":
         """Every term times ``factor``: a number, or one per family member."""
@@ -155,13 +152,12 @@ def _fock_poly(n: int) -> np.ndarray:
 
 
 _FOCK_POLYS = tuple(_fock_poly(n) for n in range(3))
+_VACUUM = GaussianCore(np.eye(2))  # exp(-x^2 - p^2)
 
 
 def fock_state(n: int) -> GaussPolyState:
-    """The Fock-state Wigner function as a normalised one-term state."""
-    return GaussPolyState(
-        terms=(PolyGaussTerm(coeffs=fock_wigner_poly(n), core=GaussianCore(np.eye(2))),)
-    )
+    """The Fock-state Wigner function as a normalised one-term state on the vacuum core."""
+    return GaussPolyState(terms=(PolyGaussTerm(coeffs=fock_wigner_poly(n), core=_VACUUM),))
 
 
 @once_per_covariance

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -17,6 +18,7 @@ from cwherald.pipeline import build_kernel, run_experiment
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 FIXTURES = SRC / "cwherald" / "fixtures"
+IDENTITY = [[1.0, 0.0], [0.0, 1.0]]
 
 
 def run_cli(*args, cwd=None):
@@ -168,6 +170,49 @@ class TestCovarianceStage:
         assert p.returncode == 0, p.stderr
         values = read_summary(tmp_path / "summary.txt")
         assert values["fidelity_fock1"] >= 0.999
+
+
+class TestMetricsStage:
+    def test_two_term_on_state_round_trips(self, tmp_path):
+        # the on state is the difference of two Gaussians: state.json carries
+        # both terms, and the staged metrics equal those of one run
+        cfg = tmp_path / "on.cfg"
+        cfg.write_text(
+            (FIXTURES / "figure4_upper.cfg").read_text().replace("kind = click", "kind = on")
+        )
+        small = ["--config", str(cfg), "--grid=-1,1,-1,1,3,3", "--quiet"]
+        assert cli.main(["run", "--out", str(tmp_path / "run"), *small]) == 0
+        for stage in ("covariance", "condition", "metrics"):
+            assert cli.main([stage, "--out", str(tmp_path / "staged"), *small]) == 0
+        state = json.loads((tmp_path / "staged" / "state.json").read_text())
+        assert len(state["terms"]) == 2
+        assert (tmp_path / "staged" / "summary.txt").read_bytes() == (
+            tmp_path / "run" / "summary.txt"
+        ).read_bytes()
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({"terms": [{"coeffs": [[1.0]], "sigma": IDENTITY}]}, "'probability' must be a finite number"),
+            ([0.5, [{"coeffs": [[1.0]], "sigma": IDENTITY}]], "not a JSON object"),
+            ({"probability": 0.5, "terms": [{"coeffs": [1.0], "sigma": IDENTITY}]},
+             "term 0: 'coeffs' must be a finite 2-D table"),
+            ({"probability": 0.5, "terms": [{"coeffs": [[1.0]]}]},
+             "term 0: 'sigma' must be a finite 2x2 matrix"),
+            ({"probability": 0.5, "terms": []}, "'terms' must be a non-empty list"),
+            ({"probability": 0.5, "terms": [{"coeffs": [[1.0]], "sigma": np.eye(3).tolist()}]},
+             "term 0: 'sigma' must be a finite 2x2 matrix"),
+        ],
+        ids=["no-probability", "list", "1d-coeffs", "no-sigma", "no-terms", "3x3-sigma"],
+    )
+    def test_malformed_state_file_is_rejected(self, tmp_path, capsys, doc, message):
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        args = ["metrics", "--config", str(FIXTURES / "figure3_upper.cfg"), "--state", str(path)]
+        assert cli.main([*args, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error [metrics]: state file {path}: {message}\n"
+        assert not (out / "summary.txt").exists()
 
 
 class TestScanStage:

@@ -334,12 +334,14 @@ class TestSharedReductions:
 
             return wrapper
 
+        vacuum = fock_state(0).terms[0].core
+        vacuum.sigma_inv  # shared by every Fock state: warm, so that test order does not count
         margin = CovarianceMatrix4.__dict__["margin"]
         monkeypatch.setattr(margin, "func", counted("margin", margin.func))
-        for name in ("sigma_inv", "_fock"):
+        for name in ("sigma_inv", "_moments"):
             prop = GaussianCore.__dict__[name]
             monkeypatch.setattr(prop, "func", counted(name, prop.func))
-        # the trigger reduction and the number core each build one core
+        # the trigger reduction, the number core and each product build one core
         monkeypatch.setattr(
             GaussianCore, "__post_init__", counted("core", GaussianCore.__post_init__)
         )
@@ -351,10 +353,16 @@ class TestSharedReductions:
             negativity_volume(result.state, SMALL_GRID)
             evaluate_grid(result.state, SMALL_GRID)
         physicality_check(v)
-        # two Gaussian cores, V22 and the number core, each with one inverse and one table
-        assert calls == {"margin": 1, "core": 2, "sigma_inv": 2, "_fock": 2}
+        # two Gaussian cores, V22 and the number core, each with one inverse, and
+        # six products: each with the vacuum for the fidelities and each with
+        # each for the purities, V22 x number and number x V22 apart.  Moment
+        # tables: the number core's for P_n, and one per product
+        assert calls == {"margin": 1, "core": 8, "sigma_inv": 2, "_moments": 7}
+        v22, number = trigger_given_output(v)[0], _number_core(v)[2]
         cores = {id(t.core) for r in results for t in r.state.terms}
-        assert cores == {id(trigger_given_output(v)[0]), id(_number_core(v)[2])}
+        assert cores == {id(v22), id(number)}
+        for core in (v22, number):
+            assert set(core.__dict__["_products"]) == {vacuum, v22, number}
 
     def test_inputs_become_read_only_copies(self, rng):
         m = random_physical_covariance(rng).m

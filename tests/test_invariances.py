@@ -4,8 +4,9 @@ Number, on/off and click detection are all blind to the trigger's phase, so
 rotating the trigger's quadratures changes no outcome.  Rotating the
 output's quadratures rotates the conditioned state, ``W'(R y) = W(y)``, and
 leaves every rotation-invariant number alone.  Two loss channels compose
-into one whose transmissions are their product.  Each kind is checked on
-single covariances and on families of three.
+into one whose transmissions are their product.  Every state is a density
+operator, so its Wigner function, Fock populations and purity are bounded.
+Each kind is checked on single covariances and on families of three.
 """
 
 import numpy as np
@@ -22,7 +23,8 @@ from cwherald.conditioning import (
     vacuum_projection,
 )
 from cwherald.covariance import CovarianceMatrix4, LossParams, apply_loss
-from cwherald.metrics import SCALARS
+from cwherald.metrics import SCALARS, fock_fidelity, purity
+from cwherald.wigner import GridSpec, evaluate_grid
 
 KINDS = {
     "n0": lambda v: condition_on_number(v, 0),
@@ -116,3 +118,23 @@ def test_two_losses_compose_into_one(seed, family, etas):
         v, LossParams(eta1=1.0 - (1.0 - a1) * (1.0 - b1), eta2=1.0 - (1.0 - a2) * (1.0 - b2))
     )
     assert_close(twice.n, once.n)
+
+
+BOUNDS_GRID = GridSpec(xmin=-4.0, xmax=4.0, pmin=-4.0, pmax=4.0, nx=41, np_=41)
+
+
+@pytest.mark.parametrize("kind", list(KINDS))
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), family=st.booleans())
+def test_states_are_bounded(kind, seed, family):
+    """|W| <= 1/pi, F_n >= 0, F0 + F1 + F2 <= 1 and 0 < purity <= 1."""
+    v = covariance(seed, family)
+    state = KINDS[kind](v).state
+    for member in v.n.reshape(-1, 4, 4):  # a family's member alone is that member's state
+        single = KINDS[kind](CovarianceMatrix4.from_excess(member)).state
+        assert np.abs(evaluate_grid(single, BOUNDS_GRID)[2]).max() <= 1.0 / np.pi + 1e-9
+    fidelities = np.array([fock_fidelity(state, n) for n in (0, 1, 2)])
+    assert (fidelities >= -1e-12).all(), fidelities
+    assert (fidelities.sum(axis=0) <= 1.0 + 1e-9).all(), fidelities
+    p = np.asarray(purity(state))
+    assert ((p > 0.0) & (p <= 1.0 + 1e-9)).all(), p
