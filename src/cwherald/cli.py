@@ -120,6 +120,11 @@ def main(argv=None) -> int:
 
     try:
         cfg = _load_config(args)
+        # a stage reads its input file first, so a rejected one leaves no --out behind
+        if stage == "condition":
+            v = load_covariance(args.covariance or out_dir / "covariance.txt")
+        elif stage == "metrics":
+            result = load_state(args.state or out_dir / "state.json")
         out_dir.mkdir(parents=True, exist_ok=True)
 
         if stage == "run":
@@ -147,8 +152,6 @@ def main(argv=None) -> int:
             say(f"wrote {out_dir / 'covariance.txt'} (purity {report.purity:.6g})")
 
         elif stage == "condition":
-            cov_path = args.covariance or (out_dir / "covariance.txt")
-            v = load_covariance(cov_path)
             result = condition_state(cfg, v)
             save_state(out_dir / "state.json", result)
             say(
@@ -157,8 +160,6 @@ def main(argv=None) -> int:
             )
 
         elif stage == "metrics":
-            state_path = args.state or (out_dir / "state.json")
-            result = load_state(state_path)
             values = summarize(cfg, result)
             write_summary(out_dir / "summary.txt", cfg, values)
             say(f"wrote {out_dir / 'summary.txt'}")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .sources import CorrelationKernel
-from .wigner import fmt9, write_table_csv
+from .wigner import fmt9
 
 
 @dataclass(frozen=True)
@@ -131,9 +131,26 @@ def write_coherence_csv(path, ck: CoherenceKernel) -> None:
     """Serialise the coherence kernel as CSV rows t,tp,g; tp sweeps inside t.
 
     Every number is :func:`~cwherald.wigner.fmt9` text, as in the grid
-    file, so ``-0.0`` prints as ``0``.
+    file, so ``-0.0`` prints as ``0``.  G is symmetric, so a row formats
+    its cells from the diagonal on and takes the text left of it from the
+    column written before; a cell whose float differs from its transposed
+    cell's (NaN included) is formatted afresh.
     """
-    write_table_csv(path, "t,tp,g", "{row},{col}", ck.grid, ck.grid, ck.g)
+    g = ck.g
+    n = len(ck.grid)
+    cols = [fmt9(t).encode() for t in ck.grid]
+    txt = np.empty((n, n), "S16")  # a %.9g text is at most 16 bytes
+    with open(path, "wb") as fh:
+        fh.write(b"t,tp,g\n")
+        for k in range(n):
+            row = g[k] + 0.0  # + 0.0 turns -0.0 into 0.0
+            tail = (b"%.9g\n" * (n - k)) % tuple(row[k:].tolist())
+            cells = txt[:k, k].tolist() + tail.split(b"\n")[:-1]
+            for j in np.flatnonzero(row[:k] != g[:k, k]).tolist():
+                cells[j] = b"%.9g" % row[j]
+            txt[k, k:] = cells[k:]
+            lead = cols[k] + b","
+            fh.write((lead + (b",%s\n" + lead).join(cols) + b",%s\n") % tuple(cells))
 
 
 def write_mode_csv(path, mode: DominantMode) -> None:

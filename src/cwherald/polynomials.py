@@ -240,8 +240,14 @@ class GaussianCore:
         return scale * (c * table[..., : c.shape[-2], : c.shape[-1]]).sum(axis=(-2, -1))
 
     def times(self, other: "GaussianCore") -> "GaussianCore":
-        """The core of ``(sigma^-1 + sigma'^-1)^-1``, made once per partner and kept here."""
+        """The core of ``(sigma^-1 + sigma'^-1)^-1``, made once per pair and kept on both.
+
+        The sum commutes exactly, so the partner's kept product is this one.
+        """
         kept = self.__dict__.setdefault("_products", {})
         if other not in kept:
-            kept[other] = GaussianCore(np.linalg.inv(self.sigma_inv + other.sigma_inv))
+            product = other.__dict__.get("_products", {}).get(self)
+            if product is None:
+                product = GaussianCore(np.linalg.inv(self.sigma_inv + other.sigma_inv))
+            kept[other] = product
         return kept[other]

@@ -241,42 +241,36 @@ def evaluate_grid(s: GaussPolyState, grid: GridSpec):
 def write_grid_csv(path, xs: np.ndarray, ps: np.ndarray, w: np.ndarray) -> None:
     """Serialise a grid as CSV with header x,p,w; rows sweep x inside p.
 
-    Every number is :func:`fmt9` text, so ``-0.0`` prints as ``0``.
+    Every number is :func:`fmt9` text, so ``-0.0`` prints as ``0``.  Text
+    is reused only where floats are exactly equal: a row equal to its own
+    reverse formats its first half and mirrors it, and a row equal to row
+    ``m - 1 - k`` keeps its value text until that row is written.
     """
-    write_table_csv(path, "x,p,w", "{col},{row}", ps, xs, w)
-
-
-def write_table_csv(path, header: str, line: str, rows, cols, table) -> None:
-    """Write ``table[k, j]`` as one CSV line per cell, row by row, in :func:`fmt9` text.
-
-    ``line`` places the labels: ``"{col},{row}"`` or ``"{row},{col}"``,
-    followed by the value.  Text is reused only where floats are exactly
-    equal: a row equal to its own reverse formats its first half and
-    mirrors it, and a row equal to row ``m - 1 - k`` keeps its finished
-    text until that row is written under its own label.
-    """
-    n, m = len(cols), len(rows)
+    n, m = len(xs), len(ps)
     half = (n + 1) // 2
-    # one template per row, the column text baked in; fmt9 text holds no "%" or "{"
-    cells = [line.format(col=fmt9(c), row="{row}") for c in cols]
-    body_g = "".join(c + ",%.9g\n" for c in cells)
-    body_s = "".join(c + ",%s\n" for c in cells)
-    head_g = "%.9g\n" * half
-    kept = {}  # row index -> text of an earlier row equal to it, label left open
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(header + "\n")
+    cols = [fmt9(x).encode() for x in xs] + [b""]
+    kept = {}  # row index -> (palindromic, value text) of an earlier row equal to it
+    with open(path, "wb") as fh:
+        fh.write(b"x,p,w\n")
         for k in range(m):
-            text = kept.pop(k, None)
-            if text is None:
-                row = table[k] + 0.0  # + 0.0 turns -0.0 into 0.0
-                if np.array_equal(row, row[::-1]):
-                    head = (head_g % tuple(row[:half].tolist())).split("\n")[:half]
-                    text = body_s % tuple(head + head[: n - half][::-1])
-                else:
-                    text = body_g % tuple(row.tolist())
-                if k < m - 1 - k and np.array_equal(table[k], table[m - 1 - k]):
-                    kept[m - 1 - k] = text
-            fh.write(text.replace("{row}", fmt9(rows[k])))
+            label = fmt9(ps[k]).encode()  # fmt9 text holds no "%", so it can sit in a template
+            entry = kept.pop(k, None)
+            if entry is None:
+                row = w[k] + 0.0  # + 0.0 turns -0.0 into 0.0
+                palindromic = np.array_equal(row, row[::-1])
+                mirrored = k < m - 1 - k and np.array_equal(w[k], w[m - 1 - k])
+                if not (palindromic or mirrored):
+                    fh.write((b",%s,%%.9g\n" % label).join(cols) % tuple(row.tolist()))
+                    continue
+                values = row[:half] if palindromic else row
+                entry = palindromic, (b"%.9g\n" * len(values)) % tuple(values.tolist())
+                if mirrored:
+                    kept[m - 1 - k] = entry
+            palindromic, text = entry
+            cells = text.split(b"\n")[:-1]
+            if palindromic:
+                cells += cells[: n - half][::-1]
+            fh.write((b",%s,%%s\n" % label).join(cols) % tuple(cells))
 
 
 def fmt9(v: float) -> str:

@@ -212,7 +212,17 @@ class TestMetricsStage:
         args = ["metrics", "--config", str(FIXTURES / "figure3_upper.cfg"), "--state", str(path)]
         assert cli.main([*args, "--out", str(out)]) == 1
         assert capsys.readouterr().err == f"error [metrics]: state file {path}: {message}\n"
-        assert not (out / "summary.txt").exists()
+        assert not out.exists()
+
+    def test_malformed_covariance_file_is_rejected(self, tmp_path, capsys):
+        path = tmp_path / "covariance.txt"
+        path.write_text("1 0 0\n0 1 0\n0 0 1\n")
+        out = tmp_path / "out"
+        args = ["condition", "--config", str(FIXTURES / "figure3_upper.cfg")]
+        assert cli.main([*args, "--covariance", str(path), "--out", str(out)]) == 1
+        want = f"error [condition]: expected 4x4 covariance in {path}, got shape (3, 3)\n"
+        assert capsys.readouterr().err == want
+        assert not out.exists()
 
 
 class TestScanStage:
@@ -265,6 +275,24 @@ def test_fixture_outputs_pinned(stem, tmp_path):
         for name in ("summary.txt", "wigner_grid.csv")
     )
     assert digests == FIXTURE_SHA256[stem]
+
+
+# sha256 of (coherence.csv, dominant_mode.csv) written for FILTERED_COHERENCE
+FILTERED_COHERENCE_SHA256 = (
+    "8203a9b78af47fd64291d3a8a7b7d70870e1f773f5144182bbaf6a2853edc30b",
+    "f664f03de0600cac07938f16f34dd6d3f9ece8b07346a6e0d113e93c6f115f18",
+)
+
+
+def test_coherence_outputs_pinned(tmp_path):
+    path = tmp_path / "filtered.cfg"
+    path.write_text(FILTERED_COHERENCE)
+    assert cli.main(["coherence", "--config", str(path), "--out", str(tmp_path), "--quiet"]) == 0
+    digests = tuple(
+        hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in ("coherence.csv", "dominant_mode.csv")
+    )
+    assert digests == FILTERED_COHERENCE_SHA256
 
 
 class TestScanPipeline:

@@ -63,6 +63,13 @@ class TestConditionalCoherence:
         evals = np.linalg.eigvalsh(ck.g)
         assert evals.min() >= -1e-9 * evals.max()
 
+    @pytest.mark.parametrize("t_c, points", [(-0.37, 201), (0.61, 200)])
+    def test_exactly_symmetric_off_centre(self, t_c, points):
+        # the CSV writer reuses a transposed cell's text only where G = G^T holds exactly
+        k = opo_kernel(OpoParams(epsilon=0.13, gamma2=0.2))
+        ck = conditional_coherence(k, t_c=t_c, half_width=7.5, points=points)
+        assert np.array_equal(ck.g, ck.g.T)
+
     def test_near_field_factorisation_at_low_flux(self):
         k = opo_kernel(OpoParams(epsilon=0.01))
         ck = conditional_coherence(k)
@@ -150,6 +157,32 @@ class TestCoherenceCsv:
         text = path.read_text()
         assert_same_text(text, coherence_csv_text(ts, g))
         assert "\n0,-1.5," in text  # the -0.0 time prints as 0
+
+    @staticmethod
+    def symmetric_table(rng, n):
+        g = rng.normal(size=(n, n)) * 10.0 ** rng.integers(-9, 9, size=(n, n))
+        return g + g.T
+
+    def test_symmetric_table(self, tmp_path, rng):
+        ts = np.linspace(-2.0, 2.0, 7)
+        g = self.symmetric_table(rng, 7)
+        g[2, 2], g[1, 5], g[5, 1] = -0.0, np.inf, np.inf
+        path = tmp_path / "coherence.csv"
+        write_coherence_csv(path, CoherenceKernel(grid=ts, g=g, t_c=0.0))
+        assert_same_text(path.read_text(), coherence_csv_text(ts, g))
+
+    def test_symmetric_table_with_broken_transposed_pairs(self, tmp_path, rng):
+        ts = np.linspace(-2.0, 2.0, 6)
+        g = self.symmetric_table(rng, 6)
+        g[0, 3] = g[3, 0] = np.nan
+        g[1, 4], g[4, 1] = -0.0, 0.0
+        g[2, 5], g[5, 2] = 1.0, -0.0
+        # one ulp apart across a rounding boundary: 0.123456789 against 0.12345679
+        g[0, 5], g[5, 0] = 0.1234567895, np.nextafter(0.1234567895, np.inf)
+        g[3, 4] = g[4, 3] + 1.0
+        path = tmp_path / "coherence.csv"
+        write_coherence_csv(path, CoherenceKernel(grid=ts, g=g, t_c=0.0))
+        assert_same_text(path.read_text(), coherence_csv_text(ts, g))
 
 
 class TestModeCsv:

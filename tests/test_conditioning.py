@@ -354,15 +354,16 @@ class TestSharedReductions:
             evaluate_grid(result.state, SMALL_GRID)
         physicality_check(v)
         # two Gaussian cores, V22 and the number core, each with one inverse, and
-        # six products: each with the vacuum for the fidelities and each with
-        # each for the purities, V22 x number and number x V22 apart.  Moment
+        # five products: each with the vacuum for the fidelities and each with
+        # each for the purities, V22 x number once for both orders.  Moment
         # tables: the number core's for P_n, and one per product
-        assert calls == {"margin": 1, "core": 8, "sigma_inv": 2, "_moments": 7}
+        assert calls == {"margin": 1, "core": 7, "sigma_inv": 2, "_moments": 6}
         v22, number = trigger_given_output(v)[0], _number_core(v)[2]
         cores = {id(t.core) for r in results for t in r.state.terms}
         assert cores == {id(v22), id(number)}
         for core in (v22, number):
             assert set(core.__dict__["_products"]) == {vacuum, v22, number}
+        assert v22.times(number) is number.times(v22)
 
     def test_inputs_become_read_only_copies(self, rng):
         m = random_physical_covariance(rng).m
