@@ -118,24 +118,23 @@ def main(argv=None) -> int:
         if not args.quiet:
             print(msg)
 
+    def path(name: str) -> Path:
+        # --out is made at a stage's first write, so a stage that fails first leaves none
+        out_dir.mkdir(parents=True, exist_ok=True)
+        return out_dir / name
+
     try:
         cfg = _load_config(args)
-        # a stage reads its input file first, so a rejected one leaves no --out behind
-        if stage == "condition":
-            v = load_covariance(args.covariance or out_dir / "covariance.txt")
-        elif stage == "metrics":
-            result = load_state(args.state or out_dir / "state.json")
-        out_dir.mkdir(parents=True, exist_ok=True)
 
         if stage == "run":
             result = run_experiment(cfg)
-            write_summary(out_dir / "summary.txt", cfg, result.summary)
+            write_summary(path("summary.txt"), cfg, result.summary)
             xs, ps, w = result.grid
-            write_grid_csv(out_dir / "wigner_grid.csv", xs, ps, w)
+            write_grid_csv(path("wigner_grid.csv"), xs, ps, w)
             if cfg.outputs.coherence:
-                _write_coherence(cfg, out_dir)
+                _write_coherence(cfg, path)
             if cfg.scan is not None:
-                _write_scan(cfg, out_dir)
+                _write_scan(cfg, path)
             say(f"wrote {out_dir / 'summary.txt'} and {out_dir / 'wigner_grid.csv'}")
             for key, val in result.summary.items():
                 say(f"  {key} = {fmt9(val)}")
@@ -148,30 +147,31 @@ def main(argv=None) -> int:
                     "covariance is unphysical: min eigenvalue of "
                     f"V + i*Omega = {report.min_eigenvalue:g}"
                 )
-            save_covariance(out_dir / "covariance.txt", v)
+            save_covariance(path("covariance.txt"), v)
             say(f"wrote {out_dir / 'covariance.txt'} (purity {report.purity:.6g})")
 
         elif stage == "condition":
+            v = load_covariance(args.covariance or out_dir / "covariance.txt")
             result = condition_state(cfg, v)
-            save_state(out_dir / "state.json", result)
+            save_state(path("state.json"), result)
             say(
                 f"wrote {out_dir / 'state.json'} "
                 f"(probability {fmt9(result.probability)})"
             )
 
         elif stage == "metrics":
-            values = summarize(cfg, result)
-            write_summary(out_dir / "summary.txt", cfg, values)
+            values = summarize(cfg, load_state(args.state or out_dir / "state.json"))
+            write_summary(path("summary.txt"), cfg, values)
             say(f"wrote {out_dir / 'summary.txt'}")
             for key, val in values.items():
                 say(f"  {key} = {fmt9(val)}")
 
         elif stage == "coherence":
-            _write_coherence(cfg, out_dir)
+            _write_coherence(cfg, path)
             say(f"wrote {out_dir / 'coherence.csv'} and {out_dir / 'dominant_mode.csv'}")
 
         elif stage == "scan-alpha":
-            scan_result = _write_scan(cfg, out_dir)
+            scan_result = _write_scan(cfg, path)
             say(
                 f"best alpha = {fmt9(scan_result.best_param)} "
                 f"with {cfg.scan.objective} = {fmt9(scan_result.best_value)}"
@@ -189,22 +189,23 @@ def main(argv=None) -> int:
     return 0
 
 
-def _write_coherence(cfg: ExperimentConfig, out_dir: Path) -> None:
+def _write_coherence(cfg: ExperimentConfig, path) -> None:
+    """Write coherence.csv and dominant_mode.csv to ``path(name)``."""
     ck = conditional_coherence(
         build_kernel(cfg),
         t_c=cfg.trigger.window_center,
         half_width=cfg.outputs.coherence_halfwidth,
         points=cfg.outputs.coherence_points,
     )
-    write_coherence_csv(out_dir / "coherence.csv", ck)
-    write_mode_csv(out_dir / "dominant_mode.csv", dominant_mode(ck))
+    write_coherence_csv(path("coherence.csv"), ck)
+    write_mode_csv(path("dominant_mode.csv"), dominant_mode(ck))
 
 
-def _write_scan(cfg: ExperimentConfig, out_dir: Path):
-    """Scan alpha, write scan.csv and scan_best.txt, and return the scan."""
+def _write_scan(cfg: ExperimentConfig, path):
+    """Scan alpha, write scan.csv and scan_best.txt to ``path(name)``, and return the scan."""
     scan_result = scan_alpha(cfg)
-    write_scan_csv(out_dir / "scan.csv", scan_result)
-    with open(out_dir / "scan_best.txt", "w", encoding="utf-8") as fh:
+    write_scan_csv(path("scan.csv"), scan_result)
+    with open(path("scan_best.txt"), "w", encoding="utf-8") as fh:
         fh.write(f"objective = {cfg.scan.objective}\n")
         fh.write(f"best_alpha = {fmt9(scan_result.best_param)}\n")
         fh.write(f"best_objective = {fmt9(scan_result.best_value)}\n")

@@ -55,7 +55,11 @@ class NegativityResult:
 
 
 def negativity_volume(s: GaussPolyState, grid: GridSpec) -> NegativityResult:
-    """Integral of max(0, -W) over the grid, by Riemann sum at the grid step."""
+    """Integral of max(0, -W) over the grid, by Riemann sum at the grid step.
+
+    The values are the state's kept :func:`~cwherald.wigner.evaluate_grid`
+    table, so the grid is evaluated once for this and any later caller.
+    """
     xs, ps, w = evaluate_grid(s, grid)
     dx = float(xs[1] - xs[0])
     dp = float(ps[1] - ps[0])

@@ -69,21 +69,21 @@ def poly_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def poly_eval(c: np.ndarray, x, p):
     """Evaluate sum_ij c[i,j] x^i p^j of one table; broadcasts over array arguments.
 
-    The powers are taken on the shapes of ``x`` and ``p``, so on a grid
-    ``(x[None, :], p[:, None])`` they are taken on the axes; only the
-    products ``c[i,j] x^i p^j`` and their sum are grid-sized.
+    Each axis's powers are taken once, by repeated multiplication, on the
+    shapes of ``x`` and ``p``, so on a grid ``(x[None, :], p[:, None])``
+    they are taken on the axes.  Only the nonzero entries' products
+    ``c[i,j] x^i p^j`` are formed, grid-sized, and summed in row-major order.
     """
     x = np.asarray(x, dtype=float)
     p = np.asarray(p, dtype=float)
     out = np.zeros(np.broadcast(x, p).shape)
-    xp = np.ones_like(x)
-    for i in range(c.shape[0]):
-        pp = np.ones_like(p)
-        for j in range(c.shape[1]):
-            if c[i, j] != 0.0:
-                out += c[i, j] * xp * pp
-            pp = pp * p
-        xp = xp * x
+    xpow, ppow = [np.ones_like(x)], [np.ones_like(p)]
+    for i, j in nonzero_entries(c):
+        while len(xpow) <= i:
+            xpow.append(xpow[-1] * x)
+        while len(ppow) <= j:
+            ppow.append(ppow[-1] * p)
+        out += c[i, j] * xpow[i] * ppow[j]
     return out
 
 

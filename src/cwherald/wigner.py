@@ -231,11 +231,49 @@ def _axis(lo: float, hi: float, n: int) -> np.ndarray:
 
 
 def evaluate_grid(s: GaussPolyState, grid: GridSpec):
-    """Dense table of W values; returns (x_axis, p_axis, w[p_index, x_index])."""
-    xs = grid.x_axis()
-    ps = grid.p_axis()
-    w = s.evaluate(xs[None, :], ps[:, None])
-    return xs, ps, w
+    """Dense table of W values; returns (x_axis, p_axis, w[p_index, x_index]).
+
+    Evaluated at most once per state and grid, kept on the state and
+    returned read-only, so every caller of one state's grid shares it.  The
+    table holds exactly the floats of ``s.evaluate(xs[None, :], ps[:, None])``
+    but evaluates only the block that the parity symmetry does not fix:
+    see :func:`_evaluate_mesh`.
+    """
+    kept = s.__dict__.get("_grids", {}).get(grid)
+    if kept is None:
+        xs, ps = grid.x_axis(), grid.p_axis()
+        w = _evaluate_mesh(s, xs, ps)
+        for a in (xs, ps, w):
+            a.flags.writeable = False
+        kept = s.__dict__.setdefault("_grids", {})[grid] = xs, ps, w
+    return kept
+
+
+def _evaluate_mesh(s: GaussPolyState, xs: np.ndarray, ps: np.ndarray) -> np.ndarray:
+    """``s.evaluate(xs[None, :], ps[:, None])``, evaluated on its parity block and mirrored.
+
+    Every operation of :meth:`GaussPolyState.evaluate` commutes exactly
+    with negation.  So if every term's coefficients vanish at odd
+    ``i + j`` and both axes are exactly antisymmetric, W(-x, -p) is the
+    same float as W(x, p) and the leading half of the rows fixes the rest.
+    If in addition only even powers of x occur and every ``sigma^-1``
+    cross term is 0, W(-x, p) is also W(x, p), and the leading quarter
+    fixes all.  Otherwise the whole mesh is evaluated.
+    """
+    n, m = len(xs), len(ps)
+    powers = [ij for t in s.terms for ij in nonzero_entries(t.coeffs)]
+    axes = np.array_equal(xs, -xs[::-1]) and np.array_equal(ps, -ps[::-1])
+    if not (axes and all((i + j) % 2 == 0 for i, j in powers)):
+        return s.evaluate(xs[None, :], ps[:, None])
+    even_x = all(i % 2 == 0 for i, _ in powers) and not any(
+        np.any(t.core.sigma_inv[..., 0, 1]) for t in s.terms
+    )
+    hx, hp = (n + 1) // 2 if even_x else n, (m + 1) // 2
+    w = np.empty((m, n))
+    w[:hp, :hx] = s.evaluate(xs[None, :hx], ps[:hp, None])
+    w[:hp, hx:] = w[:hp, : n - hx][:, ::-1]  # W(-x, p) = W(x, p)
+    w[hp:] = w[: m - hp][::-1, ::-1]  # W(-x, -p) = W(x, p)
+    return w
 
 
 def write_grid_csv(path, xs: np.ndarray, ps: np.ndarray, w: np.ndarray) -> None:

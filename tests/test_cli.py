@@ -459,6 +459,20 @@ def test_infinite_window_center_writes_no_coherence(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "stage, fixture",
+    [("run", "figure4_upper.cfg"), ("covariance", "figure4_upper.cfg"),
+     ("scan-alpha", "figure4_scan.cfg")],
+)
+def test_threshold_source_leaves_no_out(tmp_path, capsys, stage, fixture):
+    cfg = tmp_path / "thr.cfg"
+    cfg.write_text(_fixture_with(fixture, "epsilon = 0.2", "epsilon = 0.6"))
+    out = tmp_path / "out"
+    assert cli.main([stage, "--config", str(cfg), "--out", str(out), "--quiet"]) == 3
+    assert capsys.readouterr().err.startswith(f"error [{stage}]: ")
+    assert not out.exists()
+
+
 class TestErrors:
     def test_empty_measurement_section(self, tmp_path):
         cfg = tmp_path / "bad.cfg"

@@ -25,12 +25,14 @@ from cwherald.covariance import (
     physicality_check,
 )
 from cwherald.errors import ImpossibleOutcomeError
+from cwherald import metrics
 from cwherald.metrics import fock_fidelity, negativity_volume, wigner_at_origin
 from cwherald.modes import SecondMoments, second_moments
 from cwherald.pipeline import build_modes, summarize
 from cwherald.polynomials import GaussianCore
 from cwherald.sources import tmsv_covariance
 from cwherald.wigner import (
+    GaussPolyState,
     GridSpec,
     TwoModeGaussianWigner,
     evaluate_grid,
@@ -328,9 +330,9 @@ class TestSharedReductions:
         calls = {}
 
         def counted(name, func):
-            def wrapper(obj):
+            def wrapper(*args):
                 calls[name] = calls.get(name, 0) + 1
-                return func(obj)
+                return func(*args)
 
             return wrapper
 
@@ -345,19 +347,31 @@ class TestSharedReductions:
         monkeypatch.setattr(
             GaussianCore, "__post_init__", counted("core", GaussianCore.__post_init__)
         )
+        monkeypatch.setattr(
+            GaussPolyState, "evaluate", counted("evaluate", GaussPolyState.evaluate)
+        )
+        used = []  # the grid each negativity volume reads
+
+        def recorded(state, grid, evaluate_grid=metrics.evaluate_grid):
+            used.append(evaluate_grid(state, grid))
+            return used[-1]
+
+        monkeypatch.setattr(metrics, "evaluate_grid", recorded)
         v = random_physical_covariance(rng)
         results = []
         for kind in CONDITIONERS:
             results.append(result := CONDITIONERS[kind](v))
             summarize(SUMMARY_CFG, result)
             negativity_volume(result.state, SMALL_GRID)
-            evaluate_grid(result.state, SMALL_GRID)
+            assert evaluate_grid(result.state, SMALL_GRID)[2] is used[-1][2]
         physicality_check(v)
         # two Gaussian cores, V22 and the number core, each with one inverse, and
         # five products: each with the vacuum for the fidelities and each with
         # each for the purities, V22 x number once for both orders.  Moment
-        # tables: the number core's for P_n, and one per product
-        assert calls == {"margin": 1, "core": 7, "sigma_inv": 2, "_moments": 6}
+        # tables: the number core's for P_n, and one per product.  One grid per
+        # kind, shared by its negativity volume
+        assert calls == {"margin": 1, "core": 7, "sigma_inv": 2, "_moments": 6, "evaluate": 6}
+        assert len(used) == len(CONDITIONERS)
         v22, number = trigger_given_output(v)[0], _number_core(v)[2]
         cores = {id(t.core) for r in results for t in r.state.terms}
         assert cores == {id(v22), id(number)}

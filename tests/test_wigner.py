@@ -1,5 +1,12 @@
+from functools import cache
+from pathlib import Path
+from unittest import mock
+
 import numpy as np
 import pytest
+from numpy.random import default_rng
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     assert_same_text,
@@ -8,9 +15,16 @@ from conftest import (
     random_physical_covariance,
 )
 
+from cwherald.conditioning import (
+    condition_on_click,
+    condition_on_number,
+    condition_on_on,
+    vacuum_projection,
+)
+from cwherald.config import parse_config
 from cwherald.covariance import CovarianceMatrix4
-from cwherald.conditioning import condition_on_click
 from cwherald.metrics import fock_fidelity, negativity_volume, purity
+from cwherald.pipeline import build_covariance
 from cwherald.polynomials import GaussianCore, gaussian_poly_integral
 from cwherald.sources import tmsv_covariance
 from cwherald.wigner import (
@@ -232,6 +246,107 @@ class TestGridEvaluation:
             GridSpec(xmin=2.0, xmax=-2.0)
 
 
+KINDS = {
+    "n0": lambda v: condition_on_number(v, 0),
+    "n1": lambda v: condition_on_number(v, 1),
+    "n2": lambda v: condition_on_number(v, 2),
+    "on": condition_on_on,
+    "click": condition_on_click,
+    "vacuum": vacuum_projection,
+}
+FIXTURES = Path(__file__).resolve().parent.parent / "src" / "cwherald" / "fixtures"
+
+
+@cache
+def fixture_covariance():
+    return build_covariance(parse_config(FIXTURES / "figure4_upper.cfg"))
+
+
+def conditioned(covariance):
+    return lambda kind, seed: KINDS[kind](covariance(seed)).state
+
+
+def hand_made(coeffs, sigma):
+    term = PolyGaussTerm(coeffs=np.array(coeffs), core=GaussianCore(sigma))
+    return lambda kind, seed: GaussPolyState(terms=(term,))  # a new state keeps no grid
+
+
+EVEN = [[0.2, 0.0, -0.5], [0.0, 0.0, 0.0], [0.4, 0.0, 0.0]]
+# state source -> (the block its symmetry allows on antisymmetric axes, its maker)
+SOURCES = {
+    # x^2, p^2 and constants on untilted cores
+    "fixture": ("quarter", conditioned(lambda seed: fixture_covariance())),
+    "tmsv": ("quarter", conditioned(lambda seed: tmsv_covariance(0.4))),
+    # a random covariance tilts V22: a nonzero sigma^-1 cross term
+    "random": ("half", conditioned(lambda seed: random_physical_covariance(default_rng(seed)))),
+    "tilted": ("half", hand_made(EVEN, [[1.0, 0.3], [0.3, 0.8]])),
+    "xp": ("half", hand_made([[0.3, 0.0], [0.0, -0.2]], np.eye(2))),  # odd powers of x and p
+    "odd": ("full", hand_made([[0.3, 0.0], [0.1, 0.0]], np.eye(2))),  # one odd-degree entry
+}
+BOUNDS = st.sampled_from([(-5.0, 5.0), (-2.5, 2.5), (-3.0, 5.0), (-1.0, 0.5), (0.25, 4.0)])
+GRIDS = st.builds(
+    lambda xb, pb, nx, np_: GridSpec(*xb, *pb, nx, np_),
+    BOUNDS, BOUNDS, st.integers(2, 14), st.integers(2, 14),
+)
+
+
+def each_source(*grids):
+    """Explicit examples: every state source on every one of ``grids``."""
+
+    def decorate(test):
+        for source in SOURCES:
+            for grid in grids:
+                test = example(source=source, kind="n1", seed=0, grid=grid)(test)
+        return test
+
+    return decorate
+
+
+class TestGridParityBlock:
+    """A grid holds the floats of the whole mesh, whichever block was evaluated."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        source=st.sampled_from(list(SOURCES)),
+        kind=st.sampled_from(list(KINDS)),
+        seed=st.integers(0, 2**32 - 1),
+        grid=GRIDS,
+    )
+    @each_source(GridSpec(-2.0, 2.0, -1.5, 1.5, 7, 6), GridSpec(-2.0, 2.0, -1.0, 3.0, 6, 7))
+    def test_bits_equal_the_whole_mesh(self, source, kind, seed, grid):
+        block, make = SOURCES[source]
+        s = make(kind, seed)
+        evaluate = GaussPolyState.evaluate
+        with mock.patch.object(
+            GaussPolyState, "evaluate", autospec=True, side_effect=evaluate
+        ) as spy:
+            xs, ps, w = evaluate_grid(s, grid)
+        assert w.tobytes() == s.evaluate(xs[None, :], ps[:, None]).tobytes()
+        assert spy.call_count == 1
+        (_, x, p), _ = spy.call_args
+        if not (np.array_equal(xs, -xs[::-1]) and np.array_equal(ps, -ps[::-1])):
+            block = "full"
+        nx, np_ = len(xs), len(ps)
+        assert (x.size, p.size) == {
+            "quarter": ((nx + 1) // 2, (np_ + 1) // 2),
+            "half": (nx, (np_ + 1) // 2),
+            "full": (nx, np_),
+        }[block]
+
+    def test_kept_read_only_and_shared(self):
+        s = condition_on_click(tmsv_covariance(0.3)).state
+        xs, ps, w = evaluate_grid(s, GridSpec(nx=5, np_=7))
+        for a in (xs, ps, w):
+            assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            w[0, 0] = 1.0
+        again = evaluate_grid(s, GridSpec(nx=5, np_=7))  # an equal spec finds the kept grid
+        assert all(a is b for a, b in zip(again, (xs, ps, w)))
+        assert evaluate_grid(s, GridSpec(nx=7, np_=5))[2].shape == (5, 7)
+        negativity_volume(s, GridSpec(nx=5, np_=7))
+        assert list(s.__dict__["_grids"]) == [GridSpec(nx=5, np_=7), GridSpec(nx=7, np_=5)]
+
+
 class TestFamilyState:
     """Evaluation takes a single state and says so on a conditioned family."""
 
@@ -252,6 +367,7 @@ class TestFamilyState:
         message = "^evaluate takes a single state, not a family of 2 members$"
         with pytest.raises(ValueError, match=message):
             evaluate(state)
+        assert "_grids" not in state.__dict__  # a refused grid is not kept
         evaluate(condition_on_click(tmsv_covariance(0.3)).state)  # a single member evaluates
 
 
