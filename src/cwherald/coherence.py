@@ -39,22 +39,24 @@ def conditional_coherence(
     """Conditioned coherence from the Gaussian fourth-moment (Wick) expansion.
 
     ``G(t, t') = c_aa(t - tc) c_aa(t' - tc) + c_ada(t - tc) c_ada(t' - tc)
-    + c_ada(0) c_ada(t - t')`` for the real stationary kernels.
+    + c_ada(0) c_ada(t - t')`` for the real stationary kernels.  The offsets
+    ``t - tc`` are ``(i - (points-1)/2)`` steps, exactly antisymmetric, so G
+    equals ``G.T`` and ``G[::-1, ::-1]`` bit for bit.  The lag term is
+    evaluated once per distinct lag ``|i - j|`` step and indexed.
     """
     if points < 3:
         raise ValueError("coherence grid needs at least 3 points")
     if not half_width > 0.0:
         raise ValueError(f"coherence half-width must be positive, got {half_width}")
-    ts = t_c + np.linspace(-half_width, half_width, points)
-    rel = ts - t_c
+    step = 2.0 * half_width / (points - 1)
+    rel = (np.arange(points) - (points - 1) / 2) * step
     aa = k.c_aa(rel)
     ada = k.c_ada(rel)
-    g = (
-        np.outer(aa, aa)
-        + np.outer(ada, ada)
-        + float(k.c_ada(0.0)) * k.c_ada(rel[:, None] - rel[None, :])
-    )
-    return CoherenceKernel(grid=ts, g=g, t_c=t_c)
+    lag = float(k.c_ada(0.0)) * k.c_ada(np.arange(points) * step)
+    # row i of the reversed windows is lag[|i - j|] over j
+    toeplitz = np.lib.stride_tricks.sliding_window_view(np.concatenate((lag[:0:-1], lag)), points)
+    g = np.outer(aa, aa) + np.outer(ada, ada) + toeplitz[::-1]
+    return CoherenceKernel(grid=t_c + rel, g=g, t_c=t_c)
 
 
 @dataclass(frozen=True)
@@ -69,14 +71,32 @@ class DominantMode:
 def dominant_mode(ck: CoherenceKernel) -> DominantMode:
     """Leading eigenvector of G, unit L2 norm on the grid, sign-fixed at tc.
 
-    The dominance ratio is the leading eigenvalue over the trace; a value
-    near one signals that the conditioned field occupies one temporal mode.
+    The dominance ratio is the leading eigenvalue over the trace (the
+    diagonal's sum); a value near one signals that the conditioned field
+    occupies one temporal mode.  If G equals ``G.T`` and ``G[::-1, ::-1]``
+    exactly and every entry is positive, the leading vector is even
+    (Perron), so it is taken from the ``ceil(n/2)``-square block of G on
+    the even vectors ``(e_i + e_{n-1-i})/sqrt(2)`` and, for odd n,
+    ``e_centre``; otherwise from all of G.
     """
-    evals, evecs = np.linalg.eigh(ck.g)
-    trace = float(np.sum(evals))
+    g = ck.g
+    n = len(g)
+    trace = float(np.trace(g))
     if trace <= 0.0:
         raise ValueError("coherence kernel is zero; no dominant mode")
-    u = evecs[:, -1]
+    if np.array_equal(g, g.T) and np.array_equal(g, g[::-1, ::-1]) and (g > 0.0).all():
+        h = (n + 1) // 2
+        # the block is G's top rows folded onto their mirror columns, weighted
+        # by w on both sides: e_centre has no mirror partner to share 1/sqrt(2) with
+        w = np.ones(h)
+        w[n // 2 :] = np.sqrt(0.5)
+        block = (g[:h, :h] + g[:h, : n - h - 1 : -1]) * np.outer(w, w)
+        evals, evecs = np.linalg.eigh(block)
+        top = evecs[:, -1] / w  # the leading vector's top half, up to its norm
+        u = np.concatenate((top, top[: n - h][::-1]))
+    else:
+        evals, evecs = np.linalg.eigh(g)
+        u = evecs[:, -1]
     dt = float(ck.grid[1] - ck.grid[0])
     u = u / np.sqrt(np.sum(u**2) * dt)
     centre = int(np.argmin(np.abs(ck.grid - ck.t_c)))
@@ -131,31 +151,33 @@ def write_coherence_csv(path, ck: CoherenceKernel) -> None:
     """Serialise the coherence kernel as CSV rows t,tp,g; tp sweeps inside t.
 
     Every number is :func:`~cwherald.wigner.fmt9` text, as in the grid
-    file, so ``-0.0`` prints as ``0``.  G is symmetric, so a row formats
-    its cells from the diagonal on and takes the text left of it from the
-    column written before; a cell whose float differs from its transposed
-    cell's (NaN included) is formatted afresh.
+    file, so ``-0.0`` prints as ``0``.  Each distinct float of the top
+    ``ceil(n/2)`` rows is formatted once, and those rows look their text
+    up.  A lower row equal to the upper row ``n-1-k`` reversed takes that
+    row's text reversed; any other row (NaN included) is formatted afresh.
     """
     g = ck.g
     n = len(ck.grid)
+    h = (n + 1) // 2
+    values, index = np.unique(g[:h].ravel() + 0.0, return_inverse=True)  # + 0.0 turns -0.0 into 0.0
+    texts = np.array(((b"%.9g\n" * len(values)) % tuple(values.tolist())).split(b"\n")[:-1])
+    upper = texts[index].reshape(h, n)
     cols = [fmt9(t).encode() for t in ck.grid]
-    txt = np.empty((n, n), "S16")  # a %.9g text is at most 16 bytes
     with open(path, "wb") as fh:
         fh.write(b"t,tp,g\n")
         for k in range(n):
-            row = g[k] + 0.0  # + 0.0 turns -0.0 into 0.0
-            tail = (b"%.9g\n" * (n - k)) % tuple(row[k:].tolist())
-            cells = txt[:k, k].tolist() + tail.split(b"\n")[:-1]
-            for j in np.flatnonzero(row[:k] != g[:k, k]).tolist():
-                cells[j] = b"%.9g" % row[j]
-            txt[k, k:] = cells[k:]
+            if k < h:
+                cells = upper[k].tolist()
+            elif np.array_equal(g[k], g[n - 1 - k, ::-1]):
+                cells = upper[n - 1 - k, ::-1].tolist()
+            else:
+                cells = ((b"%.9g\n" * n) % tuple((g[k] + 0.0).tolist())).split(b"\n")[:-1]
             lead = cols[k] + b","
             fh.write((lead + (b",%s\n" + lead).join(cols) + b",%s\n") % tuple(cells))
 
 
 def write_mode_csv(path, mode: DominantMode) -> None:
     """Serialise the dominant mode as CSV rows t,u in :func:`~cwherald.wigner.fmt9` text."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("t,u\n")
-        for t, u in zip(mode.times, mode.samples):
-            fh.write(f"{fmt9(t)},{fmt9(u)}\n")
+    rows = np.column_stack((mode.times, mode.samples)) + 0.0  # + 0.0 turns -0.0 into 0.0
+    with open(path, "wb") as fh:
+        fh.write(b"t,u\n" + (b"%.9g,%.9g\n" * len(rows)) % tuple(rows.ravel().tolist()))

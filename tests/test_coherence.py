@@ -1,5 +1,9 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import assert_same_text, coherence_csv_text
 
@@ -63,12 +67,38 @@ class TestConditionalCoherence:
         evals = np.linalg.eigvalsh(ck.g)
         assert evals.min() >= -1e-9 * evals.max()
 
-    @pytest.mark.parametrize("t_c, points", [(-0.37, 201), (0.61, 200)])
+    @pytest.mark.parametrize("points", [*range(3, 13), 201])
+    def test_time_offsets_exactly_antisymmetric(self, points):
+        k = opo_kernel(OpoParams(epsilon=0.13))
+        rel = conditional_coherence(k, half_width=7.3, points=points).grid
+        assert np.array_equal(rel[::-1], -rel)
+        assert rel[-1] == pytest.approx(7.3, rel=1e-15)
+        assert np.diff(rel) == pytest.approx(np.full(points - 1, 14.6 / (points - 1)), rel=1e-14)
+
+    @pytest.mark.parametrize("t_c, points", [(-0.37, 201), (0.61, 200), (0.0, 7)])
     def test_exactly_symmetric_off_centre(self, t_c, points):
-        # the CSV writer reuses a transposed cell's text only where G = G^T holds exactly
+        # dominant_mode's even block and the CSV writer's reuse of a reversed
+        # row both rest on these equalities holding bit for bit
         k = opo_kernel(OpoParams(epsilon=0.13, gamma2=0.2))
         ck = conditional_coherence(k, t_c=t_c, half_width=7.5, points=points)
         assert np.array_equal(ck.g, ck.g.T)
+        assert np.array_equal(ck.g, ck.g[::-1, ::-1])
+
+    @pytest.mark.parametrize(
+        "half_width, points, ulps",
+        [(8.0, 257, 0), (4.0, 9, 0), (7.5, 200, 8), (10.0, 201, 8)],
+    )
+    def test_lag_table_matches_pairwise_differences(self, half_width, points, ulps):
+        # where the step is a binary fraction, |i - j| steps is exactly rel_i - rel_j;
+        # elsewhere the pairwise difference rounds by up to an ulp of the half-width
+        k = opo_kernel(OpoParams(epsilon=0.13, gamma2=0.2))
+        ck = conditional_coherence(k, half_width=half_width, points=points)
+        rel = ck.grid
+        aa, ada = k.c_aa(rel), k.c_ada(rel)
+        lag = float(k.c_ada(0.0)) * k.c_ada(rel[:, None] - rel[None, :])
+        want = np.outer(aa, aa) + np.outer(ada, ada) + lag
+        # every term is positive, so a term's error of a few ulp is a few ulp of the sum
+        assert np.all(np.abs(ck.g - want) <= ulps * np.spacing(want))
 
     def test_near_field_factorisation_at_low_flux(self):
         k = opo_kernel(OpoParams(epsilon=0.01))
@@ -114,6 +144,48 @@ class TestDominantMode:
         mode = dominant_mode(ck)
         assert mode.dominance == pytest.approx(1.0, abs=1e-12)
         assert np.max(np.abs(mode.samples - u)) < 1e-10
+
+    @staticmethod
+    def full_eigh_mode(ck):
+        evals, evecs = np.linalg.eigh(ck.g)
+        u = evecs[:, -1] / np.sqrt(np.sum(evecs[:, -1] ** 2) * (ck.grid[1] - ck.grid[0]))
+        centre = int(np.argmin(np.abs(ck.grid - ck.t_c)))
+        return (-u if u[centre] < 0.0 else u), evals[-1] / np.sum(evals)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        half_width=st.sampled_from([5.0, 10.0, 20.0]),
+        points=st.sampled_from([3, 4, 60, 61, 200, 201]),
+    )
+    def test_even_block_matches_full_eigh(self, seed, half_width, points):
+        rng = np.random.default_rng(seed)
+        k = opo_kernel(OpoParams(epsilon=rng.uniform(0.01, 0.2), gamma2=rng.uniform(0.0, 0.5)))
+        ck = conditional_coherence(k, t_c=rng.uniform(-1.0, 1.0), half_width=half_width, points=points)
+        want, want_dominance = self.full_eigh_mode(ck)
+        with mock.patch("numpy.linalg.eigh", wraps=np.linalg.eigh) as eigh:
+            mode = dominant_mode(ck)
+        h = (points + 1) // 2
+        assert [c.args[0].shape for c in eigh.call_args_list] == [(h, h)]
+        assert np.max(np.abs(mode.samples - want)) <= 1e-13
+        assert abs(mode.dominance - want_dominance) <= 1e-13
+
+    def test_odd_leading_vector_takes_full_eigh(self):
+        # reversal-symmetric G with negative entries, whose leading vector is odd
+        ts = np.linspace(-2.0, 2.0, 9)
+        half = np.array([0.3, -1.2, 0.7, 0.4])
+        odd = np.concatenate((half, [0.0], -half[::-1]))
+        even = np.concatenate((half, [0.9], half[::-1]))
+        odd, even = odd / np.linalg.norm(odd), even / np.linalg.norm(even)
+        g = 2.0 * np.outer(odd, odd) + np.outer(even, even)
+        assert np.array_equal(g, g[::-1, ::-1]) and np.array_equal(g, g.T) and g.min() < 0.0
+        with mock.patch("numpy.linalg.eigh", wraps=np.linalg.eigh) as eigh:
+            mode = dominant_mode(CoherenceKernel(grid=ts, g=g, t_c=0.0))
+        assert [c.args[0].shape for c in eigh.call_args_list] == [(9, 9)]
+        scale = np.sqrt(1.0 / (ts[1] - ts[0]))
+        assert np.allclose(np.abs(mode.samples), scale * np.abs(odd), rtol=0.0, atol=1e-13)
+        assert np.allclose(mode.samples[::-1], -mode.samples, rtol=0.0, atol=1e-13)
+        assert mode.dominance == pytest.approx(2.0 / 3.0, rel=1e-14)
 
     def test_mode_unit_norm_on_grid(self):
         k = opo_kernel(OpoParams(epsilon=0.1))
@@ -180,6 +252,24 @@ class TestCoherenceCsv:
         # one ulp apart across a rounding boundary: 0.123456789 against 0.12345679
         g[0, 5], g[5, 0] = 0.1234567895, np.nextafter(0.1234567895, np.inf)
         g[3, 4] = g[4, 3] + 1.0
+        path = tmp_path / "coherence.csv"
+        write_coherence_csv(path, CoherenceKernel(grid=ts, g=g, t_c=0.0))
+        assert_same_text(path.read_text(), coherence_csv_text(ts, g))
+
+    @pytest.mark.parametrize("n", [6, 7])
+    def test_reversal_symmetric_table_with_broken_pairs(self, tmp_path, rng, n):
+        ts = np.linspace(-2.0, 2.0, n)
+        g = self.symmetric_table(rng, n)
+        g = g + g[::-1, ::-1]
+        # each pair is a cell of upper row i and its reversed partner in lower row
+        # n-1-i; rows n-2 and n-3 still equal their partners reversed, row n-1 does not
+        # one ulp apart across a rounding boundary: 0.123456789 against 0.12345679
+        g[0, 1], g[n - 1, n - 2] = 0.1234567895, np.nextafter(0.1234567895, np.inf)
+        g[0, 3], g[n - 1, n - 4] = np.nan, np.nan
+        g[1, 2], g[n - 2, n - 3] = -0.0, 0.0
+        g[1, 0], g[n - 2, n - 1] = np.inf, np.inf
+        g[2, 0], g[n - 3, n - 1] = 0.0, -0.0
+        g[0, 2], g[n - 1, n - 3] = 1e-300, -np.inf
         path = tmp_path / "coherence.csv"
         write_coherence_csv(path, CoherenceKernel(grid=ts, g=g, t_c=0.0))
         assert_same_text(path.read_text(), coherence_csv_text(ts, g))
