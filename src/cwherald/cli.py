@@ -127,14 +127,17 @@ def main(argv=None) -> int:
         cfg = _load_config(args)
 
         if stage == "run":
+            # everything is computed before the first write, so a failed run writes no file
             result = run_experiment(cfg)
+            coherence = _coherence(cfg) if cfg.outputs.coherence else None
+            scan_result = scan_alpha(cfg) if cfg.scan is not None else None
             write_summary(path("summary.txt"), cfg, result.summary)
             xs, ps, w = result.grid
             write_grid_csv(path("wigner_grid.csv"), xs, ps, w)
-            if cfg.outputs.coherence:
-                _write_coherence(cfg, path)
-            if cfg.scan is not None:
-                _write_scan(cfg, path)
+            if coherence is not None:
+                _write_coherence(path, *coherence)
+            if scan_result is not None:
+                _write_scan(cfg, path, scan_result)
             say(f"wrote {out_dir / 'summary.txt'} and {out_dir / 'wigner_grid.csv'}")
             for key, val in result.summary.items():
                 say(f"  {key} = {fmt9(val)}")
@@ -167,11 +170,12 @@ def main(argv=None) -> int:
                 say(f"  {key} = {fmt9(val)}")
 
         elif stage == "coherence":
-            _write_coherence(cfg, path)
+            _write_coherence(path, *_coherence(cfg))
             say(f"wrote {out_dir / 'coherence.csv'} and {out_dir / 'dominant_mode.csv'}")
 
         elif stage == "scan-alpha":
-            scan_result = _write_scan(cfg, path)
+            scan_result = scan_alpha(cfg)
+            _write_scan(cfg, path, scan_result)
             say(
                 f"best alpha = {fmt9(scan_result.best_param)} "
                 f"with {cfg.scan.objective} = {fmt9(scan_result.best_value)}"
@@ -189,27 +193,30 @@ def main(argv=None) -> int:
     return 0
 
 
-def _write_coherence(cfg: ExperimentConfig, path) -> None:
-    """Write coherence.csv and dominant_mode.csv to ``path(name)``."""
+def _coherence(cfg: ExperimentConfig):
+    """The coherence kernel of ``cfg`` and its dominant mode."""
     ck = conditional_coherence(
         build_kernel(cfg),
         t_c=cfg.trigger.window_center,
         half_width=cfg.outputs.coherence_halfwidth,
         points=cfg.outputs.coherence_points,
     )
+    return ck, dominant_mode(ck)
+
+
+def _write_coherence(path, ck, mode) -> None:
+    """Write coherence.csv and dominant_mode.csv to ``path(name)``."""
     write_coherence_csv(path("coherence.csv"), ck)
-    write_mode_csv(path("dominant_mode.csv"), dominant_mode(ck))
+    write_mode_csv(path("dominant_mode.csv"), mode)
 
 
-def _write_scan(cfg: ExperimentConfig, path):
-    """Scan alpha, write scan.csv and scan_best.txt to ``path(name)``, and return the scan."""
-    scan_result = scan_alpha(cfg)
+def _write_scan(cfg: ExperimentConfig, path, scan_result) -> None:
+    """Write scan.csv and scan_best.txt of ``scan_result`` to ``path(name)``."""
     write_scan_csv(path("scan.csv"), scan_result)
     with open(path("scan_best.txt"), "w", encoding="utf-8") as fh:
         fh.write(f"objective = {cfg.scan.objective}\n")
         fh.write(f"best_alpha = {fmt9(scan_result.best_param)}\n")
         fh.write(f"best_objective = {fmt9(scan_result.best_value)}\n")
-    return scan_result
 
 
 if __name__ == "__main__":

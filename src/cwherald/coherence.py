@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .sources import CorrelationKernel
-from .wigner import fmt9
+from .wigner import _row_texts, fmt9
 
 
 @dataclass(frozen=True)
@@ -151,29 +151,15 @@ def write_coherence_csv(path, ck: CoherenceKernel) -> None:
     """Serialise the coherence kernel as CSV rows t,tp,g; tp sweeps inside t.
 
     Every number is :func:`~cwherald.wigner.fmt9` text, as in the grid
-    file, so ``-0.0`` prints as ``0``.  Each distinct float of the top
-    ``ceil(n/2)`` rows is formatted once, and those rows look their text
-    up.  A lower row equal to the upper row ``n-1-k`` reversed takes that
-    row's text reversed; any other row (NaN included) is formatted afresh.
+    file, so ``-0.0`` prints as ``0``; the cell text of G comes from the
+    grid writer's helper, :func:`~cwherald.wigner._row_texts`.
     """
-    g = ck.g
-    n = len(ck.grid)
-    h = (n + 1) // 2
-    values, index = np.unique(g[:h].ravel() + 0.0, return_inverse=True)  # + 0.0 turns -0.0 into 0.0
-    texts = np.array(((b"%.9g\n" * len(values)) % tuple(values.tolist())).split(b"\n")[:-1])
-    upper = texts[index].reshape(h, n)
     cols = [fmt9(t).encode() for t in ck.grid]
     with open(path, "wb") as fh:
         fh.write(b"t,tp,g\n")
-        for k in range(n):
-            if k < h:
-                cells = upper[k].tolist()
-            elif np.array_equal(g[k], g[n - 1 - k, ::-1]):
-                cells = upper[n - 1 - k, ::-1].tolist()
-            else:
-                cells = ((b"%.9g\n" * n) % tuple((g[k] + 0.0).tolist())).split(b"\n")[:-1]
-            lead = cols[k] + b","
-            fh.write((lead + (b",%s\n" + lead).join(cols) + b",%s\n") % tuple(cells))
+        for t, cells in zip(cols, _row_texts(ck.g)):
+            lead = t + b","
+            fh.write((lead + (b",%s\n" + lead).join(cols) + b",%s\n") % cells)
 
 
 def write_mode_csv(path, mode: DominantMode) -> None:

@@ -45,7 +45,7 @@ from .polynomials import (
     expected_poly_of_shifted_gaussian,
     per_member,
 )
-from .wigner import OCCUPATION_POWERS, GaussPolyState, gaussian_term, trigger_given_output
+from .wigner import OCCUPATION_POWERS, GaussPolyState, gaussian_state, trigger_given_output
 
 PROBABILITY_FLOOR = 1e-300
 
@@ -102,7 +102,7 @@ def _number_state(v: CovarianceMatrix4, n: int) -> GaussPolyState:
     """The unnormalised n-photon-conditioned output, whose integral is P_n."""
     lin, cov, core, det_core = _number_core(v)
     poly = expected_poly_of_shifted_gaussian(OCCUPATION_POWERS[n], lin, cov)
-    return GaussPolyState(terms=(gaussian_term(poly, core, det_core),))
+    return gaussian_state(poly, core, det_core)
 
 
 def condition_on_number(v: CovarianceMatrix4, n: int) -> ConditionResult:
@@ -146,7 +146,7 @@ def condition_on_on(v: CovarianceMatrix4) -> ConditionResult:
             "trigger mode is exact vacuum; the on outcome never fires"
         )
     v22 = trigger_given_output(v)[0]
-    marginal = GaussPolyState(terms=(gaussian_term(np.ones((1, 1)), v22, det2(v22.sigma)),))
+    marginal = gaussian_state(np.ones((1, 1)), v22, det2(v22.sigma))
     vacuum = _number_state(v, 0)
     terms = marginal.scaled(1.0 / p_on).terms + vacuum.scaled(-1.0 / p_on).terms
     return ConditionResult(state=GaussPolyState(terms=terms), probability=p_on)
@@ -163,7 +163,7 @@ def _click(v: CovarianceMatrix4) -> ConditionResult:
         )
     v22, g, e = trigger_given_output(v)
     poly = expected_poly_of_shifted_gaussian(OCCUPATION_POWERS[1], 2.0 * g, e)
-    state = GaussPolyState(terms=(gaussian_term(poly, v22, det2(v22.sigma)),))
+    state = gaussian_state(poly, v22, det2(v22.sigma))
     return ConditionResult(state=state.scaled(1.0 / occupation), probability=occupation)
 
 

@@ -175,9 +175,10 @@ def trigger_given_output(v: CovarianceMatrix4):
     return v22, g, n[..., :2, :2] - 2.0 * g @ n12.swapaxes(-1, -2)
 
 
-def gaussian_term(poly, core: GaussianCore, det_core) -> PolyGaussTerm:
-    """``poly(y) exp(-y^T sigma^-1 y) / (pi sqrt(det_core))`` as one term on ``core``."""
-    return PolyGaussTerm(coeffs=poly / (np.pi * np.sqrt(det_core))[..., None, None], core=core)
+def gaussian_state(poly, core: GaussianCore, det_core) -> GaussPolyState:
+    """``poly(y) exp(-y^T sigma^-1 y) / (pi sqrt(det_core))``: one term on ``core``."""
+    coeffs = poly / (np.pi * np.sqrt(det_core))[..., None, None]
+    return GaussPolyState(terms=(PolyGaussTerm(coeffs=coeffs, core=core),))
 
 
 def integrate_out_trigger(w: TwoModeGaussianWigner, weight: np.ndarray):
@@ -193,7 +194,7 @@ def integrate_out_trigger(w: TwoModeGaussianWigner, weight: np.ndarray):
         raise ValueError("weight polynomial total degree must be at most four")
     v22, g, e = trigger_given_output(w.v)
     poly = expected_poly_of_shifted_gaussian(weight, 2.0 * g, 0.5 * np.eye(2) + e)
-    state = GaussPolyState(terms=(gaussian_term(poly, v22, det2(v22.sigma)),))
+    state = gaussian_state(poly, v22, det2(v22.sigma))
     return state, state.total_integral()
 
 
@@ -279,38 +280,40 @@ def _evaluate_mesh(s: GaussPolyState, xs: np.ndarray, ps: np.ndarray) -> np.ndar
 def write_grid_csv(path, xs: np.ndarray, ps: np.ndarray, w: np.ndarray) -> None:
     """Serialise a grid as CSV with header x,p,w; rows sweep x inside p.
 
-    Every number is :func:`fmt9` text, so ``-0.0`` prints as ``0``.  Text
-    is reused only where floats are exactly equal: a row equal to its own
-    reverse formats its first half and mirrors it, and a row equal to row
-    ``m - 1 - k`` keeps its value text until that row is written.
+    Every number is :func:`fmt9` text, so ``-0.0`` prints as ``0``; the
+    cell text of ``w`` comes from :func:`_row_texts`.
     """
-    n, m = len(xs), len(ps)
-    half = (n + 1) // 2
     cols = [fmt9(x).encode() for x in xs] + [b""]
-    kept = {}  # row index -> (palindromic, value text) of an earlier row equal to it
     with open(path, "wb") as fh:
         fh.write(b"x,p,w\n")
-        for k in range(m):
-            label = fmt9(ps[k]).encode()  # fmt9 text holds no "%", so it can sit in a template
-            entry = kept.pop(k, None)
-            if entry is None:
-                row = w[k] + 0.0  # + 0.0 turns -0.0 into 0.0
-                palindromic = np.array_equal(row, row[::-1])
-                mirrored = k < m - 1 - k and np.array_equal(w[k], w[m - 1 - k])
-                if not (palindromic or mirrored):
-                    fh.write((b",%s,%%.9g\n" % label).join(cols) % tuple(row.tolist()))
-                    continue
-                values = row[:half] if palindromic else row
-                entry = palindromic, (b"%.9g\n" * len(values)) % tuple(values.tolist())
-                if mirrored:
-                    kept[m - 1 - k] = entry
-            palindromic, text = entry
-            cells = text.split(b"\n")[:-1]
-            if palindromic:
-                cells += cells[: n - half][::-1]
-            fh.write((b",%s,%%s\n" % label).join(cols) % tuple(cells))
+        for p, cells in zip(ps, _row_texts(w), strict=True):
+            # fmt9 text holds no "%", so it can sit in a template
+            fh.write((b",%s,%%s\n" % fmt9(p).encode()).join(cols) % cells)
 
 
 def fmt9(v: float) -> str:
     """``v`` at 9 significant digits, as the summary, scan and grid files write it."""
     return f"{float(v) + 0.0:.9g}"  # + 0.0 turns -0.0 into 0.0
+
+
+def _row_texts(table: np.ndarray):
+    """Yield the ``%.9g`` text of each row of a 2-D table, a tuple of bytes per row.
+
+    ``-0.0`` is written as ``0``, as :func:`fmt9` writes it.  Each distinct
+    float of the top ``ceil(m/2)`` rows is formatted once.  A lower row
+    ``k`` equal to row ``m-1-k`` reversed (exactly, so never with NaN)
+    takes that row's text reversed; any other row is formatted afresh.
+    """
+    m, n = table.shape
+    h = (m + 1) // 2
+    values, index = np.unique(table[:h], return_inverse=True)
+    text = (b"%.9g\n" * len(values)) % tuple((values + 0.0).tolist())  # + 0.0 turns -0.0 into 0.0
+    text = np.array(text.split(b"\n"), dtype=object)  # text[i] is the text of values[i]
+    index = index.reshape(h, n)
+    for k in range(m):
+        if k < h:
+            yield tuple(text[index[k]].tolist())
+        elif np.array_equal(table[k], table[m - 1 - k, ::-1]):
+            yield tuple(text[index[m - 1 - k, ::-1]].tolist())
+        else:
+            yield tuple(((b"%.9g\n" * n) % tuple((table[k] + 0.0).tolist())).split(b"\n")[:-1])

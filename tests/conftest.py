@@ -10,10 +10,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from cwherald.coherence import CoherenceKernel, write_coherence_csv
 from cwherald.covariance import CovarianceMatrix4
 from cwherald.modes import NARROW_WINDOW_LIMIT, SecondMoments
 from cwherald.quadrature import QuadAxis, correlation_moment, l2_norm_sq
-from cwherald.wigner import TwoModeGaussianWigner
+from cwherald.wigner import TwoModeGaussianWigner, write_grid_csv
 from cwherald.polynomials import poly_eval
 
 
@@ -110,6 +111,26 @@ def coherence_csv_text(ts, g) -> str:
         for i, t in enumerate(ts)
         for j, tp in enumerate(ts)
     )
+
+
+def assert_csv_writers(tmp_path, xs, ps, table):
+    """Write ``table`` through both CSV writers and check each file cell by cell.
+
+    The grid file takes ``xs`` for columns and ``ps`` for rows.  The
+    coherence file labels both axes with one time grid, here ``ps``, so a
+    non-square table goes through the grid writer only.  Returns the two
+    texts, the coherence one None for a non-square table.
+    """
+    table = np.asarray(table, dtype=float)
+    write_grid_csv(tmp_path / "grid.csv", xs, ps, table)
+    grid = (tmp_path / "grid.csv").read_text()
+    assert_same_text(grid, grid_csv_text(xs, ps, table))
+    if table.shape[0] != table.shape[1]:
+        return grid, None
+    write_coherence_csv(tmp_path / "coherence.csv", CoherenceKernel(grid=ps, g=table, t_c=0.0))
+    coherence = (tmp_path / "coherence.csv").read_text()
+    assert_same_text(coherence, coherence_csv_text(ps, table))
+    return grid, coherence
 
 
 # Closed-form double integrals of exponential mode pairs against exp(-r|t-t'|),

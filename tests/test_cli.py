@@ -8,12 +8,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import assert_same_text, coherence_csv_text, grid_csv_text
+from conftest import (
+    assert_same_text,
+    coherence_csv_text,
+    grid_csv_text,
+    random_physical_covariance,
+)
 
 from cwherald import cli, pipeline
 from cwherald.coherence import conditional_coherence
 from cwherald.config import parse_config
-from cwherald.covariance import load_covariance
+from cwherald.covariance import load_covariance, save_covariance
 from cwherald.pipeline import build_kernel, run_experiment
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -277,6 +282,26 @@ def test_fixture_outputs_pinned(stem, tmp_path):
     assert digests == FIXTURE_SHA256[stem]
 
 
+# sha256 of wigner_grid.csv of a click on a seeded direct covariance: its
+# terms are even, but the x-p correlations leave W(-x, p) != W(x, p), so the
+# grid is exact under a half turn only and every lower row is its mirror reversed
+DIRECT_GRID_SHA256 = "7dbfc0914f8ed954852274046605ff0d561944b6561063354bbb3bc80a8e7bd8"
+
+
+def test_parity_half_grid_pinned(tmp_path):
+    cov = tmp_path / "covariance.txt"
+    save_covariance(cov, random_physical_covariance(np.random.default_rng(7)))
+    cfg = tmp_path / "direct.cfg"
+    cfg.write_text(f"[source]\nkind = direct\ncovariance = {cov}\n\n[measurement]\nkind = click\n")
+    assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path), "--quiet"]) == 0
+    w = run_experiment(parse_config(cfg)).grid[2]
+    lower = range(101, 201)
+    assert not any(np.array_equal(w[k], w[200 - k]) for k in lower)
+    assert all(np.array_equal(w[k], w[200 - k, ::-1]) for k in lower)
+    digest = hashlib.sha256((tmp_path / "wigner_grid.csv").read_bytes()).hexdigest()
+    assert digest == DIRECT_GRID_SHA256
+
+
 # sha256 of (coherence.csv, dominant_mode.csv) written for FILTERED_COHERENCE
 FILTERED_COHERENCE_SHA256 = (
     "8203a9b78af47fd64291d3a8a7b7d70870e1f773f5144182bbaf6a2853edc30b",
@@ -470,6 +495,19 @@ def test_threshold_source_leaves_no_out(tmp_path, capsys, stage, fixture):
     out = tmp_path / "out"
     assert cli.main([stage, "--config", str(cfg), "--out", str(out), "--quiet"]) == 3
     assert capsys.readouterr().err.startswith(f"error [{stage}]: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("stage", ["run", "coherence"])
+def test_zero_coherence_kernel_leaves_no_out(tmp_path, capsys, stage):
+    # without squeezing G is zero, so dominant_mode fails after the run's state and grid
+    text = _fixture_with("figure3_upper.cfg", "epsilon = 0.01", "epsilon = 0.0")
+    text = text.replace("kind = click", "kind = number\nn = 0")
+    cfg = tmp_path / "zero.cfg"
+    cfg.write_text(text.replace("grid = -5,5,-5,5,201,201", "grid = -1,1,-1,1,3,3\ncoherence = true"))
+    out = tmp_path / "out"
+    assert cli.main([stage, "--config", str(cfg), "--out", str(out), "--quiet"]) == 1
+    assert capsys.readouterr().err == f"error [{stage}]: coherence kernel is zero; no dominant mode\n"
     assert not out.exists()
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import assert_same_text, coherence_csv_text
+from conftest import assert_csv_writers
 
 from cwherald.coherence import (
     CoherenceKernel,
@@ -13,7 +13,6 @@ from cwherald.coherence import (
     conditional_coherence,
     dominant_mode,
     fit_exponential_decay,
-    write_coherence_csv,
     write_mode_csv,
 )
 from cwherald.sources import OpoParams, opo_kernel
@@ -224,10 +223,7 @@ class TestCoherenceCsv:
         g[0, 4], g[4, 0], g[3, 3] = np.nan, np.inf, -0.0
         g[1] = g[3]  # equal to its mirror row
         g[2] = [0.5, -0.0, 2e-7, 0.0, 0.5]  # palindromic
-        path = tmp_path / "coherence.csv"
-        write_coherence_csv(path, CoherenceKernel(grid=ts, g=g, t_c=0.0))
-        text = path.read_text()
-        assert_same_text(text, coherence_csv_text(ts, g))
+        _, text = assert_csv_writers(tmp_path, ts, ts, g)
         assert "\n0,-1.5," in text  # the -0.0 time prints as 0
 
     @staticmethod
@@ -239,9 +235,7 @@ class TestCoherenceCsv:
         ts = np.linspace(-2.0, 2.0, 7)
         g = self.symmetric_table(rng, 7)
         g[2, 2], g[1, 5], g[5, 1] = -0.0, np.inf, np.inf
-        path = tmp_path / "coherence.csv"
-        write_coherence_csv(path, CoherenceKernel(grid=ts, g=g, t_c=0.0))
-        assert_same_text(path.read_text(), coherence_csv_text(ts, g))
+        assert_csv_writers(tmp_path, ts, ts, g)
 
     def test_symmetric_table_with_broken_transposed_pairs(self, tmp_path, rng):
         ts = np.linspace(-2.0, 2.0, 6)
@@ -252,9 +246,7 @@ class TestCoherenceCsv:
         # one ulp apart across a rounding boundary: 0.123456789 against 0.12345679
         g[0, 5], g[5, 0] = 0.1234567895, np.nextafter(0.1234567895, np.inf)
         g[3, 4] = g[4, 3] + 1.0
-        path = tmp_path / "coherence.csv"
-        write_coherence_csv(path, CoherenceKernel(grid=ts, g=g, t_c=0.0))
-        assert_same_text(path.read_text(), coherence_csv_text(ts, g))
+        assert_csv_writers(tmp_path, ts, ts, g)
 
     @pytest.mark.parametrize("n", [6, 7])
     def test_reversal_symmetric_table_with_broken_pairs(self, tmp_path, rng, n):
@@ -270,9 +262,7 @@ class TestCoherenceCsv:
         g[1, 0], g[n - 2, n - 1] = np.inf, np.inf
         g[2, 0], g[n - 3, n - 1] = 0.0, -0.0
         g[0, 2], g[n - 1, n - 3] = 1e-300, -np.inf
-        path = tmp_path / "coherence.csv"
-        write_coherence_csv(path, CoherenceKernel(grid=ts, g=g, t_c=0.0))
-        assert_same_text(path.read_text(), coherence_csv_text(ts, g))
+        assert_csv_writers(tmp_path, ts, ts, g)
 
 
 class TestModeCsv:

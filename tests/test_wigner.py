@@ -9,9 +9,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
-    assert_same_text,
+    assert_csv_writers,
     brute_force_trigger_integral,
-    grid_csv_text,
     random_physical_covariance,
 )
 
@@ -174,9 +173,18 @@ class TestGridEvaluation:
             [[1.5, -0.0, 3e-9, 0.0, 1.5], [1.5, -0.0, 3e-9, 0.0, 1.4999999999999998]]
         )
         for xs, ps, w in ((xs, ps, w), (xs_odd, ps[:2], w_odd)):
-            path = tmp_path / "grid.csv"
-            write_grid_csv(path, xs, ps, w)
-            assert_same_text(path.read_text(), grid_csv_text(xs, ps, w))
+            assert_csv_writers(tmp_path, xs, ps, w)
+
+    def test_csv_one_column_and_one_row(self, tmp_path):
+        # one cell a row: a mirror row reversed must stay one cell, not reverse its text
+        assert_csv_writers(tmp_path, np.array([0.5]), np.arange(3.0), [[1.5], [-0.0], [1.5]])
+        assert_csv_writers(tmp_path, np.arange(4.0), np.array([0.5]), [[1.5, -0.0, np.nan, 1.5]])
+        assert_csv_writers(tmp_path, np.array([0.5]), np.array([-0.0]), [[-0.0]])
+
+    @pytest.mark.parametrize("rows", [2, 4])
+    def test_csv_rejects_a_table_without_a_row_per_p(self, tmp_path, rows):
+        with pytest.raises(ValueError):
+            write_grid_csv(tmp_path / "grid.csv", np.arange(2.0), np.arange(3.0), np.ones((rows, 2)))
 
     @staticmethod
     def mirrored_table(rng, m, n):
@@ -187,20 +195,17 @@ class TestGridEvaluation:
 
     def test_csv_mirror_rows(self, tmp_path, rng):
         xs, ps = np.arange(6.0), np.array([-1.0, -0.5, 0.0, 0.5, 1.0])
-        for m in (4, 5):
-            w = self.mirrored_table(rng, m, 6)
+        for m, n in ((4, 6), (5, 6), (4, 4), (5, 5)):
+            w = self.mirrored_table(rng, m, n)
             assert np.array_equal(w[0], w[-1]) and not np.array_equal(w[0], w[0, ::-1])
-            path = tmp_path / "grid.csv"
-            write_grid_csv(path, xs, ps[:m], w)
-            assert_same_text(path.read_text(), grid_csv_text(xs, ps[:m], w))
+            assert_csv_writers(tmp_path, xs[:n], ps[:m], w)
 
     def test_csv_mirror_rows_but_one_cell(self, tmp_path, rng):
-        w = self.mirrored_table(rng, 4, 5)
-        w[3, 2] += 1.0
-        w[2, 0] = np.nextafter(w[2, 0], np.inf)  # the same 9-digit text, another float
-        xs, ps = np.arange(5.0), np.arange(4.0)
-        write_grid_csv(tmp_path / "grid.csv", xs, ps, w)
-        assert_same_text((tmp_path / "grid.csv").read_text(), grid_csv_text(xs, ps, w))
+        for m in (4, 5):
+            w = self.mirrored_table(rng, m, 5)
+            w[m - 1, 2] += 1.0
+            w[m - 2, 0] = np.nextafter(w[m - 2, 0], np.inf)  # the same 9-digit text, another float
+            assert_csv_writers(tmp_path, np.arange(5.0), np.arange(float(m)), w)
 
     def test_csv_signed_zeros_at_mirrored_cells(self, tmp_path):
         w = np.array(
@@ -213,10 +218,12 @@ class TestGridEvaluation:
             ]
         )
         xs, ps = np.array([-1.0, -0.0, 1.0]), np.array([-2.0, -1.0, -0.0, 1.0, 2.0])
-        write_grid_csv(tmp_path / "grid.csv", xs, ps, w)
-        text = (tmp_path / "grid.csv").read_text()
-        assert_same_text(text, grid_csv_text(xs, ps, w))
+        text, _ = assert_csv_writers(tmp_path, xs, ps, w)
         assert "-0," not in text and "-0\n" not in text
+        # the same cells as a square table, through both writers
+        text, coherence = assert_csv_writers(tmp_path, xs, ps[1:4], w[1:4])
+        for t in (text, coherence):
+            assert "-0," not in t and "-0\n" not in t
 
     def test_csv_non_finite_at_mirrored_cells(self, tmp_path):
         nan, inf = np.nan, np.inf
@@ -229,15 +236,16 @@ class TestGridEvaluation:
                 [nan, 1.0, nan],
             ]
         )
-        xs, ps = np.array([-1.0, 0.0, 1.0]), np.arange(5.0)
-        write_grid_csv(tmp_path / "grid.csv", xs, ps, w)
-        assert_same_text((tmp_path / "grid.csv").read_text(), grid_csv_text(xs, ps, w))
+        xs = np.array([-1.0, 0.0, 1.0])
+        assert_csv_writers(tmp_path, xs, np.arange(5.0), w)
+        assert_csv_writers(tmp_path, xs, np.arange(3.0), w[1:4])
+        assert_csv_writers(tmp_path, xs, np.arange(3.0), w[[0, 2, 4]])
 
     def test_csv_random_table(self, tmp_path, rng):
         xs, ps = rng.normal(size=7), rng.normal(size=6)
         w = rng.normal(size=(6, 7)) * 10.0 ** rng.integers(-12, 12, size=(6, 7))
-        write_grid_csv(tmp_path / "grid.csv", xs, ps, w)
-        assert_same_text((tmp_path / "grid.csv").read_text(), grid_csv_text(xs, ps, w))
+        assert_csv_writers(tmp_path, xs, ps, w)
+        assert_csv_writers(tmp_path, xs[:6], ps, w[:, :6])
 
     def test_bad_grid(self):
         with pytest.raises(ValueError):
