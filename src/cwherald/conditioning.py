@@ -12,6 +12,18 @@ Gaussian ``z ~ N(2 G y2, E)`` of :func:`~cwherald.wigner.trigger_given_output`,
 and an outcome of normally ordered weight ``w(z)`` leaves the output in
 ``W_V22(y2) E[w(z)]``, unnormalised: ``|z|^2/2`` for a click and
 ``exp(-|z|^2/2) (|z|^2/2)^n / n!`` for n photons.  No vacuum is subtracted.
+The number outcomes' ``exp(-|z|^2/2)`` folds into the Gaussians
+(:func:`_number_core`), which leaves every outcome the expectation of
+``(|z|^2/2)^n / n!``, n <= 2, over some ``z ~ N(L y, C)``.  With
+``Q = L^T L`` and ``R = L^T C L`` it is, in closed form
+(:func:`_occupation_expectation`),
+
+* n = 0: ``1`` (vacuum projection, and the vacuum term of on/off);
+* n = 1: ``(y^T Q y + tr C)/2`` (one photon; the click, with L = 2G, C = E);
+* n = 2: ``[(y^T Q y + tr C)^2 + 2 tr C^2 + 4 y^T R y]/8`` (two photons).
+
+The generic Isserlis expansion of :mod:`cwherald.polynomials` is the
+tests' oracle for these forms.
 
 Each conditioner also takes a family of covariances (``v.n`` of shape
 (K, 4, 4)) and conditions all members in one pass; its result holds the K
@@ -38,14 +50,8 @@ import numpy as np
 
 from .covariance import CovarianceMatrix4, once_per_covariance
 from .errors import ImpossibleOutcomeError, UnphysicalCovarianceError
-from .polynomials import (
-    GaussianCore,
-    any_member,
-    det2,
-    expected_poly_of_shifted_gaussian,
-    per_member,
-)
-from .wigner import OCCUPATION_POWERS, GaussPolyState, gaussian_state, trigger_given_output
+from .polynomials import GaussianCore, any_member, det2, per_member
+from .wigner import GaussPolyState, gaussian_state, trigger_given_output
 
 PROBABILITY_FLOOR = 1e-300
 
@@ -81,6 +87,61 @@ def _require_physical(v: CovarianceMatrix4) -> None:
         )
 
 
+def _entries(m: np.ndarray) -> list:
+    """The entries m00, m01, m10, m11: Python floats of one 2x2 matrix, arrays of a stack.
+
+    Both do the same IEEE operations, so a family's arithmetic on the
+    arrays gives each member the bits of its own on the floats.
+    """
+    if m.ndim == 2:
+        return m.ravel().tolist()
+    return [m[..., i, j] for i in (0, 1) for j in (0, 1)]
+
+
+def _occupation_expectation(n: int, lin: np.ndarray, cov: np.ndarray) -> np.ndarray:
+    """``E[(|z|^2/2)^n / n!]`` for ``z ~ N(lin y, cov)``: a table in y = (x, p), n in {0, 1, 2}.
+
+    In ``Q = lin^T lin``, ``R = lin^T cov lin`` and ``t = tr cov`` it is
+    1, ``(y^T Q y + t)/2`` and ``[(y^T Q y + t)^2 + 2 tr cov^2 + 4 y^T R y]/8``.
+    Only even total degrees occur, and a diagonal ``lin`` gives no odd
+    power of x unless ``cov`` has a cross term.  A stack of ``lin`` and
+    ``cov`` gives one table per member.
+    """
+    out = np.zeros(lin.shape[:-2] + (2 * n + 1, 2 * n + 1))
+    if n == 0:
+        out[..., 0, 0] = 1.0
+        return out
+    l00, l01, l10, l11 = _entries(lin)
+    c00, c01, c10, c11 = _entries(cov)
+    t = c00 + c11
+    # y^T Q y = qxx x^2 + qxp x p + qpp p^2
+    qxx = l00 * l00 + l10 * l10
+    qxp = 2.0 * (l00 * l01 + l10 * l11)
+    qpp = l01 * l01 + l11 * l11
+    if n == 1:
+        out[..., 0, 0], out[..., 2, 0], out[..., 1, 1], out[..., 0, 2] = (
+            0.5 * t, 0.5 * qxx, 0.5 * qxp, 0.5 * qpp
+        )
+        return out
+    # y^T R y = rxx x^2 + rxp x p + rpp p^2, through cov lin = [[a00, a01], [a10, a11]]
+    a00, a01 = c00 * l00 + c01 * l10, c00 * l01 + c01 * l11
+    a10, a11 = c10 * l00 + c11 * l10, c10 * l01 + c11 * l11
+    rxx = l00 * a00 + l10 * a10
+    rxp = l00 * a01 + l10 * a11 + l01 * a00 + l11 * a10
+    rpp = l01 * a01 + l11 * a11
+    tr_cov2 = c00 * c00 + 2.0 * (c01 * c10) + c11 * c11
+    out[..., 4, 0] = 0.125 * (qxx * qxx)
+    out[..., 3, 1] = 0.25 * (qxx * qxp)
+    out[..., 2, 2] = 0.125 * (qxp * qxp + 2.0 * (qxx * qpp))
+    out[..., 1, 3] = 0.25 * (qxp * qpp)
+    out[..., 0, 4] = 0.125 * (qpp * qpp)
+    out[..., 2, 0] = 0.25 * (t * qxx + 2.0 * rxx)
+    out[..., 1, 1] = 0.25 * (t * qxp + 2.0 * rxp)
+    out[..., 0, 2] = 0.25 * (t * qpp + 2.0 * rpp)
+    out[..., 0, 0] = 0.125 * (t * t + 2.0 * tr_cov2)
+    return out
+
+
 @once_per_covariance
 def _number_core(v: CovarianceMatrix4) -> tuple:
     """The n-independent part of :func:`_number_state`, once per covariance.
@@ -101,8 +162,7 @@ def _number_core(v: CovarianceMatrix4) -> tuple:
 def _number_state(v: CovarianceMatrix4, n: int) -> GaussPolyState:
     """The unnormalised n-photon-conditioned output, whose integral is P_n."""
     lin, cov, core, det_core = _number_core(v)
-    poly = expected_poly_of_shifted_gaussian(OCCUPATION_POWERS[n], lin, cov)
-    return gaussian_state(poly, core, det_core)
+    return gaussian_state(_occupation_expectation(n, lin, cov), core, det_core)
 
 
 def condition_on_number(v: CovarianceMatrix4, n: int) -> ConditionResult:
@@ -162,8 +222,7 @@ def _click(v: CovarianceMatrix4) -> ConditionResult:
             "no photon available to subtract"
         )
     v22, g, e = trigger_given_output(v)
-    poly = expected_poly_of_shifted_gaussian(OCCUPATION_POWERS[1], 2.0 * g, e)
-    state = gaussian_state(poly, v22, det2(v22.sigma))
+    state = gaussian_state(_occupation_expectation(1, 2.0 * g, e), v22, det2(v22.sigma))
     return ConditionResult(state=state.scaled(1.0 / occupation), probability=occupation)
 
 

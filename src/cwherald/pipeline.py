@@ -29,7 +29,7 @@ from .covariance import (
 from .metrics import SCALARS
 from .modes import build_output_mode, build_trigger_mode, second_moments
 from .piecewise import Piece
-from .polynomials import GaussianCore
+from .polynomials import GaussianCore, det2
 from .scan import ScanResult, scan_and_refine
 from .sources import CorrelationKernel, OpoParams, opo_kernel, tmsv_covariance
 from .wigner import GaussPolyState, PolyGaussTerm, evaluate_grid
@@ -175,12 +175,19 @@ def save_state(path, result: ConditionResult) -> None:
         fh.write("\n")
 
 
+# the inverse that makes a conditioned core leaves its two off-diagonal entries
+# up to a few ulps apart; a state file keeps them as written
+SIGMA_SKEW_RTOL = 1e-12
+
+
 def load_state(path) -> ConditionResult:
     """Read a conditioned state written by :func:`save_state`.
 
-    The file must hold an object with a finite ``probability`` and a
-    non-empty list of ``terms``, each with a finite 2-D ``coeffs`` table and
-    a finite 2x2 ``sigma``; anything else raises ``ValueError`` naming it.
+    The file must hold an object with a finite positive ``probability`` and
+    a non-empty list of ``terms``, each with a finite 2-D ``coeffs`` table
+    and a finite 2x2 ``sigma`` that is positive definite and symmetric to
+    :data:`SIGMA_SKEW_RTOL` of its largest entry; anything else raises
+    ``ValueError`` naming it.
     """
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
@@ -204,13 +211,18 @@ def load_state(path) -> ConditionResult:
     if not isinstance(doc, dict):
         raise ValueError(f"state file {path}: not a JSON object")
     probability = field(doc, "probability", (), "a finite number")
+    if not probability > 0.0:
+        raise ValueError(f"state file {path}: 'probability' must be positive")
     if not isinstance(doc.get("terms"), list) or not doc["terms"]:
         raise ValueError(f"state file {path}: 'terms' must be a non-empty list")
-    terms = tuple(
-        PolyGaussTerm(
-            coeffs=field(t, "coeffs", (None, None), "a finite 2-D table", f"term {k}: "),
-            core=GaussianCore(field(t, "sigma", (2, 2), "a finite 2x2 matrix", f"term {k}: ")),
-        )
-        for k, t in enumerate(doc["terms"])
-    )
-    return ConditionResult(state=GaussPolyState(terms=terms), probability=float(probability))
+    terms = []
+    for k, t in enumerate(doc["terms"]):
+        coeffs = field(t, "coeffs", (None, None), "a finite 2-D table", f"term {k}: ")
+        sigma = field(t, "sigma", (2, 2), "a finite 2x2 matrix", f"term {k}: ")
+        skew = abs(sigma[0, 1] - sigma[1, 0])
+        if not (sigma[0, 0] > 0.0 and det2(sigma) > 0.0 and skew <= SIGMA_SKEW_RTOL * sigma.max()):
+            raise ValueError(
+                f"state file {path}: term {k}: 'sigma' must be symmetric positive definite"
+            )
+        terms.append(PolyGaussTerm(coeffs=coeffs, core=GaussianCore(sigma)))
+    return ConditionResult(state=GaussPolyState(terms=tuple(terms)), probability=float(probability))

@@ -3,8 +3,13 @@
 Polynomials in two variables are stored as dense coefficient tables
 ``c[i, j]`` multiplying ``x**i * p**j``.  Gaussian expectations of
 polynomials are evaluated exactly through the Isserlis (Wick) recursion
-for central moments, which is the workhorse behind every closed-form
-phase-space integral in this package.
+for central moments: :class:`GaussianCore` integrates every term
+against its moment table, and :func:`expected_poly_of_shifted_gaussian`
+expands any weight over a shifted Gaussian.  The conditioners take
+their trigger weights in closed form instead (see
+:mod:`cwherald.conditioning`); the generic expansion serves
+:func:`~cwherald.wigner.integrate_out_trigger` and is the tests' oracle
+for those closed forms.
 
 A family of K polynomials or 2x2 covariances is a stack with one leading
 axis, ``c[k, i, j]`` or ``cov[k, :, :]``.  The functions here take stacks

@@ -207,8 +207,28 @@ class TestMetricsStage:
             ({"probability": 0.5, "terms": []}, "'terms' must be a non-empty list"),
             ({"probability": 0.5, "terms": [{"coeffs": [[1.0]], "sigma": np.eye(3).tolist()}]},
              "term 0: 'sigma' must be a finite 2x2 matrix"),
+            ({"probability": 0.5, "terms": [{"coeffs": [[1.0]], "sigma": [[1.0, 2.0], [0.0, 1.0]]}]},
+             "term 0: 'sigma' must be symmetric positive definite"),
+            ({"probability": 0.5, "terms": [{"coeffs": [[1.0]], "sigma": [[1.0, 0.0], [0.0, -1.0]]}]},
+             "term 0: 'sigma' must be symmetric positive definite"),
+            ({"probability": 0.5, "terms": [{"coeffs": [[1.0]], "sigma": [[-1.0, 0.0], [0.0, -1.0]]}]},
+             "term 0: 'sigma' must be symmetric positive definite"),
+            ({"probability": 0.5, "terms": [{"coeffs": [[1.0]], "sigma": [[1.0, 1.0], [1.0, 1.0]]}]},
+             "term 0: 'sigma' must be symmetric positive definite"),
+            ({"probability": 0.5, "terms": [
+                {"coeffs": [[1.0]], "sigma": IDENTITY},
+                {"coeffs": [[1.0]], "sigma": [[1.0, 1e-9], [0.0, 1.0]]},
+            ]}, "term 1: 'sigma' must be symmetric positive definite"),
+            ({"probability": 0.0, "terms": [{"coeffs": [[1.0]], "sigma": IDENTITY}]},
+             "'probability' must be positive"),
+            ({"probability": -0.5, "terms": [{"coeffs": [[1.0]], "sigma": IDENTITY}]},
+             "'probability' must be positive"),
         ],
-        ids=["no-probability", "list", "1d-coeffs", "no-sigma", "no-terms", "3x3-sigma"],
+        ids=[
+            "no-probability", "list", "1d-coeffs", "no-sigma", "no-terms", "3x3-sigma",
+            "asymmetric-sigma", "indefinite-sigma", "negative-sigma", "singular-sigma",
+            "second-term-skew-sigma", "zero-probability", "negative-probability",
+        ],
     )
     def test_malformed_state_file_is_rejected(self, tmp_path, capsys, doc, message):
         path = tmp_path / "state.json"

@@ -10,6 +10,7 @@ from conftest import random_physical_covariance
 
 from cwherald.conditioning import (
     _number_core,
+    _occupation_expectation,
     click_wigner_direct,
     condition_on_click,
     condition_on_number,
@@ -25,13 +26,14 @@ from cwherald.covariance import (
     physicality_check,
 )
 from cwherald.errors import ImpossibleOutcomeError
-from cwherald import metrics
+from cwherald import conditioning, metrics, polynomials, wigner
 from cwherald.metrics import fock_fidelity, negativity_volume, wigner_at_origin
 from cwherald.modes import SecondMoments, second_moments
 from cwherald.pipeline import build_modes, summarize
-from cwherald.polynomials import GaussianCore
+from cwherald.polynomials import GaussianCore, expected_poly_of_shifted_gaussian
 from cwherald.sources import tmsv_covariance
 from cwherald.wigner import (
+    OCCUPATION_POWERS,
     GaussPolyState,
     GridSpec,
     TwoModeGaussianWigner,
@@ -215,6 +217,37 @@ class TestNumberCompleteness:
             assert p0 + p1 + p2 <= 1.0 + 1e-9
 
 
+# 0 at the x-p entries of a 4x4 covariance: V times this mask is (V + D V D)/2 with
+# D = diag(1, -1, 1, -1), the covariance of an equal mixture of a state and its
+# transpose, so physical if V is
+SAME_QUADRATURE = np.array([[1.0, 0.0, 1.0, 0.0], [0.0, 1.0, 0.0, 1.0]] * 2)
+
+
+class TestOccupationExpectation:
+    """The closed-form trigger weights against the generic Isserlis expansion."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), family=st.booleans(), decoupled=st.booleans())
+    def test_matches_generic_expansion(self, seed, family, decoupled):
+        rng = np.random.default_rng(seed)
+        members = [random_physical_covariance(rng).m for _ in range(3 if family else 1)]
+        if decoupled:
+            members = [m * SAME_QUADRATURE for m in members]
+        v = CovarianceMatrix4(np.stack(members) if family else members[0])
+        _, g, e = trigger_given_output(v)
+        # the number outcomes' mean map and covariance, then the click's
+        for lin, cov in (_number_core(v)[:2], (2.0 * g, e)):
+            for n in (0, 1, 2):
+                got = _occupation_expectation(n, lin, cov)
+                want = expected_poly_of_shifted_gaussian(OCCUPATION_POWERS[n], lin, cov)
+                assert got.shape == want.shape
+                assert np.array_equal(got == 0.0, want == 0.0)
+                if decoupled:  # no odd power of x, so a grid takes its parity quarter
+                    assert not got[..., 1::2, :].any()
+                largest = np.abs(want).max(axis=(-2, -1), keepdims=True)
+                assert np.all(np.abs(got - want) <= 8 * np.finfo(float).eps * largest)
+
+
 class TestFamilies:
     """A family of covariances conditioned at once equals its members conditioned alone."""
 
@@ -350,6 +383,13 @@ class TestSharedReductions:
         monkeypatch.setattr(
             GaussPolyState, "evaluate", counted("evaluate", GaussPolyState.evaluate)
         )
+        # every conditioner takes its trigger weight in closed form, wherever
+        # the generic expansion is bound
+        expansion = counted("expansion", expected_poly_of_shifted_gaussian)
+        for module in (polynomials, wigner, conditioning):
+            monkeypatch.setattr(
+                module, "expected_poly_of_shifted_gaussian", expansion, raising=False
+            )
         used = []  # the grid each negativity volume reads
 
         def recorded(state, grid, evaluate_grid=metrics.evaluate_grid):
@@ -369,7 +409,7 @@ class TestSharedReductions:
         # five products: each with the vacuum for the fidelities and each with
         # each for the purities, V22 x number once for both orders.  Moment
         # tables: the number core's for P_n, and one per product.  One grid per
-        # kind, shared by its negativity volume
+        # kind, shared by its negativity volume.  No call to the generic expansion
         assert calls == {"margin": 1, "core": 7, "sigma_inv": 2, "_moments": 6, "evaluate": 6}
         assert len(used) == len(CONDITIONERS)
         v22, number = trigger_given_output(v)[0], _number_core(v)[2]

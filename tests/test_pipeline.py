@@ -5,7 +5,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import random_physical_covariance
+
 from cwherald import modes, pipeline
+from cwherald.conditioning import condition_on_number
 from cwherald.config import ScanConfig, parse_config
 from cwherald.covariance import save_covariance
 from cwherald.errors import UnphysicalCovarianceError
@@ -195,3 +198,12 @@ class TestStateSerialisation:
             back.state.evaluate(xs[None, :], xs[:, None]),
             res.state.evaluate(xs[None, :], xs[:, None]),
         )
+
+    def test_round_trip_keeps_an_inverted_core_as_written(self, tmp_path):
+        # this one-photon state's core comes out of an inverse with sigma[0, 1] != sigma[1, 0]
+        res = condition_on_number(random_physical_covariance(np.random.default_rng(0)), 1)
+        sigma = res.state.terms[0].sigma
+        assert sigma[0, 1] != sigma[1, 0]
+        path = tmp_path / "state.json"
+        save_state(path, res)
+        assert np.array_equal(load_state(path).state.terms[0].sigma, sigma)
