@@ -4,12 +4,17 @@ Sections mirror the pipeline stages: [source], [trigger], [output],
 [losses], [measurement], [outputs] and the optional [scan].  Each section
 is read straight into its dataclass: the keys it accepts are the field
 names, a value is parsed by its field's annotation and an absent key takes
-the field's default.  [trigger] and [output] become the pipeline's
+the field's default.  [source] accepts every kind's keys and is read into
+its kind's record, the pipeline's :class:`~cwherald.sources.OpoParams` for an
+opo; [trigger] and [output] become the pipeline's
 :class:`~cwherald.modes.TriggerModeSpec` and :class:`~cwherald.modes.OutputModeSpec`.
 A parsed :class:`ExperimentConfig` is what the pipeline runs, and every rule,
 those that tie sections together included, is checked before any stage reads
-or writes a file.  Unknown sections or keys, [DEFAULT] and non-finite numbers
-are hard errors so that reproduction fixtures cannot silently drift.
+or writes a file; an opo at or above threshold raises
+:class:`~cwherald.errors.ThresholdError` there, a physics error, not a
+:class:`~cwherald.errors.ConfigError`.  Unknown sections or keys, [DEFAULT]
+and non-finite numbers are hard errors so that reproduction fixtures cannot
+silently drift.
 """
 
 from __future__ import annotations
@@ -17,11 +22,13 @@ from __future__ import annotations
 import configparser
 import math
 from dataclasses import dataclass, field, fields
+from typing import ClassVar
 
 from .covariance import LossParams
-from .errors import ConfigError
+from .errors import ConfigError, ThresholdError
 from .metrics import SCALARS
 from .modes import OutputModeSpec, TriggerModeSpec
+from .sources import OpoParams
 from .wigner import GridSpec
 
 # the keys each source kind and output envelope reads and echoes, in echo order
@@ -45,13 +52,20 @@ OBJECTIVES = {"origin_value": ("wigner_origin", 1.0), "fock1_fidelity": ("fideli
 
 
 @dataclass(frozen=True)
-class SourceConfig:
-    kind: str
-    gamma1: float = 1.0
-    gamma2: float = 0.0
-    epsilon: float = 0.0
-    r: float = 0.0
-    covariance: str = ""
+class TmsvSource:
+    r: float
+    kind: ClassVar[str] = "tmsv"
+
+
+@dataclass(frozen=True)
+class DirectSource:
+    covariance: str
+    kind: ClassVar[str] = "direct"
+
+
+# the record each [source] kind is read into: tmsv holds the two-mode squeezed
+# vacuum's squeezing r, direct the path of a covariance file
+_SOURCES = {"opo": OpoParams, "tmsv": TmsvSource, "direct": DirectSource}
 
 
 @dataclass(frozen=True)
@@ -94,7 +108,6 @@ class ScanConfig:
 
 
 _SECTIONS = {
-    "source": SourceConfig,
     "trigger": TriggerModeSpec,
     "output": OutputModeSpec,
     "losses": LossParams,
@@ -102,11 +115,14 @@ _SECTIONS = {
     "outputs": OutputsConfig,
     "scan": ScanConfig,
 }
+# the keys each section accepts: its record's fields, and in [source] every kind's keys
+_ACCEPTED = {section: {f.name for f in fields(cls)} for section, cls in _SECTIONS.items()}
+_ACCEPTED["source"] = {key for kind in _SOURCES for key in _KIND_KEYS[kind]}
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    source: SourceConfig
+    source: OpoParams | TmsvSource | DirectSource
     measurement: MeasurementConfig
     trigger: TriggerModeSpec | None = None
     output: OutputModeSpec | None = None
@@ -179,9 +195,9 @@ def _parse(section: str, key: str, annotation: str, raw: str):
     return value
 
 
-def _read(cp, section: str, required=(), keys=None):
-    """A section as its dataclass; ``keys``, if given, limits the fields read."""
-    cls = _SECTIONS[section]
+def _read(cp, section: str, required=(), keys=None, cls=None):
+    """A section as ``cls``, by default its dataclass; ``keys``, if given, limits the fields read."""
+    cls = cls or _SECTIONS[section]
     raw = cp[section] if section in cp else {}
     for key in required:
         if key not in raw:
@@ -193,6 +209,8 @@ def _read(cp, section: str, required=(), keys=None):
     }
     try:
         return cls(**values)
+    except ThresholdError:
+        raise  # a physical limit, not a config rule: the stage reports it
     except ValueError as exc:
         raise ConfigError(f"[{section}] {exc}") from exc
 
@@ -212,22 +230,21 @@ def parse_config(path) -> ExperimentConfig:
         raise ConfigError(f"config parse error in {path}: {exc}") from exc
 
     for section in cp.sections():
-        if section not in _SECTIONS:
+        if section not in _ACCEPTED:
             raise ConfigError(f"unknown section [{section}] in {path}")
-        allowed = {f.name for f in fields(_SECTIONS[section])}
         for key in cp[section]:
-            if key not in allowed:
+            if key not in _ACCEPTED[section]:
                 raise ConfigError(f"unknown key {key!r} in section [{section}] of {path}")
 
     if "source" not in cp:
         raise ConfigError(f"missing [source] section in {path}")
     kind = cp["source"].get("kind", "")
-    if kind not in ("opo", "tmsv", "direct"):
+    if kind not in _SOURCES:
         raise ConfigError(f"[source] kind must be opo, tmsv or direct, got {kind!r}")
     need = _REQUIRED[kind]
     if need.split()[0] not in cp["source"]:
         raise ConfigError(f"[source] kind = {kind} requires {need}")
-    source = _read(cp, "source", keys=_KIND_KEYS[kind])
+    source = _read(cp, "source", cls=_SOURCES[kind])
 
     trigger = None
     output = None

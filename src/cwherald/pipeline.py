@@ -31,19 +31,14 @@ from .modes import build_output_mode, build_trigger_mode, second_moments
 from .piecewise import Piece
 from .polynomials import GaussianCore, det2
 from .scan import ScanResult, scan_and_refine
-from .sources import CorrelationKernel, OpoParams, opo_kernel, tmsv_covariance
+from .sources import CorrelationKernel, opo_kernel, tmsv_covariance
 from .wigner import GaussPolyState, PolyGaussTerm, evaluate_grid
 
 
 def build_kernel(cfg: ExperimentConfig) -> CorrelationKernel:
     if cfg.source.kind != "opo":
         raise ValueError("only the opo source has a correlation kernel")
-    params = OpoParams(
-        gamma1=cfg.source.gamma1,
-        gamma2=cfg.source.gamma2,
-        epsilon=cfg.source.epsilon,
-    )
-    return opo_kernel(params)
+    return opo_kernel(cfg.source)
 
 
 def build_modes(

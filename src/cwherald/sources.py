@@ -11,7 +11,7 @@ exactly solvable source for tests, bypassing the mode-moment stage.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, ClassVar
 
 import numpy as np
 
@@ -34,6 +34,7 @@ class OpoParams:
     gamma1: float = 1.0
     gamma2: float = 0.0
     epsilon: float = 0.0
+    kind: ClassVar[str] = "opo"  # its [source] kind in a config
 
     def __post_init__(self):
         if not (self.gamma1 > 0):

@@ -12,13 +12,13 @@ A term's Gaussian is a :class:`~cwherald.polynomials.GaussianCore`, which
 computes its inverse, moment table and products with other cores once and
 holds ``sigma`` read-only.  A covariance's conditioners make terms on two
 cores, the output marginal's ``V22`` of :func:`trigger_given_output` and
-the conditioning module's photon-number core; Fock states share one.
+the conditioning module's photon-number core.  The Fock states of
+:func:`fock_state` share the vacuum core and three literal Laguerre tables.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
 
 import numpy as np
 
@@ -30,7 +30,6 @@ from .polynomials import (
     nonzero_entries,
     per_member,
     poly_eval,
-    poly_mul,
 )
 
 
@@ -123,41 +122,25 @@ class GaussPolyState:
         )
 
 
-# (|z|^2/2)^j / j! in z = (x, p), j = 0, 1, 2: the normally ordered
-# occupation weights, and the radial terms of the Fock Wigner functions
-_HALF_SQUARE = np.array([[0.0, 0.0, 0.5], [0.0, 0.0, 0.0], [0.5, 0.0, 0.0]])
-OCCUPATION_POWERS = (np.ones((1, 1)), _HALF_SQUARE, poly_mul(_HALF_SQUARE, _HALF_SQUARE) / 2.0)
-
-
-def fock_wigner_poly(n: int) -> np.ndarray:
-    """Polynomial part of the Fock-state Wigner function W_n = poly * exp(-x^2-p^2).
-
-    ``W_n = (-1)^n L_n(2 r^2) exp(-r^2) / pi``, where ``(-2 r^2)^j / j!`` in the
-    Laguerre ``L_n`` is ``(-4)^j OCCUPATION_POWERS[j]``.  Supported for n in
-    {0, 1, 2}; higher projections are a documented extension point and rejected.
-    The three tables are built once, at import, and are read-only.
-    """
-    if n not in (0, 1, 2):
-        raise ValueError(f"Fock index n={n} unsupported; analytic set is n in {{0, 1, 2}}")
-    return _FOCK_POLYS[n]
-
-
-def _fock_poly(n: int) -> np.ndarray:
-    c = np.zeros((2 * n + 1, 2 * n + 1))
-    for j in range(n + 1):
-        c[: 2 * j + 1, : 2 * j + 1] += comb(n, j) * (-4.0) ** j * OCCUPATION_POWERS[j]
-    c = (-1) ** n * c / np.pi
-    c.flags.writeable = False  # shared by every caller
-    return c
-
-
-_FOCK_POLYS = tuple(_fock_poly(n) for n in range(3))
+# W_n = (-1)^n L_n(2 r^2) exp(-r^2) / pi, r^2 = x^2 + p^2, from L_n(2 r^2) as tables of x^i p^j
+_FOCK_POLYS = tuple(
+    (-1) ** n * np.array(laguerre, dtype=float) / np.pi
+    for n, laguerre in enumerate((
+        [[1]],
+        [[1, 0, -2], [0, 0, 0], [-2, 0, 0]],
+        [[1, 0, -4, 0, 2], [0, 0, 0, 0, 0], [-4, 0, 4, 0, 0], [0, 0, 0, 0, 0], [2, 0, 0, 0, 0]],
+    ))
+)
+for _table in _FOCK_POLYS:
+    _table.flags.writeable = False  # shared by every Fock state
 _VACUUM = GaussianCore(np.eye(2))  # exp(-x^2 - p^2)
 
 
 def fock_state(n: int) -> GaussPolyState:
-    """The Fock-state Wigner function as a normalised one-term state on the vacuum core."""
-    return GaussPolyState(terms=(PolyGaussTerm(coeffs=fock_wigner_poly(n), core=_VACUUM),))
+    """The Fock state ``W_n``, n in {0, 1, 2}, made afresh at each call so its grids go with it."""
+    if n not in (0, 1, 2):
+        raise ValueError(f"Fock index n={n} unsupported; analytic set is n in {{0, 1, 2}}")
+    return GaussPolyState(terms=(PolyGaussTerm(coeffs=_FOCK_POLYS[n], core=_VACUUM),))
 
 
 @once_per_covariance

@@ -15,7 +15,7 @@ from cwherald.covariance import CovarianceMatrix4
 from cwherald.modes import NARROW_WINDOW_LIMIT, SecondMoments
 from cwherald.quadrature import QuadAxis, correlation_moment, l2_norm_sq
 from cwherald.wigner import TwoModeGaussianWigner, write_grid_csv
-from cwherald.polynomials import poly_eval
+from cwherald.polynomials import poly_eval, poly_mul
 
 
 def rot2(phi):
@@ -71,6 +71,21 @@ def brute_force_trigger_integral(v, weight_coeffs, pts, order=140):
     wv = TwoModeGaussianWigner(v).evaluate(y)
     vals = poly_eval(weight_coeffs, xx, pp) * wv
     return wts @ vals @ wts
+
+
+# (|z|^2/2)^j / j! in z = (x, p), j = 0, 1, 2: the normally ordered
+# occupation weights, and the radial terms of the Fock Wigner functions
+_HALF_SQUARE = np.array([[0.0, 0.0, 0.5], [0.0, 0.0, 0.0], [0.5, 0.0, 0.0]])
+OCCUPATION_POWERS = (np.ones((1, 1)), _HALF_SQUARE, poly_mul(_HALF_SQUARE, _HALF_SQUARE) / 2.0)
+
+
+def fresh_fock_poly(n):
+    """The Fock polynomial ``(-1)^n L_n(2 r^2) / pi``, built afresh from the
+    Laguerre sum, whose ``(-2 r^2)^j / j!`` is ``(-4)^j OCCUPATION_POWERS[j]``."""
+    c = np.zeros((2 * n + 1, 2 * n + 1))
+    for j in range(n + 1):
+        c[: 2 * j + 1, : 2 * j + 1] += math.comb(n, j) * (-4.0) ** j * OCCUPATION_POWERS[j]
+    return (-1) ** n * c / np.pi
 
 
 @pytest.fixture

@@ -20,6 +20,7 @@ from cwherald.coherence import conditional_coherence
 from cwherald.config import parse_config
 from cwherald.covariance import load_covariance, save_covariance
 from cwherald.pipeline import build_kernel, run_experiment
+from cwherald.sources import tmsv_covariance
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 FIXTURES = SRC / "cwherald" / "fixtures"
@@ -515,6 +516,48 @@ def test_threshold_source_leaves_no_out(tmp_path, capsys, stage, fixture):
     out = tmp_path / "out"
     assert cli.main([stage, "--config", str(cfg), "--out", str(out), "--quiet"]) == 3
     assert capsys.readouterr().err.startswith(f"error [{stage}]: ")
+    assert not out.exists()
+
+
+# [source] edits of the scan fixture, and the exit code and message each ends every stage with
+BAD_SOURCES = {
+    "gamma1_zero": ("gamma1 = 1.0", "gamma1 = 0", 2, "[source] gamma1 must be positive, got 0.0"),
+    "gamma2_negative": (
+        "gamma2 = 0.0", "gamma2 = -1", 2, "[source] gamma2 must be nonnegative, got -1.0"
+    ),
+    "epsilon_negative": (
+        "epsilon = 0.2", "epsilon = -0.1", 2, "[source] epsilon must be nonnegative, got -0.1"
+    ),
+    "above_threshold": (
+        "epsilon = 0.2", "epsilon = 0.6", 3,
+        "at or above threshold: (gamma1 + gamma2)/2 - epsilon = -0.1 <= 0 "
+        "for gamma1=1, gamma2=0, epsilon=0.6",
+    ),
+}
+
+
+@pytest.mark.parametrize("old, new, code, message", BAD_SOURCES.values(), ids=list(BAD_SOURCES))
+@pytest.mark.parametrize(
+    "stage", ["run", "covariance", "condition", "metrics", "coherence", "scan-alpha"]
+)
+def test_bad_source_fails_every_stage_first(tmp_path, capsys, stage, old, new, code, message):
+    """Each stage checks [source] as it reads the config: condition and metrics,
+    which never build the source, refuse it too, given inputs they would accept."""
+    v = tmsv_covariance(0.3)
+    save_covariance(tmp_path / "covariance.txt", v)
+    good = parse_config(FIXTURES / "figure4_scan.cfg")
+    pipeline.save_state(tmp_path / "state.json", pipeline.condition_state(good, v))
+    inputs = {
+        "condition": ["--covariance", str(tmp_path / "covariance.txt")],
+        "metrics": ["--state", str(tmp_path / "state.json")],
+    }
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(_fixture_with("figure4_scan.cfg", old, new))
+    out = tmp_path / "out"
+    argv = [stage, "--config", str(cfg), "--out", str(out), "--quiet", *inputs.get(stage, [])]
+    assert cli.main(argv) == code
+    where = "config" if code == 2 else stage
+    assert capsys.readouterr().err == f"error [{where}]: {message}\n"
     assert not out.exists()
 
 

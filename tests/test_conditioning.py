@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_physical_covariance
+from conftest import OCCUPATION_POWERS, random_physical_covariance
 
 from cwherald.conditioning import (
     _number_core,
@@ -33,7 +33,6 @@ from cwherald.pipeline import build_modes, summarize
 from cwherald.polynomials import GaussianCore, expected_poly_of_shifted_gaussian
 from cwherald.sources import tmsv_covariance
 from cwherald.wigner import (
-    OCCUPATION_POWERS,
     GaussPolyState,
     GridSpec,
     TwoModeGaussianWigner,

@@ -1,9 +1,7 @@
-from math import comb
-
 import numpy as np
 import pytest
 
-from conftest import random_physical_covariance
+from conftest import fresh_fock_poly, random_physical_covariance
 
 from cwherald.conditioning import (
     condition_on_click,
@@ -16,7 +14,7 @@ from cwherald.covariance import CovarianceMatrix4, LossParams, apply_loss
 from cwherald.metrics import fock_fidelity, negativity_volume, purity, wigner_at_origin
 from cwherald.pipeline import build_covariance, condition_state
 from cwherald.polynomials import gaussian_poly_integral, poly_mul
-from cwherald.wigner import OCCUPATION_POWERS, GridSpec, evaluate_grid, fock_state
+from cwherald.wigner import GridSpec, evaluate_grid, fock_state
 
 from pathlib import Path
 
@@ -88,13 +86,6 @@ class TestPurity:
 # Each term computes its inverse and its Fock moment table once; these
 # in-test formulas invert, build the Fock table and integrate afresh at
 # every call, and must give the same floating-point numbers.
-
-
-def fresh_fock_poly(n):
-    c = np.zeros((2 * n + 1, 2 * n + 1))
-    for j in range(n + 1):
-        c[: 2 * j + 1, : 2 * j + 1] += comb(n, j) * (-4.0) ** j * OCCUPATION_POWERS[j]
-    return (-1) ** n * c / np.pi
 
 
 def fresh_fock_fidelity(s, n):

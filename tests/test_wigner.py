@@ -4,6 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from numpy.polynomial.laguerre import lagval
 from numpy.random import default_rng
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from conftest import (
     assert_csv_writers,
     brute_force_trigger_integral,
+    fresh_fock_poly,
     random_physical_covariance,
 )
 
@@ -33,7 +35,6 @@ from cwherald.wigner import (
     TwoModeGaussianWigner,
     evaluate_grid,
     fock_state,
-    fock_wigner_poly,
     integrate_out_trigger,
     write_grid_csv,
 )
@@ -51,15 +52,20 @@ class TestFockWigner:
 
     def test_higher_n_rejected(self):
         with pytest.raises(ValueError, match="n in"):
-            fock_wigner_poly(3)
+            fock_state(3)
 
-    def test_fock2_matches_laguerre_form(self):
-        # (-1)^2/pi * L_2(2 r^2) e^{-r^2} with L_2(z) = 1 - 2 z + z^2/2
-        xs = np.linspace(-2.5, 2.5, 7)
-        for x in xs:
-            z = 2 * x**2
-            want = (1 - 2 * z + z**2 / 2) * np.exp(-(x**2)) / np.pi
-            assert fock_state(2).evaluate(x, 0.0) == pytest.approx(want, rel=1e-12)
+    def test_fock_tables_match_laguerre_form(self):
+        # W_n = (-1)^n L_n(2 r^2) e^{-r^2} / pi at seeded off-axis points
+        x, p = default_rng(11).uniform(-2.5, 2.5, size=(2, 64))
+        r2 = x**2 + p**2
+        for n in (0, 1, 2):
+            state = fock_state(n)
+            table = state.terms[0].coeffs
+            assert not table.flags.writeable
+            want = fresh_fock_poly(n)
+            assert (table.shape, table.tobytes()) == (want.shape, want.tobytes())
+            laguerre = (-1) ** n * lagval(2 * r2, np.eye(3)[n]) * np.exp(-r2) / np.pi
+            np.testing.assert_allclose(state.evaluate(x, p), laguerre, rtol=1e-13, atol=0)
 
 
 class TestTwoModeGaussian:
@@ -95,7 +101,7 @@ class TestIntegrateOutTrigger:
     @pytest.mark.parametrize("r", [0.1, 0.5, 1.0])
     def test_tmsv_fock1_projection_leaves_fock1(self, r):
         v = tmsv_covariance(r)
-        weight = fock_wigner_poly(1) * 2 * np.pi
+        weight = fock_state(1).terms[0].coeffs * 2 * np.pi
         m = np.linalg.inv(v.m) + np.diag([1.0, 1.0, 0.0, 0.0])
         vt = np.linalg.inv(m)
         factor = np.sqrt(np.linalg.det(vt) / np.linalg.det(v.m))
