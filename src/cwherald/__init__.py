@@ -16,7 +16,6 @@ from .coherence import (
 )
 from .conditioning import (
     ConditionResult,
-    click_wigner_direct,
     condition_on_click,
     condition_on_number,
     condition_on_on,
@@ -40,7 +39,6 @@ from .errors import (
     UnphysicalCovarianceError,
 )
 from .metrics import (
-    NegativityResult,
     fock_fidelity,
     negativity_volume,
     purity,
@@ -62,7 +60,7 @@ from .pipeline import (
     summarize,
 )
 from .polynomials import GaussianCore
-from .scan import ScanResult, golden_section_minimize, scan_and_refine
+from .scan import ScanResult, scan_and_refine
 from .sources import (
     CorrelationKernel,
     OpoParams,
@@ -73,10 +71,8 @@ from .wigner import (
     GaussPolyState,
     GridSpec,
     PolyGaussTerm,
-    TwoModeGaussianWigner,
     evaluate_grid,
     fock_state,
-    integrate_out_trigger,
     write_grid_csv,
 )
 

@@ -29,7 +29,7 @@ from .errors import ConfigError, ThresholdError
 from .metrics import SCALARS
 from .modes import OutputModeSpec, TriggerModeSpec
 from .sources import OpoParams
-from .wigner import GridSpec
+from .wigner import GridSpec, fmt9
 
 # the keys each source kind and output envelope reads and echoes, in echo order
 _KIND_KEYS = {
@@ -161,7 +161,7 @@ class ExperimentConfig:
 def _text(value) -> str:
     if value is None:
         return "none"
-    return value if isinstance(value, str) else f"{value:.9g}"
+    return value if isinstance(value, str) else fmt9(value)
 
 
 def _parse(section: str, key: str, annotation: str, raw: str):

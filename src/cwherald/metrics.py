@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .polynomials import poly_mul
@@ -45,23 +43,11 @@ SCALARS = {
 }
 
 
-@dataclass(frozen=True)
-class NegativityResult:
-    """Integrated negative Wigner volume with the grid step it was taken on."""
-
-    volume: float
-    dx: float
-    dp: float
-
-
-def negativity_volume(s: GaussPolyState, grid: GridSpec) -> NegativityResult:
+def negativity_volume(s: GaussPolyState, grid: GridSpec) -> float:
     """Integral of max(0, -W) over the grid, by Riemann sum at the grid step.
 
     The values are the state's kept :func:`~cwherald.wigner.evaluate_grid`
     table, so the grid is evaluated once for this and any later caller.
     """
     xs, ps, w = evaluate_grid(s, grid)
-    dx = float(xs[1] - xs[0])
-    dp = float(ps[1] - ps[0])
-    vol = float(np.sum(np.clip(-w, 0.0, None)) * dx * dp)
-    return NegativityResult(volume=vol, dx=dx, dp=dp)
+    return float(np.sum(np.clip(-w, 0.0, None)) * (xs[1] - xs[0]) * (ps[1] - ps[0]))

@@ -262,7 +262,9 @@ def opo_moment_oracle(kind, eps, gamma, alpha, c1, c2):
 # Reference amplitudes of the built-in modes, written as callables apart from
 # the pieces the program builds, so that quadrature over them is an
 # independent check of the closed-form moments.  Supports follow half-infinite
-# tails for TRUNCATION_DECADES e-folds of the truncation rate.
+# tails for TRUNCATION_DECADES e-folds of the mode's own rate: every integrand
+# is bounded by |f_i(t) f_j(t')| k(0), so a mode's tail cut below the tolerance
+# cuts the integrand there too, however slowly the kernel decays.
 TRUNCATION_DECADES = 30.0
 
 
@@ -273,10 +275,11 @@ def quad_axis(amplitude, support, kinks=(), rate=0.0):
     return QuadAxis(amplitude=amplitude, breakpoints=pts[(pts >= lo) & (pts <= hi)], rate=rate)
 
 
-def trigger_axis(spec, source_fast_rate, truncation_rate=None):
+def trigger_axis(spec, source_fast_rate):
     """Reference amplitude of ``build_trigger_mode(spec, source_fast_rate)``.
 
-    The tail is followed to ``truncation_rate`` (default: the filter rate).
+    A filtered mode's tail is followed for TRUNCATION_DECADES e-folds of the
+    filter rate.
     """
     tau_eff = spec.tap_amplitude * np.sqrt(spec.detector_efficiency)
     dt = spec.window_width
@@ -293,8 +296,7 @@ def trigger_axis(spec, source_fast_rate, truncation_rate=None):
         return quad_axis(amp_rect, (lo, hi))
 
     gamma = spec.filter_width
-    t_rate = min(gamma, truncation_rate) if truncation_rate else gamma
-    tail = TRUNCATION_DECADES / t_rate
+    tail = TRUNCATION_DECADES / gamma
     if dt * max(gamma, source_fast_rate) <= NARROW_WINDOW_LIMIT:
         scale = tau_eff * np.sqrt(dt) * gamma
 
@@ -320,8 +322,13 @@ def trigger_axis(spec, source_fast_rate, truncation_rate=None):
 
 @functools.cache
 def _envelope_dir():
-    # made on first use and removed when the interpreter exits
+    # made on first use and removed when the session finishes
     return tempfile.TemporaryDirectory(prefix="cwherald-envelopes-")
+
+
+def pytest_sessionfinish(session):
+    if _envelope_dir.cache_info().currsize:
+        _envelope_dir().cleanup()
 
 
 def envelope_table(ts, us):
@@ -335,17 +342,16 @@ def envelope_table(ts, us):
     return str(path)
 
 
-def output_axis(spec, truncation_rate=None, refl=1.0):
+def output_axis(spec, refl=1.0):
     """Reference amplitude of ``build_output_mode(spec)``, every piece scaled by ``refl``.
 
-    The exponential envelope's tails are followed to ``truncation_rate``
-    (default: ``alpha``).
+    The exponential envelope's tails are followed for TRUNCATION_DECADES
+    e-folds of ``alpha``.
     """
     if spec.envelope == "exponential":
         alpha = float(spec.alpha)
         tc = spec.center
-        t_rate = min(alpha, truncation_rate) if truncation_rate else alpha
-        tail = TRUNCATION_DECADES / t_rate
+        tail = TRUNCATION_DECADES / alpha
         scale = refl * np.sqrt(alpha)
 
         def amp(t):

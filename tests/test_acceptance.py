@@ -340,10 +340,7 @@ class TestCriterion7:
                 support=(-30.0 / gamma, 0.0),
                 rate=gamma,
             )
-            out = output_axis(
-                OutputModeSpec(envelope="exponential", alpha=alpha),
-                truncation_rate=min(alpha, kernel.decay_rate),
-            )
+            out = output_axis(OutputModeSpec(envelope="exponential", alpha=alpha))
             m = quadrature_moments(trig, out, kernel)
             a11, b11 = opo_moment_oracle("11", eps, gamma, alpha, c1, 1.0)
             a12, b12 = opo_moment_oracle("12", eps, gamma, alpha, c1, 1.0)

@@ -38,7 +38,9 @@ def run_cli(*args, cwd=None):
 
 def test_cold_import_loads_no_scipy(tmp_path):
     """The package imports, and a run completes, with numpy and the standard
-    library only; the test-only quadrature reference stays unloaded."""
+    library only; the test-only quadrature reference stays unloaded, and the
+    top level exports no oracle, no name only the benchmark keeps and no
+    deleted name."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     args = [
@@ -52,7 +54,9 @@ def test_cold_import_loads_no_scipy(tmp_path):
             "import cwherald, cwherald.cli, sys; "
             f"assert cwherald.cli.main({args!r}) == 0; "
             "print(' '.join(sorted(m for m in sys.modules "
-            "if m in ('scipy', 'cwherald.quadrature') or m.startswith('scipy.'))))",
+            "if m in ('scipy', 'cwherald.quadrature') or m.startswith('scipy.'))), "
+            "*sorted(set(dir(cwherald)) & {'click_wigner_direct', 'TwoModeGaussianWigner', "
+            "'integrate_out_trigger', 'golden_section_minimize', 'NegativityResult'}))",
         ],
         capture_output=True,
         text=True,
@@ -100,6 +104,16 @@ class TestRun:
         text = (run_a / "summary.txt").read_text()
         assert "config.source.epsilon = 0.01" in text
         assert "config.measurement.kind = click" in text
+
+    def test_negative_zero_echoes_as_zero(self, run_a, tmp_path):
+        # the echo writes values as every summary line does, so -0.0 reads 0
+        cfg = tmp_path / "neg.cfg"
+        cfg.write_text(
+            _fixture_with("figure3_upper.cfg", "window_center = 0.0", "window_center = -0.0")
+        )
+        p = run_cli("run", "--config", str(cfg), "--out", str(tmp_path), "--grid=-1,1,-1,1,3,3")
+        assert p.returncode == 0, p.stderr
+        assert (tmp_path / "summary.txt").read_bytes() == (run_a / "summary.txt").read_bytes()
 
     def test_grid_includes_origin_row(self, run_a):
         lines = (run_a / "wigner_grid.csv").read_text().splitlines()

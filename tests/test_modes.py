@@ -197,8 +197,8 @@ class TestSecondMoments:
 
     def test_panel_halving_converged(self):
         k = self.kernel
-        ax1 = trigger_axis(self.trigger_spec, k.fast_rate, truncation_rate=min(0.49, 0.5))
-        ax2 = output_axis(self.output_spec, truncation_rate=min(0.49, 0.5))
+        ax1 = trigger_axis(self.trigger_spec, k.fast_rate)
+        ax2 = output_axis(self.output_spec)
         for kern in (k.c_aa, k.c_ada):
             coarse = correlation_moment_once(ax1, ax2, kern, k.fast_rate, scale=2.0)
             fine = correlation_moment_once(ax1, ax2, kern, k.fast_rate, scale=4.0)
@@ -238,10 +238,8 @@ def _trigger(kind, kernel, center=0.0):
 
 
 def _trigger_axis(kind, kernel, center=0.0):
-    """Reference amplitude of _trigger, its tail followed to the slowest rate."""
-    spec = _trigger_spec(kind, center)
-    rates = [kernel.decay_rate] + ([spec.filter_width] if spec.filter_width else [])
-    return trigger_axis(spec, kernel.fast_rate, truncation_rate=min(rates))
+    """Reference amplitude of _trigger."""
+    return trigger_axis(_trigger_spec(kind, center), kernel.fast_rate)
 
 
 REFLECT = 0.9
@@ -283,11 +281,7 @@ class TestExactMoments:
         )
         quad = quadrature_moments(
             _trigger_axis(trigger, kernel, center=0.3),
-            output_axis(
-                _output_spec(output, center=-0.2),
-                truncation_rate=kernel.decay_rate,
-                refl=REFLECT,
-            ),
+            output_axis(_output_spec(output, center=-0.2), refl=REFLECT),
             kernel,
         )
         _assert_moments(exact, quad, rtol=1e-8)
