@@ -15,7 +15,11 @@ contraction.  A cell paired with itself splits along the diagonal into two
 triangles, one the mirror of the other.  On a finite cell both kinds are
 written as divided differences of the exponential (Hermite-Genocchi), which
 stay exact when rates coincide (``(1 - e^{-x})/x`` is ``exp[0, -x]``); on a
-half-infinite cell they are rational in the rates.
+half-infinite cell they are rational in the rates.  A piece with k = 1 adds
+the terms of its slope: more divided differences on a finite cell, higher
+powers of the rates on a half-infinite one.  Of the built-in modes only the
+tabulated envelope has such pieces, so those terms are formed only when a
+mode list has one; for all others they would be exact zeros.
 
 A piece whose ``coeff`` and ``rate`` are 1-d arrays of one length K is a
 family: K pieces on the same interval, differing only in those two values.
@@ -192,12 +196,13 @@ def _terms(modes, lo: np.ndarray, hi: np.ndarray, family: tuple[int, ...]) -> _T
     )
 
 
-def _end_moments(t: _Terms, r, length) -> np.ndarray:
+def _end_moments(t: _Terms, r, length, linear: bool) -> np.ndarray:
     """Int term e^{-r s} and Int term e^{-r (L - s)} over each term's cell.
 
     The first is against the distance from the cell's start, the second
     against the distance to its end.  On a half-infinite cell s runs
-    outwards from the finite end, and both rows hold the one moment.
+    outwards from the finite end, and both rows hold the one moment.  The
+    ``c1`` terms are formed only when ``linear``; otherwise every ``c1`` is 0.
     """
     out = np.empty((2, len(t.cell), t.c0.shape[1], len(r)))
     L = length[t.cell][:, None, None]
@@ -211,49 +216,67 @@ def _end_moments(t: _Terms, r, length) -> np.ndarray:
         z[1, ..., 0] = f.shift - r * Lf
         z[0, ..., 1] = f.shift + (f.rate - r) * Lf
         z[1, ..., 1] = f.shift + f.rate * Lf
-        z[..., 2] = z[..., 1]
-        out[:, fin] = Lf * f.c0 * _dd(z[..., :2]) + Lf**2 * f.c1 * _dd(z)
+        moment = Lf * f.c0 * _dd(z[..., :2])
+        if linear:
+            z[..., 2] = z[..., 1]
+            moment = moment + Lf**2 * f.c1 * _dd(z)
+        out[:, fin] = moment
     if not fin.all():
         inf = ~fin
         g = r - t.rate[inf]
-        out[:, inf] = np.exp(t.shift[inf]) * (t.c0[inf] / g + t.c1[inf] / g**2)
+        moment = t.c0[inf] / g
+        if linear:
+            moment = moment + t.c1[inf] / g**2
+        out[:, inf] = np.exp(t.shift[inf]) * moment
     return out
 
 
-def _triangles(p: _Terms, q: _Terms, r, L) -> np.ndarray:
-    """Int_{0 <= u <= s <= L} p(s) q(u) e^{-r (s - u)} du ds, per row of p and q."""
+def _triangles(p: _Terms, q: _Terms, r, L, linear: bool) -> np.ndarray:
+    """Int_{0 <= u <= s <= L} p(s) q(u) e^{-r (s - u)} du ds, per row of p and q.
+
+    The ``c1`` terms are formed only when ``linear``; otherwise every ``c1`` is 0.
+    """
     s = p.shift + q.shift
     if np.isinf(L).all():
         # s = u + d: the region becomes the quadrant u, d >= 0 and separates
         a = p.rate - r
         c = p.rate + q.rate
-        m0a, m1a = -1.0 / a, 1.0 / a**2
-        m0c, m1c, m2c = -1.0 / c, 1.0 / c**2, -2.0 / c**3
-        return np.exp(s) * (
-            p.c0 * q.c0 * m0a * m0c
-            + (p.c0 * q.c1 + p.c1 * q.c0) * m0a * m1c
-            + p.c1 * q.c1 * (m0a * m2c + m1a * m1c)
-            + p.c1 * q.c0 * m1a * m0c
-        )
+        m0a, m0c = -1.0 / a, -1.0 / c
+        inner = p.c0 * q.c0 * m0a * m0c
+        if linear:
+            m1a = 1.0 / a**2
+            m1c, m2c = 1.0 / c**2, -2.0 / c**3
+            inner = (
+                inner
+                + (p.c0 * q.c1 + p.c1 * q.c0) * m0a * m1c
+                + p.c1 * q.c1 * (m0a * m2c + m1a * m1c)
+                + p.c1 * q.c0 * m1a * m0c
+            )
+        return np.exp(s) * inner
     # s = L (l1 + l2), u = L l2 over the unit simplex (Hermite-Genocchi);
-    # a weight l_i repeats node i.  Nodes x0 = s, x1 and x2 at the corners;
-    # row 0 of z holds (x0, x1, x2, x1, x2), row 1 (x0, x1, x2, x2, x2)
+    # a weight l_i repeats node i.  Nodes x0 = s, x1 and x2 at the corners
     x1 = s + (p.rate - r) * L
     x2 = s + (p.rate + q.rate) * L
-    z = np.empty((2,) + np.broadcast_shapes(x1.shape, x2.shape) + (5,))
+    z = np.empty(np.broadcast_shapes(x1.shape, x2.shape) + (3,))
     z[..., 0] = s
     z[..., 1] = x1
-    z[..., 2:] = x2[..., None]
-    z[0, ..., 3] = x1
-    d0 = _dd(z[0, ..., :3])
-    d1, d2 = _dd(z[..., :4])
-    d12, d22 = _dd(z)
-    return L**2 * (
-        p.c0 * q.c0 * d0
-        + p.c0 * q.c1 * L * d2
-        + p.c1 * q.c0 * L * (d1 + d2)
-        + p.c1 * q.c1 * L**2 * (d12 + 2.0 * d22)
-    )
+    z[..., 2] = x2
+    inner = p.c0 * q.c0 * _dd(z)
+    if linear:
+        # row 0 of w holds (x0, x1, x2, x1, x2), row 1 (x0, x1, x2, x2, x2)
+        w = np.empty((2,) + z.shape[:-1] + (5,))
+        w[..., :3] = z
+        w[..., 3:] = x2[..., None]
+        w[0, ..., 3] = x1
+        d1, d2 = _dd(w[..., :4])
+        d12, d22 = _dd(w)
+        inner = (
+            inner
+            + p.c0 * q.c1 * L * d2
+            + p.c1 * q.c0 * L * (d1 + d2)
+            + p.c1 * q.c1 * L**2 * (d12 + 2.0 * d22)
+        )
+    return L**2 * inner
 
 
 def kernel_moments(modes, rates) -> np.ndarray:
@@ -279,9 +302,10 @@ def kernel_moments(modes, rates) -> np.ndarray:
     length = hi - lo
     t = _terms(modes, lo, hi, family)
     nk = t.c0.shape[1]
+    linear = any(p.power for p in pieces)  # else every c1 is 0 and its terms are skipped
 
     # separated cells k < l: e^{-r (t' - t)} = e^{-r (L_k - s)} e^{-r gap} e^{-r s'}
-    start, end = _end_moments(t, r, length)
+    start, end = _end_moments(t, r, length, linear)
     start[np.isneginf(lo[t.cell])] = 0.0
     end[np.isinf(hi[t.cell])] = 0.0
     from_start = np.zeros((m, n, nk, nr))
@@ -296,13 +320,13 @@ def kernel_moments(modes, rates) -> np.ndarray:
     # a cell with itself: the triangle u <= s of every ordered pair of terms,
     # summed per pair of owners; the triangle s <= u is its transpose
     i, j = np.nonzero(t.cell[:, None] == t.cell[None, :])
-    p, q = t.take(i), t.take(j)
-    L = length[p.cell][:, None, None]
+    L = length[t.cell[i]]
     tri = np.zeros((m, m, nk, nr))
-    for part in (np.isfinite(L[:, 0, 0]), np.isinf(L[:, 0, 0])):
+    for part in (np.isfinite(L), np.isinf(L)):
         if part.any():
-            owners = (p.owner[part], q.owner[part])
-            np.add.at(tri, owners, _triangles(p.take(part), q.take(part), r, L[part]))
+            p, q = t.take(i[part]), t.take(j[part])
+            Lp = L[part][:, None, None]
+            np.add.at(tri, (p.owner, q.owner), _triangles(p, q, r, Lp, linear))
     same = tri.transpose(2, 0, 1, 3)
     gram = (sep + sep.transpose(0, 2, 1, 3)) + (same + same.transpose(0, 2, 1, 3))
     return gram.reshape(family + (m, m, nr))

@@ -10,6 +10,8 @@ exactly solvable source for tests, bypassing the mode-moment stage.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, ClassVar
 
@@ -17,6 +19,9 @@ import numpy as np
 
 from .covariance import CovarianceMatrix4
 from .errors import ThresholdError
+
+# a rate below this squares to a finite float; opo_kernel squares rate_fast
+_MAX_RATE = math.sqrt(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -43,6 +48,11 @@ class OpoParams:
             raise ValueError(f"gamma2 must be nonnegative, got {self.gamma2}")
         if self.epsilon < 0:
             raise ValueError(f"epsilon must be nonnegative, got {self.epsilon}")
+        if not self.rate_fast < _MAX_RATE:
+            raise ValueError(
+                f"(gamma1 + gamma2)/2 + epsilon = {self.rate_fast:g} is too large: "
+                "the kernel squares it"
+            )
         if self.rate_slow <= 0:
             raise ThresholdError(
                 "at or above threshold: (gamma1 + gamma2)/2 - epsilon = "

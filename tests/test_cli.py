@@ -1,12 +1,18 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     assert_same_text,
@@ -547,6 +553,15 @@ BAD_SOURCES = {
         "at or above threshold: (gamma1 + gamma2)/2 - epsilon = -0.1 <= 0 "
         "for gamma1=1, gamma2=0, epsilon=0.6",
     ),
+    # the kernel squares the fast rate, which would overflow
+    "gamma1_huge": (
+        "gamma1 = 1.0", "gamma1 = 1e300", 2,
+        "[source] (gamma1 + gamma2)/2 + epsilon = 5e+299 is too large: the kernel squares it",
+    ),
+    "gamma2_huge": (
+        "gamma2 = 0.0", "gamma2 = 1e300", 2,
+        "[source] (gamma1 + gamma2)/2 + epsilon = 5e+299 is too large: the kernel squares it",
+    ),
 }
 
 
@@ -572,6 +587,63 @@ def test_bad_source_fails_every_stage_first(tmp_path, capsys, stage, old, new, c
     assert cli.main(argv) == code
     where = "config" if code == 2 else stage
     assert capsys.readouterr().err == f"error [{where}]: {message}\n"
+    assert not out.exists()
+
+
+SOURCE_VALUES = ["0", "1e-12", "-1e-12", "1e-300", "1", "1e12", "1e300", "nan", "inf"]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    gamma1=st.sampled_from(SOURCE_VALUES),
+    gamma2=st.sampled_from(SOURCE_VALUES),
+    epsilon=st.sampled_from(SOURCE_VALUES),
+)
+@example(gamma1="1e300", gamma2="0", epsilon="1e-12")  # the fast rate's square overflows
+@example(gamma1="1e-12", gamma2="1e300", epsilon="0")  # the fast rate's square overflows
+@example(gamma1="1e12", gamma2="1e12", epsilon="1e12")  # above threshold
+@example(gamma1="1e-300", gamma2="0", epsilon="0")  # no squeezing: the trigger has no photon
+@example(gamma1="1e12", gamma2="1e12", epsilon="1")  # runs
+def test_source_edits_keep_the_cli_contract(gamma1, gamma2, epsilon):
+    """Any [source] values end run with exit 0-3, and a failure with one
+    error line and no file; no value makes numpy warn."""
+    text = _fixture_with("figure3_upper.cfg", "gamma1 = 1.0", f"gamma1 = {gamma1}")
+    text = text.replace("gamma2 = 0.0", f"gamma2 = {gamma2}")
+    text = text.replace("epsilon = 0.01", f"epsilon = {epsilon}")
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg, out = Path(tmp) / "edit.cfg", Path(tmp) / "out"
+        cfg.write_text(text)
+        err = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err):
+            warnings.simplefilter("always")
+            code = cli.main(["run", "--config", str(cfg), "--out", str(out), "--quiet",
+                             "--grid=-1,1,-1,1,3,3"])
+        assert [str(w.message) for w in caught] == []
+        assert code in (0, 1, 2, 3)
+        if code:
+            where = "config" if code == 2 else "run"
+            lines = err.getvalue().splitlines()
+            assert len(lines) == 1 and lines[0].startswith(f"error [{where}]: ")
+            assert not out.exists()
+        else:
+            assert err.getvalue() == ""
+
+
+def test_vanishing_filter_width_is_a_physics_error(tmp_path, capsys):
+    # a 1e-300 filter leaves the trigger no occupation; its tail is a power-0
+    # piece, so no 1/c^2 slope term overflows on the way to saying so
+    cfg = tmp_path / "narrow.cfg"
+    cfg.write_text(_fixture_with("figure3_upper.cfg", "filter_width = none", "filter_width = 1e-300"))
+    out = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = cli.main(["run", "--config", str(cfg), "--out", str(out), "--quiet"])
+    assert [str(w.message) for w in caught] == []
+    assert code == 3
+    assert capsys.readouterr().err == (
+        "error [run]: trigger mode occupation is zero (<a+a> = 0); "
+        "no photon available to subtract\n"
+    )
     assert not out.exists()
 
 

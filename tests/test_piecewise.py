@@ -1,5 +1,7 @@
 import functools
 import math
+from dataclasses import replace
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -9,10 +11,14 @@ from hypothesis import strategies as st
 
 from conftest import envelope_table, window_pair
 
+from cwherald import piecewise
+from cwherald.config import parse_config
 from cwherald.modes import OutputModeSpec, TriggerModeSpec, build_output_mode, build_trigger_mode
 from cwherald.piecewise import _TAYLOR_SPAN, Piece, dd_exp, kernel_moments
+from cwherald.pipeline import build_modes
 
 RATES = [0.05, 0.3, 1.0, 8.0]
+FIXTURES = Path(__file__).resolve().parent.parent / "src" / "cwherald" / "fixtures"
 
 
 def pair_moment(f, g, r):
@@ -193,3 +199,143 @@ class TestKernelMoments:
             Piece(0.0, 1.0, 0.0, np.ones(3), rate=np.ones(2))
         with pytest.raises(ValueError, match="1-d arrays of one length"):
             Piece(0.0, 1.0, 0.0, np.ones((2, 2)))
+
+
+# The all-terms formulas, which form every c1 term whether or not a piece is
+# linear: the oracle of kernel_moments' skip of the c1 terms of power-0 pieces.
+
+
+def end_moments_all_terms(t, r, length, linear):
+    out = np.empty((2, len(t.cell), t.c0.shape[1], len(r)))
+    L = length[t.cell][:, None, None]
+    fin = np.isfinite(L[:, 0, 0])
+    if fin.any():
+        f, Lf = t.take(fin), L[fin]
+        z = np.empty((2, len(f.cell), f.shift.shape[1], len(r), 3))
+        z[0, ..., 0] = f.shift
+        z[1, ..., 0] = f.shift - r * Lf
+        z[0, ..., 1] = f.shift + (f.rate - r) * Lf
+        z[1, ..., 1] = f.shift + f.rate * Lf
+        z[..., 2] = z[..., 1]
+        out[:, fin] = Lf * f.c0 * piecewise._dd(z[..., :2]) + Lf**2 * f.c1 * piecewise._dd(z)
+    if not fin.all():
+        inf = ~fin
+        g = r - t.rate[inf]
+        out[:, inf] = np.exp(t.shift[inf]) * (t.c0[inf] / g + t.c1[inf] / g**2)
+    return out
+
+
+def triangles_all_terms(p, q, r, L, linear):
+    s = p.shift + q.shift
+    if np.isinf(L).all():
+        a = p.rate - r
+        c = p.rate + q.rate
+        m0a, m1a = -1.0 / a, 1.0 / a**2
+        m0c, m1c, m2c = -1.0 / c, 1.0 / c**2, -2.0 / c**3
+        return np.exp(s) * (
+            p.c0 * q.c0 * m0a * m0c
+            + (p.c0 * q.c1 + p.c1 * q.c0) * m0a * m1c
+            + p.c1 * q.c1 * (m0a * m2c + m1a * m1c)
+            + p.c1 * q.c0 * m1a * m0c
+        )
+    x1 = s + (p.rate - r) * L
+    x2 = s + (p.rate + q.rate) * L
+    z = np.empty((2,) + np.broadcast_shapes(x1.shape, x2.shape) + (5,))
+    z[..., 0] = s
+    z[..., 1] = x1
+    z[..., 2:] = x2[..., None]
+    z[0, ..., 3] = x1
+    d0 = piecewise._dd(z[0, ..., :3])
+    d1, d2 = piecewise._dd(z[..., :4])
+    d12, d22 = piecewise._dd(z)
+    return L**2 * (
+        p.c0 * q.c0 * d0
+        + p.c0 * q.c1 * L * d2
+        + p.c1 * q.c0 * L * (d1 + d2)
+        + p.c1 * q.c1 * L**2 * (d12 + 2.0 * d22)
+    )
+
+
+def assert_same_as_all_terms(modes, rates):
+    """kernel_moments equals the all-terms formulas bit for bit."""
+    got = kernel_moments(modes, rates)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(piecewise, "_end_moments", end_moments_all_terms)
+        mp.setattr(piecewise, "_triangles", triangles_all_terms)
+        want = kernel_moments(modes, rates)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+ENDS = [-1.0, -0.3, 0.0, 0.4, 1.1]
+
+
+@st.composite
+def piece_sets(draw, powers, family):
+    """Two or three modes of one to three pieces, finite or half-infinite, on shared ends."""
+
+    def value(lo, hi):
+        # a family member per entry when ``family``, else a scalar
+        if family:
+            return np.array(draw(st.lists(st.floats(lo, hi), min_size=3, max_size=3)))
+        return draw(st.floats(lo, hi))
+
+    def piece():
+        where = draw(st.sampled_from(["finite", "left", "right"]))
+        power = draw(st.sampled_from(powers))
+        coeff = value(-2.0, 2.0)
+        if where == "left":
+            end = draw(st.sampled_from(ENDS))
+            return Piece(-np.inf, end, end, coeff, power, value(0.1, 3.0))
+        if where == "right":
+            end = draw(st.sampled_from(ENDS))
+            return Piece(end, np.inf, end, coeff, power, value(-3.0, -0.1))
+        lo, hi = sorted(draw(st.lists(st.sampled_from(ENDS), min_size=2, max_size=2, unique=True)))
+        anchor = draw(st.sampled_from([lo, hi]))
+        return Piece(lo, hi, anchor, coeff, power, value(-3.0, 3.0))
+
+    return tuple(
+        tuple(piece() for _ in range(draw(st.integers(1, 3)))) for _ in range(draw(st.integers(2, 3)))
+    )
+
+
+class TestLinearTermsSkipped:
+    """The c1 terms are formed only for power-1 pieces; the Gram keeps every bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        modes=st.sampled_from([(0,), (1,), (0, 1)]).flatmap(
+            lambda powers: st.booleans().flatmap(lambda family: piece_sets(powers, family))
+        ),
+        rates=st.lists(st.floats(0.01, 10.0), min_size=1, max_size=3),
+    )
+    def test_random_piece_sets(self, modes, rates):
+        assert_same_as_all_terms(modes, rates)
+
+    def test_finite_and_half_infinite_cells(self):
+        # a power-0 set that cuts the line into both kinds of cell, alone and as a family
+        for coeff, rate in ((0.7, 1.3), (np.array([0.7, -1.1, 2.0]), np.array([1.3, 0.2, 2.5]))):
+            modes = (
+                (Piece(-np.inf, 0.0, 0.0, coeff, rate=rate), Piece(0.0, 0.5, 0.5, 1.0, rate=-0.4)),
+                (Piece(-0.2, 0.5, -0.2, coeff), Piece(0.5, np.inf, 0.5, 0.3, rate=-rate)),
+            )
+            assert_same_as_all_terms(modes, RATES)
+        assert_same_as_all_terms(three_modes(), RATES)
+
+    @pytest.mark.parametrize("stem", sorted(p.stem for p in FIXTURES.glob("*.cfg")))
+    def test_fixture_mode_pairs(self, stem):
+        # each fixture's bare trigger, and filtered ones in the collapsed and explicit branches
+        cfg = parse_config(FIXTURES / f"{stem}.cfg")
+        alphas = [cfg.output.alpha]
+        if cfg.scan is not None:
+            alphas += [np.linspace(cfg.scan.alpha_min, cfg.scan.alpha_max, cfg.scan.samples), 0.367]
+        triggers = [
+            cfg.trigger,
+            replace(cfg.trigger, filter_width=2.0, window_width=0.01),
+            replace(cfg.trigger, filter_width=8.0, window_width=0.04),
+        ]
+        for alpha in alphas:
+            for trigger in triggers:
+                at = replace(cfg, trigger=trigger, output=replace(cfg.output, alpha=alpha))
+                f1, f2, kernel = build_modes(at)
+                assert_same_as_all_terms((f1, f2), [rate for rate, _, _ in kernel.terms])
