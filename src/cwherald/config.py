@@ -28,7 +28,7 @@ from .covariance import LossParams
 from .errors import ConfigError, ThresholdError
 from .metrics import SCALARS
 from .modes import OutputModeSpec, TriggerModeSpec
-from .sources import OpoParams
+from .sources import MAX_RATE, OpoParams
 from .wigner import GridSpec, fmt9
 
 # the keys each source kind and output envelope reads and echoes, in echo order
@@ -103,6 +103,10 @@ class ScanConfig:
             raise ValueError(f"objective must be {names}, got {self.objective!r}")
         if self.alpha_min <= 0 or self.alpha_max < self.alpha_min:
             raise ValueError(f"bad range [{self.alpha_min}, {self.alpha_max}]")
+        if not self.alpha_max < MAX_RATE:
+            raise ValueError(
+                f"alpha_max = {self.alpha_max:g} is too large: a rate must be below {MAX_RATE:.4g}"
+            )
         if self.samples < 3 and self.samples != 1:
             raise ValueError(f"samples must be 1 or at least 3, got {self.samples}")
 

@@ -8,6 +8,7 @@ matrix.  Mode 1 is the trigger, mode 2 the output.  The program holds
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import cached_property, wraps
 from typing import TYPE_CHECKING
@@ -21,6 +22,9 @@ if TYPE_CHECKING:  # pragma: no cover
 
 SYMMETRY_TOL = 1e-12
 PHYSICALITY_TOL = -1e-9
+# det V multiplies four diagonal entries of V, each about an added noise xi;
+# below half the fourth root of the largest float their product stays finite
+MAX_ADDED_NOISE = sys.float_info.max**0.25 / 2.0
 # first line of a covariance file that holds N rather than V
 EXCESS_HEADER = "# excess covariance N = (V - I)/2"
 
@@ -130,6 +134,11 @@ class LossParams:
             v = getattr(self, name)
             if v < 0.0:
                 raise ValueError(f"{name} must be nonnegative, got {v}")
+            if not v < MAX_ADDED_NOISE:
+                raise ValueError(
+                    f"{name} = {v:g} is too large: det V multiplies four such entries, "
+                    f"so it must be below {MAX_ADDED_NOISE:.4g}"
+                )
 
 
 @dataclass(frozen=True, eq=False)
@@ -137,7 +146,6 @@ class PhysicalityReport:
     """Diagnostics of a covariance matrix; arrays of one value per member for a family."""
 
     min_eigenvalue: float
-    symplectic_eigenvalues: tuple[float, float]
     purity: float
     physical: bool
 
@@ -188,19 +196,14 @@ def physicality_check(v: CovarianceMatrix4) -> PhysicalityReport:
     """Diagnose a covariance matrix; never raises.
 
     Reports the minimal eigenvalue of the Hermitian matrix ``V + i*Omega``
-    (physical states have it >= 0 up to tolerance), the symplectic
-    eigenvalues (both >= 1 for physical states) and the purity
+    (physical states have it >= 0 up to tolerance) and the purity
     ``1/sqrt(det V)``.  For a family each field holds one value per member.
     """
-    m = v.m
     min_eig, det, physical = v.margin
-    # symplectic spectrum: |eigenvalues of i Omega V| in pairs
-    sympl = np.sort(np.abs(np.linalg.eigvals(1j * OMEGA @ m)), axis=-1)
     # the square root sees only positive determinants, so none warns
     purity = np.where(det > 0, 1.0 / np.sqrt(np.where(det > 0, det, 1.0)), np.inf)
     return PhysicalityReport(
         min_eigenvalue=per_member(min_eig),
-        symplectic_eigenvalues=(per_member(sympl[..., 0]), per_member(sympl[..., 2])),
         purity=per_member(purity),
         physical=per_member(physical),
     )

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .polynomials import poly_mul
 from .wigner import GaussPolyState, GridSpec, evaluate_grid, fock_state
 
 
@@ -14,11 +13,18 @@ def wigner_at_origin(s: GaussPolyState):
 
 
 def _overlap(s: GaussPolyState, r: GaussPolyState):
-    """Tr(rho sigma) = 2*pi*Int(W_s W_r), each pair of terms on the product of their cores."""
+    """Tr(rho sigma) = 2*pi*Int(W_s W_r), summed over pairs of terms.
+
+    Each pair is a bilinear form on the product of their cores
+    (:meth:`~cwherald.polynomials.GaussianCore.overlap`), with ``r``'s
+    table contracted against the moments.  A Fock state's tables are
+    read-only, so each product core contracts them once and keeps them for
+    every later fidelity.
+    """
     acc = 0.0
     for a in s.terms:
         for b in r.terms:
-            acc += a.core.times(b.core).integral(poly_mul(a.coeffs, b.coeffs))
+            acc += a.core.times(b.core).overlap(a.coeffs, b.coeffs)
     return 2.0 * np.pi * acc
 
 

@@ -18,10 +18,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .piecewise import Piece, kernel_moments
-from .sources import CorrelationKernel
+from .sources import MAX_RATE, CorrelationKernel
 
 # window much narrower than every relevant correlation time: treat as a point
 NARROW_WINDOW_LIMIT = 0.1
+# a rate below MAX_RATE times the time between two piece ends within this
+# bound is below an eighth of the largest float, so the kernel's exponents,
+# sums of a few such products, stay finite, and so does the time's square
+MAX_TIME = MAX_RATE / 16.0
+
+
+def _too_large(name: str, rate: float) -> str:
+    return f"{name} = {rate:g} is too large: a rate must be below {MAX_RATE:.4g}"
 
 
 @dataclass(frozen=True)
@@ -43,8 +51,23 @@ class TriggerModeSpec:
             )
         if self.window_width <= 0.0:
             raise ValueError(f"window_width must be positive, got {self.window_width}")
+        # the window's ends as build_trigger_mode computes them
+        lo = self.window_center - self.window_width / 2.0
+        hi = self.window_center + self.window_width / 2.0
+        if not (-MAX_TIME < lo and hi < MAX_TIME):
+            raise ValueError(
+                f"the window [{lo:g}, {hi:g}] reaches past +-{MAX_TIME:.4g}: "
+                "the kernel multiplies the time between piece ends by rates"
+            )
+        if not lo < hi:
+            raise ValueError(
+                f"window_width = {self.window_width:g} at window_center = "
+                f"{self.window_center:g} leaves the window empty in floating point"
+            )
         if self.filter_width is not None and self.filter_width <= 0.0:
             raise ValueError(f"filter_width must be positive, got {self.filter_width}")
+        if self.filter_width is not None and not self.filter_width < MAX_RATE:
+            raise ValueError(_too_large("filter_width", self.filter_width))
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,8 +90,15 @@ class OutputModeSpec:
             raise ValueError(f"unknown envelope kind {self.envelope!r}")
         if self.envelope == "exponential" and not (np.asarray(self.alpha) > 0.0).all():
             raise ValueError(f"exponential envelope needs alpha > 0, got {self.alpha}")
+        if self.envelope == "exponential" and not (np.asarray(self.alpha) < MAX_RATE).all():
+            raise ValueError(_too_large("alpha", np.max(self.alpha)))
         if self.envelope == "tabulated" and not self.table:
             raise ValueError("tabulated envelope needs a table file path")
+        if not abs(self.center) < MAX_TIME:
+            raise ValueError(
+                f"center = {self.center:g} lies past +-{MAX_TIME:.4g}: "
+                "the kernel multiplies the time between piece ends by rates"
+            )
 
 
 @dataclass(frozen=True, eq=False)

@@ -74,13 +74,17 @@ def poly_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def poly_eval(c: np.ndarray, x, p):
     """Evaluate sum_ij c[i,j] x^i p^j of one table; broadcasts over array arguments.
 
-    Each axis's powers are taken once, by repeated multiplication, on the
-    shapes of ``x`` and ``p``, so on a grid ``(x[None, :], p[:, None])``
-    they are taken on the axes.  Only the nonzero entries' products
-    ``c[i,j] x^i p^j`` are formed, grid-sized, and summed in row-major order.
+    On a mesh, ``x`` a ``(1, n)`` row and ``p`` an ``(m, 1)`` column, the
+    table is ``P @ (X @ c).T`` with ``X[a, i] = x_a^i`` and ``P[b, j] = p_b^j``,
+    each axis's powers taken once by repeated multiplication: two small
+    matrix products, see :func:`_mesh_eval`.  Any other shape, scattered
+    points included, sums the nonzero entries' products ``c[i,j] x^i p^j``
+    in row-major order on the broadcast shape.
     """
     x = np.asarray(x, dtype=float)
     p = np.asarray(p, dtype=float)
+    if x.ndim == p.ndim == 2 and x.shape[0] == p.shape[1] == 1:
+        return _mesh_eval(c, x[0], p[:, 0])
     out = np.zeros(np.broadcast(x, p).shape)
     xpow, ppow = [np.ones_like(x)], [np.ones_like(p)]
     for i, j in nonzero_entries(c):
@@ -89,6 +93,34 @@ def poly_eval(c: np.ndarray, x, p):
         while len(ppow) <= j:
             ppow.append(ppow[-1] * p)
         out += c[i, j] * xpow[i] * ppow[j]
+    return out
+
+
+def _mesh_eval(c: np.ndarray, xs: np.ndarray, ps: np.ndarray) -> np.ndarray:
+    """``P @ (X @ c).T`` on the mesh of axes ``xs`` and ``ps``, shape (len(ps), len(xs)).
+
+    numpy hands a product with one row or one column to a matrix-vector
+    routine, which sums in another order than the matrix product; so a
+    one-point axis or a one-column table is padded to two, and a cell's
+    float does not depend on the extent of the mesh around it.  A constant
+    table is its one entry on every cell.
+    """
+    if c.shape == (1, 1):
+        return np.full((ps.size, xs.size), c[0, 0])
+    if c.shape[1] == 1:
+        c = np.concatenate((c, np.zeros_like(c)), axis=1)
+    x_pow, p_pow = _axis_powers(xs, c.shape[0]), _axis_powers(ps, c.shape[1])
+    return (p_pow.T @ (c.T @ x_pow))[: ps.size, : xs.size]
+
+
+def _axis_powers(v: np.ndarray, count: int) -> np.ndarray:
+    """Rows ``v**0, ..., v**(count - 1)`` by repeated multiplication, over at least two points."""
+    if v.size == 1:
+        v = np.repeat(v, 2)
+    out = np.empty((count, v.size))
+    out[0] = 1.0
+    for k in range(1, count):
+        np.multiply(out[k - 1], v, out=out[k])
     return out
 
 
@@ -207,7 +239,10 @@ class GaussianCore:
     ``sigma`` is a 2x2 matrix, or a (K, 2, 2) stack for a family, held as
     a read-only copy.  Terms on one core share it, and it computes
     :attr:`sigma_inv`, its moment table and its product with each other
-    core at most once, when first needed, for all of them.
+    core at most once, when first needed, for all of them.  A product core
+    also keeps, for each read-only table ``b`` it has met in
+    :meth:`overlap` (the Fock tables), the contraction of ``b`` with its
+    moment table.
     """
 
     sigma: np.ndarray
@@ -244,6 +279,30 @@ class GaussianCore:
             table = central_moments(half, degree)
         return scale * (c * table[..., : c.shape[-2], : c.shape[-1]]).sum(axis=(-2, -1))
 
+    def overlap(self, a: np.ndarray, b: np.ndarray):
+        """Integral of ``a * b`` times this Gaussian, as a bilinear form; one per member.
+
+        ``scale * sum(a * T_b)`` with ``T_b[i, j] = sum_kl b[k, l] m[i + k, j + l]``,
+        in the terms of :meth:`integral`, so the product table ``a * b`` is
+        never formed.  A read-only ``b`` is taken to be fixed: its ``T_b``
+        is contracted once, over the whole moment table, and kept for any
+        later ``a``; it holds the floats a contraction on ``a``'s extent gives.
+        """
+        scale, half, table = self._moments
+        (ai, aj), (bi, bj) = a.shape[-2:], b.shape[-2:]
+        degree = max(ai + bi, aj + bj) - 2
+        if degree > MOMENT_DEGREE:
+            contracted = _contract(b, central_moments(half, degree), ai, aj)
+        elif b.flags.writeable:
+            contracted = _contract(b, table, ai, aj)
+        else:
+            kept = self.__dict__.setdefault("_contractions", {})
+            if id(b) not in kept:  # b is kept with its table, so its id is not reused
+                span = MOMENT_DEGREE + 2
+                kept[id(b)] = b, _contract(b, table, span - bi, span - bj)
+            contracted = kept[id(b)][1]
+        return scale * (a * contracted[..., :ai, :aj]).sum(axis=(-2, -1))
+
     def times(self, other: "GaussianCore") -> "GaussianCore":
         """The core of ``(sigma^-1 + sigma'^-1)^-1``, made once per pair and kept on both.
 
@@ -256,3 +315,16 @@ class GaussianCore:
                 product = GaussianCore(np.linalg.inv(self.sigma_inv + other.sigma_inv))
             kept[other] = product
         return kept[other]
+
+
+def _contract(b: np.ndarray, table: np.ndarray, rows: int, cols: int) -> np.ndarray:
+    """``T[..., i, j] = sum_kl b[..., k, l] table[..., i + k, j + l]`` for i < rows, j < cols.
+
+    Summed over ``b``'s nonzero entries in row-major order, each a product
+    of a shifted slice of ``table``, so every member of a family gets the
+    arithmetic it gets alone.
+    """
+    out = np.zeros(_family_shape(b, table) + (rows, cols))
+    for k, l in nonzero_entries(b):
+        out += b[..., k, l, None, None] * table[..., k : k + rows, l : l + cols]
+    return out

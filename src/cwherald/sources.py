@@ -20,8 +20,9 @@ import numpy as np
 from .covariance import CovarianceMatrix4
 from .errors import ThresholdError
 
-# a rate below this squares to a finite float; opo_kernel squares rate_fast
-_MAX_RATE = math.sqrt(sys.float_info.max)
+# a rate below this squares to a finite float; opo_kernel squares rate_fast,
+# and the mode moments meet every rate, a filter's and an envelope's too
+MAX_RATE = math.sqrt(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -48,7 +49,7 @@ class OpoParams:
             raise ValueError(f"gamma2 must be nonnegative, got {self.gamma2}")
         if self.epsilon < 0:
             raise ValueError(f"epsilon must be nonnegative, got {self.epsilon}")
-        if not self.rate_fast < _MAX_RATE:
+        if not self.rate_fast < MAX_RATE:
             raise ValueError(
                 f"(gamma1 + gamma2)/2 + epsilon = {self.rate_fast:g} is too large: "
                 "the kernel squares it"

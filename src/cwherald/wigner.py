@@ -221,7 +221,10 @@ def evaluate_grid(s: GaussPolyState, grid: GridSpec):
     returned read-only, so every caller of one state's grid shares it.  The
     table holds exactly the floats of ``s.evaluate(xs[None, :], ps[:, None])``
     but evaluates only the block that the parity symmetry does not fix:
-    see :func:`_evaluate_mesh`.
+    see :func:`_evaluate_mesh`.  Each term's polynomial is two small matrix
+    products on the axes (:func:`~cwherald.polynomials.poly_eval`), whose
+    cells do not depend on the extent of the mesh, so a block holds the
+    whole mesh's floats.
     """
     kept = s.__dict__.get("_grids", {}).get(grid)
     if kept is None:

@@ -610,6 +610,12 @@ def test_source_edits_keep_the_cli_contract(gamma1, gamma2, epsilon):
     text = _fixture_with("figure3_upper.cfg", "gamma1 = 1.0", f"gamma1 = {gamma1}")
     text = text.replace("gamma2 = 0.0", f"gamma2 = {gamma2}")
     text = text.replace("epsilon = 0.01", f"epsilon = {epsilon}")
+    assert_run_keeps_the_cli_contract(text)
+
+
+def assert_run_keeps_the_cli_contract(text):
+    """``run`` on a config text exits 0-3, and a failure with one error line
+    and no file; nothing warns."""
     with tempfile.TemporaryDirectory() as tmp:
         cfg, out = Path(tmp) / "edit.cfg", Path(tmp) / "out"
         cfg.write_text(text)
@@ -627,6 +633,113 @@ def test_source_edits_keep_the_cli_contract(gamma1, gamma2, epsilon):
             assert not out.exists()
         else:
             assert err.getvalue() == ""
+
+
+# the line of figure3_upper.cfg that each edited key replaces
+TIME_AND_NOISE_LINES = {
+    "window_width": "window_width = 0.02",
+    "window_center": "window_center = 0.0",
+    "center": "\ncenter = 0.0",
+    "alpha": "alpha = 0.5",
+    "filter_width": "filter_width = none",
+    "xi1": "xi1 = 0.0",
+    "xi2": "xi2 = 0.0",
+}
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    edits=st.dictionaries(
+        st.sampled_from(list(TIME_AND_NOISE_LINES)),
+        st.sampled_from([*SOURCE_VALUES, "none"]),
+        min_size=1,
+        max_size=3,
+    )
+)
+@example(edits={"window_width": "1e300"})  # the kernel would square the window
+@example(edits={"window_center": "1e300"})  # the window lies past the squarable times
+@example(edits={"window_center": "1e12", "window_width": "1e-12"})  # empty in floating point
+@example(edits={"center": "1e300"})  # the output envelope lies past the squarable times
+@example(edits={"xi1": "1e300"})  # det V overflows
+@example(edits={"xi2": "1e300"})  # det V overflows
+@example(edits={"filter_width": "1e-300"})  # no trigger occupation: a physics error
+@example(edits={"filter_width": "1e300", "window_width": "1e12"})  # rate x time overflows
+@example(edits={"alpha": "1e300", "window_center": "1e12"})  # rate x time overflows
+@example(edits={"filter_width": "1e12", "window_width": "1e12", "xi2": "1e12"})  # runs
+def test_trigger_output_and_loss_edits_keep_the_cli_contract(edits):
+    """Any window, filter, output envelope or added-noise values keep run's contract."""
+    text = (FIXTURES / "figure3_upper.cfg").read_text()
+    for key, value in edits.items():
+        line = TIME_AND_NOISE_LINES[key]
+        text = text.replace(line, line.replace(line.split(" = ")[1], value))
+    assert_run_keeps_the_cli_contract(text)
+
+
+UNUSABLE_VALUES = {
+    "window_width_huge": (
+        "window_width = 0.02", "window_width = 1e300",
+        "[trigger] the window [-5e+299, 5e+299] reaches past +-8.38e+152: "
+        "the kernel multiplies the time between piece ends by rates",
+    ),
+    "window_center_huge": (
+        "window_center = 0.0", "window_center = 1e300",
+        "[trigger] the window [1e+300, 1e+300] reaches past +-8.38e+152: "
+        "the kernel multiplies the time between piece ends by rates",
+    ),
+    "window_lost_in_rounding": (
+        "window_center = 0.0", "window_center = 1e15",
+        "[trigger] window_width = 0.02 at window_center = 1e+15 "
+        "leaves the window empty in floating point",
+    ),
+    "output_center_huge": (
+        "\ncenter = 0.0", "\ncenter = -1e300",
+        "[output] center = -1e+300 lies past +-8.38e+152: "
+        "the kernel multiplies the time between piece ends by rates",
+    ),
+    "filter_width_huge": (
+        "filter_width = none", "filter_width = 1e300",
+        "[trigger] filter_width = 1e+300 is too large: a rate must be below 1.341e+154",
+    ),
+    "alpha_huge": (
+        "alpha = 0.5", "alpha = 1e300",
+        "[output] alpha = 1e+300 is too large: a rate must be below 1.341e+154",
+    ),
+    "xi1_huge": (
+        "xi1 = 0.0", "xi1 = 1e300",
+        "[losses] xi1 = 1e+300 is too large: det V multiplies four such entries, "
+        "so it must be below 5.79e+76",
+    ),
+    "xi2_huge": (
+        "xi2 = 0.0", "xi2 = 1e78",
+        "[losses] xi2 = 1e+78 is too large: det V multiplies four such entries, "
+        "so it must be below 5.79e+76",
+    ),
+}
+
+
+@pytest.mark.parametrize("old, new, message", UNUSABLE_VALUES.values(), ids=list(UNUSABLE_VALUES))
+def test_unusable_time_or_noise_is_a_config_error(tmp_path, capsys, old, new, message):
+    # each ran into an overflow warning, an empty piece (exit 1) or a false
+    # unphysical covariance (exit 3), or, for a huge rate, overflowed once a
+    # long window came with it, before it was checked as it is read
+    cfg = tmp_path / "edit.cfg"
+    cfg.write_text(_fixture_with("figure3_upper.cfg", old, new))
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(cfg), "--out", str(out), "--quiet"]) == 2
+    assert capsys.readouterr().err == f"error [config]: {message}\n"
+    assert not out.exists()
+
+
+def test_scan_past_the_rate_bound_is_a_config_error(tmp_path, capsys):
+    # it ended in an OverflowError traceback in the scan's parabola step
+    cfg = tmp_path / "scan.cfg"
+    cfg.write_text(_fixture_with("figure4_scan.cfg", "alpha_max = 0.5", "alpha_max = 1e300"))
+    out = tmp_path / "out"
+    assert cli.main(["scan-alpha", "--config", str(cfg), "--out", str(out), "--quiet"]) == 2
+    assert capsys.readouterr().err == (
+        "error [config]: [scan] alpha_max = 1e+300 is too large: a rate must be below 1.341e+154\n"
+    )
+    assert not out.exists()
 
 
 def test_vanishing_filter_width_is_a_physics_error(tmp_path, capsys):

@@ -382,6 +382,7 @@ class TestSharedReductions:
         monkeypatch.setattr(
             GaussPolyState, "evaluate", counted("evaluate", GaussPolyState.evaluate)
         )
+        monkeypatch.setattr(polynomials, "_contract", counted("contract", polynomials._contract))
         # every conditioner takes its trigger weight in closed form, wherever
         # the generic expansion is bound
         expansion = counted("expansion", expected_poly_of_shifted_gaussian)
@@ -407,15 +408,24 @@ class TestSharedReductions:
         # two Gaussian cores, V22 and the number core, each with one inverse, and
         # five products: each with the vacuum for the fidelities and each with
         # each for the purities, V22 x number once for both orders.  Moment
-        # tables: the number core's for P_n, and one per product.  One grid per
-        # kind, shared by its negativity volume.  No call to the generic expansion
-        assert calls == {"margin": 1, "core": 7, "sigma_inv": 2, "_moments": 6, "evaluate": 6}
+        # tables: the number core's for P_n, and one per product.  Contracted
+        # tables: the three Fock tables on each product with the vacuum, kept
+        # there for the 21 fidelities of the 7 terms, and one per pair of terms
+        # for the purities, 4 of the on state's and 1 of each other kind's.  One
+        # grid per kind, shared by its negativity volume.  No call to the
+        # generic expansion
+        assert calls == {
+            "margin": 1, "core": 7, "sigma_inv": 2, "_moments": 6, "contract": 15, "evaluate": 6
+        }
         assert len(used) == len(CONDITIONERS)
         v22, number = trigger_given_output(v)[0], _number_core(v)[2]
         cores = {id(t.core) for r in results for t in r.state.terms}
         assert cores == {id(v22), id(number)}
         for core in (v22, number):
             assert set(core.__dict__["_products"]) == {vacuum, v22, number}
+            assert len(core.times(vacuum).__dict__["_contractions"]) == 3
+            for other in (v22, number):
+                assert "_contractions" not in core.times(other).__dict__
         assert v22.times(number) is number.times(v22)
 
     def test_inputs_become_read_only_copies(self, rng):

@@ -13,7 +13,15 @@ from cwherald.config import parse_config
 from cwherald.covariance import CovarianceMatrix4, LossParams, apply_loss
 from cwherald.metrics import fock_fidelity, negativity_volume, purity, wigner_at_origin
 from cwherald.pipeline import build_covariance, condition_state
-from cwherald.polynomials import gaussian_poly_integral, poly_mul
+from cwherald.polynomials import (
+    MOMENT_DEGREE,
+    GaussianCore,
+    central_moments,
+    det2,
+    gaussian_poly_integral,
+    nonzero_entries,
+    poly_mul,
+)
 from cwherald.wigner import GridSpec, evaluate_grid, fock_state
 
 from pathlib import Path
@@ -81,9 +89,19 @@ class TestPurity:
         assert 0.0 < p <= 1.0 + 1e-9
 
 
-# Each term computes its inverse and its Fock moment table once; these
-# in-test formulas invert, build the Fock table and integrate afresh at
-# every call, and must give the same floating-point numbers.
+# Each term computes its inverse, its moment table and its contracted Fock
+# tables once; these in-test formulas invert, build the moment table and
+# contract afresh at every call, and must give the same floating-point numbers.
+
+
+def fresh_overlap(a, b, merged):
+    """``pi sqrt(det merged) sum(a * T_b)``, ``T_b`` contracted from a fresh moment table."""
+    table = central_moments(merged / 2.0, MOMENT_DEGREE)
+    rows, cols = a.shape[-2:]
+    t = np.zeros(np.broadcast_shapes(b.shape[:-2], merged.shape[:-2]) + (rows, cols))
+    for k, l in nonzero_entries(b):
+        t += b[..., k, l, None, None] * table[..., k : k + rows, l : l + cols]
+    return np.pi * np.sqrt(det2(merged)) * (a * t).sum(axis=(-2, -1))
 
 
 def fresh_fock_fidelity(s, n):
@@ -91,7 +109,7 @@ def fresh_fock_fidelity(s, n):
     acc = 0.0
     for t in s.terms:
         merged = np.linalg.inv(np.linalg.inv(t.sigma) + np.eye(2))
-        acc += gaussian_poly_integral(poly_mul(t.coeffs, fock), merged)
+        acc += fresh_overlap(t.coeffs, fock, merged)
     return 2.0 * np.pi * acc
 
 
@@ -100,7 +118,7 @@ def fresh_purity(s):
     for ta in s.terms:
         for tb in s.terms:
             merged = np.linalg.inv(np.linalg.inv(ta.sigma) + np.linalg.inv(tb.sigma))
-            acc += gaussian_poly_integral(poly_mul(ta.coeffs, tb.coeffs), merged)
+            acc += fresh_overlap(ta.coeffs, tb.coeffs, merged)
     return 2.0 * np.pi * acc
 
 
@@ -150,3 +168,45 @@ class TestSharedTermTables:
         second = CONDITIONERS[kind](v).state
         assert np.array_equal(evaluate_grid(second, grid)[2], w)
         assert [purity(second)] + [fock_fidelity(second, n) for n in (2, 1, 0)] == want[::-1]
+
+
+class TestBilinearOverlap:
+    """The bilinear form agrees with integrating the product table, within the
+    roundings of the contraction's absolute sum."""
+
+    @staticmethod
+    def assert_agrees(a, b, core):
+        got = core.overlap(a, b)
+        want = gaussian_poly_integral(poly_mul(a, b), core.sigma)
+        # |got - want| <= 8 eps * scale * sum |a_ij b_kl m[i+k, j+l]|, which is
+        # |want| times the contraction's cancellation ratio; measured at most
+        # 2.5 eps over 720 states at squeezing up to 2.5, family and single
+        product = poly_mul(np.abs(a), np.abs(b))
+        rows, cols = product.shape[-2:]
+        table = np.abs(central_moments(core.sigma / 2.0, max(rows, cols) - 1))
+        scale = np.pi * np.sqrt(det2(core.sigma))
+        absolute = scale * (product * table[..., :rows, :cols]).sum(axis=(-2, -1))
+        assert np.shape(got) == np.shape(want)
+        assert np.all(np.abs(got - want) <= 8 * np.finfo(float).eps * absolute)
+
+    @pytest.mark.parametrize("family", [False, True], ids=["single", "family"])
+    @pytest.mark.parametrize("kind", CONDITIONERS)
+    def test_every_pair_of_terms(self, kind, family, rng):
+        for _ in range(3):
+            members = [random_physical_covariance(rng, squeeze_max=1.5).n for _ in range(3)]
+            v = CovarianceMatrix4.from_excess(np.stack(members) if family else members[0])
+            state = CONDITIONERS[kind](v).state
+            others = [t for n in (0, 1, 2) for t in fock_state(n).terms] + list(state.terms)
+            for a in state.terms:
+                for b in others:
+                    self.assert_agrees(a.coeffs, b.coeffs, a.core.times(b.core))
+
+    def test_past_the_kept_moment_table(self, rng):
+        # degree 10 in x: the core builds a table of its own, as integral does,
+        # and keeps no contraction even of a read-only table
+        a, b = rng.normal(size=(6, 3)), rng.normal(size=(6, 2))
+        core = GaussianCore(np.array([[0.8, 0.3], [0.3, 0.6]]))
+        self.assert_agrees(a, b, core)
+        b.flags.writeable = False
+        self.assert_agrees(a, b, core)
+        assert "_contractions" not in core.__dict__

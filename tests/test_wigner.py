@@ -392,6 +392,16 @@ class TestOverlap:
     def test_vacuum_orthogonal_to_fock1(self):
         assert fock_fidelity(fock_state(0), 1) == pytest.approx(0.0, abs=1e-14)
 
+    def test_fock_fidelities_are_the_identity(self):
+        # every pair sits on the vacuum's product with itself, which keeps the
+        # contracted Fock tables: asked again in reverse order, the same bits
+        pairs = [(m, n) for m in (0, 1, 2) for n in (0, 1, 2)]
+        first = {(m, n): fock_fidelity(fock_state(m), n) for m, n in pairs}
+        again = {(m, n): fock_fidelity(fock_state(m), n) for m, n in reversed(pairs)}
+        for (m, n), f in first.items():
+            assert f == pytest.approx(float(m == n), rel=1e-12, abs=1e-14)
+            assert np.float64(again[m, n]).tobytes() == np.float64(f).tobytes()
+
     @pytest.mark.parametrize("nbar", [0.2, 0.7, 1.8])
     def test_thermal_fidelity_against_fock_oracle(self, nbar):
         sigma = (1 + 2 * nbar) * np.eye(2)
@@ -429,3 +439,9 @@ class TestNormalisation:
     def test_purity_of_fock_states(self):
         for n in (0, 1, 2):
             assert purity(fock_state(n)) == pytest.approx(1.0, rel=1e-12)
+
+    def test_purity_of_fock_states_from_kept_tables(self):
+        first = [purity(fock_state(n)) for n in (0, 1, 2)]
+        again = [purity(fock_state(n)) for n in (2, 1, 0)][::-1]
+        assert first == pytest.approx([1.0, 1.0, 1.0], rel=1e-12)
+        assert np.array(again).tobytes() == np.array(first).tobytes()
