@@ -50,13 +50,19 @@ def conditional_coherence(
         raise ValueError(f"coherence half-width must be positive, got {half_width}")
     step = 2.0 * half_width / (points - 1)
     rel = (np.arange(points) - (points - 1) / 2) * step
+    grid = t_c + rel
+    if not (np.diff(grid) > 0.0).all():
+        raise ValueError(
+            f"a coherence grid {2.0 * half_width:g} wide of {points} points around "
+            f"t_c = {t_c:g} has times that round together"
+        )
     aa = k.c_aa(rel)
     ada = k.c_ada(rel)
     lag = float(k.c_ada(0.0)) * k.c_ada(np.arange(points) * step)
     # row i of the reversed windows is lag[|i - j|] over j
     toeplitz = np.lib.stride_tricks.sliding_window_view(np.concatenate((lag[:0:-1], lag)), points)
     g = np.outer(aa, aa) + np.outer(ada, ada) + toeplitz[::-1]
-    return CoherenceKernel(grid=t_c + rel, g=g, t_c=t_c)
+    return CoherenceKernel(grid=grid, g=g, t_c=t_c)
 
 
 @dataclass(frozen=True)

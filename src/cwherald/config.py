@@ -27,7 +27,7 @@ from typing import ClassVar
 from .covariance import LossParams
 from .errors import ConfigError, ThresholdError
 from .metrics import SCALARS
-from .modes import OutputModeSpec, TriggerModeSpec
+from .modes import MAX_TIME, OutputModeSpec, TriggerModeSpec
 from .sources import MAX_RATE, OpoParams
 from .wigner import GridSpec, fmt9
 
@@ -88,6 +88,11 @@ class OutputsConfig:
         if not self.coherence_halfwidth > 0.0:
             width = self.coherence_halfwidth
             raise ValueError(f"coherence_halfwidth must be positive, got {width}")
+        if not self.coherence_halfwidth < MAX_TIME:
+            raise ValueError(
+                f"coherence_halfwidth = {self.coherence_halfwidth:g} reaches past "
+                f"+-{MAX_TIME:.4g}: the kernel multiplies the lags by rates"
+            )
 
 
 @dataclass(frozen=True)

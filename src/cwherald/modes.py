@@ -26,6 +26,9 @@ NARROW_WINDOW_LIMIT = 0.1
 # bound is below an eighth of the largest float, so the kernel's exponents,
 # sums of a few such products, stay finite, and so does the time's square
 MAX_TIME = MAX_RATE / 16.0
+# the window's ends, rounded to floats, may lie this much further apart or
+# closer, relative to window_width, than asked
+WINDOW_WIDTH_RTOL = 1e-9
 
 
 def _too_large(name: str, rate: float) -> str:
@@ -63,6 +66,12 @@ class TriggerModeSpec:
             raise ValueError(
                 f"window_width = {self.window_width:g} at window_center = "
                 f"{self.window_center:g} leaves the window empty in floating point"
+            )
+        if abs((hi - lo) - self.window_width) > WINDOW_WIDTH_RTOL * self.window_width:
+            raise ValueError(
+                f"window_width = {self.window_width:g} at window_center = "
+                f"{self.window_center:g} is {hi - lo:.9g} wide in floating point, "
+                f"more than {WINDOW_WIDTH_RTOL:g} off relative to the width asked"
             )
         if self.filter_width is not None and self.filter_width <= 0.0:
             raise ValueError(f"filter_width must be positive, got {self.filter_width}")
@@ -166,7 +175,8 @@ def build_output_mode(spec: OutputModeSpec) -> tuple[Piece, ...]:
     """Construct the unit-norm output envelope.
 
     A tabulated envelope is read from ``spec.table`` and moved by
-    ``spec.center`` along the time axis.  An array of ``alpha`` values
+    ``spec.center`` along the time axis; its moved times must lie within
+    +-:data:`MAX_TIME`, as the window's ends do.  An array of ``alpha`` values
     gives one mode whose pieces are families, one member per value.
     """
     tc = spec.center
@@ -181,6 +191,12 @@ def build_output_mode(spec: OutputModeSpec) -> tuple[Piece, ...]:
     ts, us = load_envelope_table(spec.table)
     if not (np.all(np.isfinite(ts)) and np.all(np.isfinite(us))):
         raise ValueError("tabulated envelope contains non-finite values")
+    shifted = ts + tc
+    if not np.all(np.abs(shifted) < MAX_TIME):
+        raise ValueError(
+            f"tabulated envelope times reach past +-{MAX_TIME:.4g} at center = {tc:g}: "
+            "the kernel multiplies the time between piece ends by rates"
+        )
     if np.any(np.diff(ts) <= 0.0):
         raise ValueError("tabulated envelope times must be strictly increasing")
     # exact L2 norm of the linear interpolant
@@ -190,10 +206,9 @@ def build_output_mode(spec: OutputModeSpec) -> tuple[Piece, ...]:
         raise ValueError("tabulated envelope has zero norm")
     un = us / np.sqrt(sq)
     slopes = np.diff(un) / h
-    ts = ts + tc
     return tuple(
         Piece(float(a), float(b), float(a), float(c), power)
-        for a, b, u, m in zip(ts[:-1], ts[1:], un[:-1], slopes)
+        for a, b, u, m in zip(shifted[:-1], shifted[1:], un[:-1], slopes)
         for c, power in ((u, 0), (m, 1))
     )
 
@@ -220,6 +235,9 @@ def second_moments(
     contract one Gram matrix over the kernel's rates, built in one pass
     over the mode list (:func:`~cwherald.piecewise.kernel_moments`).  For a
     family of K output modes the same pass gives K stacked moment pairs.
+    That pass reuses the plan of the call before (cells, piece-to-cell
+    terms, same-cell pairs and gap weights) when the pieces' ends, anchors
+    and powers and the kernel's rates are the same, as over an alpha scan.
     """
     if k.decay_rate <= 0.0:
         raise ValueError("kernel decay rate must be positive")

@@ -27,10 +27,20 @@ Since cells depend only on where pieces end, a family shares its cells, and
 every quantity above carries a family axis next to the kernel-rate axis;
 :func:`kernel_moments` then returns one Gram per family member.  A scalar
 piece is a family of one.
+
+Everything that depends only on the layout, each piece's interval, anchor
+and power together with the kernel rates, is a plan: the cells, which piece
+lies on which cell with its offset and direction there, the pairs of terms
+that share a cell, and the weights ``e^{-r gap}`` across the gaps between
+cells.  The latest plan is kept, keyed on the layout's exact bits, so calls
+that only change ``coeff`` and ``rate``, such as every objective call of an
+alpha scan (a family for the grid, then single values), build it once and
+then only gather values through it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import NamedTuple
@@ -134,101 +144,153 @@ def _dd(z: np.ndarray) -> np.ndarray:
     return dd_exp(z.reshape(-1, z.shape[-1])).reshape(z.shape[:-1])
 
 
-def _cells(*piece_sets) -> tuple[np.ndarray, np.ndarray]:
-    """Cell bounds (lo, hi) cutting the line at every finite piece end."""
-    pieces = [p for ps in piece_sets for p in ps]
-    edges = sorted({e for p in pieces for e in (p.lo, p.hi) if math.isfinite(e)})
-    lo, hi = edges[:-1], edges[1:]
-    if any(p.lo == -math.inf for p in pieces):
-        lo, hi = [-math.inf, *lo], [edges[0], *hi]
-    if any(p.hi == math.inf for p in pieces):
-        lo, hi = [*lo, edges[-1]], [*hi, math.inf]
+def _cells(edges) -> tuple[np.ndarray, np.ndarray]:
+    """Cell bounds (lo, hi) cutting the line at every finite one of ``edges``."""
+    cuts = sorted({e for e in edges if math.isfinite(e)})
+    lo, hi = cuts[:-1], cuts[1:]
+    if -math.inf in edges:
+        lo, hi = [-math.inf, *lo], [cuts[0], *hi]
+    if math.inf in edges:
+        lo, hi = [*lo, cuts[-1]], [*hi, math.inf]
     return np.array(lo, dtype=float), np.array(hi, dtype=float)
 
 
-class _Terms(NamedTuple):
-    """Pieces restricted to cells, in a cell-local coordinate s >= 0.
+class _Plan(NamedTuple):
+    """What :func:`kernel_moments` needs of where pieces lie and of the kernel rates.
 
-    Term n is ``(c0 + c1 s) e^{rate s + shift}`` on cell ``cell``, from a
-    piece of mode ``owner``; s runs from the cell's finite end into the
-    cell (outwards on a half-infinite cell, so its ``rate`` is negative).
-    Columns other than ``cell`` and ``owner`` have shape (terms, K, 1): a
-    family axis, then one that broadcasts against kernel rates.
+    Term n is piece ``piece[n]`` of mode ``owner[n]`` restricted to cell
+    ``cell[n]``, in a cell-local coordinate s >= 0 that runs from the
+    cell's finite end into the cell; ``d`` is that end minus the piece's
+    anchor, and ``sign`` is -1 on a left tail, where s runs backwards in t.
+    Terms on finite cells come first, each cell's in the order of their
+    pieces.  ``ends`` holds, for each kind of cell present (finite, then
+    half-infinite), the slice of its terms and their cells' lengths;
+    ``pairs`` likewise every ordered pair of terms on one cell, with the
+    pair's owners.  ``weight[k, l]`` is ``e^{-r gap}`` across the gap from
+    cell k up to cell l > k, and 0 for l <= k.  Every array is read-only.
     """
 
-    cell: np.ndarray
+    cells: int
+    linear: bool  # some piece has power 1, so the slope terms are formed
+    piece: np.ndarray
     owner: np.ndarray
+    cell: np.ndarray
+    d: np.ndarray
+    dk: np.ndarray  # d**power
+    power: np.ndarray
+    sign: np.ndarray
+    no_start: np.ndarray  # the terms on a left tail, which has no start
+    no_end: np.ndarray  # the terms on a right tail, which has no end
+    ends: tuple[tuple[slice, np.ndarray], ...]
+    pairs: tuple[tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray], np.ndarray], ...]
+    weight: np.ndarray
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+@functools.lru_cache(maxsize=1)
+def _plan(counts: tuple[int, ...], layout: bytes, rates: bytes) -> _Plan:
+    """The plan of modes of ``counts`` pieces each, given the bytes of the
+    pieces' ``(lo, hi, anchor, power)`` rows and of the kernel rates.
+
+    Only the latest plan is kept.  A call on the same bytes, such as each
+    objective call of an alpha scan, whatever its alphas, reuses it; a
+    ``-0.0`` end never shares the plan of a ``0.0`` one.
+    """
+    r = np.frombuffer(rates)
+    rows = np.frombuffer(layout).reshape(-1, 4)
+    plo, phi, anchor, power = rows.T
+    lo, hi = _cells(rows[:, :2].ravel().tolist())
+    length = hi - lo
+    pi, ci = np.nonzero((lo[None, :] >= plo[:, None]) & (hi[None, :] <= phi[:, None]))
+    order = np.argsort(np.isinf(length[ci]), kind="stable")
+    pi, ci = pi[order], ci[order]
+    L = length[ci]
+    nf = int(np.isfinite(L).sum())
+    left_tail = _read_only(np.isneginf(lo[ci]))
+    d = (np.where(left_tail, hi[ci], lo[ci]) - anchor[pi])[:, None]
+    k = power[pi][:, None]
+    owner = _read_only(np.repeat(np.arange(len(counts)), counts)[pi])
+    # row-major, so the pairs on finite cells come first
+    i, j = (_read_only(x) for x in np.nonzero(ci[:, None] == ci[None, :]))
+    nfp = int(np.searchsorted(i, nf))
+    L = _read_only(L[:, None, None])
+    ends = ((p, L[p]) for p in (slice(0, nf), slice(nf, len(ci))))
+    pairs = (
+        (i[p], j[p], (_read_only(owner[i[p]]), _read_only(owner[j[p]])), _read_only(L[i[p]]))
+        for p in (slice(0, nfp), slice(nfp, len(i)))
+    )
+    n = len(lo)
+    upper = np.arange(n)[:, None] < np.arange(n)
+    gap = np.where(upper, lo[None, :] - hi[:, None], 0.0)
+    return _Plan(
+        cells=n,
+        linear=bool(power.any()),
+        piece=_read_only(pi),
+        owner=owner,
+        cell=_read_only(ci),
+        d=_read_only(d),
+        dk=_read_only(d**k),
+        power=_read_only(k),
+        sign=_read_only(np.where(left_tail, -1.0, 1.0)[:, None]),
+        no_start=left_tail,
+        no_end=_read_only(np.isinf(hi[ci])),
+        ends=tuple(e for e in ends if len(e[1])),
+        pairs=tuple(e for e in pairs if len(e[0])),
+        weight=_read_only(np.exp(-gap[:, :, None] * r) * upper[:, :, None]),
+    )
+
+
+def _plan_of(modes, r: np.ndarray) -> _Plan:
+    """The plan of a non-empty mode list and a float array of kernel rates."""
+    layout = np.array([(p.lo, p.hi, p.anchor, p.power) for f in modes for p in f], dtype=float)
+    return _plan(tuple(len(f) for f in modes), layout.tobytes(), r.tobytes())
+
+
+class _Terms(NamedTuple):
+    """The values of some of a plan's terms: each is ``(c0 + c1 s) e^{rate s + shift}``.
+
+    Each column has shape (terms, K, 1): a family axis, then one that
+    broadcasts against kernel rates.  On a half-infinite cell s runs
+    outwards, so ``rate`` is negative there.
+    """
+
     c0: np.ndarray
     c1: np.ndarray
     rate: np.ndarray
     shift: np.ndarray
 
-    def take(self, idx) -> "_Terms":
-        return _Terms(*(col[idx] for col in self))
 
-
-def _terms(modes, lo: np.ndarray, hi: np.ndarray, family: tuple[int, ...]) -> _Terms:
-    """The terms of every piece of every mode, tagged with the mode's index."""
-    pieces = [p for f in modes for p in f]
-    owner = np.repeat(np.arange(len(modes)), [len(f) for f in modes])
-    plo, phi, anchor, power = (
-        np.array([getattr(p, f) for p in pieces], dtype=float)
-        for f in ("lo", "hi", "anchor", "power")
-    )
-    coeff, rate = np.empty((2, len(pieces)) + family)
-    for n, p in enumerate(pieces):
-        coeff[n], rate[n] = p.coeff, p.rate
-    coeff, rate = coeff.reshape(len(pieces), -1), rate.reshape(len(pieces), -1)
-    pi, ci = np.nonzero((lo[None, :] >= plo[:, None]) & (hi[None, :] <= phi[:, None]))
-    left_tail = lo[ci] == -np.inf
-    origin = np.where(left_tail, hi[ci], lo[ci])
-    sign = np.where(left_tail, -1.0, 1.0)[:, None]
-    d = (origin - anchor[pi])[:, None]
-    k = power[pi][:, None]
-    c, a = coeff[pi], rate[pi]
-    return _Terms(
-        cell=ci,
-        owner=owner[pi],
-        c0=(c * d**k)[..., None],
-        c1=(c * k * sign)[..., None],
-        rate=(sign * a)[..., None],
-        shift=(a * d)[..., None],
-    )
-
-
-def _end_moments(t: _Terms, r, length, linear: bool) -> np.ndarray:
-    """Int term e^{-r s} and Int term e^{-r (L - s)} over each term's cell.
+def _end_moments(t: _Terms, r, L, linear: bool) -> np.ndarray:
+    """Int term e^{-r s} and Int term e^{-r (L - s)} over each term's cell, of length L.
 
     The first is against the distance from the cell's start, the second
-    against the distance to its end.  On a half-infinite cell s runs
-    outwards from the finite end, and both rows hold the one moment.  The
-    ``c1`` terms are formed only when ``linear``; otherwise every ``c1`` is 0.
+    against the distance to its end.  The cells are all finite or all
+    half-infinite; on a half-infinite cell s runs outwards from the finite
+    end, and the one moment returned stands for both.  The ``c1`` terms
+    are formed only when ``linear``; otherwise every ``c1`` is 0.
     """
-    out = np.empty((2, len(t.cell), t.c0.shape[1], len(r)))
-    L = length[t.cell][:, None, None]
-    fin = np.isfinite(L[:, 0, 0])
-    if fin.any():
-        f, Lf = t.take(fin), L[fin]
-        # nodes: the exponent at s = 0 and twice at s = L of each integrand,
-        # shift included, against the distance from the start and to the end
-        z = np.empty((2, len(f.cell), f.shift.shape[1], len(r), 3))
-        z[0, ..., 0] = f.shift
-        z[1, ..., 0] = f.shift - r * Lf
-        z[0, ..., 1] = f.shift + (f.rate - r) * Lf
-        z[1, ..., 1] = f.shift + f.rate * Lf
-        moment = Lf * f.c0 * _dd(z[..., :2])
+    if np.isinf(L).all():
+        g = r - t.rate
+        moment = t.c0 / g
         if linear:
-            z[..., 2] = z[..., 1]
-            moment = moment + Lf**2 * f.c1 * _dd(z)
-        out[:, fin] = moment
-    if not fin.all():
-        inf = ~fin
-        g = r - t.rate[inf]
-        moment = t.c0[inf] / g
-        if linear:
-            moment = moment + t.c1[inf] / g**2
-        out[:, inf] = np.exp(t.shift[inf]) * moment
-    return out
+            moment = moment + t.c1 / g**2
+        return np.exp(t.shift) * moment
+    # nodes: the exponent at s = 0 and twice at s = L of each integrand,
+    # shift included, against the distance from the start and to the end
+    z = np.empty((2,) + t.shift.shape[:2] + (len(r), 3))
+    z[0, ..., 0] = t.shift
+    z[1, ..., 0] = t.shift - r * L
+    z[0, ..., 1] = t.shift + (t.rate - r) * L
+    z[1, ..., 1] = t.shift + t.rate * L
+    moment = L * t.c0 * _dd(z[..., :2])
+    if linear:
+        z[..., 2] = z[..., 1]
+        moment = moment + L**2 * t.c1 * _dd(z)
+    return moment
 
 
 def _triangles(p: _Terms, q: _Terms, r, L, linear: bool) -> np.ndarray:
@@ -290,44 +352,53 @@ def kernel_moments(modes, rates) -> np.ndarray:
     zero row and column.  When pieces are families of K members, the
     result gains a leading axis of length K, one Gram per member, still
     from the one pass: scalar pieces are shared by every member.
+
+    The cells, which piece lies on which cell, the pairs of terms on one
+    cell and the weights across the gaps between cells form a plan, which
+    depends only on each piece's ``(lo, hi, anchor, power)`` and on the
+    rates.  The most recent plan is kept, so a call on the layout of the
+    call before, such as every objective call of an alpha scan, only
+    gathers the pieces' ``coeff`` and ``rate`` through it.
     """
     r = np.atleast_1d(np.asarray(rates, dtype=float))
     pieces = [p for f in modes for p in f]
-    family = _family(pieces)
     m, nr = len(modes), len(r)
     if not pieces:
         return np.zeros((m, m, nr))
-    lo, hi = _cells(*modes)
-    n = len(lo)
-    length = hi - lo
-    t = _terms(modes, lo, hi, family)
-    nk = t.c0.shape[1]
-    linear = any(p.power for p in pieces)  # else every c1 is 0 and its terms are skipped
+    family = _family(pieces)
+    plan = _plan_of(modes, r)
+    coeff, rate = np.empty((2, len(pieces)) + family)
+    for k, p in enumerate(pieces):
+        coeff[k], rate[k] = p.coeff, p.rate
+    c = coeff.reshape(len(pieces), -1)[plan.piece]
+    a = rate.reshape(len(pieces), -1)[plan.piece]
+    n, nk = plan.cells, c.shape[1]
+    # the _Terms columns of every term, stacked: terms[:, idx] are those of terms idx
+    terms = np.empty((4, len(c), nk, 1))
+    terms[0, ..., 0] = c * plan.dk
+    terms[1, ..., 0] = c * plan.power * plan.sign
+    terms[2, ..., 0] = plan.sign * a
+    terms[3, ..., 0] = a * plan.d
 
     # separated cells k < l: e^{-r (t' - t)} = e^{-r (L_k - s)} e^{-r gap} e^{-r s'}
-    start, end = _end_moments(t, r, length, linear)
-    start[np.isneginf(lo[t.cell])] = 0.0
-    end[np.isinf(hi[t.cell])] = 0.0
+    start, end = ends = np.empty((2, len(c), nk, nr))
+    for part, L in plan.ends:
+        ends[:, part] = _end_moments(_Terms(*terms[:, part]), r, L, plan.linear)
+    start[plan.no_start] = 0.0
+    end[plan.no_end] = 0.0
     from_start = np.zeros((m, n, nk, nr))
     to_end = np.zeros_like(from_start)
-    np.add.at(from_start, (t.owner, t.cell), start)
-    np.add.at(to_end, (t.owner, t.cell), end)
-    upper = np.triu(np.ones((n, n), dtype=bool), 1)
-    gap = np.where(upper, lo[None, :] - hi[:, None], 0.0)
-    w = np.exp(-gap[:, :, None] * r) * upper[:, :, None]
-    sep = np.einsum("ikqr,klr,jlqr->qijr", to_end, w, from_start)
+    np.add.at(from_start, (plan.owner, plan.cell), start)
+    np.add.at(to_end, (plan.owner, plan.cell), end)
+    sep = np.einsum("ikqr,klr,jlqr->qijr", to_end, plan.weight, from_start)
 
     # a cell with itself: the triangle u <= s of every ordered pair of terms,
     # summed per pair of owners; the triangle s <= u is its transpose
-    i, j = np.nonzero(t.cell[:, None] == t.cell[None, :])
-    L = length[t.cell[i]]
     tri = np.zeros((m, m, nk, nr))
-    for part in (np.isfinite(L), np.isinf(L)):
-        if part.any():
-            p, q = t.take(i[part]), t.take(j[part])
-            Lp = L[part][:, None, None]
-            np.add.at(tri, (p.owner, q.owner), _triangles(p, q, r, Lp, linear))
+    for i, j, owners, L in plan.pairs:
+        np.add.at(
+            tri, owners, _triangles(_Terms(*terms[:, i]), _Terms(*terms[:, j]), r, L, plan.linear)
+        )
     same = tri.transpose(2, 0, 1, 3)
     gram = (sep + sep.transpose(0, 2, 1, 3)) + (same + same.transpose(0, 2, 1, 3))
     return gram.reshape(family + (m, m, nr))
-

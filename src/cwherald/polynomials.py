@@ -132,7 +132,9 @@ def central_moments(cov: np.ndarray, max_degree: int) -> np.ndarray:
     transpose for a = 0), exact for any degree.  The recursion runs on the
     (a, b) entries, each a number or the family's vector of K numbers; a
     single covariance's numbers are Python floats, which do the same IEEE
-    operations as numpy's scalars without their overhead.
+    operations as numpy's scalars without their overhead.  An entry of odd
+    a + b only ever sums entries of odd degree, which start at 0, so the
+    recursion visits even a + b only and leaves the odd entries +0.0.
     """
     cxx, cxp, cpp = cov[..., 0, 0][()], cov[..., 0, 1][()], cov[..., 1, 1][()]
     if np.ndim(cxx) == 0:
@@ -142,9 +144,7 @@ def central_moments(cov: np.ndarray, max_degree: int) -> np.ndarray:
         m = np.zeros((max_degree + 1, max_degree + 1) + cxx.shape)
     m[0][0] = 1.0
     for a in range(max_degree + 1):
-        for b in range(max_degree + 1):
-            if a == 0 and b == 0:
-                continue
+        for b in range(a % 2, max_degree + 1, 2):
             if a > 0:
                 acc = 0.0
                 if a >= 2:
@@ -152,8 +152,8 @@ def central_moments(cov: np.ndarray, max_degree: int) -> np.ndarray:
                 if b >= 1:
                     acc += b * cxp * m[a - 1][b - 1]
                 m[a][b] = acc
-            else:
-                m[a][b] = (b - 1) * cpp * m[0][b - 2] if b >= 2 else 0.0
+            elif b > 0:
+                m[0][b] = (b - 1) * cpp * m[0][b - 2]
     if isinstance(m, list):
         return np.array(m)
     return np.ascontiguousarray(np.moveaxis(m, (0, 1), (-2, -1)))

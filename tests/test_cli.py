@@ -610,11 +610,11 @@ def test_source_edits_keep_the_cli_contract(gamma1, gamma2, epsilon):
     text = _fixture_with("figure3_upper.cfg", "gamma1 = 1.0", f"gamma1 = {gamma1}")
     text = text.replace("gamma2 = 0.0", f"gamma2 = {gamma2}")
     text = text.replace("epsilon = 0.01", f"epsilon = {epsilon}")
-    assert_run_keeps_the_cli_contract(text)
+    assert_stage_keeps_the_cli_contract("run", text, "--grid=-1,1,-1,1,3,3")
 
 
-def assert_run_keeps_the_cli_contract(text):
-    """``run`` on a config text exits 0-3, and a failure with one error line
+def assert_stage_keeps_the_cli_contract(stage, text, *args):
+    """``stage`` on a config text exits 0-3, and a failure with one error line
     and no file; nothing warns."""
     with tempfile.TemporaryDirectory() as tmp:
         cfg, out = Path(tmp) / "edit.cfg", Path(tmp) / "out"
@@ -622,12 +622,11 @@ def assert_run_keeps_the_cli_contract(text):
         err = io.StringIO()
         with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err):
             warnings.simplefilter("always")
-            code = cli.main(["run", "--config", str(cfg), "--out", str(out), "--quiet",
-                             "--grid=-1,1,-1,1,3,3"])
+            code = cli.main([stage, "--config", str(cfg), "--out", str(out), "--quiet", *args])
         assert [str(w.message) for w in caught] == []
         assert code in (0, 1, 2, 3)
         if code:
-            where = "config" if code == 2 else "run"
+            where = "config" if code == 2 else stage
             lines = err.getvalue().splitlines()
             assert len(lines) == 1 and lines[0].startswith(f"error [{where}]: ")
             assert not out.exists()
@@ -659,6 +658,7 @@ TIME_AND_NOISE_LINES = {
 @example(edits={"window_width": "1e300"})  # the kernel would square the window
 @example(edits={"window_center": "1e300"})  # the window lies past the squarable times
 @example(edits={"window_center": "1e12", "window_width": "1e-12"})  # empty in floating point
+@example(edits={"window_center": "1e12"})  # the window's float width is off by 0.6 %
 @example(edits={"center": "1e300"})  # the output envelope lies past the squarable times
 @example(edits={"xi1": "1e300"})  # det V overflows
 @example(edits={"xi2": "1e300"})  # det V overflows
@@ -672,7 +672,70 @@ def test_trigger_output_and_loss_edits_keep_the_cli_contract(edits):
     for key, value in edits.items():
         line = TIME_AND_NOISE_LINES[key]
         text = text.replace(line, line.replace(line.split(" = ")[1], value))
-    assert_run_keeps_the_cli_contract(text)
+    assert_stage_keeps_the_cli_contract("run", text, "--grid=-1,1,-1,1,3,3")
+
+
+SOURCE_LINES = {"gamma1": "gamma1 = 1.0", "gamma2": "gamma2 = 0.0", "epsilon": "epsilon = 0.2"}
+# each stage but run: the config it edits, and the line each edited key replaces there
+STAGE_EDITS = {
+    "covariance": (
+        (FIXTURES / "figure4_upper.cfg").read_text(), {**SOURCE_LINES, **TIME_AND_NOISE_LINES}
+    ),
+    "coherence": (
+        _fixture_with("figure4_upper.cfg", "[outputs]",
+                      "[outputs]\ncoherence_halfwidth = 10.0\ncoherence_points = 9"),
+        {
+            **SOURCE_LINES,
+            "window_center": "window_center = 0.0",
+            "coherence_halfwidth": "coherence_halfwidth = 10.0",
+            "coherence_points": "coherence_points = 9",
+        },
+    ),
+    "scan-alpha": (
+        (FIXTURES / "figure4_scan.cfg").read_text(),
+        {
+            **SOURCE_LINES,
+            **{key: line for key, line in TIME_AND_NOISE_LINES.items() if key != "alpha"},
+            "alpha_min": "alpha_min = 0.25",
+            "alpha_max": "alpha_max = 0.5",
+            "samples": "samples = 50",
+        },
+    ),
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    case=st.sampled_from(list(STAGE_EDITS)).flatmap(
+        lambda stage: st.tuples(
+            st.just(stage),
+            st.dictionaries(
+                st.sampled_from(list(STAGE_EDITS[stage][1])),
+                st.sampled_from([*SOURCE_VALUES, "none"]),
+                min_size=1,
+                max_size=3,
+            ),
+        )
+    )
+)
+# each warned and exited 0: the grid's times round together; a lag times a rate overflows
+@example(case=("coherence", {"coherence_halfwidth": "1e-12", "window_center": "1e6"}))
+@example(case=("coherence", {"coherence_halfwidth": "1e300", "gamma1": "1e12", "epsilon": "3"}))
+@example(case=("covariance", {"window_width": "1e300"}))  # the kernel would square the window
+@example(case=("covariance", {"epsilon": "1e12"}))  # above threshold
+@example(case=("scan-alpha", {"alpha_max": "1e300"}))  # past the rate bound
+@example(case=("scan-alpha", {"alpha_min": "1e-300"}))  # runs from a vanishing decay rate
+@example(case=("scan-alpha", {"xi2": "1e12", "window_width": "1e12"}))  # runs
+def test_other_stages_keep_the_cli_contract(case):
+    """Any source, window, output, noise, coherence or scan values keep the
+    contract of covariance, coherence and scan-alpha."""
+    stage, edits = case
+    text, lines = STAGE_EDITS[stage]
+    for key, value in edits.items():
+        line = lines[key]
+        assert text.count(line) == 1, line
+        text = text.replace(line, line.replace(line.split(" = ")[1], value))
+    assert_stage_keeps_the_cli_contract(stage, text)
 
 
 UNUSABLE_VALUES = {
@@ -690,6 +753,16 @@ UNUSABLE_VALUES = {
         "window_center = 0.0", "window_center = 1e15",
         "[trigger] window_width = 0.02 at window_center = 1e+15 "
         "leaves the window empty in floating point",
+    ),
+    "window_width_off_in_rounding": (
+        "window_center = 0.0", "window_center = 1e14",
+        "[trigger] window_width = 0.02 at window_center = 1e+14 is 0.03125 wide in "
+        "floating point, more than 1e-09 off relative to the width asked",
+    ),
+    "coherence_halfwidth_huge": (
+        "[outputs]", "[outputs]\ncoherence_halfwidth = 1e300",
+        "[outputs] coherence_halfwidth = 1e+300 reaches past +-8.38e+152: "
+        "the kernel multiplies the lags by rates",
     ),
     "output_center_huge": (
         "\ncenter = 0.0", "\ncenter = -1e300",
@@ -727,6 +800,46 @@ def test_unusable_time_or_noise_is_a_config_error(tmp_path, capsys, old, new, me
     out = tmp_path / "out"
     assert cli.main(["run", "--config", str(cfg), "--out", str(out), "--quiet"]) == 2
     assert capsys.readouterr().err == f"error [config]: {message}\n"
+    assert not out.exists()
+
+
+def test_coherence_grid_lost_in_rounding_is_an_input_error(tmp_path, capsys):
+    # its times rounded together, and the mode's norm divided by a zero step
+    cfg = tmp_path / "coh.cfg"
+    cfg.write_text(
+        _fixture_with("figure4_upper.cfg", "window_center = 0.0", "window_center = 1e6").replace(
+            "[outputs]", "[outputs]\ncoherence_halfwidth = 1e-12\ncoherence_points = 9"
+        )
+    )
+    out = tmp_path / "out"
+    assert cli.main(["coherence", "--config", str(cfg), "--out", str(out), "--quiet"]) == 1
+    assert capsys.readouterr().err == (
+        "error [coherence]: a coherence grid 2e-12 wide of 9 points around t_c = 1e+06 "
+        "has times that round together\n"
+    )
+    assert not out.exists()
+
+
+def test_tabulated_times_past_the_time_bound_are_an_input_error(tmp_path, capsys):
+    # they overflowed the kernel's squared lengths with numpy warnings, then
+    # ended as a non-finite covariance
+    table = tmp_path / "envelope.txt"
+    np.savetxt(table, [[0.0, 1.0], [1e200, 0.5]])
+    cfg = tmp_path / "tab.cfg"
+    cfg.write_text(
+        _fixture_with("figure3_upper.cfg", "envelope = exponential\nalpha = 0.5",
+                      f"envelope = tabulated\ntable = {table}")
+    )
+    out = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = cli.main(["run", "--config", str(cfg), "--out", str(out), "--quiet"])
+    assert [str(w.message) for w in caught] == []
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error [run]: tabulated envelope times reach past +-8.38e+152 at center = 0: "
+        "the kernel multiplies the time between piece ends by rates\n"
+    )
     assert not out.exists()
 
 

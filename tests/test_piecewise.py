@@ -205,24 +205,17 @@ class TestKernelMoments:
 # linear: the oracle of kernel_moments' skip of the c1 terms of power-0 pieces.
 
 
-def end_moments_all_terms(t, r, length, linear):
-    out = np.empty((2, len(t.cell), t.c0.shape[1], len(r)))
-    L = length[t.cell][:, None, None]
-    fin = np.isfinite(L[:, 0, 0])
-    if fin.any():
-        f, Lf = t.take(fin), L[fin]
-        z = np.empty((2, len(f.cell), f.shift.shape[1], len(r), 3))
-        z[0, ..., 0] = f.shift
-        z[1, ..., 0] = f.shift - r * Lf
-        z[0, ..., 1] = f.shift + (f.rate - r) * Lf
-        z[1, ..., 1] = f.shift + f.rate * Lf
-        z[..., 2] = z[..., 1]
-        out[:, fin] = Lf * f.c0 * piecewise._dd(z[..., :2]) + Lf**2 * f.c1 * piecewise._dd(z)
-    if not fin.all():
-        inf = ~fin
-        g = r - t.rate[inf]
-        out[:, inf] = np.exp(t.shift[inf]) * (t.c0[inf] / g + t.c1[inf] / g**2)
-    return out
+def end_moments_all_terms(t, r, L, linear):
+    if np.isinf(L).all():
+        g = r - t.rate
+        return np.exp(t.shift) * (t.c0 / g + t.c1 / g**2)
+    z = np.empty((2,) + t.shift.shape[:2] + (len(r), 3))
+    z[0, ..., 0] = t.shift
+    z[1, ..., 0] = t.shift - r * L
+    z[0, ..., 1] = t.shift + (t.rate - r) * L
+    z[1, ..., 1] = t.shift + t.rate * L
+    z[..., 2] = z[..., 1]
+    return L * t.c0 * piecewise._dd(z[..., :2]) + L**2 * t.c1 * piecewise._dd(z)
 
 
 def triangles_all_terms(p, q, r, L, linear):
@@ -339,3 +332,88 @@ class TestLinearTermsSkipped:
                 at = replace(cfg, trigger=trigger, output=replace(cfg.output, alpha=alpha))
                 f1, f2, kernel = build_modes(at)
                 assert_same_as_all_terms((f1, f2), [rate for rate, _, _ in kernel.terms])
+
+
+def revalued(modes, factor):
+    """The modes with every coeff and rate scaled by ``factor`` > 0: the same layout."""
+    return tuple(
+        tuple(replace(p, coeff=factor * p.coeff, rate=factor * p.rate) for p in f) for f in modes
+    )
+
+
+def fresh(modes, rates):
+    """kernel_moments' bytes from a plan built for this call alone."""
+    piecewise._plan.cache_clear()
+    return kernel_moments(modes, rates).tobytes()
+
+
+def plan_arrays(x):
+    """Every array in a plan, its nested tuples included."""
+    if isinstance(x, np.ndarray):
+        return [x]
+    return [a for item in x for a in plan_arrays(item)] if isinstance(x, tuple) else []
+
+
+class TestKeptPlan:
+    """The one plan kept between calls changes no bit of any Gram."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        a=st.sampled_from([(0,), (1,), (0, 1)]).flatmap(
+            lambda powers: st.booleans().flatmap(lambda family: piece_sets(powers, family))
+        ),
+        b=st.booleans().flatmap(lambda family: piece_sets((0, 1), family)),
+        factor=st.floats(0.5, 2.0),
+        rates=st.lists(st.floats(0.01, 10.0), min_size=1, max_size=3),
+    )
+    def test_layouts_a_b_a_match_fresh_plans(self, a, b, factor, rates):
+        # a and its revalued copy share a plan; b in between replaces it, and
+        # so do new kernel rates
+        other = [2.0 * x for x in rates]
+        calls = [(a, rates), (revalued(a, factor), rates), (b, rates), (a, rates), (a, other)]
+        want = [fresh(*call) for call in calls]
+        piecewise._plan.cache_clear()
+        got = [kernel_moments(*call).tobytes() for call in calls]
+        assert got == want
+        info = piecewise._plan.cache_info()
+        assert info.hits >= 1 and info.currsize == 1
+
+    @pytest.mark.parametrize("change", ["ends", "anchor", "power", "counts", "rates"])
+    def test_each_part_of_the_layout_keys_the_plan(self, change):
+        left = Piece(-np.inf, 0.0, 0.0, 0.7, rate=1.3)
+        ramp = Piece(0.0, 0.5, 0.5, 1.0, power=1, rate=-0.4)
+        box = Piece(-0.2, 0.5, -0.2, 0.9)
+        right = Piece(0.5, np.inf, 0.5, 0.3, rate=-1.1)
+        base = ((left, ramp), (box, right))
+        variant, rates = {
+            "ends": (((left, ramp), (replace(box, lo=-0.3, anchor=-0.3), right)), RATES),
+            "anchor": (((left, replace(ramp, anchor=0.0)), (box, right)), RATES),
+            "power": (((left, replace(ramp, power=0)), (box, right)), RATES),
+            "counts": (((left,), (ramp, box, right)), RATES),
+            "rates": (base, RATES[::-1]),
+        }[change]
+        calls = [(base, RATES), (variant, rates), (base, RATES)]
+        want = [fresh(*call) for call in calls]
+        piecewise._plan.cache_clear()
+        assert [kernel_moments(*call).tobytes() for call in calls] == want
+        assert piecewise._plan.cache_info().misses == 3
+
+    def test_signed_zero_ends_get_their_own_plans(self):
+        # the other mode's -0.0 end comes first, so the cells cut the line at -0.0
+        tail = Piece(0.0, np.inf, 0.0, 0.8, power=1, rate=-1.2)
+        minus = ((Piece(-0.5, -0.0, -0.0, 1.0),), (tail,))
+        plus = ((Piece(-0.5, 0.0, 0.0, 1.0),), (tail,))
+        want = [fresh(modes, RATES) for modes in (minus, plus, minus)]
+        piecewise._plan.cache_clear()
+        got = [kernel_moments(modes, RATES).tobytes() for modes in (minus, plus, minus)]
+        assert got == want
+        assert piecewise._plan.cache_info().misses == 3
+        # the tail's offset from its cell's end to its anchor is -0.0 in one plan only
+        plans = [piecewise._plan_of(modes, np.array(RATES)) for modes in (minus, plus)]
+        assert [np.signbit(p.d[p.no_end]).tolist() for p in plans] == [[[True]], [[False]]]
+
+    def test_plan_is_read_only(self):
+        plan = piecewise._plan_of(three_modes(), np.array(RATES))
+        arrays = plan_arrays(tuple(plan))
+        assert len(arrays) > 10
+        assert not any(a.flags.writeable for a in arrays)

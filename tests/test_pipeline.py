@@ -7,7 +7,7 @@ import pytest
 
 from conftest import random_physical_covariance
 
-from cwherald import modes, pipeline
+from cwherald import modes, piecewise, pipeline
 from cwherald.conditioning import condition_on_number
 from cwherald.config import ScanConfig, parse_config
 from cwherald.covariance import save_covariance
@@ -85,6 +85,18 @@ class TestScanObjectives:
         # the whole grid first, then one single-alpha (scalar) call per refinement step
         assert families[0] == (cfg.scan.samples,)
         assert families[1:] == [()] * (len(families) - 1)
+
+    def test_one_moment_plan_for_the_whole_scan(self, monkeypatch):
+        # the grid's family and the scalar refinement steps share one layout
+        cfg = parse_config(FIXTURES / "figure4_scan.cfg")
+        calls = []
+        gram = modes.kernel_moments
+        monkeypatch.setattr(modes, "kernel_moments", lambda *args: calls.append(1) or gram(*args))
+        piecewise._plan.cache_clear()
+        scan_alpha(cfg)
+        info = piecewise._plan.cache_info()
+        assert len(calls) > 2
+        assert (info.misses, info.hits) == (1, len(calls) - 1)
 
     def test_grid_takes_one_conditioning_pass(self, monkeypatch):
         cfg = parse_config(FIXTURES / "figure4_scan.cfg")

@@ -1,9 +1,10 @@
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from cwherald.polynomials import poly_eval
+from cwherald.polynomials import central_moments, poly_eval
 
 # coefficient tables up to 5x5 whose entries are often exactly zero
 _entries = st.one_of(st.just(0.0), st.floats(-10.0, 10.0))
@@ -109,3 +110,46 @@ class TestPolyEvalOnAxes:
             c[i, j] * xs[None, :] ** i * ps[:, None] ** j for i in range(5) for j in range(5)
         )
         assert np.allclose(got, want, rtol=1e-12, atol=1e-9)
+
+
+def all_entries_central_moments(cov, max_degree):
+    """The Stein/Isserlis recursion over every (a, b), odd a + b included."""
+    cxx, cxp, cpp = cov[..., 0, 0][()], cov[..., 0, 1][()], cov[..., 1, 1][()]
+    if np.ndim(cxx) == 0:
+        cxx, cxp, cpp = float(cxx), float(cxp), float(cpp)
+        m = [[0.0] * (max_degree + 1) for _ in range(max_degree + 1)]
+    else:
+        m = np.zeros((max_degree + 1, max_degree + 1) + cxx.shape)
+    m[0][0] = 1.0
+    for a in range(max_degree + 1):
+        for b in range(max_degree + 1):
+            if a == 0 and b == 0:
+                continue
+            if a > 0:
+                acc = 0.0
+                if a >= 2:
+                    acc += (a - 1) * cxx * m[a - 2][b]
+                if b >= 1:
+                    acc += b * cxp * m[a - 1][b - 1]
+                m[a][b] = acc
+            else:
+                m[a][b] = (b - 1) * cpp * m[0][b - 2] if b >= 2 else 0.0
+    if isinstance(m, list):
+        return np.array(m)
+    return np.ascontiguousarray(np.moveaxis(m, (0, 1), (-2, -1)))
+
+
+class TestCentralMoments:
+    """Only the even-degree entries are formed; the table keeps every bit."""
+
+    @pytest.mark.parametrize("family", [(), (3,)])
+    def test_same_bytes_as_every_entry(self, family):
+        rng = np.random.default_rng(17)
+        for _ in range(200):
+            a = rng.normal(size=family + (2, 2)) * rng.uniform(0.05, 3.0)
+            cov = a @ np.swapaxes(a, -1, -2) + 1e-3 * np.eye(2)
+            degree = int(rng.integers(0, 10))
+            got = central_moments(cov, degree)
+            assert got.tobytes() == all_entries_central_moments(cov, degree).tobytes()
+            odd = (np.add.outer(np.arange(degree + 1), np.arange(degree + 1)) % 2).astype(bool)
+            assert got[..., odd].tobytes() == np.zeros(got[..., odd].shape).tobytes()
