@@ -54,6 +54,9 @@ def negativity_volume(s: GaussPolyState, grid: GridSpec) -> float:
 
     The values are the state's kept :func:`~cwherald.wigner.evaluate_grid`
     table, so the grid is evaluated once for this and any later caller.
+    The sum is ``0.0 - sum(min(W, 0))`` in one pass over the table: the
+    same float as the sum of ``max(-W, 0)``, and ``+0.0`` when no cell is
+    negative.
     """
     xs, ps, w = evaluate_grid(s, grid)
-    return float(np.sum(np.clip(-w, 0.0, None)) * (xs[1] - xs[0]) * (ps[1] - ps[0]))
+    return float((0.0 - np.sum(np.minimum(w, 0.0))) * (xs[1] - xs[0]) * (ps[1] - ps[0]))

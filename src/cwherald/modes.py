@@ -176,7 +176,8 @@ def build_output_mode(spec: OutputModeSpec) -> tuple[Piece, ...]:
 
     A tabulated envelope is read from ``spec.table`` and moved by
     ``spec.center`` along the time axis; its moved times must lie within
-    +-:data:`MAX_TIME`, as the window's ends do.  An array of ``alpha`` values
+    +-:data:`MAX_TIME`, as the window's ends do, and its squared norm
+    must be a finite float.  An array of ``alpha`` values
     gives one mode whose pieces are families, one member per value.
     """
     tc = spec.center
@@ -201,7 +202,10 @@ def build_output_mode(spec: OutputModeSpec) -> tuple[Piece, ...]:
         raise ValueError("tabulated envelope times must be strictly increasing")
     # exact L2 norm of the linear interpolant
     h = np.diff(ts)
-    sq = np.sum(h * (us[:-1] ** 2 + us[:-1] * us[1:] + us[1:] ** 2) / 3.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        sq = np.sum(h * (us[:-1] ** 2 + us[:-1] * us[1:] + us[1:] ** 2) / 3.0)
+    if not np.isfinite(sq):
+        raise ValueError("tabulated envelope's squared norm overflows: its samples are too large")
     if sq <= 0.0:
         raise ValueError("tabulated envelope has zero norm")
     un = us / np.sqrt(sq)

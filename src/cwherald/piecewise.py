@@ -113,9 +113,12 @@ def _taylor(z: np.ndarray) -> np.ndarray:
     y = z[:, 1:] - z[:, :1]
     span = float(y[:, -1].max(initial=0.0))
     terms = next((m for m in range(1, _TAYLOR_TERMS) if span**m < 1e-17 * _FACT[m]), _TAYLOR_TERMS)
-    h = np.zeros((terms, len(z)))
+    # of the first variable alone, h_m = y_0^m: a running product down the rows
+    h = np.empty((terms, len(z)))
     h[0] = 1.0
-    for yi in y.T:
+    h[1:] = y[:, 0]
+    np.multiply.accumulate(h, axis=0, out=h)
+    for yi in y.T[1:]:
         # adding a variable: h_m <- h_m + y_i h_{m-1}, with h_{m-1} already updated
         for m in range(1, terms):
             h[m] += yi * h[m - 1]

@@ -19,6 +19,7 @@ the conditioning module's photon-number core.  The Fock states of
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -88,7 +89,15 @@ class GaussPolyState:
     terms: tuple[PolyGaussTerm, ...]
 
     def evaluate(self, x, p):
-        """Wigner value at (x, p); broadcasts over array arguments."""
+        """Wigner value at (x, p); broadcasts over array arguments.
+
+        Each term is formed in one buffer of the broadcast shape: the
+        exponent ``-(a x^2 + 2b x p + c p^2)`` of ``sigma^-1 = [[a, b], [b, c]]``
+        is summed as ``-2b x p``, then ``-a x^2``, then ``-c p^2``, so on a
+        mesh the squares are taken on the axes.  Rounding is symmetric in
+        sign, so every cell is the float of the negated sum
+        ``-((a x^2 + 2b x p) + c p^2)``.
+        """
         family = max(a.shape[:-2] for t in self.terms for a in (t.coeffs, t.sigma))
         if family:
             raise ValueError(
@@ -97,11 +106,16 @@ class GaussPolyState:
         x = np.asarray(x, dtype=float)
         p = np.asarray(p, dtype=float)
         out = np.zeros(np.broadcast(x, p).shape)
+        buf = np.empty_like(out)
         for t in self.terms:
             si = t.core.sigma_inv
-            expo = -(si[0, 0] * x * x + 2.0 * si[0, 1] * x * p + si[1, 1] * p * p)
-            out = out + poly_eval(t.coeffs, x, p) * np.exp(expo)
-        return out
+            np.multiply(-2.0 * si[0, 1] * x, p, out=buf)
+            buf += -si[0, 0] * x * x
+            buf += -si[1, 1] * p * p
+            np.exp(buf, out=buf)
+            buf *= poly_eval(t.coeffs, x, p)
+            out += buf
+        return out[()]  # a number at a single point
 
     def at_origin(self) -> float | np.ndarray:
         """Exact value at the phase-space origin (constant coefficients)."""
@@ -183,7 +197,13 @@ def integrate_out_trigger(w: TwoModeGaussianWigner, weight: np.ndarray):
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Rectangular phase-space grid; symmetric odd-count axes hit the origin exactly."""
+    """Rectangular phase-space grid; symmetric odd-count axes hit the origin exactly.
+
+    Its axes :attr:`xs` and :attr:`ps` and their exact-mirror test
+    :attr:`mirrored` are computed once per spec, at first use, and kept on
+    it; the axes are read-only, so every state gridded on one spec shares
+    the same two arrays.
+    """
 
     xmin: float = -5.0
     xmax: float = 5.0
@@ -199,19 +219,29 @@ class GridSpec:
             if not (np.isfinite(lo) and np.isfinite(hi) and hi > lo):
                 raise ValueError(f"bad grid range ({lo}, {hi})")
 
-    def x_axis(self) -> np.ndarray:
+    @cached_property
+    def xs(self) -> np.ndarray:
         return _axis(self.xmin, self.xmax, self.nx)
 
-    def p_axis(self) -> np.ndarray:
+    @cached_property
+    def ps(self) -> np.ndarray:
         return _axis(self.pmin, self.pmax, self.np_)
+
+    @cached_property
+    def mirrored(self) -> bool:
+        """Whether each axis is exactly its own negation reversed, ``v == -v[::-1]``."""
+        return all(np.array_equal(v, -v[::-1]) for v in (self.xs, self.ps))
 
 
 def _axis(lo: float, hi: float, n: int) -> np.ndarray:
     if n % 2 == 1 and lo == -hi:
         # build around the exact midpoint so the origin is hit exactly
         step = (hi - lo) / (n - 1)
-        return (np.arange(n) - (n - 1) // 2) * step
-    return np.linspace(lo, hi, n)
+        v = (np.arange(n) - (n - 1) // 2) * step
+    else:
+        v = np.linspace(lo, hi, n)
+    v.flags.writeable = False
+    return v
 
 
 def evaluate_grid(s: GaussPolyState, grid: GridSpec):
@@ -219,6 +249,7 @@ def evaluate_grid(s: GaussPolyState, grid: GridSpec):
 
     Evaluated at most once per state and grid, kept on the state and
     returned read-only, so every caller of one state's grid shares it.  The
+    axes are the spec's own (:attr:`GridSpec.xs`, :attr:`GridSpec.ps`).  The
     table holds exactly the floats of ``s.evaluate(xs[None, :], ps[:, None])``
     but evaluates only the block that the parity symmetry does not fix:
     see :func:`_evaluate_mesh`.  Each term's polynomial is two small matrix
@@ -228,33 +259,32 @@ def evaluate_grid(s: GaussPolyState, grid: GridSpec):
     """
     kept = s.__dict__.get("_grids", {}).get(grid)
     if kept is None:
-        xs, ps = grid.x_axis(), grid.p_axis()
-        w = _evaluate_mesh(s, xs, ps)
-        for a in (xs, ps, w):
-            a.flags.writeable = False
-        kept = s.__dict__.setdefault("_grids", {})[grid] = xs, ps, w
+        w = _evaluate_mesh(s, grid)
+        w.flags.writeable = False
+        kept = s.__dict__.setdefault("_grids", {})[grid] = grid.xs, grid.ps, w
     return kept
 
 
-def _evaluate_mesh(s: GaussPolyState, xs: np.ndarray, ps: np.ndarray) -> np.ndarray:
-    """``s.evaluate(xs[None, :], ps[:, None])``, evaluated on its parity block and mirrored.
+def _evaluate_mesh(s: GaussPolyState, grid: GridSpec) -> np.ndarray:
+    """``s.evaluate(xs[None, :], ps[:, None])`` on the grid's axes, by parity block and mirror.
 
     Every operation of :meth:`GaussPolyState.evaluate` commutes exactly
-    with negation.  So if every term's coefficients vanish at odd
-    ``i + j`` and both axes are exactly antisymmetric, W(-x, -p) is the
-    same float as W(x, p) and the leading half of the rows fixes the rest.
-    If in addition only even powers of x occur and every ``sigma^-1``
-    cross term is 0, W(-x, p) is also W(x, p), and the leading quarter
-    fixes all.  Otherwise the whole mesh is evaluated.
+    with negation.  So if every term's table vanishes at odd ``i + j``
+    (its slices ``c[..., 1::2, ::2]`` and ``c[..., ::2, 1::2]``) and the
+    grid is :attr:`~GridSpec.mirrored`, W(-x, -p) is the same float as
+    W(x, p) and the leading half of the rows fixes the rest.  If in
+    addition no odd power of x occurs (``c[..., 1::2, :]``) and every
+    ``sigma^-1`` cross term is 0, W(-x, p) is also W(x, p), and the
+    leading quarter fixes all.  Otherwise the whole mesh is evaluated.
     """
-    n, m = len(xs), len(ps)
-    powers = [ij for t in s.terms for ij in nonzero_entries(t.coeffs)]
-    axes = np.array_equal(xs, -xs[::-1]) and np.array_equal(ps, -ps[::-1])
-    if not (axes and all((i + j) % 2 == 0 for i, j in powers)):
+    xs, ps = grid.xs, grid.ps
+    tables = [t.coeffs for t in s.terms]
+    if not grid.mirrored or any(c[..., 1::2, ::2].any() or c[..., ::2, 1::2].any() for c in tables):
         return s.evaluate(xs[None, :], ps[:, None])
-    even_x = all(i % 2 == 0 for i, _ in powers) and not any(
-        np.any(t.core.sigma_inv[..., 0, 1]) for t in s.terms
+    even_x = not any(c[..., 1::2, :].any() for c in tables) and not any(
+        t.core.sigma_inv[..., 0, 1].any() for t in s.terms
     )
+    n, m = len(xs), len(ps)
     hx, hp = (n + 1) // 2 if even_x else n, (m + 1) // 2
     w = np.empty((m, n))
     w[:hp, :hx] = s.evaluate(xs[None, :hx], ps[:hp, None])

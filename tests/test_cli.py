@@ -591,6 +591,21 @@ def test_bad_source_fails_every_stage_first(tmp_path, capsys, stage, old, new, c
 
 
 SOURCE_VALUES = ["0", "1e-12", "-1e-12", "1e-300", "1", "1e12", "1e300", "nan", "inf"]
+# the [measurement] lines of each detection kind; every fixture measures click
+MEASUREMENTS = {
+    "number 0": "kind = number\nn = 0",
+    "number 1": "kind = number\nn = 1",
+    "number 2": "kind = number\nn = 2",
+    "on": "kind = on",
+    "click": "kind = click",
+    "vacuum": "kind = vacuum",
+}
+KINDS = st.sampled_from(list(MEASUREMENTS))
+
+
+def _measuring(kind, text):
+    """A fixture's config text with its click measurement switched to ``kind``."""
+    return text.replace("[measurement]\nkind = click", f"[measurement]\n{MEASUREMENTS[kind]}")
 
 
 @settings(max_examples=100, deadline=None)
@@ -598,19 +613,27 @@ SOURCE_VALUES = ["0", "1e-12", "-1e-12", "1e-300", "1", "1e12", "1e300", "nan", 
     gamma1=st.sampled_from(SOURCE_VALUES),
     gamma2=st.sampled_from(SOURCE_VALUES),
     epsilon=st.sampled_from(SOURCE_VALUES),
+    kind=KINDS,
 )
-@example(gamma1="1e300", gamma2="0", epsilon="1e-12")  # the fast rate's square overflows
-@example(gamma1="1e-12", gamma2="1e300", epsilon="0")  # the fast rate's square overflows
-@example(gamma1="1e12", gamma2="1e12", epsilon="1e12")  # above threshold
-@example(gamma1="1e-300", gamma2="0", epsilon="0")  # no squeezing: the trigger has no photon
-@example(gamma1="1e12", gamma2="1e12", epsilon="1")  # runs
-def test_source_edits_keep_the_cli_contract(gamma1, gamma2, epsilon):
-    """Any [source] values end run with exit 0-3, and a failure with one
-    error line and no file; no value makes numpy warn."""
+# the fast rate's square overflows
+@example(gamma1="1e300", gamma2="0", epsilon="1e-12", kind="click")
+@example(gamma1="1e-12", gamma2="1e300", epsilon="0", kind="click")
+@example(gamma1="1e12", gamma2="1e12", epsilon="1e12", kind="click")  # above threshold
+# no squeezing: the trigger has no photon
+@example(gamma1="1e-300", gamma2="0", epsilon="0", kind="click")
+@example(gamma1="1e12", gamma2="1e12", epsilon="1", kind="click")  # runs
+# without squeezing, no photon is certain: number 0 and vacuum run, the others are impossible
+@example(gamma1="1", gamma2="0", epsilon="0", kind="number 0")
+@example(gamma1="1", gamma2="0", epsilon="0", kind="vacuum")
+@example(gamma1="1", gamma2="0", epsilon="0", kind="number 2")
+@example(gamma1="1", gamma2="0", epsilon="0", kind="on")
+def test_source_edits_keep_the_cli_contract(gamma1, gamma2, epsilon, kind):
+    """Any [source] values and detection kind end run with exit 0-3, and a
+    failure with one error line and no file; no value makes numpy warn."""
     text = _fixture_with("figure3_upper.cfg", "gamma1 = 1.0", f"gamma1 = {gamma1}")
     text = text.replace("gamma2 = 0.0", f"gamma2 = {gamma2}")
     text = text.replace("epsilon = 0.01", f"epsilon = {epsilon}")
-    assert_stage_keeps_the_cli_contract("run", text, "--grid=-1,1,-1,1,3,3")
+    assert_stage_keeps_the_cli_contract("run", _measuring(kind, text), "--grid=-1,1,-1,1,3,3")
 
 
 def assert_stage_keeps_the_cli_contract(stage, text, *args):
@@ -653,26 +676,35 @@ TIME_AND_NOISE_LINES = {
         st.sampled_from([*SOURCE_VALUES, "none"]),
         min_size=1,
         max_size=3,
-    )
+    ),
+    kind=KINDS,
 )
-@example(edits={"window_width": "1e300"})  # the kernel would square the window
-@example(edits={"window_center": "1e300"})  # the window lies past the squarable times
-@example(edits={"window_center": "1e12", "window_width": "1e-12"})  # empty in floating point
-@example(edits={"window_center": "1e12"})  # the window's float width is off by 0.6 %
-@example(edits={"center": "1e300"})  # the output envelope lies past the squarable times
-@example(edits={"xi1": "1e300"})  # det V overflows
-@example(edits={"xi2": "1e300"})  # det V overflows
-@example(edits={"filter_width": "1e-300"})  # no trigger occupation: a physics error
-@example(edits={"filter_width": "1e300", "window_width": "1e12"})  # rate x time overflows
-@example(edits={"alpha": "1e300", "window_center": "1e12"})  # rate x time overflows
-@example(edits={"filter_width": "1e12", "window_width": "1e12", "xi2": "1e12"})  # runs
-def test_trigger_output_and_loss_edits_keep_the_cli_contract(edits):
-    """Any window, filter, output envelope or added-noise values keep run's contract."""
+@example(edits={"window_width": "1e300"}, kind="click")  # the kernel would square the window
+@example(edits={"window_center": "1e300"}, kind="click")  # the window lies past the squarable times
+# empty in floating point
+@example(edits={"window_center": "1e12", "window_width": "1e-12"}, kind="click")
+@example(edits={"window_center": "1e12"}, kind="click")  # the window's float width is off by 0.6 %
+# the output envelope lies past the squarable times
+@example(edits={"center": "1e300"}, kind="click")
+@example(edits={"xi1": "1e300"}, kind="click")  # det V overflows
+@example(edits={"xi2": "1e300"}, kind="click")  # det V overflows
+@example(edits={"filter_width": "1e-300"}, kind="click")  # no trigger occupation: a physics error
+# rate x time overflows
+@example(edits={"filter_width": "1e300", "window_width": "1e12"}, kind="click")
+@example(edits={"alpha": "1e300", "window_center": "1e12"}, kind="click")
+# runs
+@example(edits={"filter_width": "1e12", "window_width": "1e12", "xi2": "1e12"}, kind="click")
+# no trigger occupation: the vacuum projection is certain, a number-1 outcome impossible
+@example(edits={"filter_width": "1e-300"}, kind="vacuum")
+@example(edits={"filter_width": "1e-300"}, kind="number 1")
+def test_trigger_output_and_loss_edits_keep_the_cli_contract(edits, kind):
+    """Any window, filter, output envelope or added-noise values and any
+    detection kind keep run's contract."""
     text = (FIXTURES / "figure3_upper.cfg").read_text()
     for key, value in edits.items():
         line = TIME_AND_NOISE_LINES[key]
         text = text.replace(line, line.replace(line.split(" = ")[1], value))
-    assert_stage_keeps_the_cli_contract("run", text, "--grid=-1,1,-1,1,3,3")
+    assert_stage_keeps_the_cli_contract("run", _measuring(kind, text), "--grid=-1,1,-1,1,3,3")
 
 
 SOURCE_LINES = {"gamma1": "gamma1 = 1.0", "gamma2": "gamma2 = 0.0", "epsilon": "epsilon = 0.2"}
@@ -716,26 +748,35 @@ STAGE_EDITS = {
                 max_size=3,
             ),
         )
-    )
+    ),
+    kind=KINDS,
 )
 # each warned and exited 0: the grid's times round together; a lag times a rate overflows
-@example(case=("coherence", {"coherence_halfwidth": "1e-12", "window_center": "1e6"}))
-@example(case=("coherence", {"coherence_halfwidth": "1e300", "gamma1": "1e12", "epsilon": "3"}))
-@example(case=("covariance", {"window_width": "1e300"}))  # the kernel would square the window
-@example(case=("covariance", {"epsilon": "1e12"}))  # above threshold
-@example(case=("scan-alpha", {"alpha_max": "1e300"}))  # past the rate bound
-@example(case=("scan-alpha", {"alpha_min": "1e-300"}))  # runs from a vanishing decay rate
-@example(case=("scan-alpha", {"xi2": "1e12", "window_width": "1e12"}))  # runs
-def test_other_stages_keep_the_cli_contract(case):
-    """Any source, window, output, noise, coherence or scan values keep the
-    contract of covariance, coherence and scan-alpha."""
+@example(case=("coherence", {"coherence_halfwidth": "1e-12", "window_center": "1e6"}), kind="click")
+@example(
+    case=("coherence", {"coherence_halfwidth": "1e300", "gamma1": "1e12", "epsilon": "3"}),
+    kind="click",
+)
+# the kernel would square the window
+@example(case=("covariance", {"window_width": "1e300"}), kind="click")
+@example(case=("covariance", {"epsilon": "1e12"}), kind="click")  # above threshold
+@example(case=("scan-alpha", {"alpha_max": "1e300"}), kind="click")  # past the rate bound
+# runs from a vanishing decay rate
+@example(case=("scan-alpha", {"alpha_min": "1e-300"}), kind="click")
+@example(case=("scan-alpha", {"xi2": "1e12", "window_width": "1e12"}), kind="click")  # runs
+# without squeezing, number 0 scans a certain outcome and an on outcome never fires
+@example(case=("scan-alpha", {"epsilon": "0"}), kind="number 0")
+@example(case=("scan-alpha", {"epsilon": "0"}), kind="on")
+def test_other_stages_keep_the_cli_contract(case, kind):
+    """Any source, window, output, noise, coherence or scan values and any
+    detection kind keep the contract of covariance, coherence and scan-alpha."""
     stage, edits = case
     text, lines = STAGE_EDITS[stage]
     for key, value in edits.items():
         line = lines[key]
         assert text.count(line) == 1, line
         text = text.replace(line, line.replace(line.split(" = ")[1], value))
-    assert_stage_keeps_the_cli_contract(stage, text)
+    assert_stage_keeps_the_cli_contract(stage, _measuring(kind, text))
 
 
 UNUSABLE_VALUES = {
@@ -839,6 +880,27 @@ def test_tabulated_times_past_the_time_bound_are_an_input_error(tmp_path, capsys
     assert capsys.readouterr().err == (
         "error [run]: tabulated envelope times reach past +-8.38e+152 at center = 0: "
         "the kernel multiplies the time between piece ends by rates\n"
+    )
+    assert not out.exists()
+
+
+def test_tabulated_samples_whose_norm_overflows_are_an_input_error(tmp_path, capsys):
+    # the squared norm overflowed with a numpy warning, and run wrote an all-zero mode's files
+    table = tmp_path / "envelope.txt"
+    np.savetxt(table, [[0.0, 1.0], [1.0, 1e200], [2.0, 0.5]])
+    cfg = tmp_path / "tab.cfg"
+    cfg.write_text(
+        _fixture_with("figure3_upper.cfg", "envelope = exponential\nalpha = 0.5",
+                      f"envelope = tabulated\ntable = {table}")
+    )
+    out = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = cli.main(["run", "--config", str(cfg), "--out", str(out), "--quiet"])
+    assert [str(w.message) for w in caught] == []
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error [run]: tabulated envelope's squared norm overflows: its samples are too large\n"
     )
     assert not out.exists()
 

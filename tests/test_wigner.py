@@ -26,7 +26,7 @@ from cwherald.config import parse_config
 from cwherald.covariance import CovarianceMatrix4
 from cwherald.metrics import fock_fidelity, negativity_volume, purity
 from cwherald.pipeline import build_covariance
-from cwherald.polynomials import GaussianCore, gaussian_poly_integral
+from cwherald.polynomials import GaussianCore, gaussian_poly_integral, poly_eval
 from cwherald.sources import tmsv_covariance
 from cwherald.wigner import (
     GaussPolyState,
@@ -280,12 +280,17 @@ def conditioned(covariance):
     return lambda kind, seed: KINDS[kind](covariance(seed)).state
 
 
-def hand_made(coeffs, sigma):
+def one_term_state(coeffs, sigma):
     term = PolyGaussTerm(coeffs=np.array(coeffs), core=GaussianCore(sigma))
-    return lambda kind, seed: GaussPolyState(terms=(term,))  # a new state keeps no grid
+    return GaussPolyState(terms=(term,))
+
+
+def hand_made(coeffs, sigma):
+    return lambda kind, seed: one_term_state(coeffs, sigma)  # a new state keeps no grid
 
 
 EVEN = [[0.2, 0.0, -0.5], [0.0, 0.0, 0.0], [0.4, 0.0, 0.0]]
+TILTED = [[1.0, 0.3], [0.3, 0.8]]
 # state source -> (the block its symmetry allows on antisymmetric axes, its maker)
 SOURCES = {
     # x^2, p^2 and constants on untilted cores
@@ -293,7 +298,7 @@ SOURCES = {
     "tmsv": ("quarter", conditioned(lambda seed: tmsv_covariance(0.4))),
     # a random covariance tilts V22: a nonzero sigma^-1 cross term
     "random": ("half", conditioned(lambda seed: random_physical_covariance(default_rng(seed)))),
-    "tilted": ("half", hand_made(EVEN, [[1.0, 0.3], [0.3, 0.8]])),
+    "tilted": ("half", hand_made(EVEN, TILTED)),
     "xp": ("half", hand_made([[0.3, 0.0], [0.0, -0.2]], np.eye(2))),  # odd powers of x and p
     "odd": ("full", hand_made([[0.3, 0.0], [0.1, 0.0]], np.eye(2))),  # one odd-degree entry
 }
@@ -359,6 +364,91 @@ class TestGridParityBlock:
         assert evaluate_grid(s, GridSpec(nx=7, np_=5))[2].shape == (5, 7)
         negativity_volume(s, GridSpec(nx=5, np_=7))
         assert list(s.__dict__["_grids"]) == [GridSpec(nx=5, np_=7), GridSpec(nx=7, np_=5)]
+
+
+def summed_from_zeros(s, x, p):
+    """W at (x, p) as each term's ``poly * exp(-(a x x + 2b x p + c p p))`` added to zeros.
+
+    The oracle: each exponent is one summed expression and each term a
+    fresh array.  The in-place terms and the parity blocks must keep every
+    float of it.
+    """
+    out = np.zeros(np.broadcast(x, p).shape)
+    for t in s.terms:
+        si = t.core.sigma_inv
+        expo = -(si[0, 0] * x * x + 2.0 * si[0, 1] * x * p + si[1, 1] * p * p)
+        out = out + poly_eval(t.coeffs, x, p) * np.exp(expo)
+    return out
+
+
+# the parity classes (i % 2, j % 2) of a table's entries
+PARITY_CLASSES = [(0, 0), (0, 1), (1, 0), (1, 1)]
+SYM = (-2.0, 2.0)
+AXES = st.sampled_from([SYM, (-3.5, 3.5), (-1.0, 1.0), (-1.0, 2.5), (0.5, 3.0)])
+
+
+@st.composite
+def drawn_states(draw):
+    """One or two terms on random cores, tilted or not, each table's entries
+    in a drawn set of parity classes, with one nonzero entry in each class
+    that fits its shape."""
+    rng = default_rng(draw(st.integers(0, 2**32 - 1)))
+    terms = []
+    for _ in range(draw(st.integers(1, 2))):
+        sx, sp = rng.uniform(0.3, 3.0, size=2)
+        cross = rng.uniform(-0.9, 0.9) * np.sqrt(sx * sp) if draw(st.booleans()) else 0.0
+        classes = draw(st.sets(st.sampled_from(PARITY_CLASSES), min_size=1))
+        shape = (draw(st.integers(1, 4)), draw(st.integers(1, 4)))
+        i, j = np.indices(shape)
+        keep = np.isin(2 * (i % 2) + j % 2, [2 * a + b for a, b in classes])
+        keep &= rng.random(shape) < 0.6
+        for a, b in classes:
+            if a < shape[0] and b < shape[1]:
+                keep[a, b] = True
+        coeffs = np.where(keep, rng.normal(size=shape), 0.0)
+        terms.append(PolyGaussTerm(coeffs=coeffs, core=GaussianCore([[sx, cross], [cross, sp]])))
+    return GaussPolyState(terms=tuple(terms))
+
+
+class TestGridInOnePass:
+    """Each term is formed in place, and the grid's axes are the spec's own."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        s=drawn_states(),
+        xb=AXES,
+        pb=AXES,
+        nx=st.integers(2, 9),
+        np_=st.integers(2, 9),
+    )
+    # odd powers of p alone, of x alone, and even powers on a tilted core, on mirrored axes
+    @example(s=one_term_state([[0.5, 0.3]], np.eye(2)), xb=SYM, pb=SYM, nx=5, np_=5)
+    @example(s=one_term_state([[0.5], [0.3]], np.eye(2)), xb=SYM, pb=SYM, nx=5, np_=5)
+    @example(s=one_term_state(EVEN, TILTED), xb=SYM, pb=(-1.0, 1.0), nx=2, np_=2)
+    def test_grid_and_negativity_are_the_summed_expression(self, s, xb, pb, nx, np_):
+        grid = GridSpec(*xb, *pb, nx, np_)
+        xs, ps, w = evaluate_grid(s, grid)
+        assert w.tobytes() == summed_from_zeros(s, xs[None, :], ps[:, None]).tobytes()
+        assert grid.mirrored == (np.array_equal(xs, -xs[::-1]) and np.array_equal(ps, -ps[::-1]))
+        # scattered points take the same one path
+        pts = default_rng(nx * 10 + np_).uniform(-3.0, 3.0, size=(2, 5))
+        assert s.evaluate(*pts).tobytes() == summed_from_zeros(s, *pts).tobytes()
+        clipped = np.sum(np.clip(-w, 0.0, None)) * (xs[1] - xs[0]) * (ps[1] - ps[0])
+        assert np.float64(negativity_volume(s, grid)).tobytes() == np.float64(clipped).tobytes()
+
+    def test_vacuum_negativity_is_positive_zero(self):
+        neg = negativity_volume(fock_state(0), GridSpec(nx=9, np_=9))
+        assert np.float64(neg).tobytes() == np.float64(0.0).tobytes()
+
+    def test_spec_keeps_one_read_only_pair_of_axes(self):
+        grid = GridSpec(-2.0, 2.0, -1.0, 3.0, 7, 6)
+        states = [fock_state(1), condition_on_click(tmsv_covariance(0.3)).state]
+        for xs, ps, _ in (evaluate_grid(s, grid) for s in states):
+            assert xs is grid.xs and ps is grid.ps
+        for axis in (grid.xs, grid.ps):
+            assert not axis.flags.writeable
+            with pytest.raises(ValueError):
+                axis[0] = 1.0
 
 
 class TestFamilyState:
