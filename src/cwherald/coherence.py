@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .sources import CorrelationKernel
-from .wigner import _row_texts, fmt9
+from .wigner import _row_texts, _write_rows, fmt9
 
 
 @dataclass(frozen=True)
@@ -157,15 +157,15 @@ def write_coherence_csv(path, ck: CoherenceKernel) -> None:
     """Serialise the coherence kernel as CSV rows t,tp,g; tp sweeps inside t.
 
     Every number is :func:`~cwherald.wigner.fmt9` text, as in the grid
-    file, so ``-0.0`` prints as ``0``; the cell text of G comes from the
-    grid writer's helper, :func:`~cwherald.wigner._row_texts`.
+    file, so ``-0.0`` prints as ``0``.  The tp labels make one row pattern,
+    built once, that each t label fills; the cell text of G and the
+    blocked writes are the grid writer's, :func:`~cwherald.wigner._row_texts`
+    and :func:`~cwherald.wigner._write_rows`.
     """
     cols = [fmt9(t).encode() for t in ck.grid]
-    with open(path, "wb") as fh:
-        fh.write(b"t,tp,g\n")
-        for t, cells in zip(cols, _row_texts(ck.g)):
-            lead = t + b","
-            fh.write((lead + (b",%s\n" + lead).join(cols) + b",%s\n") % cells)
+    pattern = b"".join(b"\0," + tp + b",%s\n" for tp in cols)
+    rows = zip(cols, _row_texts(ck.g))
+    _write_rows(path, b"t,tp,g\n", (pattern.replace(b"\0", t) % cells for t, cells in rows))
 
 
 def write_mode_csv(path, mode: DominantMode) -> None:

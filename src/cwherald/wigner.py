@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
 
 import numpy as np
 
@@ -296,15 +297,14 @@ def _evaluate_mesh(s: GaussPolyState, grid: GridSpec) -> np.ndarray:
 def write_grid_csv(path, xs: np.ndarray, ps: np.ndarray, w: np.ndarray) -> None:
     """Serialise a grid as CSV with header x,p,w; rows sweep x inside p.
 
-    Every number is :func:`fmt9` text, so ``-0.0`` prints as ``0``; the
-    cell text of ``w`` comes from :func:`_row_texts`.
+    Every number is :func:`fmt9` text, so ``-0.0`` prints as ``0``.  The
+    x labels make one row pattern, built once, that each p label fills
+    (fmt9 text holds neither NUL nor ``%``); the cell text of ``w`` comes
+    from :func:`_row_texts`, and :func:`_write_rows` writes the rows.
     """
-    cols = [fmt9(x).encode() for x in xs] + [b""]
-    with open(path, "wb") as fh:
-        fh.write(b"x,p,w\n")
-        for p, cells in zip(ps, _row_texts(w), strict=True):
-            # fmt9 text holds no "%", so it can sit in a template
-            fh.write((b",%s,%%s\n" % fmt9(p).encode()).join(cols) % cells)
+    pattern = b"".join(fmt9(x).encode() + b",\0,%s\n" for x in xs)
+    rows = zip((fmt9(p).encode() for p in ps), _row_texts(w), strict=True)
+    _write_rows(path, b"x,p,w\n", (pattern.replace(b"\0", p) % cells for p, cells in rows))
 
 
 def fmt9(v: float) -> str:
@@ -312,24 +312,65 @@ def fmt9(v: float) -> str:
     return f"{float(v) + 0.0:.9g}"  # + 0.0 turns -0.0 into 0.0
 
 
+def _write_rows(path, head: bytes, rows) -> None:
+    """Write ``head`` and then the bytes rows of the iterator ``rows``, 8 rows to a write call."""
+    with open(path, "wb") as fh:
+        fh.write(head)
+        for block in iter(lambda: list(islice(rows, 8)), []):
+            fh.write(b"".join(block))
+
+
+def _texts(values: np.ndarray) -> list[bytes]:
+    """The ``%.9g`` text of each float of ``values``, in row-major order; ``-0.0`` is ``0``."""
+    texts = ((b"%.9g\n" * values.size) % tuple((values + 0.0).ravel().tolist())).split(b"\n")
+    del texts[-1]  # the empty text after the last newline
+    return texts
+
+
 def _row_texts(table: np.ndarray):
     """Yield the ``%.9g`` text of each row of a 2-D table, a tuple of bytes per row.
 
-    ``-0.0`` is written as ``0``, as :func:`fmt9` writes it.  Each distinct
-    float of the top ``ceil(m/2)`` rows is formatted once.  A lower row
-    ``k`` equal to row ``m-1-k`` reversed (exactly, so never with NaN)
-    takes that row's text reversed; any other row is formatted afresh.
+    ``-0.0`` is written as ``0``, as :func:`fmt9` writes it.  With
+    ``h, k = ceil(m/2), ceil(n/2)``, the table's two exact mirrors are each
+    tested once, by ``==`` (so never with NaN; ``-0.0`` matches ``0.0``,
+    whose text is the same): the point mirror, row ``m-1-i`` equal to row
+    ``i`` reversed for every lower row, and the x mirror, each of the top
+    ``h`` rows equal to itself reversed.  With both, only the leading
+    ``h×k`` block is formatted.  With the point mirror alone, each distinct
+    float of the top ``h`` rows is formatted once, found by one argsort
+    with an int32 inverse.  In both cases a lower row is its partner's
+    text reversed.  Without the point mirror every row is formatted as it
+    is.
     """
     m, n = table.shape
-    h = (m + 1) // 2
-    values, index = np.unique(table[:h], return_inverse=True)
-    text = (b"%.9g\n" * len(values)) % tuple((values + 0.0).tolist())  # + 0.0 turns -0.0 into 0.0
-    text = np.array(text.split(b"\n"), dtype=object)  # text[i] is the text of values[i]
-    index = index.reshape(h, n)
-    for k in range(m):
-        if k < h:
-            yield tuple(text[index[k]].tolist())
-        elif np.array_equal(table[k], table[m - 1 - k, ::-1]):
-            yield tuple(text[index[m - 1 - k, ::-1]].tolist())
-        else:
-            yield tuple(((b"%.9g\n" * n) % tuple((table[k] + 0.0).tolist())).split(b"\n")[:-1])
+    h, k = (m + 1) // 2, (n + 1) // 2
+    if not (table[h:] == table[: m - h][::-1, ::-1]).all():
+        for row in table:
+            yield tuple(_texts(row))
+    elif (table[:h, k:] == table[:h, : n - k][:, ::-1]).all():
+        texts = _texts(table[:h, :k])
+        for i in range(h):
+            r = texts[i * k : (i + 1) * k]
+            yield tuple(r + r[: n - k][::-1])
+        for i in range(m - h - 1, -1, -1):
+            r = texts[i * k : (i + 1) * k]
+            yield tuple(r[: n - k] + r[::-1])
+    else:
+        top = table[:h].ravel()
+        order = np.argsort(top)
+        ranked = top[order]
+        # new[r]: ranked[r] starts a run of equal floats; index[c]: the rank of cell c's value
+        new = np.r_[True, ranked[1:] != ranked[:-1]]
+        values = ranked[new]
+        del ranked
+        rank = np.cumsum(new, dtype=np.int32)
+        rank -= 1
+        index = np.empty(top.size, dtype=np.int32)
+        index[order] = rank
+        del order, new, rank  # the full-size temporaries go before the texts are made
+        texts = np.array(_texts(values), dtype=object)
+        index = index.reshape(h, n)
+        for i in range(h):
+            yield tuple(texts[index[i]].tolist())
+        for i in range(m - h - 1, -1, -1):
+            yield tuple(texts[index[i, ::-1]].tolist())

@@ -16,6 +16,7 @@ from conftest import (
     random_physical_covariance,
 )
 
+from cwherald import wigner
 from cwherald.conditioning import (
     condition_on_click,
     condition_on_number,
@@ -258,6 +259,87 @@ class TestGridEvaluation:
             GridSpec(nx=1)
         with pytest.raises(ValueError):
             GridSpec(xmin=2.0, xmax=-2.0)
+
+
+def formatted_counts(table):
+    """The sizes of the arrays that ``wigner._row_texts`` formats for ``table``, call by call."""
+    with mock.patch.object(wigner, "_texts", side_effect=wigner._texts) as spy:
+        list(wigner._row_texts(np.asarray(table, dtype=float)))
+    return [args[0].size for args, _ in spy.call_args_list]
+
+
+class TestCsvMirrors:
+    """Both CSV writers against the per-cell oracle, on tables with and without exact mirrors.
+
+    With ``h, k = ceil(m/2), ceil(n/2)``, the point mirror is every lower
+    row equal to its partner row ``m-1-i`` reversed, and the x mirror each
+    of the top ``h`` rows equal to itself reversed.
+    """
+
+    @staticmethod
+    def table(rng, m, n, mirrors):
+        """A random table with the named mirrors; a random table has neither."""
+        h, k = (m + 1) // 2, (n + 1) // 2
+        t = rng.normal(size=(m, n)) * 10.0 ** rng.integers(-12, 12, size=(m, n))
+        if mirrors in ("both", "x"):
+            t[:, k:] = t[:, : n - k][:, ::-1]
+        if mirrors in ("both", "point"):
+            t[h:] = t[: m - h][::-1, ::-1]
+        return t
+
+    @staticmethod
+    def orbit(m, n, i, j, mirrors):
+        """Cell (i, j) and the cells the table's mirrors tie to it; for neither, the point mirror's."""
+        cells = {(i, j), (m - 1 - i, n - 1 - j)} if mirrors != "x" else {(i, j)}
+        if mirrors in ("both", "x"):
+            cells |= {(a, n - 1 - b) for a, b in cells}
+        return sorted(cells)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        m=st.integers(2, 7),
+        n=st.integers(2, 7),
+        mirrors=st.sampled_from(["both", "point", "x", "neither"]),
+        change=st.sampled_from(["none", "ulp_lower", "ulp_right", "signed_zeros", "nan", "inf"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(m=5, n=5, mirrors="both", change="signed_zeros", seed=0)
+    @example(m=4, n=3, mirrors="point", change="nan", seed=1)
+    @example(m=3, n=6, mirrors="both", change="ulp_right", seed=2)
+    def test_writers_match_per_cell_text(self, tmp_path_factory, m, n, mirrors, change, seed):
+        rng = default_rng(seed)
+        h, k = (m + 1) // 2, (n + 1) // 2
+        t = self.table(rng, m, n, mirrors)
+        if change == "ulp_lower":  # breaks the point mirror, and the 9-digit text stays
+            i, j = rng.integers(h, m), rng.integers(n)
+            t[i, j] = np.nextafter(t[i, j], np.inf)
+        elif change == "ulp_right":  # breaks the x mirror in the top rows
+            i, j = rng.integers(h), rng.integers(k, n)
+            t[i, j] = np.nextafter(t[i, j], np.inf)
+        elif change != "none":
+            cells = self.orbit(m, n, rng.integers(m), rng.integers(n), mirrors)
+            for c, (a, b) in enumerate(cells):
+                t[a, b] = {"signed_zeros": (-1.0) ** c * 0.0, "nan": np.nan, "inf": np.inf}[change]
+
+        point = all(np.array_equal(t[m - 1 - i], t[i, ::-1]) for i in range(m - h))
+        x = all(np.array_equal(t[i], t[i, ::-1]) for i in range(h))
+        if point:
+            top = t[:h][~np.isnan(t[:h])]
+            # -0.0 counts as 0.0, and each NaN as its own value
+            distinct = len(set(top.tolist())) + int(np.isnan(t[:h]).sum())
+        want = h * k if point and x else distinct if point else m * n
+        assert sum(formatted_counts(t)) == want
+
+        xs, ps = rng.normal(size=n), rng.normal(size=m)
+        assert_csv_writers(tmp_path_factory.mktemp("csv"), xs, ps, t)
+        if m != n:  # the coherence writer too, on the leading square
+            s = min(m, n)
+            assert_csv_writers(tmp_path_factory.mktemp("csv"), xs[:s], ps[:s], t[:s, :s])
+
+    def test_doubly_mirrored_grid_formats_its_quarter_once(self):
+        t = self.table(default_rng(5), 201, 201, "both")
+        assert formatted_counts(t) == [101 * 101]
+        assert formatted_counts(self.table(default_rng(5), 201, 201, "neither")) == [201] * 201
 
 
 KINDS = {
