@@ -39,7 +39,7 @@ from .pipeline import (
     scan_alpha,
     summarize,
 )
-from .wigner import fmt9, write_grid_csv
+from .wigner import _texts, fmt9, write_grid_csv
 
 PHYSICS_ERRORS = (
     ThresholdError,
@@ -56,10 +56,9 @@ def write_summary(path, cfg: ExperimentConfig, values: dict) -> None:
 
 
 def write_scan_csv(path, scan_result) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("alpha,objective\n")
-        for a, v in zip(scan_result.params, scan_result.values):
-            fh.write(f"{fmt9(a)},{fmt9(v)}\n")
+    rows = zip(_texts(scan_result.params), _texts(scan_result.values), strict=True)
+    with open(path, "wb") as fh:
+        fh.write(b"alpha,objective\n" + b"".join(a + b"," + v + b"\n" for a, v in rows))
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
