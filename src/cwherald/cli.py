@@ -39,7 +39,8 @@ from .pipeline import (
     scan_alpha,
     summarize,
 )
-from .wigner import _texts, fmt9, write_grid_csv
+from .text import fmt9, write_columns
+from .wigner import write_grid_csv
 
 PHYSICS_ERRORS = (
     ThresholdError,
@@ -53,12 +54,6 @@ def write_summary(path, cfg: ExperimentConfig, values: dict) -> None:
     lines.extend(cfg.echo_lines())
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-def write_scan_csv(path, scan_result) -> None:
-    rows = zip(_texts(scan_result.params), _texts(scan_result.values), strict=True)
-    with open(path, "wb") as fh:
-        fh.write(b"alpha,objective\n" + b"".join(a + b"," + v + b"\n" for a, v in rows))
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -211,7 +206,7 @@ def _write_coherence(path, ck, mode) -> None:
 
 def _write_scan(cfg: ExperimentConfig, path, scan_result) -> None:
     """Write scan.csv and scan_best.txt of ``scan_result`` to ``path(name)``."""
-    write_scan_csv(path("scan.csv"), scan_result)
+    write_columns(path("scan.csv"), b"alpha,objective\n", scan_result.params, scan_result.values)
     with open(path("scan_best.txt"), "w", encoding="utf-8") as fh:
         fh.write(f"objective = {cfg.scan.objective}\n")
         fh.write(f"best_alpha = {fmt9(scan_result.best_param)}\n")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .sources import CorrelationKernel
-from .wigner import _row_texts, _texts, _write_rows
+from .text import write_columns, write_table
 
 
 @dataclass(frozen=True)
@@ -156,20 +156,12 @@ def fit_exponential_decay(mode: DominantMode, t_c: float) -> float:
 def write_coherence_csv(path, ck: CoherenceKernel) -> None:
     """Serialise the coherence kernel as CSV rows t,tp,g; tp sweeps inside t.
 
-    Every number is :func:`~cwherald.wigner._texts` text, byte for byte
-    ``%.9g`` as in the grid file, so ``-0.0`` prints as ``0``.  The tp
-    labels make one row pattern, built once, that each t label fills; the
-    cell text of G and the blocked writes are the grid writer's,
-    :func:`~cwherald.wigner._row_texts` and :func:`~cwherald.wigner._write_rows`.
+    Every number is :mod:`~cwherald.text` text, byte for byte ``%.9g`` as
+    in the grid file, so ``-0.0`` prints as ``0``.
     """
-    cols = _texts(ck.grid)
-    pattern = b"".join(b"\0," + tp + b",%s\n" for tp in cols)
-    rows = zip(cols, _row_texts(ck.g))
-    _write_rows(path, b"t,tp,g\n", (pattern.replace(b"\0", t) % cells for t, cells in rows))
+    write_table(path, b"t,tp,g\n", ck.grid, ck.grid, ck.g, row_label_first=True)
 
 
 def write_mode_csv(path, mode: DominantMode) -> None:
-    """Serialise the dominant mode as CSV rows t,u in :func:`~cwherald.wigner._texts` text."""
-    cells = _texts(np.column_stack((mode.times, mode.samples)))
-    with open(path, "wb") as fh:
-        fh.write(b"t,u\n" + (b"%s,%s\n" * len(mode.times)) % tuple(cells))
+    """Serialise the dominant mode as CSV rows t,u in :mod:`~cwherald.text` text."""
+    write_columns(path, b"t,u\n", mode.times, mode.samples)

@@ -29,7 +29,8 @@ from .errors import ConfigError, ThresholdError
 from .metrics import SCALARS
 from .modes import MAX_TIME, OutputModeSpec, TriggerModeSpec
 from .sources import MAX_RATE, OpoParams
-from .wigner import GridSpec, fmt9
+from .text import fmt9
+from .wigner import GridSpec
 
 # the keys each source kind and output envelope reads and echoes, in echo order
 _KIND_KEYS = {

@@ -19,6 +19,7 @@ import numpy as np
 
 from .piecewise import Piece, kernel_moments
 from .sources import MAX_RATE, CorrelationKernel
+from .text import fmt9
 
 # window much narrower than every relevant correlation time: treat as a point
 NARROW_WINDOW_LIMIT = 0.1
@@ -70,7 +71,7 @@ class TriggerModeSpec:
         if abs((hi - lo) - self.window_width) > WINDOW_WIDTH_RTOL * self.window_width:
             raise ValueError(
                 f"window_width = {self.window_width:g} at window_center = "
-                f"{self.window_center:g} is {hi - lo:.9g} wide in floating point, "
+                f"{self.window_center:g} is {fmt9(hi - lo)} wide in floating point, "
                 f"more than {WINDOW_WIDTH_RTOL:g} off relative to the width asked"
             )
         if self.filter_width is not None and self.filter_width <= 0.0:
