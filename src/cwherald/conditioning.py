@@ -8,13 +8,13 @@ the normalised conditioned state of the output mode together with the
 outcome probability (the click case reports the trigger-mode occupation).
 
 Given the output quadratures ``y2``, the trigger's P function is the
-Gaussian ``z ~ N(2 G y2, E)`` of :func:`~cwherald.wigner.trigger_given_output`,
+Gaussian ``z ~ N(2 G y2, E)`` of :attr:`CovarianceMatrix4.trigger_given_output`,
 and an outcome of normally ordered weight ``w(z)`` leaves the output in
 ``W_V22(y2) E[w(z)]``, unnormalised: ``|z|^2/2`` for a click and
 ``exp(-|z|^2/2) (|z|^2/2)^n / n!`` for n photons.  No vacuum is subtracted.
 The number outcomes' ``exp(-|z|^2/2)`` folds into the Gaussians
-(:func:`_number_core`), which leaves every outcome the expectation of
-``(|z|^2/2)^n / n!``, n <= 2, over some ``z ~ N(L y, C)``.  With
+(:attr:`CovarianceMatrix4.number_core`), which leaves every outcome the
+expectation of ``(|z|^2/2)^n / n!``, n <= 2, over some ``z ~ N(L y, C)``.  With
 ``Q = L^T L`` and ``R = L^T C L`` it is, in closed form
 (:func:`_occupation_expectation`),
 
@@ -31,15 +31,16 @@ states as stacked terms and one probability per member, each equal to the
 member conditioned alone.  A check that fails on any member raises the
 error that the first such member raises alone.
 
-Every Gaussian reduction a conditioner needs is computed once per
-covariance, when first needed, and kept on it (its ``n`` is read-only):
-the physicality margin, the trigger given the output and the
-n-independent number core of :func:`_number_core`.  Conditioning one
-covariance six ways reduces it once, and the resulting states share two
-Gaussian cores with read-only ``sigma`` (``V22`` and the number core),
-each with one inverse and one product with each core it is measured on.
-The program's own paths condition each covariance once; the sharing
-serves a caller that compares several outcomes on one state.
+Every Gaussian reduction a conditioner needs is a cached property of
+:class:`~cwherald.covariance.CovarianceMatrix4`, computed once per
+covariance, when first read, and kept on it (its ``n`` is read-only): the
+physicality margin, the trigger given the output and the n-independent
+number core.  Conditioning one covariance six ways reduces it once, and
+the resulting states share two Gaussian cores with read-only ``sigma``
+(``V22`` and the number core), each with one inverse and one product with
+each core it is measured on.  The program's own paths condition each
+covariance once; the sharing serves a caller that compares several
+outcomes on one state.
 """
 
 from __future__ import annotations
@@ -48,10 +49,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .covariance import CovarianceMatrix4, once_per_covariance
+from .covariance import CovarianceMatrix4
 from .errors import ImpossibleOutcomeError, UnphysicalCovarianceError
 from .polynomials import GaussianCore, any_member, det2, per_member
-from .wigner import GaussPolyState, gaussian_state, trigger_given_output
+from .wigner import GaussPolyState, gaussian_state
 
 PROBABILITY_FLOOR = 1e-300
 
@@ -142,26 +143,9 @@ def _occupation_expectation(n: int, lin: np.ndarray, cov: np.ndarray) -> np.ndar
     return out
 
 
-@once_per_covariance
-def _number_core(v: CovarianceMatrix4) -> tuple:
-    """The n-independent part of :func:`_number_state`, once per covariance.
-
-    With ``K = I + E``, ``exp(-|z|^2/2)`` turns ``N(mu, E)`` into
-    ``N(K^-1 mu, E K^-1)`` times ``exp(-mu^T K^-1 mu / 2) / sqrt(det K)``.
-    Returns the mean's linear map ``2 K^-1 G``, the covariance ``E K^-1``,
-    the core of ``sigma = (V22^-1 + 2 G^T K^-1 G)^-1`` and ``det V22 det K``.
-    """
-    v22, g, e = trigger_given_output(v)
-    k = np.eye(2) + e
-    k_inv = np.linalg.inv(k)
-    kg = k_inv @ g
-    sigma = np.linalg.inv(v22.sigma_inv + 2.0 * g.swapaxes(-1, -2) @ kg)
-    return 2.0 * kg, e @ k_inv, GaussianCore(sigma), det2(v22.sigma) * det2(k)
-
-
 def _number_state(v: CovarianceMatrix4, n: int) -> GaussPolyState:
     """The unnormalised n-photon-conditioned output, whose integral is P_n."""
-    lin, cov, core, det_core = _number_core(v)
+    lin, cov, core, det_core = v.number_core
     return gaussian_state(_occupation_expectation(n, lin, cov), core, det_core)
 
 
@@ -205,7 +189,7 @@ def condition_on_on(v: CovarianceMatrix4) -> ConditionResult:
         raise ImpossibleOutcomeError(
             "trigger mode is exact vacuum; the on outcome never fires"
         )
-    v22 = trigger_given_output(v)[0]
+    v22 = v.trigger_given_output[0]
     marginal = gaussian_state(np.ones((1, 1)), v22, det2(v22.sigma))
     vacuum = _number_state(v, 0)
     terms = marginal.scaled(1.0 / p_on).terms + vacuum.scaled(-1.0 / p_on).terms
@@ -221,7 +205,7 @@ def _click(v: CovarianceMatrix4) -> ConditionResult:
             f"trigger mode occupation is zero (<a+a> = {low:g}); "
             "no photon available to subtract"
         )
-    v22, g, e = trigger_given_output(v)
+    v22, g, e = v.trigger_given_output
     state = gaussian_state(_occupation_expectation(1, 2.0 * g, e), v22, det2(v22.sigma))
     return ConditionResult(state=state.scaled(1.0 / occupation), probability=occupation)
 

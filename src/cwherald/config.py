@@ -28,7 +28,7 @@ from .covariance import LossParams
 from .errors import ConfigError, ThresholdError
 from .metrics import SCALARS
 from .modes import MAX_TIME, OutputModeSpec, TriggerModeSpec
-from .sources import MAX_RATE, OpoParams
+from .sources import MAX_RATE, MAX_SQUEEZING, OpoParams
 from .text import fmt9
 from .wigner import GridSpec
 
@@ -56,6 +56,13 @@ OBJECTIVES = {"origin_value": ("wigner_origin", 1.0), "fock1_fidelity": ("fideli
 class TmsvSource:
     r: float
     kind: ClassVar[str] = "tmsv"
+
+    def __post_init__(self):
+        if not abs(self.r) < MAX_SQUEEZING:
+            raise ValueError(
+                f"r = {self.r:g} is too large: det V multiplies four entries of cosh 2r, "
+                f"so |r| must be below {MAX_SQUEEZING:.4g}"
+            )
 
 
 @dataclass(frozen=True)

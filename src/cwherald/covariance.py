@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from functools import cached_property, wraps
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .polynomials import any_member, per_member
+from .polynomials import GaussianCore, any_member, det2, per_member
 
 if TYPE_CHECKING:  # pragma: no cover
     from .modes import SecondMoments
@@ -49,10 +49,10 @@ class CovarianceMatrix4:
     :func:`physicality_check` and the conditioners as a whole, and gives
     one result per member, equal to that member's result alone.
 
-    ``n`` is a read-only copy of the input, so :attr:`margin` and the
-    reductions of :func:`once_per_covariance` are computed at most once,
-    when first read, and shared by every conditioner and by
-    :func:`physicality_check` on this covariance.
+    ``n`` is a read-only copy of the input, so its Gaussian reductions,
+    :attr:`margin`, :attr:`trigger_given_output` and :attr:`number_core`,
+    are computed at most once, when first read, and shared by every
+    conditioner and by :func:`physicality_check` on this covariance.
     """
 
     n: np.ndarray
@@ -72,27 +72,41 @@ class CovarianceMatrix4:
 
     @cached_property
     def margin(self) -> tuple:
-        """:func:`physical_margin` of ``V``, read-only: the report hands it out."""
-        return tuple(map(_read_only, physical_margin(self.m)))
+        """Least eigenvalue of ``V + i*Omega``, ``det V`` and physicality, read-only, per member."""
+        m = self.m
+        min_eig = np.linalg.eigvalsh(m + 1j * OMEGA).min(axis=-1)
+        det = np.linalg.det(m)
+        return tuple(map(_read_only, (min_eig, det, (min_eig >= PHYSICALITY_TOL) & (det > 0))))
 
+    @cached_property
+    def trigger_given_output(self) -> tuple:
+        """The core of ``V22``, ``G = N12 V22^-1`` and ``E = N11 - 2 G N12^T``.
 
-def once_per_covariance(reduction):
-    """Make ``reduction(v)`` run at most once per covariance ``v``.
+        The output's marginal is the Gaussian of ``V22``; given its quadratures
+        ``y2``, the trigger's are Gaussian with mean ``2 G y2`` and excess ``E``.
+        ``V22^-1`` is the core's ``sigma_inv``.
+        """
+        n = self.n
+        n12 = n[..., :2, 2:]
+        v22 = GaussianCore(np.eye(2) + 2.0 * n[..., 2:, 2:])
+        g = n12 @ v22.sigma_inv
+        return v22, g, n[..., :2, :2] - 2.0 * g @ n12.swapaxes(-1, -2)
 
-    The value is kept on ``v``, as :func:`functools.cached_property` keeps
-    :attr:`CovarianceMatrix4.margin`, and ``v.n`` is read-only, so a kept
-    value never goes stale.  The conditioners keep their Gaussian
-    reductions of a covariance this way.
-    """
+    @cached_property
+    def number_core(self) -> tuple:
+        """The n-independent part of the photon-number-conditioned output.
 
-    @wraps(reduction)
-    def kept(v: CovarianceMatrix4):
-        memo = v.__dict__.setdefault("_kept", {})
-        if reduction not in memo:
-            memo[reduction] = reduction(v)
-        return memo[reduction]
-
-    return kept
+        With ``K = I + E``, ``exp(-|z|^2/2)`` turns ``N(mu, E)`` into
+        ``N(K^-1 mu, E K^-1)`` times ``exp(-mu^T K^-1 mu / 2) / sqrt(det K)``.
+        Returns the mean's linear map ``2 K^-1 G``, the covariance ``E K^-1``,
+        the core of ``sigma = (V22^-1 + 2 G^T K^-1 G)^-1`` and ``det V22 det K``.
+        """
+        v22, g, e = self.trigger_given_output
+        k = np.eye(2) + e
+        k_inv = np.linalg.inv(k)
+        kg = k_inv @ g
+        sigma = np.linalg.inv(v22.sigma_inv + 2.0 * g.swapaxes(-1, -2) @ kg)
+        return 2.0 * kg, e @ k_inv, GaussianCore(sigma), det2(v22.sigma) * det2(k)
 
 
 def _read_only(value):
@@ -185,13 +199,6 @@ def apply_loss(v: CovarianceMatrix4, p: LossParams) -> CovarianceMatrix4:
     return CovarianceMatrix4.from_excess(damp * v.n + 0.5 * xi)
 
 
-def physical_margin(m: np.ndarray):
-    """Least eigenvalue of ``V + i*Omega``, ``det V`` and whether ``V`` is physical, per member."""
-    min_eig = np.linalg.eigvalsh(m + 1j * OMEGA).min(axis=-1)
-    det = np.linalg.det(m)
-    return min_eig, det, (min_eig >= PHYSICALITY_TOL) & (det > 0)
-
-
 def physicality_check(v: CovarianceMatrix4) -> PhysicalityReport:
     """Diagnose a covariance matrix; never raises.
 
@@ -226,4 +233,11 @@ def load_covariance(path) -> CovarianceMatrix4:
     m = np.array([[float(tok) for tok in line.split()] for line in rows], dtype=float)
     if m.shape != (4, 4):
         raise ValueError(f"expected 4x4 covariance in {path}, got shape {m.shape}")
+    # det V multiplies four entries of V = I + 2N; non-finite ones are reported as such
+    name, bound = ("N", MAX_ADDED_NOISE / 2.0) if excess else ("V", MAX_ADDED_NOISE)
+    if np.isfinite(m).all() and not np.abs(m).max() < bound:
+        raise ValueError(
+            f"covariance in {path} has an entry of {np.abs(m).max():g}: det V multiplies "
+            f"four entries of V, so those of {name} must be below {bound:.4g}"
+        )
     return CovarianceMatrix4.from_excess(m) if excess else CovarianceMatrix4(m)

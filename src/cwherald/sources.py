@@ -17,12 +17,15 @@ from typing import Callable, ClassVar
 
 import numpy as np
 
-from .covariance import CovarianceMatrix4
+from .covariance import MAX_ADDED_NOISE, CovarianceMatrix4
 from .errors import ThresholdError
 
 # a rate below this squares to a finite float; opo_kernel squares rate_fast,
 # and the mode moments meet every rate, a filter's and an envelope's too
 MAX_RATE = math.sqrt(sys.float_info.max)
+# a two-mode squeezed vacuum's V holds cosh 2r, which like an added noise enters
+# det V four times; below this squeezing it stays below MAX_ADDED_NOISE
+MAX_SQUEEZING = math.acosh(MAX_ADDED_NOISE) / 2.0
 
 
 @dataclass(frozen=True)

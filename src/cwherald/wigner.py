@@ -3,27 +3,29 @@
 The two-mode Gaussian Wigner function
 ``W_V(y) = exp(-y^T V^-1 y) / (pi^2 sqrt(det V))`` is reduced over the
 trigger-mode phase plane through the trigger's Gaussian given the output,
-taken from ``N = (V - I)/2`` by :func:`trigger_given_output`, once per
-covariance; the result of every conditioning operation is a (short sum
-of) polynomial-times-Gaussian single-mode states.  All integrals here are
-exact Gaussian-moment reductions; no quadrature enters the core path.
+taken from ``N = (V - I)/2`` once per covariance as
+:attr:`CovarianceMatrix4.trigger_given_output`; the result of every
+conditioning operation is a (short sum of) polynomial-times-Gaussian
+single-mode states.  All integrals here are exact Gaussian-moment
+reductions; no quadrature enters the core path.
 
 A term's Gaussian is a :class:`~cwherald.polynomials.GaussianCore`, which
 computes its inverse, moment table and products with other cores once and
 holds ``sigma`` read-only.  A covariance's conditioners make terms on two
-cores, the output marginal's ``V22`` of :func:`trigger_given_output` and
-the conditioning module's photon-number core.  The Fock states of
-:func:`fock_state` share the vacuum core and three literal Laguerre tables.
+cores that the covariance keeps, the output marginal's ``V22`` and the
+photon-number core.  The Fock states of :func:`fock_state` share the
+vacuum core and three literal Laguerre tables.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .covariance import CovarianceMatrix4, once_per_covariance
+from .covariance import CovarianceMatrix4
 from .polynomials import (
     GaussianCore,
     det2,
@@ -33,6 +35,12 @@ from .polynomials import (
     poly_eval,
 )
 from .text import write_table
+
+# a cell raises an axis value to at most the fourth power in its polynomial and
+# squares it in its exponent; below half the eighth root of the largest float,
+# the fourth power stays below sqrt(largest float) / 16, which leaves a
+# coefficient that much room, and the square leaves sigma^-1 more
+MAX_GRID_END = sys.float_info.max**0.125 / 2.0
 
 
 @dataclass(frozen=True)
@@ -158,21 +166,6 @@ def fock_state(n: int) -> GaussPolyState:
     return GaussPolyState(terms=(PolyGaussTerm(coeffs=_FOCK_POLYS[n], core=_VACUUM),))
 
 
-@once_per_covariance
-def trigger_given_output(v: CovarianceMatrix4):
-    """The core of ``V22``, ``G = N12 V22^-1`` and ``E = N11 - 2 G N12^T``.
-
-    The output's marginal is the Gaussian of ``V22``; given its quadratures
-    ``y2``, the trigger's are Gaussian with mean ``2 G y2`` and excess ``E``.
-    Computed once per covariance; ``V22^-1`` is the core's ``sigma_inv``.
-    """
-    n = v.n
-    n12 = n[..., :2, 2:]
-    v22 = GaussianCore(np.eye(2) + 2.0 * n[..., 2:, 2:])
-    g = n12 @ v22.sigma_inv
-    return v22, g, n[..., :2, :2] - 2.0 * g @ n12.swapaxes(-1, -2)
-
-
 def gaussian_state(poly, core: GaussianCore, det_core) -> GaussPolyState:
     """``poly(y) exp(-y^T sigma^-1 y) / (pi sqrt(det_core))``: one term on ``core``."""
     coeffs = poly / (np.pi * np.sqrt(det_core))[..., None, None]
@@ -190,7 +183,7 @@ def integrate_out_trigger(w: TwoModeGaussianWigner, weight: np.ndarray):
     """
     if any(i + j > 4 for i, j in nonzero_entries(weight)):
         raise ValueError("weight polynomial total degree must be at most four")
-    v22, g, e = trigger_given_output(w.v)
+    v22, g, e = w.v.trigger_given_output
     poly = expected_poly_of_shifted_gaussian(weight, 2.0 * g, 0.5 * np.eye(2) + e)
     state = gaussian_state(poly, v22, det2(v22.sigma))
     return state, state.total_integral()
@@ -219,6 +212,11 @@ class GridSpec:
         for lo, hi in ((self.xmin, self.xmax), (self.pmin, self.pmax)):
             if not (np.isfinite(lo) and np.isfinite(hi) and hi > lo):
                 raise ValueError(f"bad grid range ({lo}, {hi})")
+            if not max(-lo, hi) < MAX_GRID_END:
+                raise ValueError(
+                    f"grid range ({lo:g}, {hi:g}) reaches past +-{MAX_GRID_END:.4g}: "
+                    "a cell raises the axis values to the fourth power"
+                )
 
     @cached_property
     def xs(self) -> np.ndarray:

@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -24,7 +25,7 @@ from conftest import (
 from cwherald import cli, pipeline
 from cwherald.coherence import conditional_coherence
 from cwherald.config import parse_config
-from cwherald.covariance import load_covariance, save_covariance
+from cwherald.covariance import EXCESS_HEADER, load_covariance, save_covariance
 from cwherald.pipeline import build_kernel, run_experiment
 from cwherald.sources import tmsv_covariance
 
@@ -35,7 +36,7 @@ IDENTITY = [[1.0, 0.0], [0.0, 1.0]]
 
 def run_cli(*args, cwd=None):
     return subprocess.run(
-        [sys.executable, "-m", "cwherald", *args],
+        [sys.executable, "-W", "error", "-m", "cwherald", *args],
         capture_output=True,
         text=True,
         cwd=cwd,
@@ -56,6 +57,8 @@ def test_cold_import_loads_no_scipy(tmp_path):
     proc = subprocess.run(
         [
             sys.executable,
+            "-W",
+            "error",
             "-c",
             "import cwherald, cwherald.cli, sys; "
             f"assert cwherald.cli.main({args!r}) == 0; "
@@ -70,6 +73,14 @@ def test_cold_import_loads_no_scipy(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == []
+
+
+def diagonal(x):
+    """A covariance file's 4x4 text with ``x`` on the diagonal."""
+    return "".join(" ".join(x if i == j else "0" for j in range(4)) + "\n" for i in range(4))
+
+
+V_BOUND = "det V multiplies four entries of V, so those of V must be below 5.79e+76"
 
 
 def read_summary(path):
@@ -260,14 +271,29 @@ class TestMetricsStage:
         assert capsys.readouterr().err == f"error [metrics]: state file {path}: {message}\n"
         assert not out.exists()
 
-    def test_malformed_covariance_file_is_rejected(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("1 0 0\n0 1 0\n0 0 1\n", "expected 4x4 covariance in {path}, got shape (3, 3)"),
+            # det V overflowed with a numpy warning; run went on to exit 0, at
+            # 1e200 with purity = nan
+            (diagonal("1e100"), "covariance in {path} has an entry of 1e+100: " + V_BOUND),
+            (diagonal("1e200"), "covariance in {path} has an entry of 1e+200: " + V_BOUND),
+            (
+                EXCESS_HEADER + "\n" + diagonal("3e76"),
+                "covariance in {path} has an entry of 3e+76: det V multiplies four entries "
+                "of V, so those of N must be below 2.895e+76",
+            ),
+        ],
+        ids=["3x3", "V-1e100", "V-1e200", "N-3e76"],
+    )
+    def test_malformed_covariance_file_is_rejected(self, tmp_path, capsys, text, message):
         path = tmp_path / "covariance.txt"
-        path.write_text("1 0 0\n0 1 0\n0 0 1\n")
+        path.write_text(text)
         out = tmp_path / "out"
         args = ["condition", "--config", str(FIXTURES / "figure3_upper.cfg")]
         assert cli.main([*args, "--covariance", str(path), "--out", str(out)]) == 1
-        want = f"error [condition]: expected 4x4 covariance in {path}, got shape (3, 3)\n"
-        assert capsys.readouterr().err == want
+        assert capsys.readouterr().err == f"error [condition]: {message.format(path=path)}\n"
         assert not out.exists()
 
 
@@ -636,9 +662,13 @@ def test_source_edits_keep_the_cli_contract(gamma1, gamma2, epsilon, kind):
     assert_stage_keeps_the_cli_contract("run", _measuring(kind, text), "--grid=-1,1,-1,1,3,3")
 
 
+# a nan or infinite number as %g, repr or JSON writes it
+NON_FINITE = re.compile(r"(?<![\w./])[-+]?(nan|inf(inity)?)(?![\w./])", re.IGNORECASE)
+
+
 def assert_stage_keeps_the_cli_contract(stage, text, *args):
     """``stage`` on a config text exits 0-3, and a failure with one error line
-    and no file; nothing warns."""
+    and no file; nothing warns, and a success writes no non-finite number."""
     with tempfile.TemporaryDirectory() as tmp:
         cfg, out = Path(tmp) / "edit.cfg", Path(tmp) / "out"
         cfg.write_text(text)
@@ -655,6 +685,9 @@ def assert_stage_keeps_the_cli_contract(stage, text, *args):
             assert not out.exists()
         else:
             assert err.getvalue() == ""
+            for path in out.iterdir():
+                assert not NON_FINITE.search(path.read_text()), path.name
+
 
 
 # the line of figure3_upper.cfg that each edited key replaces
@@ -777,6 +810,48 @@ def test_other_stages_keep_the_cli_contract(case, kind):
         assert text.count(line) == 1, line
         text = text.replace(line, line.replace(line.split(" = ")[1], value))
     assert_stage_keeps_the_cli_contract(stage, _measuring(kind, text))
+
+
+GRID_ENDS = ["1", "1e12", "1e38", "1.7e38", "1e77", "1.2e77", "1e100", "1e155", "1e200"]
+SQUEEZINGS = ["0", "1e-12", "0.3", "-1", "10", "88.7", "88.8", "400", "-400", "1e3"]
+# the entries of a covariance file's diagonal, which holds V or, after
+# EXCESS_HEADER, N = (V - I)/2
+COVARIANCE_SCALES = ["0", "1", "1e12", "1e76", "2.8e76", "5.7e76", "1e77", "1e100", "1e200"]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    source=st.one_of(
+        st.just(("opo", "")),
+        st.tuples(st.just("tmsv"), st.sampled_from(SQUEEZINGS)),
+        st.tuples(st.sampled_from(["V file", "N file"]), st.sampled_from(COVARIANCE_SCALES)),
+    ),
+    ends=st.tuples(st.sampled_from(GRID_ENDS), st.sampled_from(GRID_ENDS)),
+    kind=KINDS,
+)
+# a cell's fourth power overflowed, and nan cells were written
+@example(source=("opo", ""), ends=("1e100", "1"), kind="number 2")
+@example(source=("opo", ""), ends=("1", "1e155"), kind="click")
+@example(source=("tmsv", "400"), ends=("1", "1"), kind="click")  # sinh(r)^2 overflowed
+@example(source=("V file", "1e100"), ends=("1", "1"), kind="click")  # det V overflowed
+@example(source=("V file", "1e200"), ends=("1", "1"), kind="click")  # purity = nan
+@example(source=("N file", "5.7e76"), ends=("1.7e38", "1.7e38"), kind="on")  # runs
+def test_squeezing_file_and_grid_edits_keep_the_cli_contract(source, ends, kind):
+    """Any tmsv squeezing, diagonal covariance file and grid ends, on any
+    detection kind, keep run's contract."""
+    kind_of, value = source
+    grid = f"--grid=-{ends[0]},{ends[0]},-{ends[1]},{ends[1]},3,3"
+    text = _measuring(kind, (FIXTURES / "figure3_upper.cfg").read_text())
+    with tempfile.TemporaryDirectory() as tmp:
+        if kind_of == "tmsv":
+            text = f"[source]\nkind = tmsv\nr = {value}\n"
+        elif kind_of != "opo":
+            path = Path(tmp) / "covariance.txt"
+            path.write_text((EXCESS_HEADER + "\n") * (kind_of == "N file") + diagonal(value))
+            text = f"[source]\nkind = direct\ncovariance = {path}\n"
+        if kind_of != "opo":
+            text += f"\n[measurement]\n{MEASUREMENTS[kind]}\n"
+        assert_stage_keeps_the_cli_contract("run", text, grid)
 
 
 UNUSABLE_VALUES = {

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from conftest import OCCUPATION_POWERS, random_physical_covariance
 
 from cwherald.conditioning import (
-    _number_core,
     _occupation_expectation,
     click_wigner_direct,
     condition_on_click,
@@ -39,7 +38,6 @@ from cwherald.wigner import (
     evaluate_grid,
     fock_state,
     integrate_out_trigger,
-    trigger_given_output,
 )
 
 VACUUM = CovarianceMatrix4(np.eye(4))
@@ -233,9 +231,9 @@ class TestOccupationExpectation:
         if decoupled:
             members = [m * SAME_QUADRATURE for m in members]
         v = CovarianceMatrix4(np.stack(members) if family else members[0])
-        _, g, e = trigger_given_output(v)
+        _, g, e = v.trigger_given_output
         # the number outcomes' mean map and covariance, then the click's
-        for lin, cov in (_number_core(v)[:2], (2.0 * g, e)):
+        for lin, cov in (v.number_core[:2], (2.0 * g, e)):
             for n in (0, 1, 2):
                 got = _occupation_expectation(n, lin, cov)
                 want = expected_poly_of_shifted_gaussian(OCCUPATION_POWERS[n], lin, cov)
@@ -418,7 +416,7 @@ class TestSharedReductions:
             "margin": 1, "core": 7, "sigma_inv": 2, "_moments": 6, "contract": 15, "evaluate": 6
         }
         assert len(used) == len(CONDITIONERS)
-        v22, number = trigger_given_output(v)[0], _number_core(v)[2]
+        v22, number = v.trigger_given_output[0], v.number_core[2]
         cores = {id(t.core) for r in results for t in r.state.terms}
         assert cores == {id(v22), id(number)}
         for core in (v22, number):

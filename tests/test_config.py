@@ -248,6 +248,13 @@ ERRORS = [
         edit(TMSV, "r = 0.3", "r = 0.3.1"),
         "[source] r = '0.3.1' is not a number",
     ),
+    # cosh 2r overflowed with a numpy warning, and the covariance was non-finite
+    (
+        "tmsv_r_past_bound",
+        edit(TMSV, "r = 0.3", "r = -400"),
+        "[source] r = -400 is too large: det V multiplies four entries of cosh 2r, "
+        "so |r| must be below 88.72",
+    ),
     (
         "n_not_an_integer",
         edit(OPO, "kind = click", "kind = number\nn = 1.5"),
@@ -282,6 +289,14 @@ ERRORS = [
         "grid_bad_range",
         edit(OPO, "grid = -5,5,-5,5,201,201", "grid = 5,-5,-5,5,11,11"),
         "bad grid spec '5,-5,-5,5,11,11': bad grid range (5.0, -5.0)",
+    ),
+    # a cell raises the axis values to the fourth power: past the bound a grid
+    # warned of an overflow and wrote nan cells
+    (
+        "grid_end_past_bound",
+        edit(OPO, "grid = -5,5,-5,5,201,201", "grid = -1,1,-5,1e100,3,3"),
+        "bad grid spec '-1,1,-5,1e100,3,3': grid range (-5, 1e+100) reaches past "
+        "+-1.701e+38: a cell raises the axis values to the fourth power",
     ),
     (
         "unknown_metric",

@@ -15,7 +15,8 @@ def test_python_api_example_prints_its_values():
     code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     p = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, cwd=ROOT
+        [sys.executable, "-W", "error", "-c", code],
+        capture_output=True, text=True, env=env, cwd=ROOT,
     )
     assert p.returncode == 0, p.stderr
     values = [round(float(line), 4) for line in p.stdout.split()]

@@ -11,7 +11,7 @@ ROOT = Path(__file__).resolve().parent.parent
 def test_script_rows_equal_the_note_rows():
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     p = subprocess.run(
-        [sys.executable, str(ROOT / "docs" / "sensitivity.py")],
+        [sys.executable, "-W", "error", str(ROOT / "docs" / "sensitivity.py")],
         capture_output=True, text=True, env=env, cwd=ROOT,
     )
     assert p.returncode == 0, p.stderr

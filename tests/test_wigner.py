@@ -29,6 +29,7 @@ from cwherald.pipeline import build_covariance
 from cwherald.polynomials import GaussianCore, gaussian_poly_integral, poly_eval
 from cwherald.sources import tmsv_covariance
 from cwherald.wigner import (
+    MAX_GRID_END,
     GaussPolyState,
     GridSpec,
     PolyGaussTerm,
@@ -258,6 +259,14 @@ class TestGridEvaluation:
             GridSpec(nx=1)
         with pytest.raises(ValueError):
             GridSpec(xmin=2.0, xmax=-2.0)
+        # an end at the bound is refused on either axis, at either end; the
+        # largest float below it is not
+        below = np.nextafter(MAX_GRID_END, 0.0)
+        GridSpec(xmin=-below, xmax=below, pmin=-below, pmax=below)
+        for end in ({"xmin": -MAX_GRID_END}, {"xmax": MAX_GRID_END},
+                    {"pmin": -MAX_GRID_END}, {"pmax": MAX_GRID_END}):
+            with pytest.raises(ValueError, match="reaches past"):
+                GridSpec(**end)
 
 
 KINDS = {
