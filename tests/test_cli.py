@@ -271,10 +271,19 @@ class TestMetricsStage:
         assert capsys.readouterr().err == f"error [metrics]: state file {path}: {message}\n"
         assert not out.exists()
 
+    def test_malformed_covariance_file_is_rejected(self, tmp_path, capsys):
+        path = tmp_path / "covariance.txt"
+        path.write_text("1 0 0\n0 1 0\n0 0 1\n")
+        out = tmp_path / "out"
+        args = ["condition", "--config", str(FIXTURES / "figure3_upper.cfg")]
+        assert cli.main([*args, "--covariance", str(path), "--out", str(out)]) == 1
+        want = f"error [condition]: expected 4x4 covariance in {path}, got shape (3, 3)\n"
+        assert capsys.readouterr().err == want
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "text, message",
         [
-            ("1 0 0\n0 1 0\n0 0 1\n", "expected 4x4 covariance in {path}, got shape (3, 3)"),
             # det V overflowed with a numpy warning; run went on to exit 0, at
             # 1e200 with purity = nan
             (diagonal("1e100"), "covariance in {path} has an entry of 1e+100: " + V_BOUND),
@@ -285,9 +294,9 @@ class TestMetricsStage:
                 "of V, so those of N must be below 2.895e+76",
             ),
         ],
-        ids=["3x3", "V-1e100", "V-1e200", "N-3e76"],
+        ids=["V-1e100", "V-1e200", "N-3e76"],
     )
-    def test_malformed_covariance_file_is_rejected(self, tmp_path, capsys, text, message):
+    def test_overflowing_covariance_file_is_rejected(self, tmp_path, capsys, text, message):
         path = tmp_path / "covariance.txt"
         path.write_text(text)
         out = tmp_path / "out"
