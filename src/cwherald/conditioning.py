@@ -32,15 +32,15 @@ member conditioned alone.  A check that fails on any member raises the
 error that the first such member raises alone.
 
 Every Gaussian reduction a conditioner needs is a cached property of
-:class:`~cwherald.covariance.CovarianceMatrix4`, computed once per
-covariance, when first read, and kept on it (its ``n`` is read-only): the
-physicality margin, the trigger given the output and the n-independent
-number core.  Conditioning one covariance six ways reduces it once, and
-the resulting states share two Gaussian cores with read-only ``sigma``
-(``V22`` and the number core), each with one inverse and one product with
-each core it is measured on.  The program's own paths condition each
-covariance once; the sharing serves a caller that compares several
-outcomes on one state.
+:class:`~cwherald.covariance.CovarianceMatrix4`, computed once per covariance,
+when first read, and kept on it (its ``n`` is read-only): the physicality
+margin, the trigger given the output and the n-independent number core.
+Conditioning one covariance six ways reduces it once, and the resulting states
+share two exactly symmetric Gaussian cores with read-only ``sigma`` (``V22``
+and the number core), each with one inverse and one product with each core it
+is measured on, all by :func:`~cwherald.polynomials.inv2`.  The program's own
+paths condition each covariance once; the sharing serves a caller that
+compares several outcomes on one state.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ import numpy as np
 
 from .covariance import CovarianceMatrix4
 from .errors import ImpossibleOutcomeError, UnphysicalCovarianceError
-from .polynomials import GaussianCore, any_member, det2, per_member
+from .polynomials import any_member, det2, entries, per_member
 from .wigner import GaussPolyState, gaussian_state
 
 PROBABILITY_FLOOR = 1e-300
@@ -88,17 +88,6 @@ def _require_physical(v: CovarianceMatrix4) -> None:
         )
 
 
-def _entries(m: np.ndarray) -> list:
-    """The entries m00, m01, m10, m11: Python floats of one 2x2 matrix, arrays of a stack.
-
-    Both do the same IEEE operations, so a family's arithmetic on the
-    arrays gives each member the bits of its own on the floats.
-    """
-    if m.ndim == 2:
-        return m.ravel().tolist()
-    return [m[..., i, j] for i in (0, 1) for j in (0, 1)]
-
-
 def _occupation_expectation(n: int, lin: np.ndarray, cov: np.ndarray) -> np.ndarray:
     """``E[(|z|^2/2)^n / n!]`` for ``z ~ N(lin y, cov)``: a table in y = (x, p), n in {0, 1, 2}.
 
@@ -112,8 +101,8 @@ def _occupation_expectation(n: int, lin: np.ndarray, cov: np.ndarray) -> np.ndar
     if n == 0:
         out[..., 0, 0] = 1.0
         return out
-    l00, l01, l10, l11 = _entries(lin)
-    c00, c01, c10, c11 = _entries(cov)
+    l00, l01, l10, l11 = entries(lin)
+    c00, c01, c10, c11 = entries(cov)
     t = c00 + c11
     # y^T Q y = qxx x^2 + qxp x p + qpp p^2
     qxx = l00 * l00 + l10 * l10

@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .polynomials import GaussianCore, any_member, det2, per_member
+from .polynomials import GaussianCore, any_member, det2, inv2, per_member
 
 if TYPE_CHECKING:  # pragma: no cover
     from .modes import SecondMoments
@@ -103,9 +103,9 @@ class CovarianceMatrix4:
         """
         v22, g, e = self.trigger_given_output
         k = np.eye(2) + e
-        k_inv = np.linalg.inv(k)
+        k_inv = inv2(k)
         kg = k_inv @ g
-        sigma = np.linalg.inv(v22.sigma_inv + 2.0 * g.swapaxes(-1, -2) @ kg)
+        sigma = inv2(v22.sigma_inv + 2.0 * g.swapaxes(-1, -2) @ kg)
         return 2.0 * kg, e @ k_inv, GaussianCore(sigma), det2(v22.sigma) * det2(k)
 
 

@@ -170,19 +170,13 @@ def save_state(path, result: ConditionResult) -> None:
         fh.write("\n")
 
 
-# the inverse that makes a conditioned core leaves its two off-diagonal entries
-# up to a few ulps apart; a state file keeps them as written
-SIGMA_SKEW_RTOL = 1e-12
-
-
 def load_state(path) -> ConditionResult:
     """Read a conditioned state written by :func:`save_state`.
 
     The file must hold an object with a finite positive ``probability`` and
     a non-empty list of ``terms``, each with a finite 2-D ``coeffs`` table
-    and a finite 2x2 ``sigma`` that is positive definite and symmetric to
-    :data:`SIGMA_SKEW_RTOL` of its largest entry; anything else raises
-    ``ValueError`` naming it.
+    and a finite 2x2 ``sigma`` that is positive definite and exactly
+    symmetric; anything else raises ``ValueError`` naming it.
     """
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
@@ -214,8 +208,7 @@ def load_state(path) -> ConditionResult:
     for k, t in enumerate(doc["terms"]):
         coeffs = field(t, "coeffs", (None, None), "a finite 2-D table", f"term {k}: ")
         sigma = field(t, "sigma", (2, 2), "a finite 2x2 matrix", f"term {k}: ")
-        skew = abs(sigma[0, 1] - sigma[1, 0])
-        if not (sigma[0, 0] > 0.0 and det2(sigma) > 0.0 and skew <= SIGMA_SKEW_RTOL * sigma.max()):
+        if not (sigma[0, 0] > 0.0 and det2(sigma) > 0.0 and sigma[0, 1] == sigma[1, 0]):
             raise ValueError(
                 f"state file {path}: term {k}: 'sigma' must be symmetric positive definite"
             )

@@ -51,6 +51,28 @@ def det2(m):
     return m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
 
 
+def entries(m: np.ndarray) -> list:
+    """The entries m00, m01, m10, m11: Python floats of one 2x2 matrix, arrays of a stack.
+
+    Both do the same IEEE operations, so a family's members get the bits each gets alone.
+    """
+    return m.ravel().tolist() if m.ndim == 2 else [m[..., i, j] for i in (0, 1) for j in (0, 1)]
+
+
+def inv2(m: np.ndarray) -> np.ndarray:
+    """Inverse of a 2x2 matrix, or of each member of a stack: the adjugate over :func:`det2`.
+
+    Both off-diagonals are ``-(m01 + m10) / 2 / det``, exactly symmetric even where ``m``'s
+    differ by rounding, as those of ``I + E`` and the sum in ``number_core`` do.
+    """
+    a, b, c, d = entries(m)
+    det = a * d - b * c
+    off = -0.5 * (b + c) / det
+    out = np.empty(m.shape)
+    out[..., 0, 0], out[..., 0, 1], out[..., 1, 0], out[..., 1, 1] = d / det, off, off, a / det
+    return out
+
+
 def nonzero_entries(table: np.ndarray) -> list[tuple[int, int]]:
     """(i, j) of every entry that is nonzero in some member, in row-major order."""
     nz = table != 0.0
@@ -130,15 +152,13 @@ def central_moments(cov: np.ndarray, max_degree: int) -> np.ndarray:
     Uses the Stein/Isserlis recursion
     ``m[a, b] = (a-1) Cxx m[a-2, b] + b Cxp m[a-1, b-1]`` (and its
     transpose for a = 0), exact for any degree.  The recursion runs on the
-    (a, b) entries, each a number or the family's vector of K numbers; a
-    single covariance's numbers are Python floats, which do the same IEEE
-    operations as numpy's scalars without their overhead.  An entry of odd
-    a + b only ever sums entries of odd degree, which start at 0, so the
-    recursion visits even a + b only and leaves the odd entries +0.0.
+    (a, b) entries, each a Python float or the family's vector of K numbers
+    (:func:`entries`).  An entry of odd a + b only ever sums entries of odd
+    degree, which start at 0, so the recursion visits even a + b only and
+    leaves the odd entries +0.0.
     """
-    cxx, cxp, cpp = cov[..., 0, 0][()], cov[..., 0, 1][()], cov[..., 1, 1][()]
+    cxx, cxp, _, cpp = entries(cov)
     if np.ndim(cxx) == 0:
-        cxx, cxp, cpp = float(cxx), float(cxp), float(cpp)
         m = [[0.0] * (max_degree + 1) for _ in range(max_degree + 1)]
     else:
         m = np.zeros((max_degree + 1, max_degree + 1) + cxx.shape)
@@ -255,7 +275,7 @@ class GaussianCore:
     @cached_property
     def sigma_inv(self) -> np.ndarray:
         """``sigma^-1``, the quadratic form in the exponent."""
-        return np.linalg.inv(self.sigma)
+        return inv2(self.sigma)
 
     @cached_property
     def _moments(self) -> tuple:
@@ -311,9 +331,7 @@ class GaussianCore:
         kept = self.__dict__.setdefault("_products", {})
         if other not in kept:
             product = other.__dict__.get("_products", {}).get(self)
-            if product is None:
-                product = GaussianCore(np.linalg.inv(self.sigma_inv + other.sigma_inv))
-            kept[other] = product
+            kept[other] = product or GaussianCore(inv2(self.sigma_inv + other.sigma_inv))
         return kept[other]
 
 

@@ -10,11 +10,11 @@ single-mode states.  All integrals here are exact Gaussian-moment
 reductions; no quadrature enters the core path.
 
 A term's Gaussian is a :class:`~cwherald.polynomials.GaussianCore`, which
-computes its inverse, moment table and products with other cores once and
-holds ``sigma`` read-only.  A covariance's conditioners make terms on two
-cores that the covariance keeps, the output marginal's ``V22`` and the
-photon-number core.  The Fock states of :func:`fock_state` share the
-vacuum core and three literal Laguerre tables.
+computes its exactly symmetric inverse (:func:`~cwherald.polynomials.inv2`),
+moment table and products with other cores once and holds ``sigma`` read-only.
+A covariance's conditioners make terms on two cores that the covariance keeps,
+the output marginal's ``V22`` and the photon-number core.  The Fock states of
+:func:`fock_state` share the vacuum core and three literal Laguerre tables.
 """
 
 from __future__ import annotations

@@ -251,6 +251,10 @@ class TestMetricsStage:
                 {"coeffs": [[1.0]], "sigma": IDENTITY},
                 {"coeffs": [[1.0]], "sigma": [[1.0, 1e-9], [0.0, 1.0]]},
             ]}, "term 1: 'sigma' must be symmetric positive definite"),
+            # older versions wrote cores whose off-diagonals differ in the last bits
+            ({"probability": 0.5, "terms": [{"coeffs": [[1.0]], "sigma": [
+                [1.5, 0.25], [float(np.nextafter(0.25, 1.0)), 0.75]]}]},
+             "term 0: 'sigma' must be symmetric positive definite"),
             ({"probability": 0.0, "terms": [{"coeffs": [[1.0]], "sigma": IDENTITY}]},
              "'probability' must be positive"),
             ({"probability": -0.5, "terms": [{"coeffs": [[1.0]], "sigma": IDENTITY}]},
@@ -259,7 +263,8 @@ class TestMetricsStage:
         ids=[
             "no-probability", "list", "1d-coeffs", "no-sigma", "no-terms", "3x3-sigma",
             "asymmetric-sigma", "indefinite-sigma", "negative-sigma", "singular-sigma",
-            "second-term-skew-sigma", "zero-probability", "negative-probability",
+            "second-term-skew-sigma", "ulp-skew-sigma", "zero-probability",
+            "negative-probability",
         ],
     )
     def test_malformed_state_file_is_rejected(self, tmp_path, capsys, doc, message):

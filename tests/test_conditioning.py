@@ -24,7 +24,7 @@ from cwherald.covariance import (
     assemble,
     physicality_check,
 )
-from cwherald.errors import ImpossibleOutcomeError
+from cwherald.errors import ImpossibleOutcomeError, UnphysicalCovarianceError
 from cwherald import conditioning, metrics, polynomials, wigner
 from cwherald.metrics import fock_fidelity, negativity_volume, wigner_at_origin
 from cwherald.modes import SecondMoments, second_moments
@@ -440,3 +440,47 @@ class TestSharedReductions:
         term = condition_on_click(tmsv_covariance(0.3)).state.terms[0]
         with pytest.raises(ValueError):
             term.sigma[0, 0] = 2.0
+
+
+class TestExactlySymmetricCores:
+    """Every core a conditioner makes, its inverse and every product core the
+    metrics make of it are exactly symmetric: one 2x2 inverse, the adjugate."""
+
+    @staticmethod
+    def symmetric(m) -> bool:
+        return np.array_equal(m[..., 0, 1], m[..., 1, 0])
+
+    @pytest.mark.parametrize("family", [False, True], ids=["single", "family"])
+    @pytest.mark.parametrize("kind", list(CONDITIONERS))
+    def test_terms_and_metric_products(self, kind, family, rng):
+        for _ in range(20):
+            members = [random_physical_covariance(rng, squeeze_max=1.5).n for _ in range(3)]
+            v = CovarianceMatrix4.from_excess(np.stack(members) if family else members[0])
+            state = CONDITIONERS[kind](v).state
+            for n in (0, 1, 2):
+                fock_fidelity(state, n)
+            metrics.purity(state)
+            for t in state.terms:
+                products = t.core.__dict__["_products"].values()
+                assert products
+                assert all(self.symmetric(m) for m in (t.core.sigma, t.core.sigma_inv))
+                assert all(self.symmetric(p.sigma) for p in products)
+
+
+# worst max(|F - 1|, |P - 1|) e^-2r over this ladder, n = 0, 1, 2: 1.06e-15 from
+# numpy's 2x2 inverse, 1.35e-15 from the adjugate (r = 0.5, n = 2)
+TMSV_ERROR_PER_E2R = 3e-15
+
+
+@pytest.mark.parametrize("n", [0, 1, 2])
+@pytest.mark.parametrize("r", np.arange(2, 41) / 4)
+def test_strong_tmsv_is_refused_or_right(r, n):
+    # an n-photon herald on a two-mode squeezed vacuum leaves the Fock state n,
+    # and V's entries carry about e^2r u of rounding
+    try:
+        state = condition_on_number(tmsv_covariance(r), n).state
+    except UnphysicalCovarianceError:
+        return
+    bound = TMSV_ERROR_PER_E2R * np.exp(2 * r)
+    assert abs(fock_fidelity(state, n) - 1.0) <= bound
+    assert abs(metrics.purity(state) - 1.0) <= bound

@@ -19,6 +19,7 @@ from cwherald.polynomials import (
     central_moments,
     det2,
     gaussian_poly_integral,
+    inv2,
     nonzero_entries,
     poly_mul,
 )
@@ -90,8 +91,9 @@ class TestPurity:
 
 
 # Each term computes its inverse, its moment table and its contracted Fock
-# tables once; these in-test formulas invert, build the moment table and
-# contract afresh at every call, and must give the same floating-point numbers.
+# tables once; these in-test formulas invert (by the program's one 2x2
+# inverse), build the moment table and contract afresh at every call, and
+# must give the same floating-point numbers.
 
 
 def fresh_overlap(a, b, merged):
@@ -108,7 +110,7 @@ def fresh_fock_fidelity(s, n):
     fock = fresh_fock_poly(n)
     acc = 0.0
     for t in s.terms:
-        merged = np.linalg.inv(np.linalg.inv(t.sigma) + np.eye(2))
+        merged = inv2(inv2(t.sigma) + np.eye(2))
         acc += fresh_overlap(t.coeffs, fock, merged)
     return 2.0 * np.pi * acc
 
@@ -117,7 +119,7 @@ def fresh_purity(s):
     acc = 0.0
     for ta in s.terms:
         for tb in s.terms:
-            merged = np.linalg.inv(np.linalg.inv(ta.sigma) + np.linalg.inv(tb.sigma))
+            merged = inv2(inv2(ta.sigma) + inv2(tb.sigma))
             acc += fresh_overlap(ta.coeffs, tb.coeffs, merged)
     return 2.0 * np.pi * acc
 

@@ -212,10 +212,10 @@ class TestStateSerialisation:
         )
 
     def test_round_trip_keeps_an_inverted_core_as_written(self, tmp_path):
-        # this one-photon state's core comes out of an inverse with sigma[0, 1] != sigma[1, 0]
+        # this one-photon state's core comes out of an inverse, exactly symmetric
         res = condition_on_number(random_physical_covariance(np.random.default_rng(0)), 1)
         sigma = res.state.terms[0].sigma
-        assert sigma[0, 1] != sigma[1, 0]
+        assert sigma[0, 1] == sigma[1, 0]
         path = tmp_path / "state.json"
         save_state(path, res)
         assert np.array_equal(load_state(path).state.terms[0].sigma, sigma)

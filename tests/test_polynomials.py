@@ -1,10 +1,14 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from cwherald.polynomials import central_moments, poly_eval
+from cwherald import polynomials
+from cwherald.polynomials import central_moments, det2, inv2, poly_eval
 
 # coefficient tables up to 5x5 whose entries are often exactly zero
 _entries = st.one_of(st.just(0.0), st.floats(-10.0, 10.0))
@@ -153,3 +157,69 @@ class TestCentralMoments:
             assert got.tobytes() == all_entries_central_moments(cov, degree).tobytes()
             odd = (np.add.outer(np.arange(degree + 1), np.arange(degree + 1)) % 2).astype(bool)
             assert got[..., odd].tobytes() == np.zeros(got[..., odd].shape).tobytes()
+
+
+class TestInv2:
+    """The adjugate over the determinant: exactly symmetric, member by member."""
+
+    @pytest.mark.parametrize("skew", [0, 1], ids=["symmetric", "one-ulp-skew"])
+    def test_symmetric_and_accurate(self, skew):
+        rng = np.random.default_rng(7)
+        a = rng.normal(size=(200, 2, 2)) * rng.uniform(0.05, 3.0, size=(200, 1, 1))
+        m = a @ a.swapaxes(-1, -2) + 1e-2 * np.eye(2)
+        if skew:
+            m[:, 1, 0] = np.nextafter(m[:, 1, 0], np.inf)
+        got = inv2(m)
+        assert np.array_equal(got[:, 0, 1], got[:, 1, 0])
+        assert np.array_equal(got, np.stack([inv2(x) for x in m]))
+        # within a few roundings of the condition number, as numpy's inverse is
+        cond = np.abs(m).sum(axis=(-2, -1)) ** 2 / np.abs(det2(m))
+        want = np.linalg.inv(m)
+        err = np.abs(got - want).max(axis=(-2, -1)) / np.abs(want).max(axis=(-2, -1))
+        assert np.all(err <= 8 * np.finfo(float).eps * cond)
+
+
+def linalg_inverses(package: Path) -> list[str]:
+    """``module:function`` of every ``linalg.inv`` a module of ``package`` names or imports."""
+    found = []
+
+    def visit(node, path, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, path, f"{owner}.{child.name}" if owner else child.name)
+                continue
+            named = (
+                isinstance(child, ast.Attribute)
+                and child.attr == "inv"
+                and isinstance(child.value, ast.Attribute)
+                and child.value.attr == "linalg"
+            )
+            imported = isinstance(child, ast.ImportFrom) and (child.module or "").endswith("linalg")
+            if named or imported and any(a.name == "inv" for a in child.names):
+                found.append(f"{path.name}:{owner or child.lineno}")
+            visit(child, path, owner)
+
+    for path in sorted(package.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path, "")
+    return found
+
+
+def test_one_2x2_inverse():
+    # the 4x4 inverses of the tests' two-mode oracles are the only others
+    assert linalg_inverses(Path(polynomials.__file__).parent) == [
+        "conditioning.py:click_integrand_direct",
+        "wigner.py:TwoModeGaussianWigner.evaluate",
+    ]
+
+
+def test_linalg_inverses_are_found(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "import numpy as np\n"
+        "from numpy.linalg import inv\n"
+        "class C:\n"
+        "    def f(self, m):\n"
+        "        return np.linalg.inv(m) + inv(m)\n"
+        "def g(m):\n"
+        "    return np.linalg.det(m) * np.linalg.pinv(m)\n"
+    )
+    assert linalg_inverses(tmp_path) == ["a.py:2", "a.py:C.f"]
