@@ -15,11 +15,11 @@ contraction.  A cell paired with itself splits along the diagonal into two
 triangles, one the mirror of the other.  On a finite cell both kinds are
 written as divided differences of the exponential (Hermite-Genocchi), which
 stay exact when rates coincide (``(1 - e^{-x})/x`` is ``exp[0, -x]``); on a
-half-infinite cell they are rational in the rates.  A piece with k = 1 adds
-the terms of its slope: more divided differences on a finite cell, higher
-powers of the rates on a half-infinite one.  Of the built-in modes only the
-tabulated envelope has such pieces, so those terms are formed only when a
-mode list has one; for all others they would be exact zeros.
+half-infinite cell they are rational in the rates.  A piece with k = 1 lies
+on a finite interval and adds the terms of its slope, more divided
+differences.  Of the built-in modes only the tabulated envelope has such
+pieces, so those terms are formed only when a mode list has one; for all
+others they would be exact zeros.
 
 A piece whose ``coeff`` and ``rate`` are 1-d arrays of one length K is a
 family: K pieces on the same interval, differing only in those two values.
@@ -60,8 +60,8 @@ class Piece:
     """``coeff * (t - anchor)**power * exp(rate * (t - anchor))`` on [lo, hi].
 
     ``anchor`` is a finite end of the interval; a half-infinite piece decays
-    away from it.  ``power`` is 0 or 1.  ``coeff`` and ``rate`` are scalars,
-    or 1-d arrays of one length for a family of pieces (module docstring).
+    away from it and has power 0, else ``power`` is 0 or 1.  ``coeff`` and ``rate`` are
+    scalars, or 1-d arrays of one length for a family of pieces (module docstring).
     """
 
     lo: float
@@ -78,6 +78,8 @@ class Piece:
             raise ValueError(f"piece anchor {self.anchor} is not a finite end")
         if self.power not in (0, 1):
             raise ValueError(f"piece power must be 0 or 1, got {self.power}")
+        if self.power and np.isinf([self.lo, self.hi]).any():
+            raise ValueError("a half-infinite piece must have power 0")
         shapes = _shapes(self.coeff, self.rate) - {()}
         if len(shapes) > 1 or any(len(shape) != 1 for shape in shapes):
             raise ValueError(
@@ -274,14 +276,10 @@ def _end_moments(t: _Terms, r, L, linear: bool) -> np.ndarray:
     against the distance to its end.  The cells are all finite or all
     half-infinite; on a half-infinite cell s runs outwards from the finite
     end, and the one moment returned stands for both.  The ``c1`` terms
-    are formed only when ``linear``; otherwise every ``c1`` is 0.
+    are formed only when ``linear``, on finite cells; otherwise every ``c1`` is 0.
     """
     if np.isinf(L).all():
-        g = r - t.rate
-        moment = t.c0 / g
-        if linear:
-            moment = moment + t.c1 / g**2
-        return np.exp(t.shift) * moment
+        return np.exp(t.shift) * (t.c0 / (r - t.rate))
     # nodes: the exponent at s = 0 and twice at s = L of each integrand,
     # shift included, against the distance from the start and to the end
     z = np.empty((2,) + t.shift.shape[:2] + (len(r), 3))
@@ -299,25 +297,12 @@ def _end_moments(t: _Terms, r, L, linear: bool) -> np.ndarray:
 def _triangles(p: _Terms, q: _Terms, r, L, linear: bool) -> np.ndarray:
     """Int_{0 <= u <= s <= L} p(s) q(u) e^{-r (s - u)} du ds, per row of p and q.
 
-    The ``c1`` terms are formed only when ``linear``; otherwise every ``c1`` is 0.
+    The ``c1`` terms are formed only when ``linear``, on finite cells; otherwise every ``c1`` is 0.
     """
     s = p.shift + q.shift
     if np.isinf(L).all():
         # s = u + d: the region becomes the quadrant u, d >= 0 and separates
-        a = p.rate - r
-        c = p.rate + q.rate
-        m0a, m0c = -1.0 / a, -1.0 / c
-        inner = p.c0 * q.c0 * m0a * m0c
-        if linear:
-            m1a = 1.0 / a**2
-            m1c, m2c = 1.0 / c**2, -2.0 / c**3
-            inner = (
-                inner
-                + (p.c0 * q.c1 + p.c1 * q.c0) * m0a * m1c
-                + p.c1 * q.c1 * (m0a * m2c + m1a * m1c)
-                + p.c1 * q.c0 * m1a * m0c
-            )
-        return np.exp(s) * inner
+        return np.exp(s) * (p.c0 * q.c0 * (-1.0 / (p.rate - r)) * (-1.0 / (p.rate + q.rate)))
     # s = L (l1 + l2), u = L l2 over the unit simplex (Hermite-Genocchi);
     # a weight l_i repeats node i.  Nodes x0 = s, x1 and x2 at the corners
     x1 = s + (p.rate - r) * L
@@ -379,7 +364,7 @@ def kernel_moments(modes, rates) -> np.ndarray:
     # the _Terms columns of every term, stacked: terms[:, idx] are those of terms idx
     terms = np.empty((4, len(c), nk, 1))
     terms[0, ..., 0] = c * plan.dk
-    terms[1, ..., 0] = c * plan.power * plan.sign
+    terms[1, ..., 0] = c * plan.power  # a slope lies on a finite cell, where sign is 1
     terms[2, ..., 0] = plan.sign * a
     terms[3, ..., 0] = a * plan.d
 

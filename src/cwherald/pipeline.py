@@ -29,7 +29,7 @@ from .covariance import (
 from .metrics import SCALARS
 from .modes import build_output_mode, build_trigger_mode, second_moments
 from .piecewise import Piece
-from .polynomials import GaussianCore, det2
+from .polynomials import STATE_TABLE_SIDE, GaussianCore, entries
 from .scan import ScanResult, scan_and_refine
 from .sources import CorrelationKernel, opo_kernel, tmsv_covariance
 from .wigner import GaussPolyState, PolyGaussTerm, evaluate_grid
@@ -156,6 +156,16 @@ def scan_alpha(cfg: ExperimentConfig) -> ScanResult:
     )
 
 
+# A state file's magnitudes.  A metric adds per pair of terms 625 products of two coefficients and
+# a moment m[a, b], a, b <= 8, of their product core, times 2 pi^2 sqrt(det).  With the entries of
+# sigma and of its inverse (sigma's over det) below S, the core's eigenvalues lie in (1/(4 S), 2 S),
+# so |m| < 15!! S^8, and coefficients below C keep a pair under 5e250.  A det >= 1e-12 sigma_00
+# sigma_11 keeps every computed core within 4.4e-4 of its exact det, as sums and inverses keep it.
+MAX_STATE_SIGMA = 1e16  # S
+MAX_STATE_COEFF = 1e48  # C
+MIN_STATE_DET_RATIO = 1e-12
+
+
 def save_state(path, result: ConditionResult) -> None:
     """Serialise a conditioned state (terms plus probability) as JSON."""
     doc = {
@@ -176,12 +186,14 @@ def load_state(path) -> ConditionResult:
     The file must hold an object with a finite positive ``probability`` and
     a non-empty list of ``terms``, each with a finite 2-D ``coeffs`` table
     and a finite 2x2 ``sigma`` that is positive definite and exactly
-    symmetric; anything else raises ``ValueError`` naming it.
+    symmetric, within :data:`~cwherald.polynomials.STATE_TABLE_SIDE` and the
+    bounds above; anything else raises ``ValueError`` naming it.
     """
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
+    head = f"state file {path}: "
 
-    def field(owner, key, shape, what, where=""):
+    def field(owner, key, shape, what, where=head):
         """``owner[key]`` as a non-empty finite array of ``shape``, None matching any length."""
         try:
             value = np.array(owner[key], dtype=float)
@@ -194,23 +206,32 @@ def load_state(path) -> ConditionResult:
             or value.size == 0
             or not np.isfinite(value).all()
         ):
-            raise ValueError(f"state file {path}: {where}{key!r} must be {what}")
+            raise ValueError(f"{where}{key!r} must be {what}")
         return value
 
     if not isinstance(doc, dict):
-        raise ValueError(f"state file {path}: not a JSON object")
+        raise ValueError(f"{head}not a JSON object")
     probability = field(doc, "probability", (), "a finite number")
     if not probability > 0.0:
-        raise ValueError(f"state file {path}: 'probability' must be positive")
+        raise ValueError(f"{head}'probability' must be positive")
     if not isinstance(doc.get("terms"), list) or not doc["terms"]:
-        raise ValueError(f"state file {path}: 'terms' must be a non-empty list")
+        raise ValueError(f"{head}'terms' must be a non-empty list")
     terms = []
     for k, t in enumerate(doc["terms"]):
-        coeffs = field(t, "coeffs", (None, None), "a finite 2-D table", f"term {k}: ")
-        sigma = field(t, "sigma", (2, 2), "a finite 2x2 matrix", f"term {k}: ")
-        if not (sigma[0, 0] > 0.0 and det2(sigma) > 0.0 and sigma[0, 1] == sigma[1, 0]):
-            raise ValueError(
-                f"state file {path}: term {k}: 'sigma' must be symmetric positive definite"
-            )
+        where = f"{head}term {k}: "
+        coeffs = field(t, "coeffs", (None, None), "a finite 2-D table", where)
+        if max(coeffs.shape) > STATE_TABLE_SIDE:
+            raise ValueError(f"{where}'coeffs' must fit in {STATE_TABLE_SIDE}x{STATE_TABLE_SIDE}")
+        if not np.abs(coeffs).max() < MAX_STATE_COEFF:
+            raise ValueError(f"{where}'coeffs' must have entries below {MAX_STATE_COEFF:g}")
+        sigma = field(t, "sigma", (2, 2), "a finite 2x2 matrix", where)
+        a, b, c, d = entries(sigma)  # Python floats, whose products overflow without a warning
+        det = a * d - b * c
+        if not (a > 0.0 and det > 0.0 and b == c):
+            raise ValueError(f"{where}'sigma' must be symmetric positive definite")
+        if not max(a, abs(b), d) < MAX_STATE_SIGMA * min(1.0, det):
+            raise ValueError(f"{where}'sigma' and its inverse need entries below {MAX_STATE_SIGMA}")
+        if not det >= MIN_STATE_DET_RATIO * a * d:
+            raise ValueError(f"{where}'sigma' needs det >= {MIN_STATE_DET_RATIO:g} sigma00 sigma11")
         terms.append(PolyGaussTerm(coeffs=coeffs, core=GaussianCore(sigma)))
     return ConditionResult(state=GaussPolyState(terms=tuple(terms)), probability=float(probability))

@@ -248,8 +248,9 @@ def gaussian_poly_integral(c: np.ndarray, sigma: np.ndarray):
     return GaussianCore(sigma).integral(c)
 
 
-# a core's moment table covers a degree-4 polynomial, the highest any conditioner makes, squared
-MOMENT_DEGREE = 8
+# a state table is at most 5 x 5 (degree 4 per variable); the moment table holds a product of two
+STATE_TABLE_SIDE = 5
+MOMENT_DEGREE = 2 * (STATE_TABLE_SIDE - 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -279,41 +280,34 @@ class GaussianCore:
 
     @cached_property
     def _moments(self) -> tuple:
-        """``pi sqrt(det sigma)``, ``sigma / 2`` and its moment table to :data:`MOMENT_DEGREE`."""
+        """``pi sqrt(det sigma)`` and the core's one table, the moments of ``sigma / 2``."""
         det = det2(self.sigma)
         if any_member(det <= 0.0):
             raise ValueError("gaussian core is not positive definite")
-        half = self.sigma / 2.0
-        return np.pi * np.sqrt(det), half, central_moments(half, MOMENT_DEGREE)
+        return np.pi * np.sqrt(det), central_moments(self.sigma / 2.0, MOMENT_DEGREE)
 
     def integral(self, c: np.ndarray):
         """Integral of ``c`` times this Gaussian over the plane, one per member.
 
         ``pi sqrt(det sigma) E[c]`` with (X, P) of covariance ``sigma / 2``.
         A moment entry reads only lower entries, so the kept table's corner
-        serves any lower degree; a higher degree gets a table of its own.
+        serves any degree up to :data:`MOMENT_DEGREE`; past it numpy raises ValueError.
         """
-        scale, half, table = self._moments
-        degree = max(c.shape[-2:]) - 1
-        if degree > MOMENT_DEGREE:
-            table = central_moments(half, degree)
+        scale, table = self._moments
         return scale * (c * table[..., : c.shape[-2], : c.shape[-1]]).sum(axis=(-2, -1))
 
     def overlap(self, a: np.ndarray, b: np.ndarray):
         """Integral of ``a * b`` times this Gaussian, as a bilinear form; one per member.
 
         ``scale * sum(a * T_b)`` with ``T_b[i, j] = sum_kl b[k, l] m[i + k, j + l]``,
-        in the terms of :meth:`integral`, so the product table ``a * b`` is
+        in the terms and with the bound of :meth:`integral`, so the product table ``a * b`` is
         never formed.  A read-only ``b`` is taken to be fixed: its ``T_b``
         is contracted once, over the whole moment table, and kept for any
         later ``a``; it holds the floats a contraction on ``a``'s extent gives.
         """
-        scale, half, table = self._moments
+        scale, table = self._moments
         (ai, aj), (bi, bj) = a.shape[-2:], b.shape[-2:]
-        degree = max(ai + bi, aj + bj) - 2
-        if degree > MOMENT_DEGREE:
-            contracted = _contract(b, central_moments(half, degree), ai, aj)
-        elif b.flags.writeable:
+        if b.flags.writeable:
             contracted = _contract(b, table, ai, aj)
         else:
             kept = self.__dict__.setdefault("_contractions", {})

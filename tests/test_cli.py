@@ -259,12 +259,29 @@ class TestMetricsStage:
              "'probability' must be positive"),
             ({"probability": -0.5, "terms": [{"coeffs": [[1.0]], "sigma": IDENTITY}]},
              "'probability' must be positive"),
+            # past the tables the conditioners make and the magnitudes the metrics hold
+            ({"probability": 0.5, "terms": [{"coeffs": np.ones((6, 6)).tolist(), "sigma": IDENTITY}]},
+             "term 0: 'coeffs' must fit in 5x5"),
+            ({"probability": 0.5, "terms": [{"coeffs": [[1e48]], "sigma": IDENTITY}]},
+             "term 0: 'coeffs' must have entries below 1e+48"),
+            ({"probability": 0.5, "terms": [{"coeffs": [[1.0]], "sigma": [[1e200, 0.0], [0.0, 1e200]]}]},
+             "term 0: 'sigma' and its inverse need entries below 1e+16"),
+            ({"probability": 0.5, "terms": [{"coeffs": [[1.0]], "sigma": [[1e-17, 0.0], [0.0, 1e-17]]}]},
+             "term 0: 'sigma' and its inverse need entries below 1e+16"),
+            # their purity's product core has a determinant of 0.0: a ZeroDivisionError
+            ({"probability": 0.5, "terms": [
+                {"coeffs": [[1.0]], "sigma": [[14.555274198151814, -13.976879560739642],
+                                              [-13.976879560739642, 13.421469056228911]]},
+                {"coeffs": [[1.0]], "sigma": [[69888187153667.97, -67110984050666.72],
+                                              [-67110984050666.72, 64444140901034.66]]},
+            ]}, "term 0: 'sigma' needs det >= 1e-12 sigma00 sigma11"),
         ],
         ids=[
             "no-probability", "list", "1d-coeffs", "no-sigma", "no-terms", "3x3-sigma",
             "asymmetric-sigma", "indefinite-sigma", "negative-sigma", "singular-sigma",
             "second-term-skew-sigma", "ulp-skew-sigma", "zero-probability",
-            "negative-probability",
+            "negative-probability", "6x6-coeffs", "1e48-coeffs", "1e200-sigma", "1e-17-sigma",
+            "aligned-near-singular-sigmas",
         ],
     )
     def test_malformed_state_file_is_rejected(self, tmp_path, capsys, doc, message):
@@ -399,6 +416,30 @@ def test_coherence_outputs_pinned(tmp_path):
         for name in ("coherence.csv", "dominant_mode.csv")
     )
     assert digests == FILTERED_COHERENCE_SHA256
+
+
+# sha256 of (summary.txt, wigner_grid.csv) of a click heralded through a filtered trigger
+# into a tabulated envelope: the one run in which sloped pieces (the envelope's) and a tail
+# (the trigger's) meet in one kernel_moments call
+TABULATED_FILTERED_SHA256 = (
+    "34ff39b0b05fb1272493c301c90fb0e1ace81ff9afeb27b54237e88b378c7db3",
+    "9815619b08131649827bf297ef0ab8c2c9d5a0bc689f10f326b862234961c710",
+)
+ENVELOPE_TABLE = "-2 0.02\n-1.5 0.1\n-1 0.4\n-0.5 0.8\n0 1\n0.5 0.9\n1 0.6\n1.5 0.3\n2 0.1\n2.5 0.03\n"
+
+
+def test_tabulated_envelope_with_filtered_trigger_pinned(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # the summary echoes the table's path
+    Path("envelope.txt").write_text(ENVELOPE_TABLE)
+    text = _fixture_with("figure3_upper.cfg", "envelope = exponential\nalpha = 0.5", TABULATED_SCAN)
+    text = text.replace("filter_width = none", "filter_width = 8.0")
+    Path("tabulated.cfg").write_text(text.replace("window_width = 0.02", "window_width = 0.04"))
+    assert cli.main(["run", "--config", "tabulated.cfg", "--out", "out", "--quiet"]) == 0
+    digests = tuple(
+        hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest()
+        for name in ("summary.txt", "wigner_grid.csv")
+    )
+    assert digests == TABULATED_FILTERED_SHA256
 
 
 class TestScanPipeline:
@@ -866,6 +907,38 @@ def test_squeezing_file_and_grid_edits_keep_the_cli_contract(source, ends, kind)
         if kind_of != "opo":
             text += f"\n[measurement]\n{MEASUREMENTS[kind]}\n"
         assert_stage_keeps_the_cli_contract("run", text, grid)
+
+
+def state_term(side, coeff_exp, sigma_exp, tilt):
+    """A state file's term: ``side`` x ``side`` alternating coefficients
+    ``10^coeff_exp (1 + i + 2 j) / 7`` on the core ``10^sigma_exp [[1, tilt], [tilt, 1]]``."""
+    i, j = np.indices((side, side))
+    coeffs = 10.0**coeff_exp * (-1.0) ** (i + j) * (1 + i + 2 * j) / 7
+    sigma = 10.0**sigma_exp * np.array([[1.0, tilt], [tilt, 1.0]])
+    return {"coeffs": coeffs.tolist(), "sigma": sigma.tolist()}
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    side=st.integers(1, 7),
+    coeff_exp=st.integers(-300, 300),
+    sigma_exps=st.lists(st.integers(-300, 300), min_size=1, max_size=2),
+    tilt=st.sampled_from([0.0, 0.6, -0.99]),
+)
+# each warned and exited 0 with purity = nan or inf, or died: a degree-78 moment
+# overflowed, coefficients of 1e300 squared, and det(2e-200 I) underflowed to 0
+@example(side=40, coeff_exp=0, sigma_exps=[4], tilt=0.0)
+@example(side=1, coeff_exp=300, sigma_exps=[0], tilt=0.0)
+@example(side=1, coeff_exp=0, sigma_exps=[200], tilt=0.0)
+def test_state_file_edits_keep_the_metrics_contract(side, coeff_exp, sigma_exps, tilt):
+    """Any table side, coefficient scale and sigma scales of a state file's
+    terms keep the contract of metrics."""
+    terms = [state_term(side, coeff_exp, e, tilt) for e in sigma_exps]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "state.json"
+        path.write_text(json.dumps({"probability": 0.5, "terms": terms}))
+        text = (FIXTURES / "figure3_upper.cfg").read_text()
+        assert_stage_keeps_the_cli_contract("metrics", text, "--state", str(path))
 
 
 UNUSABLE_VALUES = {

@@ -192,6 +192,10 @@ class TestKernelMoments:
             Piece(0.0, np.inf, 0.0, 1.0, rate=0.0)
         with pytest.raises(ValueError, match="decay"):
             Piece(-np.inf, 0.0, 0.0, 1.0, rate=-1.0)
+        # a slope has finite pieces only: every tail a mode builds has power 0
+        for lo, hi, rate in ((0.0, np.inf, -1.0), (-np.inf, 0.0, 1.0)):
+            with pytest.raises(ValueError, match="half-infinite piece must have power 0"):
+                Piece(lo, hi, 0.0, 1.0, power=1, rate=rate)
         # a family is checked member by member, and its arrays must agree
         with pytest.raises(ValueError, match="decay"):
             Piece(0.0, np.inf, 0.0, 1.0, rate=np.array([-1.0, 0.0, -2.0]))
@@ -265,7 +269,8 @@ ENDS = [-1.0, -0.3, 0.0, 0.4, 1.1]
 
 @st.composite
 def piece_sets(draw, powers, family):
-    """Two or three modes of one to three pieces, finite or half-infinite, on shared ends."""
+    """Two or three modes of one to three pieces, finite or half-infinite, on shared ends;
+    a power of ``powers`` on a finite piece, 0 on a half-infinite one."""
 
     def value(lo, hi):
         # a family member per entry when ``family``, else a scalar
@@ -275,17 +280,16 @@ def piece_sets(draw, powers, family):
 
     def piece():
         where = draw(st.sampled_from(["finite", "left", "right"]))
-        power = draw(st.sampled_from(powers))
         coeff = value(-2.0, 2.0)
         if where == "left":
             end = draw(st.sampled_from(ENDS))
-            return Piece(-np.inf, end, end, coeff, power, value(0.1, 3.0))
+            return Piece(-np.inf, end, end, coeff, 0, value(0.1, 3.0))
         if where == "right":
             end = draw(st.sampled_from(ENDS))
-            return Piece(end, np.inf, end, coeff, power, value(-3.0, -0.1))
+            return Piece(end, np.inf, end, coeff, 0, value(-3.0, -0.1))
         lo, hi = sorted(draw(st.lists(st.sampled_from(ENDS), min_size=2, max_size=2, unique=True)))
         anchor = draw(st.sampled_from([lo, hi]))
-        return Piece(lo, hi, anchor, coeff, power, value(-3.0, 3.0))
+        return Piece(lo, hi, anchor, coeff, draw(st.sampled_from(powers)), value(-3.0, 3.0))
 
     return tuple(
         tuple(piece() for _ in range(draw(st.integers(1, 3)))) for _ in range(draw(st.integers(2, 3)))
@@ -400,7 +404,7 @@ class TestKeptPlan:
 
     def test_signed_zero_ends_get_their_own_plans(self):
         # the other mode's -0.0 end comes first, so the cells cut the line at -0.0
-        tail = Piece(0.0, np.inf, 0.0, 0.8, power=1, rate=-1.2)
+        tail = Piece(0.0, np.inf, 0.0, 0.8, rate=-1.2)
         minus = ((Piece(-0.5, -0.0, -0.0, 1.0),), (tail,))
         plus = ((Piece(-0.5, 0.0, 0.0, 1.0),), (tail,))
         want = [fresh(modes, RATES) for modes in (minus, plus, minus)]

@@ -179,8 +179,10 @@ class TestInv2:
         assert np.all(err <= 8 * np.finfo(float).eps * cond)
 
 
-def linalg_inverses(package: Path) -> list[str]:
-    """``module:function`` of every ``linalg.inv`` a module of ``package`` names or imports."""
+def uses(package: Path, name: str) -> list[str]:
+    """``module:function`` of every use of the dotted ``name`` (``linalg.inv``, or a
+    bare ``central_moments``) that a module of ``package`` makes or imports."""
+    *prefix, last = name.split(".")
     found = []
 
     def visit(node, path, owner):
@@ -188,14 +190,13 @@ def linalg_inverses(package: Path) -> list[str]:
             if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
                 visit(child, path, f"{owner}.{child.name}" if owner else child.name)
                 continue
-            named = (
-                isinstance(child, ast.Attribute)
-                and child.attr == "inv"
-                and isinstance(child.value, ast.Attribute)
-                and child.value.attr == "linalg"
+            named = isinstance(child, (ast.Attribute, ast.Name)) and (
+                "." + ast.unparse(child)
+            ).endswith("." + name)
+            imported = isinstance(child, ast.ImportFrom) and (child.module or "").endswith(
+                ".".join(prefix)
             )
-            imported = isinstance(child, ast.ImportFrom) and (child.module or "").endswith("linalg")
-            if named or imported and any(a.name == "inv" for a in child.names):
+            if named or imported and any(a.name == last for a in child.names):
                 found.append(f"{path.name}:{owner or child.lineno}")
             visit(child, path, owner)
 
@@ -206,9 +207,17 @@ def linalg_inverses(package: Path) -> list[str]:
 
 def test_one_2x2_inverse():
     # the 4x4 inverses of the tests' two-mode oracles are the only others
-    assert linalg_inverses(Path(polynomials.__file__).parent) == [
+    assert uses(Path(polynomials.__file__).parent, "linalg.inv") == [
         "conditioning.py:click_integrand_direct",
         "wigner.py:TwoModeGaussianWigner.evaluate",
+    ]
+
+
+def test_one_moment_table_per_core():
+    # a core's one table, and the generic expansion the tests take as their oracle
+    assert uses(Path(polynomials.__file__).parent, "central_moments") == [
+        "polynomials.py:expected_poly_of_shifted_gaussian",
+        "polynomials.py:GaussianCore._moments",
     ]
 
 
@@ -220,6 +229,7 @@ def test_linalg_inverses_are_found(tmp_path):
         "    def f(self, m):\n"
         "        return np.linalg.inv(m) + inv(m)\n"
         "def g(m):\n"
-        "    return np.linalg.det(m) * np.linalg.pinv(m)\n"
+        "    return np.linalg.det(m) * np.linalg.pinv(m) * central_moments(m, 8)\n"
     )
-    assert linalg_inverses(tmp_path) == ["a.py:2", "a.py:C.f"]
+    assert uses(tmp_path, "linalg.inv") == ["a.py:2", "a.py:C.f"]
+    assert uses(tmp_path, "central_moments") == ["a.py:g"]
