@@ -8,6 +8,7 @@ of the output envelope.  The command-line layer only adds file I/O.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -29,7 +30,7 @@ from .covariance import (
 from .metrics import SCALARS
 from .modes import build_output_mode, build_trigger_mode, second_moments
 from .piecewise import Piece
-from .polynomials import STATE_TABLE_SIDE, GaussianCore, entries
+from .polynomials import STATE_TABLE_SIDE, GaussianCore, det2
 from .scan import ScanResult, scan_and_refine
 from .sources import CorrelationKernel, opo_kernel, tmsv_covariance
 from .wigner import GaussPolyState, PolyGaussTerm, evaluate_grid
@@ -81,8 +82,20 @@ def condition_state(cfg: ExperimentConfig, v: CovarianceMatrix4) -> ConditionRes
 
 
 def summarize(cfg: ExperimentConfig, result: ConditionResult) -> dict[str, float]:
-    """Requested scalar metrics of the conditioned state, fixed key order."""
-    return {key: value(result) for key, value in SCALARS.items() if key in cfg.outputs.metrics}
+    """Requested scalar metrics of the conditioned state, fixed key order.
+
+    A metric that overflows or divides by zero in floating point raises
+    ValueError, as a state file's magnitudes may make one do.
+    """
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            summary = {k: value(result) for k, value in SCALARS.items() if k in cfg.outputs.metrics}
+        finite = np.isfinite(list(summary.values())).all()
+    except ArithmeticError:  # numpy's FloatingPointError, or a Python float's ZeroDivisionError
+        finite = False
+    if not finite:
+        raise ValueError("the state's metrics overflow or divide by zero in floating point")
+    return summary
 
 
 @dataclass(frozen=True)
@@ -156,14 +169,9 @@ def scan_alpha(cfg: ExperimentConfig) -> ScanResult:
     )
 
 
-# A state file's magnitudes.  A metric adds per pair of terms 625 products of two coefficients and
-# a moment m[a, b], a, b <= 8, of their product core, times 2 pi^2 sqrt(det).  With the entries of
-# sigma and of its inverse (sigma's over det) below S, the core's eigenvalues lie in (1/(4 S), 2 S),
-# so |m| < 15!! S^8, and coefficients below C keep a pair under 5e250.  A det >= 1e-12 sigma_00
-# sigma_11 keeps every computed core within 4.4e-4 of its exact det, as sums and inverses keep it.
-MAX_STATE_SIGMA = 1e16  # S
-MAX_STATE_COEFF = 1e48  # C
-MIN_STATE_DET_RATIO = 1e-12
+# det2 of a state file's sigma multiplies two entries: below the square root of the largest float
+# it is finite.  A covariance file's or a tmsv's cores lie far inside, below 1 + float max^(1/4).
+MAX_STATE_SIGMA = sys.float_info.max**0.5
 
 
 def save_state(path, result: ConditionResult) -> None:
@@ -184,16 +192,16 @@ def load_state(path) -> ConditionResult:
     """Read a conditioned state written by :func:`save_state`.
 
     The file must hold an object with a finite positive ``probability`` and
-    a non-empty list of ``terms``, each with a finite 2-D ``coeffs`` table
+    a non-empty list of ``terms``, each with a finite 2-D ``coeffs`` table of
+    at most :data:`~cwherald.polynomials.STATE_TABLE_SIDE` entries a side
     and a finite 2x2 ``sigma`` that is positive definite and exactly
-    symmetric, within :data:`~cwherald.polynomials.STATE_TABLE_SIDE` and the
-    bounds above; anything else raises ``ValueError`` naming it.
+    symmetric, with entries below :data:`MAX_STATE_SIGMA`; anything else
+    raises ``ValueError`` naming it.
     """
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    head = f"state file {path}: "
 
-    def field(owner, key, shape, what, where=head):
+    def field(owner, key, shape, what, where=""):
         """``owner[key]`` as a non-empty finite array of ``shape``, None matching any length."""
         try:
             value = np.array(owner[key], dtype=float)
@@ -206,32 +214,31 @@ def load_state(path) -> ConditionResult:
             or value.size == 0
             or not np.isfinite(value).all()
         ):
-            raise ValueError(f"{where}{key!r} must be {what}")
+            raise ValueError(f"state file {path}: {where}{key!r} must be {what}")
         return value
 
     if not isinstance(doc, dict):
-        raise ValueError(f"{head}not a JSON object")
+        raise ValueError(f"state file {path}: not a JSON object")
     probability = field(doc, "probability", (), "a finite number")
     if not probability > 0.0:
-        raise ValueError(f"{head}'probability' must be positive")
+        raise ValueError(f"state file {path}: 'probability' must be positive")
     if not isinstance(doc.get("terms"), list) or not doc["terms"]:
-        raise ValueError(f"{head}'terms' must be a non-empty list")
+        raise ValueError(f"state file {path}: 'terms' must be a non-empty list")
     terms = []
     for k, t in enumerate(doc["terms"]):
-        where = f"{head}term {k}: "
-        coeffs = field(t, "coeffs", (None, None), "a finite 2-D table", where)
+        coeffs = field(t, "coeffs", (None, None), "a finite 2-D table", f"term {k}: ")
         if max(coeffs.shape) > STATE_TABLE_SIDE:
-            raise ValueError(f"{where}'coeffs' must fit in {STATE_TABLE_SIDE}x{STATE_TABLE_SIDE}")
-        if not np.abs(coeffs).max() < MAX_STATE_COEFF:
-            raise ValueError(f"{where}'coeffs' must have entries below {MAX_STATE_COEFF:g}")
-        sigma = field(t, "sigma", (2, 2), "a finite 2x2 matrix", where)
-        a, b, c, d = entries(sigma)  # Python floats, whose products overflow without a warning
-        det = a * d - b * c
-        if not (a > 0.0 and det > 0.0 and b == c):
-            raise ValueError(f"{where}'sigma' must be symmetric positive definite")
-        if not max(a, abs(b), d) < MAX_STATE_SIGMA * min(1.0, det):
-            raise ValueError(f"{where}'sigma' and its inverse need entries below {MAX_STATE_SIGMA}")
-        if not det >= MIN_STATE_DET_RATIO * a * d:
-            raise ValueError(f"{where}'sigma' needs det >= {MIN_STATE_DET_RATIO:g} sigma00 sigma11")
+            side = f"{STATE_TABLE_SIDE}x{STATE_TABLE_SIDE}"
+            raise ValueError(f"state file {path}: term {k}: 'coeffs' must fit in {side}")
+        sigma = field(t, "sigma", (2, 2), "a finite 2x2 matrix", f"term {k}: ")
+        if not np.abs(sigma).max() < MAX_STATE_SIGMA:
+            raise ValueError(
+                f"state file {path}: term {k}: 'sigma' needs entries below "
+                f"{MAX_STATE_SIGMA:.4g}, as its determinant multiplies two"
+            )
+        if not (sigma[0, 0] > 0.0 and det2(sigma) > 0.0 and sigma[0, 1] == sigma[1, 0]):
+            raise ValueError(
+                f"state file {path}: term {k}: 'sigma' must be symmetric positive definite"
+            )
         terms.append(PolyGaussTerm(coeffs=coeffs, core=GaussianCore(sigma)))
     return ConditionResult(state=GaussPolyState(terms=tuple(terms)), probability=float(probability))

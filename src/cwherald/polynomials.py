@@ -291,8 +291,11 @@ class GaussianCore:
 
         ``pi sqrt(det sigma) E[c]`` with (X, P) of covariance ``sigma / 2``.
         A moment entry reads only lower entries, so the kept table's corner
-        serves any degree up to :data:`MOMENT_DEGREE`; past it numpy raises ValueError.
+        serves any degree up to :data:`MOMENT_DEGREE`; past it raises ValueError.
         """
+        degree = max(c.shape[-2:]) - 1
+        if degree > MOMENT_DEGREE:
+            raise ValueError(f"a table of degree {degree} lies past the core's moment table")
         scale, table = self._moments
         return scale * (c * table[..., : c.shape[-2], : c.shape[-1]]).sum(axis=(-2, -1))
 
@@ -305,8 +308,11 @@ class GaussianCore:
         is contracted once, over the whole moment table, and kept for any
         later ``a``; it holds the floats a contraction on ``a``'s extent gives.
         """
-        scale, table = self._moments
         (ai, aj), (bi, bj) = a.shape[-2:], b.shape[-2:]
+        degree = max(ai + bi, aj + bj) - 2
+        if degree > MOMENT_DEGREE:
+            raise ValueError(f"a product of degree {degree} lies past the core's moment table")
+        scale, table = self._moments
         if b.flags.writeable:
             contracted = _contract(b, table, ai, aj)
         else:

@@ -17,9 +17,11 @@ from hypothesis import strategies as st
 
 from conftest import (
     assert_same_text,
+    beamsplit4,
     coherence_csv_text,
     grid_csv_text,
     random_physical_covariance,
+    squeeze2,
 )
 
 from cwherald import cli, pipeline
@@ -32,6 +34,13 @@ from cwherald.sources import tmsv_covariance
 SRC = Path(__file__).resolve().parent.parent / "src"
 FIXTURES = SRC / "cwherald" / "fixtures"
 IDENTITY = [[1.0, 0.0], [0.0, 1.0]]
+
+
+def squeezed_pair(r):
+    """V of two vacua squeezed by e^+-r at angles 0.3 and 1.1, mixed on a beam splitter."""
+    local = np.block([[squeeze2(r, 0.3), np.zeros((2, 2))], [np.zeros((2, 2)), squeeze2(r, 1.1)]])
+    s = beamsplit4(0.4) @ local
+    return s @ s.T
 
 
 def run_cli(*args, cwd=None):
@@ -259,29 +268,19 @@ class TestMetricsStage:
              "'probability' must be positive"),
             ({"probability": -0.5, "terms": [{"coeffs": [[1.0]], "sigma": IDENTITY}]},
              "'probability' must be positive"),
-            # past the tables the conditioners make and the magnitudes the metrics hold
+            # past the tables the conditioners make, and past the entries det2 keeps finite
             ({"probability": 0.5, "terms": [{"coeffs": np.ones((6, 6)).tolist(), "sigma": IDENTITY}]},
              "term 0: 'coeffs' must fit in 5x5"),
-            ({"probability": 0.5, "terms": [{"coeffs": [[1e48]], "sigma": IDENTITY}]},
-             "term 0: 'coeffs' must have entries below 1e+48"),
             ({"probability": 0.5, "terms": [{"coeffs": [[1.0]], "sigma": [[1e200, 0.0], [0.0, 1e200]]}]},
-             "term 0: 'sigma' and its inverse need entries below 1e+16"),
-            ({"probability": 0.5, "terms": [{"coeffs": [[1.0]], "sigma": [[1e-17, 0.0], [0.0, 1e-17]]}]},
-             "term 0: 'sigma' and its inverse need entries below 1e+16"),
-            # their purity's product core has a determinant of 0.0: a ZeroDivisionError
-            ({"probability": 0.5, "terms": [
-                {"coeffs": [[1.0]], "sigma": [[14.555274198151814, -13.976879560739642],
-                                              [-13.976879560739642, 13.421469056228911]]},
-                {"coeffs": [[1.0]], "sigma": [[69888187153667.97, -67110984050666.72],
-                                              [-67110984050666.72, 64444140901034.66]]},
-            ]}, "term 0: 'sigma' needs det >= 1e-12 sigma00 sigma11"),
+             "term 0: 'sigma' needs entries below 1.341e+154, as its determinant multiplies two"),
+            ({"probability": 0.5, "terms": [{"coeffs": [[1.0]], "sigma": [[1e200, 1e199], [1e199, 1e200]]}]},
+             "term 0: 'sigma' needs entries below 1.341e+154, as its determinant multiplies two"),
         ],
         ids=[
             "no-probability", "list", "1d-coeffs", "no-sigma", "no-terms", "3x3-sigma",
             "asymmetric-sigma", "indefinite-sigma", "negative-sigma", "singular-sigma",
             "second-term-skew-sigma", "ulp-skew-sigma", "zero-probability",
-            "negative-probability", "6x6-coeffs", "1e48-coeffs", "1e200-sigma", "1e-17-sigma",
-            "aligned-near-singular-sigmas",
+            "negative-probability", "6x6-coeffs", "1e200-sigma", "1e200-tilted-sigma",
         ],
     )
     def test_malformed_state_file_is_rejected(self, tmp_path, capsys, doc, message):
@@ -292,6 +291,61 @@ class TestMetricsStage:
         assert cli.main([*args, "--out", str(out)]) == 1
         assert capsys.readouterr().err == f"error [metrics]: state file {path}: {message}\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "terms",
+        [
+            [{"coeffs": [[1e300]], "sigma": IDENTITY}],  # the purity squares it
+            # their purity's product core has a determinant of 0.0: a ZeroDivisionError
+            [
+                {"coeffs": [[1.0]], "sigma": [[14.555274198151814, -13.976879560739642],
+                                              [-13.976879560739642, 13.421469056228911]]},
+                {"coeffs": [[1.0]], "sigma": [[69888187153667.97, -67110984050666.72],
+                                              [-67110984050666.72, 64444140901034.66]]},
+            ],
+        ],
+        ids=["1e300-coeffs", "aligned-near-singular-sigmas"],
+    )
+    def test_state_whose_metrics_overflow_is_rejected(self, tmp_path, capsys, terms):
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps({"probability": 0.5, "terms": terms}))
+        out = tmp_path / "out"
+        args = ["metrics", "--config", str(FIXTURES / "figure3_upper.cfg"), "--state", str(path)]
+        assert cli.main([*args, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error [metrics]: the state's metrics overflow or divide by zero in floating point\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "v, kinds",
+        [
+            (1e20 * np.eye(4), None),
+            (5e76 * np.eye(4), None),  # below MAX_ADDED_NOISE, the largest a V file may hold
+            # the output squeezed by e^+-15 in a rotated quadrature: det sigma = 1 is
+            # 4e-13 of sigma00 sigma11, and the trigger is vacuum
+            (np.block([[np.eye(2), np.zeros((2, 2))], [np.zeros((2, 2)), squeeze2(15.0, 0.7)]]),
+             ["number 0", "vacuum"]),
+            # both modes squeezed by e^+-7.5 in rotated quadratures, mixed on a beam splitter
+            (squeezed_pair(7.5), None),
+        ],
+        ids=["hot", "hottest", "squeezed-output", "squeezed-pair"],
+    )
+    def test_staged_metrics_equal_run_on_extreme_covariances(self, tmp_path, v, kinds):
+        # metrics reads every state that condition writes from a covariance it accepts
+        cov = tmp_path / "v.txt"
+        np.savetxt(cov, v, fmt="%.17g")
+        for kind in kinds or MEASUREMENTS:
+            cfg = tmp_path / "direct.cfg"
+            cfg.write_text(
+                f"[source]\nkind = direct\ncovariance = {cov}\n\n[measurement]\n{MEASUREMENTS[kind]}\n"
+            )
+            small = ["--config", str(cfg), "--grid=-1,1,-1,1,3,3", "--quiet"]
+            run, staged = tmp_path / kind / "run", tmp_path / kind / "staged"
+            assert cli.main(["run", "--out", str(run), *small]) == 0
+            for stage in ("covariance", "condition", "metrics"):
+                assert cli.main([stage, "--out", str(staged), *small]) == 0
+            assert (staged / "summary.txt").read_bytes() == (run / "summary.txt").read_bytes()
 
     def test_malformed_covariance_file_is_rejected(self, tmp_path, capsys):
         path = tmp_path / "covariance.txt"

@@ -204,13 +204,22 @@ class TestBilinearOverlap:
                     self.assert_agrees(a.coeffs, b.coeffs, a.core.times(b.core))
 
     def test_past_the_kept_moment_table(self, rng):
-        # degree 10 in x lies past the core's one table: integral and overlap,
-        # of a read-only table too, refuse it
+        # degree 10 in x lies past the core's one table: integral and overlap refuse it
         a, b = rng.normal(size=(6, 3)), rng.normal(size=(6, 2))
         core = GaussianCore(np.array([[0.8, 0.3], [0.3, 0.6]]))
-        for call in (lambda: core.integral(poly_mul(a, b)), lambda: core.overlap(a, b)):
-            with pytest.raises(ValueError, match="could not be broadcast"):
-                call()
-        b.flags.writeable = False
-        with pytest.raises(ValueError, match="could not be broadcast"):
+        with pytest.raises(ValueError, match="a table of degree 10 lies past"):
+            core.integral(poly_mul(a, b))
+        with pytest.raises(ValueError, match="a product of degree 10 lies past"):
             core.overlap(a, b)
+        # degree 9, where the slices would broadcast a row or come out empty, writable
+        # or read-only; degree 8, the table's own, still agrees
+        for rows_a, rows_b in ((2, 9), (1, 10)):
+            a, b = rng.normal(size=(rows_a, 2)), rng.normal(size=(rows_b, 2))
+            for writeable in (True, False):
+                b.flags.writeable = writeable
+                with pytest.raises(ValueError, match="a product of degree 9 lies past"):
+                    core.overlap(a, b)
+        a, b = rng.normal(size=(1, 2)), rng.normal(size=(9, 2))
+        self.assert_agrees(a, b, core)
+        b.flags.writeable = False
+        self.assert_agrees(a, b, core)
